@@ -15,7 +15,7 @@ from .evaluation import (
     run_experiment,
 )
 from .fis import EmptySystemError, FuzzySystem
-from .learner import AnticipatingClassifier, UnknownClassError
+from .learner import AnticipatingClassifier, NonFiniteInputError, UnknownClassError
 from .snapshot import load_model, model_state_hash, save_model
 from .streams import (
     Standardizer,
@@ -43,6 +43,7 @@ __all__ = [
     "HoldoutResult",
     "LearnerConfig",
     "McNemarOutcome",
+    "NonFiniteInputError",
     "Standardizer",
     "Stream",
     "StreamParseError",

@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import ConfigError, ExperimentConfig, experiment_config_to_dict
 from .learner import AnticipatingClassifier
-from .snapshot import model_state_hash
+from .snapshot import model_state_hash, state_fingerprint
 from .streams import Standardizer, Stream, chunk_stream, default_chunk_sizes, make_stream
 
 K_STRONG = 6.63   # chi-square 1 dof at 0.01: confident difference
@@ -50,8 +50,12 @@ def periodic_holdout(learner, stream: Stream, trs: int, tes: int,
     """Train/test the learner along the stream in (trs, tes) chunk pairs.
 
     ``standardize`` freezes per-feature scaling on the first train chunk.
-    ``verify_purity`` hashes the model around every test chunk and raises
-    RuntimeError if scoring mutated it (only for the native learner).
+    ``verify_purity`` (native learner only) takes ``state_fingerprint``
+    before and after every test chunk and raises RuntimeError if scoring
+    changed it. The fingerprint covers everything the snapshot stores plus
+    the stacked arrays prediction reads, cached covariance inverses
+    included, and costs a few percent of the canonical ``model_state_hash``
+    (which the error message reports for the mutated state).
     """
     pairs = chunk_stream(stream, trs, tes)
     scaler = Standardizer().fit(pairs[0][0]) if standardize else None
@@ -66,11 +70,13 @@ def periodic_holdout(learner, stream: Stream, trs: int, tes: int,
         for x, label in zip(X_train, y_train):
             learner.learn_one(x, int(label))
         trained += len(y_train)
-        before = model_state_hash(learner) if verify_purity else None
+        before = state_fingerprint(learner) if verify_purity else None
         preds = np.fromiter(
             (learner.predict_one(x) for x in X_test), dtype=np.int64, count=len(y_test))
-        if verify_purity and model_state_hash(learner) != before:
-            raise RuntimeError("learner state changed while scoring a test chunk")
+        if verify_purity and state_fingerprint(learner) != before:
+            raise RuntimeError(
+                f"learner state changed while scoring test chunk {len(accuracies)} "
+                f"(model_state_hash now {model_state_hash(learner)})")
         accuracies.append(float(np.mean(preds == y_test)))
         prediction_blocks.append(preds)
         truth_blocks.append(np.asarray(y_test, dtype=np.int64))

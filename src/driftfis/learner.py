@@ -31,6 +31,10 @@ class UnknownClassError(ValueError):
     """A label outside the declared class set arrived with growth disabled."""
 
 
+class NonFiniteInputError(ValueError):
+    """A sample to learn from has a NaN or infinite feature."""
+
+
 class AnticipatingClassifier:
     """Evolving Takagi-Sugeno classifier with per-rule drift anticipation.
 
@@ -79,8 +83,16 @@ class AnticipatingClassifier:
         return self.system.predict_scores(x)
 
     def learn_one(self, x, y) -> int:
-        """Predict, then learn one labeled sample; returns the prediction."""
+        """Predict, then learn one labeled sample; returns the prediction.
+
+        A NaN or infinite feature raises NonFiniteInputError before any
+        state changes.
+        """
         x = self._check_features(x)
+        # a finite sum proves every feature finite; the exact test runs only
+        # when it is not, because a sum of finite features can overflow
+        if not math.isfinite(sum(x.tolist())) and not np.isfinite(x).all():
+            raise NonFiniteInputError(f"features must be finite, got {x.tolist()}")
         y = self._check_label(y)
         cfg = self.config
         system = self.system

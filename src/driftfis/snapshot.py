@@ -5,12 +5,18 @@ counters, config) as plain JSON. Floats survive the round trip exactly
 (repr-based encoding), so saving and reloading resumes the stream
 bit-for-bit. Cached covariance inverses are not stored; they are
 recomputed from the covariance, which is deterministic.
+
+Two digests describe a state. ``model_state_hash`` hashes the canonical
+JSON and is portable across machines. ``state_fingerprint`` hashes the
+raw array bytes in memory: much cheaper, and it also covers the cached
+inverses, but it is only comparable within one process.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from array import array
 from dataclasses import asdict
 
 import numpy as np
@@ -39,10 +45,18 @@ def _premise_to_dict(p: Premise) -> dict:
     }
 
 
-def _premise_from_dict(d: dict) -> Premise:
-    cov = np.array(d["cov"], dtype=float)
+def _array(value, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """Float array from snapshot data; a wrong shape raises ValueError."""
+    out = np.array(value, dtype=float)
+    if out.shape != shape:
+        raise ValueError(f"{what} has shape {out.shape}, expected {shape}")
+    return out
+
+
+def _premise_from_dict(d: dict, n_features: int) -> Premise:
+    cov = _array(d["cov"], (n_features, n_features), "premise cov")
     return Premise(
-        center=np.array(d["center"], dtype=float),
+        center=_array(d["center"], (n_features,), "premise center"),
         cov=cov,
         cov_inv=regularized_inverse(cov),
         hits=int(d["hits"]),
@@ -54,10 +68,11 @@ def _consequent_to_dict(c: Consequent) -> dict:
     return {"coeffs": c.coeffs.tolist(), "corr": c.corr.tolist(), "omega": c.omega}
 
 
-def _consequent_from_dict(d: dict) -> Consequent:
+def _consequent_from_dict(d: dict, n_features: int, n_classes: int) -> Consequent:
+    k = n_features + 1
     return Consequent(
-        coeffs=np.array(d["coeffs"], dtype=float),
-        corr=np.array(d["corr"], dtype=float),
+        coeffs=_array(d["coeffs"], (k, n_classes), "consequent coeffs"),
+        corr=_array(d["corr"], (k, k), "consequent corr"),
         omega=float(d["omega"]),
     )
 
@@ -70,10 +85,11 @@ def _window_to_dict(w: DDFWindow) -> dict:
     }
 
 
-def _window_from_dict(d: dict) -> DDFWindow:
+def _window_from_dict(d: dict, n_features: int) -> DDFWindow:
     window = DDFWindow(int(d["capacity"]), skipped=int(d["skipped"]))
     for x_list, weight in d["entries"]:
-        window.entries.append((np.array(x_list, dtype=float), float(weight)))
+        x = _array(x_list, (n_features + 1,), "window entry")
+        window.entries.append((x, float(weight)))
     return window
 
 
@@ -87,12 +103,12 @@ def _rule_to_dict(r: Rule) -> dict:
     }
 
 
-def _rule_from_dict(d: dict) -> Rule:
+def _rule_from_dict(d: dict, n_features: int, n_classes: int) -> Rule:
     return Rule(
         id=int(d["id"]),
-        premise=_premise_from_dict(d["premise"]),
-        consequent=_consequent_from_dict(d["consequent"]),
-        window=_window_from_dict(d["window"]),
+        premise=_premise_from_dict(d["premise"], n_features),
+        consequent=_consequent_from_dict(d["consequent"], n_features, n_classes),
+        window=_window_from_dict(d["window"], n_features),
         born_class=d["born_class"],
     )
 
@@ -105,11 +121,11 @@ def _sub_to_dict(s: SubRule) -> dict:
     }
 
 
-def _sub_from_dict(d: dict) -> SubRule:
+def _sub_from_dict(d: dict, n_features: int, n_classes: int) -> SubRule:
     return SubRule(
-        premise=_premise_from_dict(d["premise"]),
-        consequent=_consequent_from_dict(d["consequent"]),
-        window=_window_from_dict(d["window"]),
+        premise=_premise_from_dict(d["premise"], n_features),
+        consequent=_consequent_from_dict(d["consequent"], n_features, n_classes),
+        window=_window_from_dict(d["window"], n_features),
     )
 
 
@@ -121,10 +137,10 @@ def _pair_to_dict(p: AnticipatedPair) -> dict:
     }
 
 
-def _pair_from_dict(d: dict) -> AnticipatedPair:
+def _pair_from_dict(d: dict, n_features: int, n_classes: int) -> AnticipatedPair:
     return AnticipatedPair(
-        slow=_sub_from_dict(d["slow"]),
-        fast=_sub_from_dict(d["fast"]),
+        slow=_sub_from_dict(d["slow"], n_features, n_classes),
+        fast=_sub_from_dict(d["fast"], n_features, n_classes),
         samples_seen=int(d["samples_seen"]),
     )
 
@@ -150,23 +166,42 @@ def state_dict(learner: AnticipatingClassifier) -> dict:
 
 
 def from_state_dict(state: dict) -> AnticipatingClassifier:
-    """Rebuild a learner from a state dictionary (inverse of state_dict)."""
+    """Rebuild a learner from a state dictionary (inverse of state_dict).
+
+    Raises SnapshotError for an unknown format or version, a missing key,
+    or a value of the wrong type or shape.
+    """
     if state.get("format") != FORMAT_NAME:
         raise SnapshotError(f"not a {FORMAT_NAME} snapshot")
     if state.get("version") != FORMAT_VERSION:
         raise SnapshotError(f"unsupported snapshot version {state.get('version')!r}")
+    try:
+        return _learner_from_state(state)
+    except KeyError as exc:
+        raise SnapshotError(f"malformed snapshot: missing key {exc}") from exc
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise SnapshotError(f"malformed snapshot: {exc}") from exc
+
+
+def _learner_from_state(state: dict) -> AnticipatingClassifier:
     config = LearnerConfig(**state["config"])
-    learner = AnticipatingClassifier(
-        int(state["n_features"]), int(state["n_classes"]), config)
+    d = int(state["n_features"])
+    c = int(state["n_classes"])
+    learner = AnticipatingClassifier(d, c, config)
     learner.samples_seen = int(state["samples_seen"])
     learner.next_rule_id = int(state["next_rule_id"])
-    learner.seen_classes = {int(c) for c in state["seen_classes"]}
+    learner.seen_classes = {int(label) for label in state["seen_classes"]}
     learner.anticipations = {
-        int(rule_id): _pair_from_dict(d)
-        for rule_id, d in state["anticipations"].items()
+        int(rule_id): _pair_from_dict(pair, d, c)
+        for rule_id, pair in state["anticipations"].items()
     }
-    learner.drift_log = [DriftEvent(**d) for d in state["drift_log"]]
-    learner._sync_banks([_rule_from_dict(d) for d in state["rules"]])
+    learner.drift_log = [DriftEvent(**event) for event in state["drift_log"]]
+    rules = [_rule_from_dict(rule, d, c) for rule in state["rules"]]
+    ids = [rule.id for rule in rules]
+    if len(set(ids)) != len(ids) or set(ids) != set(learner.anticipations):
+        raise ValueError("every rule needs a unique id and exactly one "
+                         "anticipation pair")
+    learner._sync_banks(rules)
     return learner
 
 
@@ -188,6 +223,54 @@ def load_model(path: str) -> AnticipatingClassifier:
 
 
 def model_state_hash(learner: AnticipatingClassifier) -> str:
-    """SHA-256 over the canonical JSON state; equal iff states are equal."""
+    """SHA-256 over the canonical JSON of state_dict, as a hex string.
+
+    Equal iff the serialized states are equal. The cached covariance
+    inverses are not serialized, so a change to them alone leaves this
+    hash unchanged (state_fingerprint covers them). Portable and stable
+    across machines; the benchmark pins its value per stream.
+    """
     canonical = json.dumps(state_dict(learner), sort_keys=True)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def state_fingerprint(learner: AnticipatingClassifier) -> bytes:
+    """SHA-256 digest of the live model state, fed from raw array bytes.
+
+    Covers every array state_dict serializes (premise centers and
+    covariances, consequent coefficients and correlations, every window
+    entry), the counters and metadata (config, rule ids, hits, horizons,
+    window bookkeeping, drift log), and the five FuzzySystem stacks that
+    prediction reads, cached inverses included. It builds no JSON, so it
+    costs a few percent of model_state_hash. The bytes are native-endian:
+    compare fingerprints only within one process.
+    """
+    system = learner.system
+    stacks = (system._centers, system._covs, system._invs,
+              system._corrs, system._coeffs)
+    chunks: list = list(stacks)
+    meta: list = [system.n_features, system.n_classes, learner.config,
+                  learner.samples_seen, learner.next_rule_id,
+                  sorted(learner.seen_classes), learner.drift_log,
+                  [stack.shape for stack in stacks]]
+    for rule in system.rules:
+        meta.append((rule.id, rule.born_class))
+        _fingerprint_parts(chunks, meta, rule.premise, rule.consequent, rule.window)
+    for rule_id, pair in learner.anticipations.items():
+        meta.append((rule_id, pair.samples_seen))
+        for sub in (pair.slow, pair.fast):
+            _fingerprint_parts(chunks, meta, sub.premise, sub.consequent, sub.window)
+    # the lengths in meta fix where each array's bytes start, and repr
+    # writes every float exactly
+    chunks.append(repr(meta).encode())
+    return hashlib.sha256(b"".join(chunks)).digest()
+
+
+def _fingerprint_parts(chunks: list, meta: list, premise: Premise,
+                       consequent: Consequent, window: DDFWindow) -> None:
+    chunks += (premise.center, premise.cov, consequent.coeffs, consequent.corr)
+    entries = window.entries
+    chunks += [x for x, _ in entries]
+    chunks.append(array("d", [weight for _, weight in entries]))
+    meta.append((premise.hits, premise.horizon, consequent.omega,
+                 window.capacity, window.skipped, len(entries)))

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from driftfis import cli
+from driftfis import AnticipatingClassifier, cli, load_model
 from driftfis.evaluation import RESULTS_FORMAT, load_results
+from driftfis.snapshot import state_dict
 
 
 @pytest.fixture(autouse=True)
@@ -96,6 +97,20 @@ class TestRun:
         path = tmp_path / "broken.cfg"
         path.write_text("just some words\n", encoding="utf-8")
         assert cli.main(["run", "--config", str(path)]) == 2
+
+    def test_malformed_snapshot_is_a_data_error(self, outdir, tmp_path,
+                                                monkeypatch, capsys):
+        # no command reads a model file yet, so one is loaded inside "run"
+        learner = AnticipatingClassifier(2, 2)
+        learner.learn_one([0.0, 0.0], 0)
+        state = state_dict(learner)
+        del state["config"]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(state), encoding="utf-8")
+        monkeypatch.setattr(cli, "run_experiment",
+                            lambda cfg: load_model(str(path)))
+        assert cli.main(["run", "--dataset", "line"]) == 3
+        assert "missing key 'config'" in capsys.readouterr().err
 
 
 class TestCompare:

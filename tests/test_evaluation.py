@@ -39,6 +39,35 @@ class OracleLearner:
         return self.rule(x)
 
 
+class ImpureLearner(AnticipatingClassifier):
+    """Native learner whose first prediction also applies ``mutate`` to it."""
+
+    def __init__(self, mutate):
+        super().__init__(2, 2, LearnerConfig(ks=math.inf))
+        self.mutate = mutate
+
+    def predict_one(self, x):
+        if self.mutate is not None:
+            self.mutate(self)
+            self.mutate = None
+        return super().predict_one(x)
+
+
+def _ulp_up(arr, index):
+    arr[index] = np.nextafter(arr[index], math.inf)
+
+
+def _bump_hits(learner):
+    learner.system.rules[0].premise.hits += 1
+
+
+def _detach_coefficients(learner):
+    # the rule's array stops being a view of the stack prediction reads, so
+    # only the snapshot side of the state changes
+    con = learner.system.rules[0].consequent
+    con.coeffs = con.coeffs + 1.0
+
+
 def labeled_stream(n=400, seed=0):
     rng = np.random.default_rng(seed)
     X = rng.uniform(0.0, 1.0, size=(n, 2))
@@ -96,6 +125,20 @@ class TestPeriodicHoldout:
         assert res.final_rules == learner.n_rules
         assert res.drift_events == []
         assert 0.5 < res.mean_accuracy <= 1.0
+
+    @pytest.mark.parametrize("mutate", [
+        lambda m: _ulp_up(m.system.rules[0].consequent.coeffs, (0, 0)),
+        _bump_hits,
+        lambda m: _ulp_up(m.system._invs, (0, 1, 1)),
+        _detach_coefficients,
+    ], ids=["coefficient-ulp", "hits", "cached-inverse", "detached-array"])
+    def test_purity_check_catches_scoring_that_mutates(self, mutate):
+        stream = labeled_stream(n=400, seed=5)
+        with pytest.raises(RuntimeError, match="test chunk 0"):
+            periodic_holdout(ImpureLearner(mutate), stream, trs=50, tes=50,
+                             verify_purity=True)
+        res = periodic_holdout(ImpureLearner(mutate), stream, trs=50, tes=50)
+        assert len(res.per_chunk_accuracy) == 4
 
     def test_standardize_fits_on_first_train_chunk(self):
         # shift features far from the origin: without scaling the seeded

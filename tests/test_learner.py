@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from driftfis.config import LearnerConfig
-from driftfis.learner import AnticipatingClassifier, UnknownClassError, _premise_radius
+from driftfis.learner import (
+    AnticipatingClassifier,
+    NonFiniteInputError,
+    UnknownClassError,
+    _premise_radius,
+)
 from driftfis.snapshot import model_state_hash
 
 from helpers import gaussian_stream
@@ -183,6 +188,24 @@ class TestValidation:
         assert after.shape == (3, 5)
         assert np.array_equal(after[:, :2], before)
         assert np.array_equal(after[:, 2:], np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("n_trained", [0, 60])
+    @pytest.mark.parametrize("bad", [[math.nan, 0.0], [0.0, math.inf],
+                                     [-math.inf, math.nan]])
+    def test_non_finite_features_rejected_before_any_change(self, n_trained, bad):
+        learner = make_learner(ks=0.6, nmin=3, allow_class_growth=True)
+        X, y = two_blob_stream(np.random.default_rng(8), n_trained)
+        train(learner, X, y)
+        digest = model_state_hash(learner)
+        with pytest.raises(NonFiniteInputError):
+            learner.learn_one(bad, 5)  # a new label would grow the classes
+        assert model_state_hash(learner) == digest
+        assert learner.system.n_classes == 2
+
+    def test_finite_features_whose_sum_overflows_are_accepted(self):
+        learner = make_learner()
+        learner.learn_one([1e308, 1e308], 0)
+        assert learner.n_rules == 1
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 
 import json
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from driftfis.snapshot import (
     model_state_hash,
     save_model,
     state_dict,
+    state_fingerprint,
 )
 
 from helpers import gaussian_stream
@@ -143,6 +145,40 @@ class TestGuards:
         with pytest.raises(SnapshotError):
             load_model(str(path))
 
+    @pytest.mark.parametrize("path", [
+        ("config",), ("rules",), ("anticipations",), ("drift_log",),
+        ("rules", 0, "premise", "cov"), ("rules", 0, "window", "entries"),
+    ])
+    def test_missing_key_rejected(self, path):
+        state = state_dict(trained_learner(n=40))
+        parent = state
+        for key in path[:-1]:
+            parent = parent[key]
+        del parent[path[-1]]
+        with pytest.raises(SnapshotError):
+            from_state_dict(state)
+
+    @pytest.mark.parametrize("mangle", [
+        lambda s: s.update(config={"ks": 0.5, "no_such_field": 1}),
+        lambda s: s.update(config={"ks": -1.0}),
+        lambda s: s.update(rules={"not": "a list"}),
+        lambda s: s.update(anticipations=[]),
+        lambda s: s.update(n_features="two"),
+        lambda s: s["rules"][0]["premise"].update(center=[0.0]),
+        lambda s: s["rules"][0]["premise"].update(cov=[[1.0, 0.0], [0.0]]),
+        lambda s: s["rules"][0]["consequent"].update(coeffs=[[0.0, 0.0]] * 2),
+        lambda s: s["rules"][0]["window"].update(entries=[[[1.0, 2.0], 0.5]]),
+        lambda s: s["drift_log"].append({"sample_index": 1}),
+        lambda s: s["rules"].append(s["rules"][0]),
+        lambda s: s["anticipations"].update(
+            {"999": next(iter(s["anticipations"].values()))}),
+    ])
+    def test_malformed_value_rejected(self, mangle):
+        state = state_dict(trained_learner(n=40, forgetting_mode="forget_ps"))
+        mangle(state)
+        with pytest.raises(SnapshotError):
+            from_state_dict(state)
+
     def test_format_constants(self):
         state = state_dict(trained_learner(n=40))
         assert state["format"] == FORMAT_NAME == "driftfis-model"
@@ -159,3 +195,101 @@ def test_hash_tracks_state_changes():
     assert model_state_hash(learner) == before
     learner.learn_one([1.0, 1.0], 0)
     assert model_state_hash(learner) != before
+
+
+class TestFingerprint:
+    def test_survives_file_round_trip(self, tmp_path):
+        learner = trained_learner(forgetting_mode="forget_ps")
+        path = tmp_path / "model.json"
+        save_model(learner, str(path))
+        assert state_fingerprint(load_model(str(path))) == \
+            state_fingerprint(learner)
+
+    def test_every_state_dict_leaf_moves_the_fingerprint(self):
+        learner = trained_learner(forgetting_mode="forget_ps")
+        state = state_dict(learner)
+        # the fixture fills every kind of container the state has
+        assert learner.drift_log and learner.system.rules[0].window.entries
+        assert any(pair.fast.window.entries for pair in learner.anticipations.values())
+        digest = state_fingerprint(learner)
+        leaves = [path for path in _leaves(state)
+                  if path not in (("format",), ("version",))]  # format constants
+        for path in leaves:
+            undo = _perturb_live_field(learner, path)
+            assert state_fingerprint(learner) != digest, path
+            undo()
+        assert state_fingerprint(learner) == digest
+        assert state_dict(learner) == state
+
+    def test_cached_inverses_move_the_fingerprint_only(self):
+        learner = trained_learner(n=60)
+        digest = state_fingerprint(learner)
+        canonical = model_state_hash(learner)
+        inv = learner.system._invs
+        inv[0, 0, 0] = np.nextafter(inv[0, 0, 0], math.inf)
+        assert state_fingerprint(learner) != digest
+        assert model_state_hash(learner) == canonical
+
+
+def _leaves(node, path=()):
+    """Paths to every scalar in a state_dict tree."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _leaves(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _leaves(value, path + (i,))
+    else:
+        yield path
+
+
+def _perturb_live_field(learner, path):
+    """Change the live value a state_dict leaf was read from; return an undo."""
+    head, *rest = path
+    if head == "seen_classes":  # a set on the learner, sorted in the state
+        saved = learner.seen_classes
+        learner.seen_classes = saved - {sorted(saved)[rest[0]]} | {max(saved) + 1}
+        return lambda: setattr(learner, "seen_classes", saved)
+    node, key = (learner.system if head in ("n_features", "n_classes", "rules")
+                 else learner), head
+    outer = None
+    for step in rest:
+        outer = (node, key)
+        node = _get(node, key)
+        key = int(step) if node is learner.anticipations else step
+    if isinstance(node, tuple):  # window entry (x, weight): swap the whole pair
+        node, key, entry = outer[0], outer[1], node
+        changed = list(entry)
+        changed[path[-1]] = _perturbed(entry[path[-1]])
+        _set(node, key, tuple(changed))
+        return lambda: _set(node, key, entry)
+    saved = _get(node, key)
+    _set(node, key, _perturbed(saved))
+    return lambda: _set(node, key, saved)
+
+
+def _get(node, key):
+    if isinstance(node, (dict, list, deque, tuple, np.ndarray)):
+        return node[key]
+    return getattr(node, key)
+
+
+def _set(node, key, value):
+    if isinstance(node, (dict, list, deque, np.ndarray)):
+        node[key] = value
+    else:
+        setattr(node, key, value)
+
+
+def _perturbed(value):
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, (int, np.integer)):
+        return value + 1
+    if isinstance(value, (float, np.floating)):
+        return np.nextafter(value, math.inf)
+    if isinstance(value, str):
+        return value + "!"
+    if value is None:
+        return 1
+    raise TypeError(f"no perturbation for {value!r}")
