@@ -15,7 +15,9 @@ update_premise bitwise row for row; the membership and WRLS paths match
 their references to dot-product rounding. What every batched operation
 does guarantee exactly is stack independence: a row's result is bitwise
 identical no matter which other rows share the stack, so attaching
-auxiliary rows can never perturb the principal ones.
+auxiliary rows can never perturb the principal ones, and an operation may
+gather just the rows that carry weight (advance_premises, wrls_step and
+downdate_rows take a row index) without changing any row's result.
 """
 
 from __future__ import annotations
@@ -168,11 +170,12 @@ class FuzzySystem:
     natural while updates run as one batched operation over every row.
 
     A caller may also attach auxiliary (premise, consequent) rows behind
-    the principal rules. They share every batched update but take no part
-    in prediction; the anticipation learner uses them for its shadow
-    sub-rule pairs. Rows with zero blend weight pass through the batched
-    updates unchanged, so attaching auxiliary rows never alters what the
-    principal rows compute.
+    the principal rules. They live in the same stacks but take no part in
+    prediction; the anticipation learner uses them for its shadow sub-rule
+    pairs. The updates either run over the whole stack, where a zero
+    weight leaves a row unchanged, or gather only the listed rows; both
+    give each row the same bits, so attaching auxiliary rows never alters
+    what the principal rows compute.
 
     Treat ``rules`` as read-only; structural changes must go through
     add_rule/set_rows so the stacks stay in sync.
@@ -324,42 +327,63 @@ class FuzzySystem:
         return np.einsum("d,nde,e->n", vec, self._invs[row:row + 2], vec)
 
     def wrls_step(self, x_aug: np.ndarray, weights: np.ndarray,
-                  target: np.ndarray) -> None:
-        """One WRLS step on every stacked consequent with per-row weights.
+                  target: np.ndarray, rows: np.ndarray | None = None) -> None:
+        """One WRLS step on stacked consequents with per-row weights.
 
         Each row follows wrls_update with that row's weight (equal to
         dot-product rounding, and independent of the other rows in the
-        stack); weight 0 degenerates to a no-op exactly. ``weights`` has
-        shape (n_rows,).
+        stack); weight 0 degenerates to a no-op exactly. Without ``rows``
+        every stacked row steps and ``weights`` has shape (n_rows,). With
+        ``rows`` (a distinct-integer array) ``weights`` lines up with
+        ``rows`` and every other row keeps its values. Large stacks then
+        gather, step and scatter back only the listed rows; small ones step
+        every row, the others with weight 0. A row's result is the same bit
+        for bit either way.
         """
         corrs = self._corrs
-        coeffs = self._coeffs
-        u = corrs @ x_aug                                    # (n, k)
-        # einsum rather than u @ x_aug: BLAS gemv accumulates differently
-        # depending on the matrix height, which would make a row's result
-        # depend on how many other rows share the stack
-        s = np.einsum("nk,k->n", u, x_aug)
-        f = weights / (1.0 + weights * s)
-        corrs -= f[:, None, None] * (u[:, :, None] * u[:, None, :])
-        resid = target - x_aug @ coeffs                      # (n, c)
-        gains = corrs @ x_aug
-        coeffs += weights[:, None, None] * (gains[:, :, None] * resid[:, None, :])
+        if rows is None:
+            _wrls_kernel(corrs, self._coeffs, x_aug, weights, target)
+            return
+        n_rows, k, _ = corrs.shape
+        if (n_rows - rows.shape[0]) * k * k <= _GATHER_MIN_SKIPPED:
+            full = np.zeros(n_rows)
+            full[rows] = weights
+            _wrls_kernel(corrs, self._coeffs, x_aug, full, target)
+            return
+        sub_r = corrs.take(rows, axis=0)
+        sub_c = self._coeffs.take(rows, axis=0)
+        _wrls_kernel(sub_r, sub_c, x_aug, weights, target)
+        corrs[rows] = sub_r
+        self._coeffs[rows] = sub_c
+
+    def downdate_rows(self, rows: np.ndarray, xs: np.ndarray,
+                      weights: np.ndarray) -> np.ndarray:
+        """Remove one absorbed observation from each listed row's correlation.
+
+        Row ``rows[i]`` sheds ``xs[i]`` with weight ``weights[i]``, the
+        in-place counterpart of linalg.corr_decrement; ``rows`` must be
+        distinct. Returns the per-row success mask: a row whose downdate
+        denominator falls within the guard of zero is left untouched.
+        The stacked matmuls reproduce the single-row products bit for bit,
+        so a row's result does not depend on the other rows listed.
+        """
+        corrs = self._corrs.take(rows, axis=0)
+        u = np.matmul(corrs, xs[:, :, None])                  # (m, k, 1)
+        s = np.matmul(xs[:, None, :], u)[:, 0, 0]
+        denom = 1.0 - weights * s
+        ok = ~(np.abs(denom) < DOWNDATE_GUARD)
+        u = u[:, :, 0]
+        if not ok.all():
+            rows, corrs, u = rows[ok], corrs[ok], u[ok]
+            weights, denom = weights[ok], denom[ok]
+        corrs += (weights / denom)[:, None, None] * (u[:, :, None] * u[:, None, :])
+        self._corrs[rows] = corrs
+        return ok
 
     def downdate_row(self, row: int, x_aug: np.ndarray, weight: float) -> bool:
-        """Remove one absorbed observation from a row's correlation matrix.
-
-        In-place counterpart of linalg.corr_decrement for stacked rows.
-        Returns False (leaving the row untouched) when the downdate
-        denominator falls within the guard of zero.
-        """
-        corr = self._corrs[row]
-        u = corr @ x_aug
-        s = float(x_aug @ u)
-        denom = 1.0 - weight * s
-        if abs(denom) < DOWNDATE_GUARD:
-            return False
-        corr += (weight / denom) * (u[:, None] * u)
-        return True
+        """downdate_rows on a single row; False when the guard trips."""
+        return bool(self.downdate_rows(np.array([row]), x_aug[None, :],
+                                       np.array([weight]))[0])
 
     def downdate_row_pair(self, row: int, x_aug: np.ndarray,
                           weights: np.ndarray) -> tuple[bool, bool]:
@@ -384,3 +408,24 @@ class FuzzySystem:
         elif ok1:
             corr2[1] += (float(weights[1]) / float(denom[1])) * (u[1][:, None] * u[1])
         return ok0, ok1
+
+
+# Gathering and scattering rows has a fixed cost; it pays once the rows it
+# skips hold more correlation entries than this (measured crossover in the
+# learner's n + 2 of 3n rows: about 8 rules at 3 features, 3-4 at 10).
+_GATHER_MIN_SKIPPED = 256
+
+
+def _wrls_kernel(corrs: np.ndarray, coeffs: np.ndarray, x_aug: np.ndarray,
+                 weights: np.ndarray, target: np.ndarray) -> None:
+    """FuzzySystem.wrls_step on the given (n, k, k)/(n, k, c) stacks, in place."""
+    u = corrs @ x_aug                                        # (n, k)
+    # einsum rather than u @ x_aug: BLAS gemv accumulates differently
+    # depending on the matrix height, which would make a row's result
+    # depend on how many other rows share the stack
+    s = np.einsum("nk,k->n", u, x_aug)
+    f = weights / (1.0 + weights * s)
+    corrs -= f[:, None, None] * (u[:, :, None] * u[:, None, :])
+    resid = target - x_aug @ coeffs                          # (n, c)
+    gains = corrs @ x_aug
+    coeffs += weights[:, None, None] * (gains[:, :, None] * resid[:, None, :])

@@ -50,6 +50,38 @@ class DDFWindow:
         return None
 
 
+def frozen_copy(x_aug: np.ndarray) -> np.ndarray:
+    """Read-only copy of a sample, safe to share between windows."""
+    out = x_aug.copy()
+    out.setflags(write=False)
+    return out
+
+
+def record_sample(windows: list[DDFWindow], x_aug: np.ndarray,
+                  weights: list[float]) -> tuple[list[int], list, list[float]]:
+    """Append one sample to every window, each with its own weight.
+
+    ``x_aug`` is stored as given, not copied, so pass a frozen_copy that
+    all the windows can share. Returns the evictions that still carry
+    weight as three parallel lists: the window's position in ``windows``,
+    the departing sample and its weight. Zero-weight evictions are dropped,
+    since their downdate would be a no-op.
+    """
+    where: list[int] = []
+    xs: list = []
+    ws: list[float] = []
+    for i, window in enumerate(windows):
+        entries = window.entries
+        entries.append((x_aug, weights[i]))
+        if len(entries) > window.capacity:
+            old_x, old_w = entries.popleft()
+            if old_w != 0.0:
+                where.append(i)
+                xs.append(old_x)
+                ws.append(old_w)
+    return where, xs, ws
+
+
 def ddf_update(con: Consequent, window: DDFWindow,
                x_aug: np.ndarray, weight: float, target: np.ndarray) -> None:
     """WRLS step followed by deferred removal of the sample leaving the window.

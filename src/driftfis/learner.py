@@ -10,9 +10,11 @@ forgetting, in the shadow pairs and/or the principal system.
 
 The shadow pairs live as auxiliary rows of the FuzzySystem, so one batched
 membership pass, one batched premise update, and one batched WRLS step per
-sample cover the principal rules and the active pair together; rows not
-involved in a given sample ride along with zero weight, which the batched
-operations treat as an exact no-op.
+sample cover the principal rules and the active pair together. The premise
+update and the WRLS step are told which rows carry weight (the winner and
+its pair; every principal rule and the winner's pair) and, on large stacks,
+touch only those. Principal conclusion forgetting sheds all its evictions
+in one batched downdate.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 from .anticipation import AnticipatedPair, DriftEvent, spawn_pair
 from .config import LearnerConfig
 from .fis import FuzzySystem, Rule, create_rule
-from .forgetting import DDFWindow
+from .forgetting import DDFWindow, frozen_copy, record_sample
 
 
 class UnknownClassError(ValueError):
@@ -32,7 +34,8 @@ class UnknownClassError(ValueError):
 
 
 class NonFiniteInputError(ValueError):
-    """A sample to learn from has a NaN or infinite feature."""
+    """A sample to learn from has a NaN or infinite feature, or lies so far
+    from every rule that the distances overflow and all memberships vanish."""
 
 
 class AnticipatingClassifier:
@@ -61,11 +64,13 @@ class AnticipatingClassifier:
         self._x_aug = np.empty(n_features + 1)
         self._x_aug[0] = 1.0
         self._alphas = np.zeros((0, 1))
-        self._wvec = np.zeros(0)
         self._rows3 = np.empty(3, dtype=np.intp)
-        # rows of _alphas/_wvec written last sample, zeroed lazily next sample
+        # rows of _alphas written last sample, zeroed lazily next sample
         self._stale_rows: tuple = ()
-        self._stale_aux: tuple = ()
+        # WRLS rows (every principal rule, then the winner's pair) and
+        # their weights, in matching order
+        self._wrows = np.zeros(2, dtype=np.intp)
+        self._wvec = np.zeros(2)
 
     # -- public surface ------------------------------------------------
 
@@ -85,30 +90,38 @@ class AnticipatingClassifier:
     def learn_one(self, x, y) -> int:
         """Predict, then learn one labeled sample; returns the prediction.
 
-        A NaN or infinite feature raises NonFiniteInputError before any
-        state changes.
+        A NaN or infinite feature, or a sample so far from every rule that
+        all memberships vanish, raises NonFiniteInputError before any state
+        changes.
         """
         x = self._check_features(x)
         # a finite sum proves every feature finite; the exact test runs only
         # when it is not, because a sum of finite features can overflow
         if not math.isfinite(sum(x.tolist())) and not np.isfinite(x).all():
             raise NonFiniteInputError(f"features must be finite, got {x.tolist()}")
-        y = self._check_label(y)
         cfg = self.config
         system = self.system
-        rules = system.rules
 
-        if not rules:
+        if not system.rules:
             # Founding sample: nothing to predict from, so the model's
             # answer is the sample's own class by construction.
+            y = self._check_label(y)
             self._give_birth(x, y)
             self.samples_seen += 1
             return y
 
-        n = len(rules)
+        n = len(system.rules)
         all_betas = system.memberships_all(x)
         betas = all_betas[:n]
         bsum = float(betas.sum())
+        # every weight below divides by bsum (or by the pair denominator),
+        # so check it before the label check can grow the classes
+        if not 0.0 < bsum < math.inf:
+            raise NonFiniteInputError(
+                f"sample {x.tolist()} has no finite positive membership sum "
+                f"({bsum!r}); its distances overflow")
+        y = self._check_label(y)
+        rules = system.rules
         x_aug = self._x_aug
         x_aug[1:] = x
         prediction = int(np.argmax(
@@ -130,9 +143,21 @@ class AnticipatingClassifier:
         row_slow = n + 2 * winner
         row_fast = row_slow + 1
         # Sub-rule memberships from the pre-update premises, consistent
-        # with betas (they came out of the same batched evaluation).
+        # with betas (they came out of the same batched evaluation). The
+        # pair's conclusion weights come from them, before any state change.
         beta_slow = float(all_betas[row_slow])
         beta_fast = float(all_betas[row_fast])
+        if cfg.wrls_weight == "normalized":
+            denom = beta_slow + beta_fast + bsum - float(betas[winner])
+            if not 0.0 < denom < math.inf:
+                raise NonFiniteInputError(
+                    f"sample {x.tolist()} has no finite positive pair weight "
+                    f"denominator ({denom!r}); its distances overflow")
+            w_slow = beta_slow / denom
+            w_fast = beta_fast / denom
+        else:
+            w_slow = beta_slow
+            w_fast = beta_fast
 
         # Premise advance: the winner and its pair blend the sample in,
         # every other row keeps alpha 0.
@@ -153,41 +178,33 @@ class AnticipatingClassifier:
             alphas[row, 0] = 1.0 / t
         system.advance_premises(x, alphas, rows)
 
-        # One WRLS step over all rows: principal conclusions with their
-        # (normalized) memberships, the winner's pair with its virtual
-        # rule-base weights, every other pair with weight zero.
+        # One WRLS step over the rows that carry weight: principal
+        # conclusions with their (normalized) memberships, then the
+        # winner's pair with its virtual rule-base weights. Every other
+        # pair would have weight zero, so it is left out.
         wvec = self._wvec
         if cfg.wrls_weight == "normalized":
             np.divide(betas, bsum, out=wvec[:n])
-            denom = beta_slow + beta_fast + bsum - float(betas[winner])
-            w_slow = beta_slow / denom
-            w_fast = beta_fast / denom
         else:
             wvec[:n] = betas
-            w_slow = beta_slow
-            w_fast = beta_fast
-        for row in self._stale_aux:
-            wvec[row] = 0.0
-        self._stale_aux = (row_slow, row_fast)
-        wvec[row_slow] = w_slow
-        wvec[row_fast] = w_fast
-        target = self._target(y)
-        system.wrls_step(x_aug, wvec, target)
+        wvec[n] = w_slow
+        wvec[n + 1] = w_fast
+        wrows = self._wrows
+        wrows[n] = row_slow
+        wrows[n + 1] = row_fast
+        system.wrls_step(x_aug, wvec, self._target(y), wrows)
 
         # Deferred directional forgetting: windows record the sample and
         # the correlation matrices shed whatever falls out.
         mode = cfg.forgetting_mode
         if mode != "none":
-            evicted = pair.slow.window.push(x_aug, w_slow)
-            evicted_fast = pair.fast.window.push(x_aug, w_fast)
-            if evicted is not None:
-                self._evict_pair(pair, row_slow, evicted, evicted_fast)
+            shared = frozen_copy(x_aug)
+            where, xs, ws = record_sample(
+                [pair.slow.window, pair.fast.window], shared, [w_slow, w_fast])
+            if where:
+                self._evict_pair(pair, row_slow, where, xs[0], ws)
             if mode == "forget_ps":
-                for i, r in enumerate(rules):
-                    old = r.window.push(x_aug, float(wvec[i]))
-                    if old is not None and old[1] != 0.0:
-                        if not system.downdate_row(i, old[0], old[1]):
-                            r.window.skipped += 1
+                self._forget_principal(shared, wvec[:n])
         pair.samples_seen += 1
 
         if math.isfinite(cfg.ks) and pair.samples_seen > cfg.nmin:
@@ -266,11 +283,11 @@ class AnticipatingClassifier:
             aux.append((pair.slow.premise, pair.slow.consequent))
             aux.append((pair.fast.premise, pair.fast.consequent))
         system.set_rows(rules, aux)
-        n_rows = system.n_rows
-        self._alphas = np.zeros((n_rows, 1))
-        self._wvec = np.zeros(n_rows)
+        n = len(rules)
+        self._alphas = np.zeros((system.n_rows, 1))
         self._stale_rows = ()
-        self._stale_aux = ()
+        self._wrows = np.arange(n + 2, dtype=np.intp)
+        self._wvec = np.zeros(n + 2)
 
     def _target(self, y: int) -> np.ndarray:
         """Cached one-hot row for the label (read-only; never mutated)."""
@@ -284,33 +301,49 @@ class AnticipatingClassifier:
     def _update_conclusions_only(self, x_aug: np.ndarray, betas: np.ndarray,
                                  y: int) -> None:
         """Principal-only conclusion step (used on class-birth samples)."""
-        system = self.system
-        n = len(system.rules)
-        wvec = self._wvec
+        n = len(self.system.rules)
+        wvec = self._wvec[:n]
         if self.config.wrls_weight == "normalized":
-            np.divide(betas, betas.sum(), out=wvec[:n])
+            np.divide(betas, betas.sum(), out=wvec)
         else:
-            wvec[:n] = betas
-        wvec[n:] = 0.0
-        system.wrls_step(x_aug, wvec, self._target(y))
+            wvec[:] = betas
+        self.system.wrls_step(x_aug, wvec, self._target(y), self._wrows[:n])
         if self.config.forgetting_mode == "forget_ps":
-            for i, r in enumerate(system.rules):
-                old = r.window.push(x_aug, float(wvec[i]))
-                if old is not None and old[1] != 0.0:
-                    if not system.downdate_row(i, old[0], old[1]):
-                        r.window.skipped += 1
+            self._forget_principal(frozen_copy(x_aug), wvec)
+
+    def _forget_principal(self, shared: np.ndarray, weights: np.ndarray) -> None:
+        """Record a sample in every principal window and shed the evictions.
+
+        ``shared`` is a frozen copy of the augmented sample and ``weights``
+        the principal conclusion weights it was learned with. All evictions
+        that carry weight go through one batched downdate; a row whose
+        guard trips keeps its matrix and counts the skip on its window.
+        """
+        rules = self.system.rules
+        where, xs, ws = record_sample([r.window for r in rules], shared,
+                                      weights.tolist())
+        if not where:
+            return
+        ok = self.system.downdate_rows(np.array(where), np.array(xs),
+                                       np.array(ws))
+        for i in np.flatnonzero(~ok).tolist():
+            rules[where[i]].window.skipped += 1
 
     def _evict_pair(self, pair: AnticipatedPair, row_slow: int,
-                    evicted_slow, evicted_fast) -> None:
-        """Shed the sample leaving the pair windows (they leave together)."""
-        old_x = evicted_slow[0]
-        w_old = np.array([evicted_slow[1], evicted_fast[1]])
-        if evicted_slow[1] == 0.0 and evicted_fast[1] == 0.0:
-            return
-        ok_slow, ok_fast = self.system.downdate_row_pair(row_slow, old_x, w_old)
-        if not ok_slow and evicted_slow[1] != 0.0:
+                    where: list[int], old_x: np.ndarray, ws: list[float]) -> None:
+        """Shed the sample leaving the pair windows (they leave together).
+
+        ``where``/``ws`` list the windows (0 slow, 1 fast) whose eviction
+        carries weight, as record_sample returns them.
+        """
+        w_old = [0.0, 0.0]
+        for i, w in zip(where, ws):
+            w_old[i] = w
+        ok_slow, ok_fast = self.system.downdate_row_pair(row_slow, old_x,
+                                                         np.array(w_old))
+        if not ok_slow and w_old[0] != 0.0:
             pair.slow.window.skipped += 1
-        if not ok_fast and evicted_fast[1] != 0.0:
+        if not ok_fast and w_old[1] != 0.0:
             pair.fast.window.skipped += 1
 
     def _replace_rule(self, winner: int, separation: float) -> None:

@@ -31,6 +31,9 @@ from .linalg import regularized_inverse
 FORMAT_NAME = "driftfis-model"
 FORMAT_VERSION = 1
 
+# the encoder json.dumps(..., sort_keys=True) uses, built once
+_CANONICAL = json.JSONEncoder(sort_keys=True)
+
 
 class SnapshotError(ValueError):
     """Snapshot file is missing, malformed, or from an unknown format."""
@@ -147,6 +150,17 @@ def _pair_from_dict(d: dict, n_features: int, n_classes: int) -> AnticipatedPair
 
 def state_dict(learner: AnticipatingClassifier) -> dict:
     """Full model state as a JSON-serializable dictionary."""
+    state = _state_skeleton(learner)
+    state["rules"] = [_rule_to_dict(r) for r in learner.system.rules]
+    state["anticipations"] = {
+        str(rule_id): _pair_to_dict(pair)
+        for rule_id, pair in learner.anticipations.items()
+    }
+    return state
+
+
+def _state_skeleton(learner: AnticipatingClassifier) -> dict:
+    """state_dict with its two bulky entries, rules and anticipations, None."""
     return {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
@@ -156,11 +170,8 @@ def state_dict(learner: AnticipatingClassifier) -> dict:
         "samples_seen": learner.samples_seen,
         "next_rule_id": learner.next_rule_id,
         "seen_classes": sorted(learner.seen_classes),
-        "rules": [_rule_to_dict(r) for r in learner.system.rules],
-        "anticipations": {
-            str(rule_id): _pair_to_dict(pair)
-            for rule_id, pair in learner.anticipations.items()
-        },
+        "rules": None,
+        "anticipations": None,
         "drift_log": [asdict(event) for event in learner.drift_log],
     }
 
@@ -225,13 +236,46 @@ def load_model(path: str) -> AnticipatingClassifier:
 def model_state_hash(learner: AnticipatingClassifier) -> str:
     """SHA-256 over the canonical JSON of state_dict, as a hex string.
 
-    Equal iff the serialized states are equal. The cached covariance
-    inverses are not serialized, so a change to them alone leaves this
-    hash unchanged (state_fingerprint covers them). Portable and stable
-    across machines; the benchmark pins its value per stream.
+    The canonical text is ``json.dumps(state_dict(learner),
+    sort_keys=True)``, but it is never built whole: it is fed to the hash
+    one rule or shadow pair at a time, so the transient memory is one
+    rule's worth. Equal iff the serialized states are equal. The cached
+    covariance inverses are not serialized, so a change to them alone
+    leaves this hash unchanged (state_fingerprint covers them). Portable
+    and stable across machines; the benchmark pins its value per stream.
     """
-    canonical = json.dumps(state_dict(learner), sort_keys=True)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    digest = hashlib.sha256()
+
+    def put(text: str) -> None:
+        digest.update(text.encode("utf-8"))
+
+    dumps = _CANONICAL.encode
+    state = _state_skeleton(learner)
+    put("{")
+    for i, key in enumerate(sorted(state)):
+        # json.dumps separators: ", " between items, ": " after keys
+        put(f"{', ' if i else ''}{dumps(key)}: ")
+        if key == "rules":
+            _put_items(put, "[]", (dumps(_rule_to_dict(rule))
+                                   for rule in learner.system.rules))
+        elif key == "anticipations":
+            pairs = {str(rule_id): pair
+                     for rule_id, pair in learner.anticipations.items()}
+            _put_items(put, "{}", (
+                f"{dumps(rule_id)}: {dumps(_pair_to_dict(pairs[rule_id]))}"
+                for rule_id in sorted(pairs)))
+        else:
+            put(dumps(state[key]))
+    put("}")
+    return digest.hexdigest()
+
+
+def _put_items(put, brackets: str, items) -> None:
+    """Stream a JSON array or object from its already-encoded items."""
+    put(brackets[0])
+    for i, item in enumerate(items):
+        put(f", {item}" if i else item)
+    put(brackets[1])
 
 
 def state_fingerprint(learner: AnticipatingClassifier) -> bytes:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from driftfis import fis
 from driftfis.fis import (
     Consequent,
     EmptySystemError,
@@ -15,7 +16,7 @@ from driftfis.fis import (
     update_premise,
     wrls_update,
 )
-from driftfis.linalg import corr_decrement, regularized_inverse
+from driftfis.linalg import DOWNDATE_GUARD, corr_decrement, regularized_inverse
 from helpers import random_pd, random_system
 
 
@@ -426,6 +427,61 @@ class TestBatchedAdaptation:
         before = system.rules[0].consequent.corr.tobytes()
         assert not system.downdate_row(0, np.array([1.0, 0.0]), 1.0)
         assert system.rules[0].consequent.corr.tobytes() == before
+
+    @pytest.mark.parametrize("n_rows, d, gathers", [(9, 3, False), (40, 3, True),
+                                                   (12, 10, True)])
+    def test_wrls_step_rows_matches_full_stack(self, n_rows, d, gathers):
+        # the rows step reproduces the full-stack step bit for bit on the
+        # listed rows and leaves the others unchanged, on both of its paths
+        rng = np.random.default_rng(34)
+        full = random_system(rng, n_rows, d, 2)
+        listed = random_system(np.random.default_rng(34), n_rows, d, 2)
+        x_aug = augment(rng.standard_normal(d))
+        for system in (full, listed):  # make the correlations generic
+            for _ in range(3):
+                system.wrls_step(augment(np.ones(d)), np.full(n_rows, 0.3),
+                                 one_hot(1, 2))
+        rows = np.array([0, 1, 2, 7, 8], dtype=np.intp)
+        assert ((n_rows - 5) * (d + 1) ** 2 > fis._GATHER_MIN_SKIPPED) == gathers
+        weights = np.zeros(n_rows)
+        weights[rows] = [0.4, 0.0, 0.25, 0.01, 0.02]
+        corrs_before = listed._corrs.copy()
+        coeffs_before = listed._coeffs.copy()
+        full.wrls_step(x_aug, weights, one_hot(0, 2))
+        listed.wrls_step(x_aug, weights[rows], one_hot(0, 2), rows)
+        assert full._corrs[rows].tobytes() == listed._corrs[rows].tobytes()
+        assert full._coeffs[rows].tobytes() == listed._coeffs[rows].tobytes()
+        others = np.setdiff1d(np.arange(n_rows), rows)
+        assert listed._corrs[others].tobytes() == corrs_before[others].tobytes()
+        assert listed._coeffs[others].tobytes() == coeffs_before[others].tobytes()
+
+    def test_downdate_rows_matches_per_row_bitwise(self):
+        rng = np.random.default_rng(28)
+        batched = random_system(rng, 6, 3, 2)
+        single = random_system(np.random.default_rng(28), 6, 3, 2)
+        for system in (batched, single):
+            system.wrls_step(augment(np.ones(3)), np.full(6, 0.5), one_hot(0, 2))
+            system.rules[2].consequent.corr[:] = np.eye(4)  # guard row
+        rows = np.array([4, 0, 2, 5], dtype=np.intp)
+        xs = np.array([augment(rng.standard_normal(3)) for _ in rows])
+        xs[2] = [1.0, 0.0, 0.0, 0.0]
+        weights = np.array([0.6, 0.3, 1.0, 0.05])
+        before = batched._corrs.copy()
+        ok = batched.downdate_rows(rows, xs, weights)
+        assert ok.tolist() == [True, True, False, True]
+        for row, x, w, flag in zip(rows, xs, weights, ok):
+            assert single.downdate_row(int(row), x, float(w)) == flag
+            # the single-row arithmetic, written out
+            corr = before[row]
+            u = corr @ x
+            denom = 1.0 - float(w) * float(x @ u)
+            expected = (corr + (float(w) / denom) * (u[:, None] * u)
+                        if abs(denom) >= DOWNDATE_GUARD else corr)
+            assert batched._corrs[row].tobytes() == expected.tobytes()
+        assert batched._corrs.tobytes() == single._corrs.tobytes()
+        # the guard row and the unlisted rows are untouched
+        for row in (1, 2, 3):
+            assert batched._corrs[row].tobytes() == before[row].tobytes()
 
     def test_downdate_row_pair_matches_sequential(self):
         rng = np.random.default_rng(24)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from driftfis.fis import Consequent, augment, one_hot, wrls_update
-from driftfis.forgetting import DDFWindow, ddf_update
+from driftfis.forgetting import DDFWindow, ddf_update, frozen_copy, record_sample
 from driftfis.linalg import corr_decrement
 
 
@@ -46,6 +46,30 @@ class TestDDFWindow:
         w.push(np.array([2.0]), 0.1)
         assert dup.entries[0][0][0] == 1.0
         assert len(dup) == 1
+
+
+class TestRecordSample:
+    def test_windows_share_one_read_only_sample(self):
+        windows = [DDFWindow(3), DDFWindow(3)]
+        x = np.array([1.0, 2.0])
+        shared = frozen_copy(x)
+        record_sample(windows, shared, [0.5, 0.25])
+        x[0] = 99.0
+        assert windows[0].entries[0][0] is windows[1].entries[0][0]
+        assert windows[0].entries[0][0][0] == 1.0
+        assert not windows[0].entries[0][0].flags.writeable
+        assert [w.entries[0][1] for w in windows] == [0.5, 0.25]
+
+    def test_returns_only_weighted_evictions(self):
+        windows = [DDFWindow(1), DDFWindow(1), DDFWindow(2)]
+        first = frozen_copy(np.array([1.0]))
+        assert record_sample(windows, first, [0.0, 0.7, 0.4]) == ([], [], [])
+        where, xs, ws = record_sample(windows, frozen_copy(np.array([2.0])),
+                                      [0.1, 0.2, 0.3])
+        # window 0 evicts a zero-weight sample, window 2 is not full yet
+        assert where == [1]
+        assert xs[0] is first and ws == [0.7]
+        assert [len(w) for w in windows] == [1, 1, 2]
 
 
 class TestDdfUpdate:

@@ -202,6 +202,38 @@ class TestValidation:
         assert model_state_hash(learner) == digest
         assert learner.system.n_classes == 2
 
+    @pytest.mark.parametrize("wrls_weight", ["normalized", "raw"])
+    @pytest.mark.parametrize("label", [0, 5])
+    def test_overflowing_distance_rejected_before_any_change(self, wrls_weight,
+                                                             label):
+        # every membership underflows to 0 at this distance
+        learner = make_learner(ks=0.6, nmin=3, allow_class_growth=True,
+                               wrls_weight=wrls_weight)
+        X, y = two_blob_stream(np.random.default_rng(8), 50)
+        train(learner, X, y)
+        digest = model_state_hash(learner)
+        with pytest.raises(NonFiniteInputError, match="overflow"):
+            learner.learn_one([1e160, 0.0], label)
+        assert model_state_hash(learner) == digest
+        assert learner.samples_seen == 50
+        assert learner.system.n_classes == 2
+        learner.learn_one(X[0], int(y[0]))  # still learns afterwards
+        assert learner.samples_seen == 51
+
+    def test_vanishing_pair_weights_rejected_before_any_change(self):
+        # one rule whose shadow pair lies out of reach: the pair weights'
+        # denominator is then 0 although the rule itself fires
+        learner = make_learner(ks=0.6, nmin=3)
+        X, _ = two_blob_stream(np.random.default_rng(9), 30)
+        train(learner, X, np.zeros(30, dtype=int))
+        assert learner.n_rules == 1
+        learner.system._centers[1:] = 1e200
+        digest = model_state_hash(learner)
+        with pytest.raises(NonFiniteInputError, match="denominator"):
+            learner.learn_one(X[0], 0)
+        assert model_state_hash(learner) == digest
+        assert learner.samples_seen == 30
+
     def test_finite_features_whose_sum_overflows_are_accepted(self):
         learner = make_learner()
         learner.learn_one([1e308, 1e308], 0)

@@ -1,5 +1,6 @@
 """Tests for model serialization: exact resume, format guards."""
 
+import hashlib
 import json
 import math
 from collections import deque
@@ -197,6 +198,70 @@ def test_hash_tracks_state_changes():
     assert model_state_hash(learner) != before
 
 
+def _whole_text_hash(learner):
+    canonical = json.dumps(state_dict(learner), sort_keys=True)
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+class TestStreamedHash:
+    """model_state_hash streams the canonical JSON; the digest must not move."""
+
+    def test_empty_learner(self):
+        learner = AnticipatingClassifier(3, 2)
+        assert model_state_hash(learner) == _whole_text_hash(learner)
+
+    def test_after_class_growth(self):
+        learner = trained_learner(n=60, allow_class_growth=True)
+        learner.learn_one([0.5, 0.5], 4)
+        assert learner.system.n_classes == 5
+        assert model_state_hash(learner) == _whole_text_hash(learner)
+
+    @pytest.mark.parametrize("strategy", ["naive", "global"])
+    def test_after_drifts(self, strategy):
+        learner = golden_learner(strategy)
+        assert learner.drift_log
+        # rule ids past 9 sort differently as strings than as numbers
+        assert max(learner.anticipations) >= 10
+        assert model_state_hash(learner) == _whole_text_hash(learner)
+
+    def test_after_load_model(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(trained_learner(ks=math.inf), str(path))
+        clone = load_model(str(path))
+        assert model_state_hash(clone) == _whole_text_hash(clone)
+
+
+# model_state_hash of golden_learner: any change to what forget_ps learns,
+# or to the canonical text the hash reads, moves these
+GOLDEN_FORGET_PS = {
+    "naive": "75f6f8491ba77193435d10473c22da4e1da4c06185e2c528d31d857aff087818",
+    "global": "d62be8bf6c22ed7d8a96b51737de87cc209ff3f8c5c26e6009e7ad3c32c1d4de",
+}
+
+
+def golden_learner(strategy):
+    """forget_ps on a two-step drifting stream where a third class arrives late."""
+    learner = AnticipatingClassifier(2, 3, LearnerConfig(
+        ks=0.6, nmin=3, tmax2=5, ws=12, strategy=strategy,
+        forgetting_mode="forget_ps"))
+    rng = np.random.default_rng(47)
+    centers = np.array([[0.0, 0.0], [4.0, 4.0], [0.0, 4.0]])
+    y = np.concatenate([rng.integers(0, 2, 150), rng.integers(0, 3, 150)])
+    X = centers[y] + rng.normal(0.0, 0.5, (300, 2))
+    X[100:] += 1.5
+    X[200:] += 1.5
+    for xi, yi in zip(X, y):
+        learner.learn_one(xi, int(yi))
+    return learner
+
+
+@pytest.mark.parametrize("strategy", ["naive", "global"])
+def test_forget_ps_state_hash_is_pinned(strategy):
+    learner = golden_learner(strategy)
+    assert len(learner.drift_log) >= 5
+    assert model_state_hash(learner) == GOLDEN_FORGET_PS[strategy]
+
+
 class TestFingerprint:
     def test_survives_file_round_trip(self, tmp_path):
         learner = trained_learner(forgetting_mode="forget_ps")
@@ -252,17 +317,25 @@ def _perturb_live_field(learner, path):
         return lambda: setattr(learner, "seen_classes", saved)
     node, key = (learner.system if head in ("n_features", "n_classes", "rules")
                  else learner), head
-    outer = None
+    entry_at = None
     for step in rest:
         outer = (node, key)
         node = _get(node, key)
+        if isinstance(node, tuple):  # window entry (x, weight)
+            entry_at = outer
         key = int(step) if node is learner.anticipations else step
-    if isinstance(node, tuple):  # window entry (x, weight): swap the whole pair
-        node, key, entry = outer[0], outer[1], node
-        changed = list(entry)
-        changed[path[-1]] = _perturbed(entry[path[-1]])
-        _set(node, key, tuple(changed))
-        return lambda: _set(node, key, entry)
+    if entry_at is not None:
+        # window samples are read-only and shared between windows, so swap
+        # the whole entry for a changed copy
+        window, index = entry_at
+        entry = window[index]
+        changed = [entry[0].copy(), entry[1]]
+        if node is entry:  # the weight
+            changed[1] = _perturbed(entry[1])
+        else:              # one feature of the sample
+            changed[0][key] = _perturbed(entry[0][key])
+        _set(window, index, tuple(changed))
+        return lambda: _set(window, index, entry)
     saved = _get(node, key)
     _set(node, key, _perturbed(saved))
     return lambda: _set(node, key, saved)
