@@ -10,6 +10,7 @@ from .config import ConfigError, ExperimentConfig, LearnerConfig
 from .evaluation import (
     HoldoutResult,
     McNemarOutcome,
+    ResultsFileError,
     mcnemar,
     periodic_holdout,
     run_experiment,
@@ -44,6 +45,7 @@ __all__ = [
     "LearnerConfig",
     "McNemarOutcome",
     "NonFiniteInputError",
+    "ResultsFileError",
     "Standardizer",
     "Stream",
     "StreamParseError",

@@ -26,6 +26,7 @@ from .config import (
     parse_config_file,
 )
 from .evaluation import (
+    ResultsFileError,
     build_stream,
     load_results,
     mcnemar,
@@ -275,7 +276,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (StreamParseError, SnapshotError, OSError) as exc:
+    except (StreamParseError, SnapshotError, ResultsFileError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:  # pragma: no cover - defensive catch-all

@@ -30,6 +30,10 @@ RESULTS_FORMAT = "driftfis-results"
 RESULTS_VERSION = 1
 
 
+class ResultsFileError(ValueError):
+    """Results file is not valid JSON, not a results file, or malformed."""
+
+
 @dataclass
 class HoldoutResult:
     """Outcome of one periodic hold-out run."""
@@ -215,11 +219,35 @@ def persist_results(payload: dict, path: str) -> None:
         fh.write("\n")
 
 
+def _is_label_list(value) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(v, int) and not isinstance(v, bool) for v in value)
+
+
 def load_results(path: str) -> dict:
+    """Read a results file written by persist_results.
+
+    Raises ResultsFileError when the file is not JSON, is not a results
+    file, or lacks a usable ``predictions``/``truths`` label list of one
+    length or a numeric ``mean_accuracy``; OSError when it cannot be read.
+    """
     with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ResultsFileError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(payload, dict) or payload.get("format") != RESULTS_FORMAT:
-        raise ValueError(f"{path}: not a {RESULTS_FORMAT} file")
+        raise ResultsFileError(f"{path}: not a {RESULTS_FORMAT} file")
+    for key in ("predictions", "truths"):
+        if not _is_label_list(payload.get(key)):
+            raise ResultsFileError(
+                f"{path}: {key!r} must be a list of integer class labels")
+    if len(payload["predictions"]) != len(payload["truths"]):
+        raise ResultsFileError(
+            f"{path}: 'predictions' and 'truths' differ in length")
+    acc = payload.get("mean_accuracy")
+    if not isinstance(acc, (int, float)) or isinstance(acc, bool):
+        raise ResultsFileError(f"{path}: 'mean_accuracy' must be a number")
     return payload
 
 

@@ -17,7 +17,8 @@ does guarantee exactly is stack independence: a row's result is bitwise
 identical no matter which other rows share the stack, so attaching
 auxiliary rows can never perturb the principal ones, and an operation may
 gather just the rows that carry weight (advance_premises, wrls_step and
-downdate_rows take a row index) without changing any row's result.
+downdate_rows take a row index, memberships_all a leading-row bound)
+without changing any row's result.
 """
 
 from __future__ import annotations
@@ -171,11 +172,13 @@ class FuzzySystem:
 
     A caller may also attach auxiliary (premise, consequent) rows behind
     the principal rules. They live in the same stacks but take no part in
-    prediction; the anticipation learner uses them for its shadow sub-rule
-    pairs. The updates either run over the whole stack, where a zero
-    weight leaves a row unchanged, or gather only the listed rows; both
-    give each row the same bits, so attaching auxiliary rows never alters
-    what the principal rows compute.
+    prediction: memberships, predict_scores and predict_class read only
+    the leading principal rows and never evaluate an auxiliary one. The
+    anticipation learner uses them for its shadow sub-rule pairs. The
+    updates either run over the whole stack, where a zero weight leaves a
+    row unchanged, or gather only the listed rows; both give each row the
+    same bits, so attaching auxiliary rows never alters what the principal
+    rows compute.
 
     Treat ``rules`` as read-only; structural changes must go through
     add_rule/set_rows so the stacks stay in sync.
@@ -249,17 +252,29 @@ class FuzzySystem:
 
     # -- evaluation ----------------------------------------------------
 
-    def memberships_all(self, x: np.ndarray) -> np.ndarray:
-        """Raw membership of x in every stacked row (principal then auxiliary)."""
-        diffs = x - self._centers
-        quad = np.einsum("nd,nde,ne->n", diffs, self._invs, diffs)
+    def memberships_all(self, x: np.ndarray, stop: int | None = None) -> np.ndarray:
+        """Raw membership of x in the stacked rows (principal then auxiliary).
+
+        ``stop`` bounds the evaluation to the leading ``stop`` rows; by
+        default every row is evaluated. The einsum is row-local, so a
+        bounded call returns exactly the leading entries of the full one.
+        """
+        centers, invs = self._centers, self._invs
+        if stop is not None:  # unbounded calls (learn_one) build no views
+            centers, invs = centers[:stop], invs[:stop]
+        diffs = x - centers
+        quad = np.einsum("nd,nde,ne->n", diffs, invs, diffs)
         return 1.0 / (1.0 + quad)
 
     def memberships(self, x: np.ndarray) -> np.ndarray:
-        """Raw membership of x in every rule, in rule order."""
+        """Raw membership of x in every rule, in rule order.
+
+        Only the principal rows are evaluated; the auxiliary rows take no
+        part in prediction.
+        """
         if not self._rules:
             raise EmptySystemError("rule base is empty")
-        return self.memberships_all(x)[:len(self._rules)]
+        return self.memberships_all(x, len(self._rules))
 
     def normalized_memberships(self, x: np.ndarray) -> np.ndarray:
         """Memberships rescaled to sum to one (all entries are positive)."""

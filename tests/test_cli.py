@@ -163,6 +163,27 @@ class TestCompare:
                          "--results-b", str(tmp_path / "b.json")]) == 2
         assert "different test streams" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"format": "something-else"}', "not a driftfis-results file"),
+        ("predictions=0,1\n", "not valid JSON"),
+        (b"\xff\xfe{}", "not valid JSON"),
+        ('{"format": "driftfis-results"}', "'predictions'"),
+        ('{"format": "driftfis-results", "predictions": [0, 1], '
+         '"truths": [0, "1"], "mean_accuracy": 0.5}', "'truths'"),
+        ('{"format": "driftfis-results", "predictions": [0], '
+         '"truths": [0, 1], "mean_accuracy": 0.5}', "differ in length"),
+        ('{"format": "driftfis-results", "predictions": [0, 1], '
+         '"truths": [0, 1]}', "'mean_accuracy'"),
+    ], ids=["foreign-format", "not-json", "not-utf8", "no-predictions",
+            "string-label", "length-mismatch", "no-accuracy"])
+    def test_malformed_results_file_is_a_data_error(self, tmp_path, capsys,
+                                                    text, message):
+        path = tmp_path / "bad.json"
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
+        assert cli.main(["compare", "--results-a", str(path),
+                         "--results-b", str(path)]) == 3
+        assert message in capsys.readouterr().err
+
     def test_results_flags_must_pair(self, tmp_path, capsys):
         assert cli.main(["compare", "--results-a", "only.json"]) == 2
         assert "together" in capsys.readouterr().err

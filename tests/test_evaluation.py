@@ -11,6 +11,7 @@ from driftfis.evaluation import (
     K_WEAK,
     MIN_CONTINGENCY,
     RESULTS_FORMAT,
+    ResultsFileError,
     load_results,
     mcnemar,
     periodic_holdout,
@@ -291,11 +292,11 @@ class TestResultsFiles:
     def test_load_rejects_foreign_json(self, tmp_path):
         path = tmp_path / "other.json"
         path.write_text('{"format": "something-else"}', encoding="utf-8")
-        with pytest.raises(ValueError, match=RESULTS_FORMAT):
+        with pytest.raises(ResultsFileError, match=RESULTS_FORMAT):
             load_results(str(path))
         path2 = tmp_path / "scalar.json"
         path2.write_text("42", encoding="utf-8")
-        with pytest.raises(ValueError):
+        with pytest.raises(ResultsFileError):
             load_results(str(path2))
 
     def test_write_chunk_csv(self, tmp_path):

@@ -276,6 +276,25 @@ class TestSystemBanks:
         assert np.array_equal(before, after)
         assert len(system.memberships_all(x)) == 4
 
+    @pytest.mark.parametrize("d", [1, 3, 10])
+    @pytest.mark.parametrize("n", [1, 2, 5, 30, 70])
+    def test_bounded_memberships_equal_leading_rows(self, d, n):
+        # the einsum is row-local, so bounding it to the principal rows
+        # must reproduce the leading entries of the all-row call bitwise
+        rng = np.random.default_rng(1000 * d + n)
+        system = random_system(rng, n, d, 2)
+        shadows = random_system(rng, 2 * n, d, 2).rules
+        system.set_rows(system.rules,
+                        [(r.premise, r.consequent) for r in shadows])
+        assert system.n_rows == 3 * n
+        for _ in range(5):
+            x = rng.standard_normal(d)
+            full = system.memberships_all(x)
+            bounded = system.memberships_all(x, n)
+            assert bounded.shape == (n,)
+            assert np.array_equal(bounded, full[:n])
+            assert np.array_equal(system.memberships(x), full[:n])
+
 
 class TestBatchedAdaptation:
     """The batched bank operations must match the single-rule reference bitwise."""
