@@ -15,8 +15,8 @@ from .evaluation import (
     periodic_holdout,
     run_experiment,
 )
-from .fis import EmptySystemError, FuzzySystem
-from .learner import AnticipatingClassifier, NonFiniteInputError, UnknownClassError
+from .fis import EmptySystemError, FuzzySystem, NonFiniteInputError
+from .learner import AnticipatingClassifier, UnknownClassError
 from .snapshot import load_model, model_state_hash, save_model
 from .streams import (
     Standardizer,

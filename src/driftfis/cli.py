@@ -36,6 +36,7 @@ from .evaluation import (
     results_payload,
     run_experiment,
 )
+from .fis import NonFiniteInputError
 from .learner import AnticipatingClassifier
 from .snapshot import SnapshotError
 from .streams import PRESETS, Stream, StreamParseError, save_csv
@@ -276,7 +277,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (StreamParseError, SnapshotError, ResultsFileError, OSError) as exc:
+    except (StreamParseError, SnapshotError, ResultsFileError,
+            NonFiniteInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:  # pragma: no cover - defensive catch-all

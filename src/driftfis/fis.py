@@ -23,6 +23,7 @@ without changing any row's result.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,11 @@ from .linalg import (
 
 class EmptySystemError(ValueError):
     """Prediction was requested from a rule base with no rules."""
+
+
+class NonFiniteInputError(ValueError):
+    """A sample has a NaN or infinite feature, or lies so far from every
+    rule that the distances overflow and all memberships vanish."""
 
 
 def augment(x: np.ndarray) -> np.ndarray:
@@ -292,8 +298,19 @@ class FuzzySystem:
         return weights @ partial
 
     def predict_scores(self, x: np.ndarray) -> np.ndarray:
-        """Membership-weighted mixture of the per-rule affine class outputs."""
-        return self.scores_from_memberships(self.memberships(x), augment(x))
+        """Membership-weighted mixture of the per-rule affine class outputs.
+
+        Raises NonFiniteInputError when the membership sum is not finite
+        and positive: a NaN or infinite feature, or a sample whose
+        distances overflow, would otherwise score NaN for every class.
+        """
+        betas = self.memberships(x)
+        total = float(betas.sum())
+        if not 0.0 < total < math.inf:
+            raise NonFiniteInputError(
+                f"sample {x.tolist()} has no finite positive membership sum "
+                f"({total!r}); a feature is not finite or its distances overflow")
+        return self.scores_from_memberships(betas, augment(x), total)
 
     def predict_class(self, x: np.ndarray) -> int:
         """Argmax class; ties resolve to the lowest class index."""

@@ -25,17 +25,12 @@ import numpy as np
 
 from .anticipation import AnticipatedPair, DriftEvent, spawn_pair
 from .config import LearnerConfig
-from .fis import FuzzySystem, Rule, create_rule
+from .fis import FuzzySystem, NonFiniteInputError, Rule, create_rule
 from .forgetting import DDFWindow, frozen_copy, record_sample
 
 
 class UnknownClassError(ValueError):
     """A label outside the declared class set arrived with growth disabled."""
-
-
-class NonFiniteInputError(ValueError):
-    """A sample to learn from has a NaN or infinite feature, or lies so far
-    from every rule that the distances overflow and all memberships vanish."""
 
 
 class AnticipatingClassifier:
@@ -79,7 +74,11 @@ class AnticipatingClassifier:
         return len(self.system.rules)
 
     def predict_one(self, x) -> int:
-        """Class index for x from the principal system; no state change."""
+        """Class index for x from the principal system; no state change.
+
+        Raises NonFiniteInputError for a NaN or infinite feature, or a
+        sample so far from every rule that all memberships vanish.
+        """
         x = self._check_features(x)
         return self.system.predict_class(x)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -244,7 +245,8 @@ def load_csv(path: str, frozen_labels: list[str] | None = None) -> Stream:
 
     Labels map to dense indices in order of first appearance, or to the
     given ``frozen_labels`` order (unknown labels then fail). Row order is
-    preserved — streams are temporal.
+    preserved — streams are temporal. A NaN or infinite feature (including
+    one too large for a float) fails with the line it is on.
     """
     rows: list[list[float]] = []
     labels: list[int] = []
@@ -278,6 +280,9 @@ def load_csv(path: str, frozen_labels: list[str] | None = None) -> Stream:
             except ValueError:
                 raise StreamParseError(
                     f"{path}:{lineno}: non-numeric feature value in {row[:-1]!r}") from None
+            if not all(map(math.isfinite, features)):
+                raise StreamParseError(
+                    f"{path}:{lineno}: non-finite feature value in {row[:-1]!r}")
             label = row[-1].strip()
             if label not in label_index:
                 if frozen_labels is not None:

@@ -7,6 +7,7 @@ import pytest
 from driftfis import AnticipatingClassifier, cli, load_model
 from driftfis.evaluation import RESULTS_FORMAT, load_results
 from driftfis.snapshot import state_dict
+from driftfis.streams import make_stream
 
 
 @pytest.fixture(autouse=True)
@@ -87,6 +88,41 @@ class TestRun:
                          "--trs", "10", "--tes", "10"])
         assert code == 3
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row", [160, 130], ids=["train-row", "test-row"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_csv_feature_is_a_data_error(self, outdir, row, value,
+                                                    capsys):
+        path = self._line_csv(outdir, {row: value})
+        code = cli.main(["run", "--dataset", path, "--trs", "100",
+                         "--tes", "50", "--out", str(outdir / "res.json")])
+        assert code == 3
+        assert f"line.csv:{row + 2}: non-finite" in capsys.readouterr().err
+        assert not (outdir / "res.json").exists()
+
+    @pytest.mark.parametrize("row", [160, 130], ids=["train-row", "test-row"])
+    def test_overflowing_csv_feature_is_a_data_error(self, outdir, row, capsys):
+        # finite, so parsing accepts it, but its distances overflow; row 160
+        # lies past the first train chunk, on which the scaler is fitted
+        path = self._line_csv(outdir, {row: "1e200"})
+        code = cli.main(["run", "--dataset", path, "--trs", "100",
+                         "--tes", "50", "--out", str(outdir / "res.json")])
+        assert code == 3
+        assert "overflow" in capsys.readouterr().err
+        assert not (outdir / "res.json").exists()
+
+    @staticmethod
+    def _line_csv(outdir, replace):
+        """A 450-sample line stream as CSV, with row i's first feature
+        replaced by the text ``replace[i]`` (rows count from 0)."""
+        stream = make_stream("line", n_samples=450, seed=2)
+        path = outdir / "line.csv"
+        lines = ["f0,f1,label"]
+        for i, (x, label) in enumerate(zip(stream.X, stream.y)):
+            first = replace.get(i, repr(float(x[0])))
+            lines.append(f"{first},{float(x[1])!r},{int(label)}")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return str(path)
 
     def test_unknown_config_key_fails(self, outdir, tmp_path, capsys):
         path = tmp_path / "typo.cfg"

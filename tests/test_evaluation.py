@@ -22,6 +22,7 @@ from driftfis.evaluation import (
     write_chunk_csv,
 )
 from driftfis.learner import AnticipatingClassifier
+from driftfis.snapshot import model_state_hash
 from driftfis.streams import Stream, gen_sea
 
 
@@ -67,6 +68,26 @@ def _detach_coefficients(learner):
     # only the snapshot side of the state changes
     con = learner.system.rules[0].consequent
     con.coeffs = con.coeffs + 1.0
+
+
+class SignFlipLearner(AnticipatingClassifier):
+    """Leaves a coefficient at +0.0 after learning; scoring makes it -0.0.
+
+    The two compare equal as numbers, so only a comparison of the bits
+    sees the change.
+    """
+
+    def __init__(self):
+        super().__init__(2, 2, LearnerConfig(ks=math.inf))
+
+    def learn_one(self, x, y):
+        prediction = super().learn_one(x, y)
+        self.system._coeffs[0, 0, 0] = 0.0
+        return prediction
+
+    def predict_one(self, x):
+        self.system._coeffs[0, 0, 0] = -0.0
+        return super().predict_one(x)
 
 
 def labeled_stream(n=400, seed=0):
@@ -140,6 +161,37 @@ class TestPeriodicHoldout:
                              verify_purity=True)
         res = periodic_holdout(ImpureLearner(mutate), stream, trs=50, tes=50)
         assert len(res.per_chunk_accuracy) == 4
+
+    def test_purity_check_sees_a_flipped_zero_sign(self):
+        stream = labeled_stream(n=400, seed=5)
+        learner = SignFlipLearner()
+        with pytest.raises(RuntimeError, match="test chunk 0"):
+            periodic_holdout(learner, stream, trs=50, tes=50,
+                             verify_purity=True)
+        assert np.signbit(learner.system._coeffs[0, 0, 0])
+        # the flip is invisible to an element-wise comparison
+        flipped = learner.system._coeffs.copy()
+        learner.system._coeffs[0, 0, 0] = 0.0
+        assert np.array_equal(flipped, learner.system._coeffs)
+
+    def test_purity_check_changes_no_result(self):
+        rng = np.random.default_rng(47)
+        y = rng.integers(0, 2, 900)
+        X = np.array([[0.0, 0.0], [4.0, 4.0]])[y] + rng.normal(0.0, 0.5, (900, 2))
+        X[300:] += 1.5
+        X[600:] += 1.5
+        stream = Stream(X=X, y=y, meta={})
+        runs = []
+        for verify in (False, True):
+            learner = AnticipatingClassifier(2, 2, LearnerConfig(
+                ks=0.6, nmin=3, tmax2=5, ws=12, strategy="global",
+                forgetting_mode="forget_ps"))
+            res = periodic_holdout(learner, stream, trs=60, tes=30,
+                                   verify_purity=verify)
+            runs.append((res.predictions, model_state_hash(learner)))
+        assert res.drift_events  # the global respawn path ran
+        assert np.array_equal(runs[0][0], runs[1][0])
+        assert runs[0][1] == runs[1][1]
 
     def test_standardize_fits_on_first_train_chunk(self):
         # shift features far from the origin: without scaling the seeded

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+import driftfis
+from driftfis import fis
 from driftfis.config import LearnerConfig
 from driftfis.learner import (
     AnticipatingClassifier,
@@ -233,6 +235,35 @@ class TestValidation:
             learner.learn_one(X[0], 0)
         assert model_state_hash(learner) == digest
         assert learner.samples_seen == 30
+
+    @pytest.mark.parametrize("bad", [[math.nan, 0.0], [0.0, math.inf],
+                                     [-math.inf, 0.0], [1e200, 0.0]])
+    def test_prediction_rejects_non_finite_input(self, bad):
+        learner = make_learner()
+        X, y = two_blob_stream(np.random.default_rng(8), 60)
+        train(learner, X, y)
+        digest = model_state_hash(learner)
+        with pytest.raises(NonFiniteInputError, match="membership sum"):
+            learner.predict_one(bad)
+        with pytest.raises(NonFiniteInputError, match="membership sum"):
+            learner.predict_scores(bad)
+        assert model_state_hash(learner) == digest
+
+    def test_checked_prediction_scores_are_unchanged(self):
+        # predict_scores passes in the sum it checked; the scores must equal
+        # the ones scores_from_memberships computes from betas alone
+        learner = make_learner(ks=0.6, nmin=3)
+        X, y = two_blob_stream(np.random.default_rng(4), 120)
+        train(learner, X, y)
+        system = learner.system
+        for x in X[:40]:
+            expected = system.scores_from_memberships(
+                system.memberships(x), np.concatenate(([1.0], x)))
+            assert learner.predict_scores(x).tobytes() == expected.tobytes()
+
+    def test_non_finite_input_error_is_one_class(self):
+        assert driftfis.NonFiniteInputError is fis.NonFiniteInputError
+        assert NonFiniteInputError is fis.NonFiniteInputError
 
     def test_finite_features_whose_sum_overflows_are_accepted(self):
         learner = make_learner()

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+from array import array
 from collections import deque
 
 import numpy as np
@@ -18,6 +19,7 @@ from driftfis.snapshot import (
     load_model,
     model_state_hash,
     save_model,
+    state_bytes,
     state_dict,
     state_fingerprint,
 )
@@ -262,38 +264,112 @@ def test_forget_ps_state_hash_is_pinned(strategy):
     assert model_state_hash(learner) == GOLDEN_FORGET_PS[strategy]
 
 
+def reference_state_bytes(learner):
+    """state_bytes written out window by window, one weight array each."""
+    system = learner.system
+    stacks = (system._centers, system._covs, system._invs,
+              system._corrs, system._coeffs)
+    chunks = list(stacks)
+    meta = [system.n_features, system.n_classes, learner.config,
+            learner.samples_seen, learner.next_rule_id,
+            sorted(learner.seen_classes), learner.drift_log,
+            [stack.shape for stack in stacks]]
+
+    def put(premise, consequent, window):
+        chunks.extend((premise.center, premise.cov,
+                       consequent.coeffs, consequent.corr))
+        chunks.extend(x for x, _ in window.entries)
+        chunks.append(array("d", [weight for _, weight in window.entries]))
+        meta.append((premise.hits, premise.horizon, consequent.omega,
+                     window.capacity, window.skipped, len(window.entries)))
+
+    for rule in system.rules:
+        meta.append((rule.id, rule.born_class))
+        put(rule.premise, rule.consequent, rule.window)
+    for rule_id, pair in learner.anticipations.items():
+        meta.append((rule_id, pair.samples_seen))
+        for sub in (pair.slow, pair.fast):
+            put(sub.premise, sub.consequent, sub.window)
+    chunks.append(repr(meta).encode())
+    return b"".join(chunks)
+
+
+def check_file_round_trip(describe, tmp_path):
+    learner = trained_learner(forgetting_mode="forget_ps")
+    path = tmp_path / "model.json"
+    save_model(learner, str(path))
+    assert describe(load_model(str(path))) == describe(learner)
+
+
+def check_every_state_dict_leaf_moves(describe):
+    learner = trained_learner(forgetting_mode="forget_ps")
+    state = state_dict(learner)
+    # the fixture fills every kind of container the state has
+    assert learner.drift_log and learner.system.rules[0].window.entries
+    assert any(pair.fast.window.entries for pair in learner.anticipations.values())
+    digest = describe(learner)
+    leaves = [path for path in _leaves(state)
+              if path not in (("format",), ("version",))]  # format constants
+    for path in leaves:
+        undo = _perturb_live_field(learner, path)
+        assert describe(learner) != digest, path
+        undo()
+    assert describe(learner) == digest
+    assert state_dict(learner) == state
+
+
+def check_cached_inverses_move_only(describe):
+    learner = trained_learner(n=60)
+    digest = describe(learner)
+    canonical = model_state_hash(learner)
+    inv = learner.system._invs
+    inv[0, 0, 0] = np.nextafter(inv[0, 0, 0], math.inf)
+    assert describe(learner) != digest
+    assert model_state_hash(learner) == canonical
+
+
 class TestFingerprint:
     def test_survives_file_round_trip(self, tmp_path):
-        learner = trained_learner(forgetting_mode="forget_ps")
-        path = tmp_path / "model.json"
-        save_model(learner, str(path))
-        assert state_fingerprint(load_model(str(path))) == \
-            state_fingerprint(learner)
+        check_file_round_trip(state_fingerprint, tmp_path)
 
     def test_every_state_dict_leaf_moves_the_fingerprint(self):
-        learner = trained_learner(forgetting_mode="forget_ps")
-        state = state_dict(learner)
-        # the fixture fills every kind of container the state has
-        assert learner.drift_log and learner.system.rules[0].window.entries
-        assert any(pair.fast.window.entries for pair in learner.anticipations.values())
-        digest = state_fingerprint(learner)
-        leaves = [path for path in _leaves(state)
-                  if path not in (("format",), ("version",))]  # format constants
-        for path in leaves:
-            undo = _perturb_live_field(learner, path)
-            assert state_fingerprint(learner) != digest, path
-            undo()
-        assert state_fingerprint(learner) == digest
-        assert state_dict(learner) == state
+        check_every_state_dict_leaf_moves(state_fingerprint)
 
     def test_cached_inverses_move_the_fingerprint_only(self):
+        check_cached_inverses_move_only(state_fingerprint)
+
+
+class TestStateBytes:
+    def test_survives_file_round_trip(self, tmp_path):
+        check_file_round_trip(state_bytes, tmp_path)
+
+    def test_every_state_dict_leaf_moves_the_bytes(self):
+        check_every_state_dict_leaf_moves(state_bytes)
+
+    def test_cached_inverses_move_the_bytes_only(self):
+        check_cached_inverses_move_only(state_bytes)
+
+    def test_signed_zero_moves_the_bytes(self):
         learner = trained_learner(n=60)
-        digest = state_fingerprint(learner)
-        canonical = model_state_hash(learner)
-        inv = learner.system._invs
-        inv[0, 0, 0] = np.nextafter(inv[0, 0, 0], math.inf)
-        assert state_fingerprint(learner) != digest
-        assert model_state_hash(learner) == canonical
+        learner.system._coeffs[0, 0, 0] = 0.0
+        raw = state_bytes(learner)
+        learner.system._coeffs[0, 0, 0] = -0.0
+        assert state_bytes(learner) != raw
+
+
+@pytest.mark.parametrize("mode", ["none", "forget_am", "forget_ps"])
+def test_state_bytes_match_the_window_by_window_assembly(mode):
+    learner = trained_learner(forgetting_mode=mode)
+    # empty and full windows both occur, so every run boundary is exercised
+    windows = [rule.window for rule in learner.system.rules] + [
+        sub.window for pair in learner.anticipations.values()
+        for sub in (pair.slow, pair.fast)]
+    assert any(not w.entries for w in windows)
+    if mode != "none":
+        assert any(w.entries for w in windows)
+    raw = state_bytes(learner)
+    assert raw == reference_state_bytes(learner)
+    assert state_fingerprint(learner) == hashlib.sha256(raw).digest()
 
 
 def _leaves(node, path=()):

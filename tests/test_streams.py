@@ -260,6 +260,14 @@ class TestCsv:
         with pytest.raises(StreamParseError, match=r"alpha\.csv:2: non-numeric"):
             load_csv(str(path))
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_feature_reports_line(self, tmp_path, value):
+        path = tmp_path / "wild.csv"
+        path.write_text(f"f0,f1,label\n1.0,2.0,a\n1.0,{value},b\n",
+                        encoding="utf-8")
+        with pytest.raises(StreamParseError, match=r"wild\.csv:3: non-finite"):
+            load_csv(str(path))
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(StreamParseError, match="cannot open"):
             load_csv(str(tmp_path / "nope.csv"))
