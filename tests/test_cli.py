@@ -89,26 +89,22 @@ class TestRun:
         assert code == 3
         assert "error:" in capsys.readouterr().err
 
+    # row 160 lies past the first train chunk, on which the scaler is
+    # fitted; 1e200 is finite, so parsing accepts it, but its distances
+    # overflow
     @pytest.mark.parametrize("row", [160, 130], ids=["train-row", "test-row"])
-    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("value, error", [
+        ("nan", "line.csv:{line}: non-finite"),
+        ("inf", "line.csv:{line}: non-finite"),
+        ("1e200", "distances overflow"),
+    ])
     def test_non_finite_csv_feature_is_a_data_error(self, outdir, row, value,
-                                                    capsys):
+                                                    error, capsys):
         path = self._line_csv(outdir, {row: value})
         code = cli.main(["run", "--dataset", path, "--trs", "100",
                          "--tes", "50", "--out", str(outdir / "res.json")])
         assert code == 3
-        assert f"line.csv:{row + 2}: non-finite" in capsys.readouterr().err
-        assert not (outdir / "res.json").exists()
-
-    @pytest.mark.parametrize("row", [160, 130], ids=["train-row", "test-row"])
-    def test_overflowing_csv_feature_is_a_data_error(self, outdir, row, capsys):
-        # finite, so parsing accepts it, but its distances overflow; row 160
-        # lies past the first train chunk, on which the scaler is fitted
-        path = self._line_csv(outdir, {row: "1e200"})
-        code = cli.main(["run", "--dataset", path, "--trs", "100",
-                         "--tes", "50", "--out", str(outdir / "res.json")])
-        assert code == 3
-        assert "overflow" in capsys.readouterr().err
+        assert error.format(line=row + 2) in capsys.readouterr().err
         assert not (outdir / "res.json").exists()
 
     @staticmethod

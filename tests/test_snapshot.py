@@ -349,13 +349,6 @@ class TestStateBytes:
     def test_cached_inverses_move_the_bytes_only(self):
         check_cached_inverses_move_only(state_bytes)
 
-    def test_signed_zero_moves_the_bytes(self):
-        learner = trained_learner(n=60)
-        learner.system._coeffs[0, 0, 0] = 0.0
-        raw = state_bytes(learner)
-        learner.system._coeffs[0, 0, 0] = -0.0
-        assert state_bytes(learner) != raw
-
 
 @pytest.mark.parametrize("mode", ["none", "forget_am", "forget_ps"])
 def test_state_bytes_match_the_window_by_window_assembly(mode):
