@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import ConfigError, ExperimentConfig, experiment_config_to_dict
 from .learner import AnticipatingClassifier
-from .snapshot import model_state_hash, state_bytes
+from .snapshot import model_state_hash, state_bytes, state_bytes_match
 from .streams import Standardizer, Stream, chunk_stream, default_chunk_sizes, make_stream
 
 K_STRONG = 6.63   # chi-square 1 dof at 0.01: confident difference
@@ -55,13 +55,15 @@ def periodic_holdout(learner, stream: Stream, trs: int, tes: int,
 
     ``standardize`` freezes per-feature scaling on the first train chunk.
     ``verify_purity`` (native learner only) takes ``state_bytes`` before
-    and after every test chunk and raises RuntimeError unless the two are
-    equal byte for byte. They cover everything the snapshot stores plus
-    the stacked arrays prediction reads, cached covariance inverses
-    included. The check builds no JSON and hashes nothing, but holds the
-    first buffer for the whole chunk (about 1.5 MB on a 78-rule,
-    10-feature model). The error message reports the canonical
-    ``model_state_hash`` of the mutated state.
+    every test chunk and raises RuntimeError unless the state after it
+    matches them byte for byte. They cover everything the snapshot stores
+    plus the stacked arrays prediction reads, cached covariance inverses
+    included. The check builds no JSON and hashes nothing. It holds the
+    first buffer for the whole chunk (about 1.1 MB on a 53-rule,
+    10-feature model) and compares the after-state piece by piece against
+    it (state_bytes_match), so it never holds a second one. The error
+    message reports the canonical ``model_state_hash`` of the mutated
+    state.
     """
     pairs = chunk_stream(stream, trs, tes)
     scaler = Standardizer().fit(pairs[0][0]) if standardize else None
@@ -79,7 +81,7 @@ def periodic_holdout(learner, stream: Stream, trs: int, tes: int,
         before = state_bytes(learner) if verify_purity else None
         preds = np.fromiter(
             (learner.predict_one(x) for x in X_test), dtype=np.int64, count=len(y_test))
-        if verify_purity and state_bytes(learner) != before:
+        if verify_purity and not state_bytes_match(learner, before):
             raise RuntimeError(
                 f"learner state changed while scoring test chunk {len(accuracies)} "
                 f"(model_state_hash now {model_state_hash(learner)})")

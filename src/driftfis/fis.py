@@ -388,28 +388,40 @@ class FuzzySystem:
         corrs[rows] = sub_r
         self._coeffs[rows] = sub_c
 
-    def downdate_rows(self, rows: np.ndarray, xs: np.ndarray,
+    def downdate_rows(self, rows: np.ndarray | None, xs: np.ndarray,
                       weights: np.ndarray) -> np.ndarray:
         """Remove one absorbed observation from each listed row's correlation.
 
         Row ``rows[i]`` sheds ``xs[i]`` with weight ``weights[i]``, the
         in-place counterpart of linalg.corr_decrement; ``rows`` must be
-        distinct. Returns the per-row success mask: a row whose downdate
-        denominator falls within the guard of zero is left untouched.
-        The stacked matmuls reproduce the single-row products bit for bit,
-        so a row's result does not depend on the other rows listed.
+        distinct. ``rows`` None stands for the leading ``len(xs)`` rows,
+        which are then updated in place rather than gathered and scattered.
+        Returns the per-row success mask: a row whose downdate denominator
+        falls within the guard of zero is left untouched. The stacked
+        matmuls reproduce the single-row products bit for bit, so a row's
+        result does not depend on the other rows listed.
         """
-        corrs = self._corrs.take(rows, axis=0)
+        if rows is None:
+            corrs = self._corrs[:xs.shape[0]]
+        else:
+            corrs = self._corrs.take(rows, axis=0)
         u = np.matmul(corrs, xs[:, :, None])                  # (m, k, 1)
         s = np.matmul(xs[:, None, :], u)[:, 0, 0]
         denom = 1.0 - weights * s
         ok = ~(np.abs(denom) < DOWNDATE_GUARD)
         u = u[:, :, 0]
         if not ok.all():
-            rows, corrs, u = rows[ok], corrs[ok], u[ok]
-            weights, denom = weights[ok], denom[ok]
-        corrs += (weights / denom)[:, None, None] * (u[:, :, None] * u[:, None, :])
-        self._corrs[rows] = corrs
+            keep = np.flatnonzero(ok)
+            rows = keep if rows is None else rows[keep]
+            corrs, u = corrs[keep], u[keep]
+            weights, denom = weights[keep], denom[keep]
+        # u u' scaled in place: one temporary, and the same bits as
+        # f * (u u'), since multiplication commutes exactly
+        tmp = u[:, :, None] * u[:, None, :]
+        tmp *= (weights / denom)[:, None, None]
+        corrs += tmp
+        if rows is not None:
+            self._corrs[rows] = corrs
         return ok
 
     def downdate_row(self, row: int, x_aug: np.ndarray, weight: float) -> bool:

@@ -13,8 +13,10 @@ membership pass, one batched premise update, and one batched WRLS step per
 sample cover the principal rules and the active pair together. The premise
 update and the WRLS step are told which rows carry weight (the winner and
 its pair; every principal rule and the winner's pair) and, on large stacks,
-touch only those. Principal conclusion forgetting sheds all its evictions
-in one batched downdate.
+touch only those. The principal windows are rings in one stacked
+WindowBank, so principal conclusion forgetting records the sample in every
+principal window with one scatter and sheds all its evictions in one
+batched downdate.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 from .anticipation import AnticipatedPair, DriftEvent, spawn_pair
 from .config import LearnerConfig
 from .fis import FuzzySystem, NonFiniteInputError, Rule, create_rule
-from .forgetting import DDFWindow, frozen_copy, record_sample
+from .forgetting import DDFWindow, WindowBank, push_pair
 
 
 class UnknownClassError(ValueError):
@@ -50,6 +52,8 @@ class AnticipatingClassifier:
         self.config = config if config is not None else LearnerConfig()
         self.config.validate()
         self.system = FuzzySystem(n_features=n_features, n_classes=n_classes)
+        # the principal windows' rings, one row per rule
+        self.windows = WindowBank(self.config.ws, n_features + 1)
         self.anticipations: dict[int, AnticipatedPair] = {}
         self.drift_log: list[DriftEvent] = []
         self.seen_classes: set[int] = set()
@@ -197,13 +201,12 @@ class AnticipatingClassifier:
         # the correlation matrices shed whatever falls out.
         mode = cfg.forgetting_mode
         if mode != "none":
-            shared = frozen_copy(x_aug)
-            where, xs, ws = record_sample(
-                [pair.slow.window, pair.fast.window], shared, [w_slow, w_fast])
-            if where:
-                self._evict_pair(pair, row_slow, where, xs[0], ws)
+            evicted = push_pair(pair.slow.window, pair.fast.window, x_aug,
+                                w_slow, w_fast)
+            if evicted is not None:
+                self._evict_pair(pair, row_slow, *evicted)
             if mode == "forget_ps":
-                self._forget_principal(shared, wvec[:n])
+                self._forget_principal(x_aug, wvec[:n])
         pair.samples_seen += 1
 
         if math.isfinite(cfg.ks) and pair.samples_seen > cfg.nmin:
@@ -268,7 +271,8 @@ class AnticipatingClassifier:
         self._sync_banks(self.system.rules + [rule])
 
     def _sync_banks(self, rules: list[Rule] | None = None) -> None:
-        """Repack the system stacks after any structural change.
+        """Repack the system stacks and the principal window bank after
+        any structural change.
 
         Auxiliary rows mirror the rule order: the shadow pair of rule i
         occupies rows n+2i (slow) and n+2i+1 (fast).
@@ -282,6 +286,7 @@ class AnticipatingClassifier:
             aux.append((pair.slow.premise, pair.slow.consequent))
             aux.append((pair.fast.premise, pair.fast.consequent))
         system.set_rows(rules, aux)
+        self.windows.set_rows([rule.window for rule in rules])
         n = len(rules)
         self._alphas = np.zeros((system.n_rows, 1))
         self._stale_rows = ()
@@ -308,38 +313,33 @@ class AnticipatingClassifier:
             wvec[:] = betas
         self.system.wrls_step(x_aug, wvec, self._target(y), self._wrows[:n])
         if self.config.forgetting_mode == "forget_ps":
-            self._forget_principal(frozen_copy(x_aug), wvec)
+            self._forget_principal(x_aug, wvec)
 
-    def _forget_principal(self, shared: np.ndarray, weights: np.ndarray) -> None:
+    def _forget_principal(self, x_aug: np.ndarray, weights: np.ndarray) -> None:
         """Record a sample in every principal window and shed the evictions.
 
-        ``shared`` is a frozen copy of the augmented sample and ``weights``
-        the principal conclusion weights it was learned with. All evictions
-        that carry weight go through one batched downdate; a row whose
-        guard trips keeps its matrix and counts the skip on its window.
+        ``weights`` are the principal conclusion weights the sample was
+        learned with. All evictions that carry weight go through one
+        batched downdate; a row whose guard trips keeps its matrix and
+        counts the skip on its window.
         """
-        rules = self.system.rules
-        where, xs, ws = record_sample([r.window for r in rules], shared,
-                                      weights.tolist())
-        if not where:
+        evicted = self.windows.push(x_aug, weights)
+        if evicted is None:
             return
-        ok = self.system.downdate_rows(np.array(where), np.array(xs),
-                                       np.array(ws))
-        for i in np.flatnonzero(~ok).tolist():
-            rules[where[i]].window.skipped += 1
+        rows, xs, ws = evicted
+        ok = self.system.downdate_rows(rows, xs, ws)
+        if not ok.all():
+            failed = np.flatnonzero(~ok)
+            self.windows.skipped[failed if rows is None else rows[failed]] += 1
 
     def _evict_pair(self, pair: AnticipatedPair, row_slow: int,
-                    where: list[int], old_x: np.ndarray, ws: list[float]) -> None:
+                    old_x: np.ndarray, w_old: np.ndarray) -> None:
         """Shed the sample leaving the pair windows (they leave together).
 
-        ``where``/``ws`` list the windows (0 slow, 1 fast) whose eviction
-        carries weight, as record_sample returns them.
+        ``w_old`` holds the departing weights of the slow and the fast
+        window; a zero one is not a skip when its guard trips.
         """
-        w_old = [0.0, 0.0]
-        for i, w in zip(where, ws):
-            w_old[i] = w
-        ok_slow, ok_fast = self.system.downdate_row_pair(row_slow, old_x,
-                                                         np.array(w_old))
+        ok_slow, ok_fast = self.system.downdate_row_pair(row_slow, old_x, w_old)
         if not ok_slow and w_old[0] != 0.0:
             pair.slow.window.skipped += 1
         if not ok_fast and w_old[1] != 0.0:

@@ -11,16 +11,18 @@ hashes the canonical JSON and is portable across machines. ``state_bytes``
 is the raw array bytes in memory plus a repr of the counters: much
 cheaper to build, it also covers the cached inverses, and two of them are
 compared byte for byte, so a check built on it is exact rather than
-probabilistic. It is only comparable within one process, and holding one
-costs its full size (about 1.5 MB on a 78-rule, 10-feature model).
-``state_fingerprint`` is its SHA-256 digest, for when 32 bytes must do.
+probabilistic. The principal windows' entries come out of the learner's
+WindowBank in one gather. It is only comparable within one process, and
+holding one costs its full size (about 1.1 MB on a 53-rule, 10-feature
+model); ``state_bytes_match`` compares a live state against a held
+buffer without building a second one. ``state_fingerprint`` is its
+SHA-256 digest, for when 32 bytes must do.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from array import array
 from dataclasses import asdict
 
 import numpy as np
@@ -85,18 +87,28 @@ def _consequent_from_dict(d: dict, n_features: int, n_classes: int) -> Consequen
 
 
 def _window_to_dict(w: DDFWindow) -> dict:
+    xs, ws = w.ordered()
     return {
         "capacity": w.capacity,
         "skipped": w.skipped,
-        "entries": [[x.tolist(), weight] for x, weight in w.entries],
+        "entries": [list(entry) for entry in zip(xs.tolist(), ws.tolist())],
     }
 
 
 def _window_from_dict(d: dict, n_features: int) -> DDFWindow:
     window = DDFWindow(int(d["capacity"]), skipped=int(d["skipped"]))
-    for x_list, weight in d["entries"]:
-        x = _array(x_list, (n_features + 1,), "window entry")
-        window.entries.append((x, float(weight)))
+    entries = d["entries"]
+    fill = len(entries)
+    if fill > window.capacity:
+        raise ValueError(f"window holds {fill} entries, more than its "
+                         f"capacity {window.capacity}")
+    if fill:
+        # the entries take the leading slots, oldest first; the window
+        # holds just those rows until a WindowBank packs it
+        window.samples = _array([x for x, _ in entries],
+                                (fill, n_features + 1), "window entries")
+        window.weights[:fill] = [float(w) for _, w in entries]
+        window.state[:2] = (fill % window.capacity, fill)
     return window
 
 
@@ -145,11 +157,18 @@ def _pair_to_dict(p: AnticipatedPair) -> dict:
 
 
 def _pair_from_dict(d: dict, n_features: int, n_classes: int) -> AnticipatedPair:
-    return AnticipatedPair(
+    pair = AnticipatedPair(
         slow=_sub_from_dict(d["slow"], n_features, n_classes),
         fast=_sub_from_dict(d["fast"], n_features, n_classes),
         samples_seen=int(d["samples_seen"]),
     )
+    # the two windows record every sample together and evict it together,
+    # so they share one samples array
+    slow, fast = pair.slow.window, pair.fast.window
+    if slow.ordered()[0].tobytes() != fast.ordered()[0].tobytes():
+        raise ValueError("a shadow pair's windows must hold the same samples")
+    fast.samples = slow.samples
+    return pair
 
 
 def state_dict(learner: AnticipatingClassifier) -> dict:
@@ -282,6 +301,52 @@ def _put_items(put, brackets: str, items) -> None:
     put(brackets[1])
 
 
+def _state_chunks(learner: AnticipatingClassifier) -> list:
+    """The arrays state_bytes joins, in order, then the metadata bytes."""
+    system = learner.system
+    windows = learner.windows
+    log = learner.drift_log
+    rows = [(rule.premise, rule.consequent, rule.window)
+            for rule in system.rules]
+    for pair in learner.anticipations.values():
+        rows += ((pair.slow.premise, pair.slow.consequent, pair.slow.window),
+                 (pair.fast.premise, pair.fast.consequent, pair.fast.window))
+    pair_windows = [window for _, _, window in rows[len(system.rules):]]
+    xs, ws = windows.entries()
+    packed = (xs, ws, windows.state[1:],  # fills and skipped counts
+              np.array([w.state[1:] for w in pair_windows],
+                       dtype=np.int64).reshape(len(pair_windows), 2),
+              np.array([(p.hits, w.capacity) for p, _, w in rows],
+                       dtype=np.int64).reshape(len(rows), 2),
+              np.array([c.omega for _, c, _ in rows], dtype=np.float64),
+              np.array([e.sample_index for e in log], dtype=np.int64),
+              np.array([e.rule_id for e in log], dtype=np.int64),
+              np.array([e.separation for e in log], dtype=np.float64))
+    stacks = (system._centers, system._covs, system._invs,
+              system._corrs, system._coeffs)
+    meta = [system.n_features, system.n_classes, learner.config,
+            learner.samples_seen, learner.next_rule_id,
+            sorted(learner.seen_classes),
+            [(rule.id, rule.born_class) for rule in system.rules],
+            [(rule_id, pair.samples_seen)
+             for rule_id, pair in learner.anticipations.items()],
+            [p.horizon for p, _, _ in rows], [e.strategy for e in log],
+            windows.capacity, [a.shape for a in stacks + packed]]
+    chunks: list = list(stacks)
+    for premise, consequent, _ in rows:
+        chunks += (premise.center, premise.cov, consequent.coeffs,
+                   consequent.corr)
+    chunks += packed
+    # a pair's windows share their samples and slots: one read per pair
+    for slow, fast in zip(pair_windows[::2], pair_windows[1::2]):
+        if slow.state[1]:
+            slots = slow.slots()
+            chunks += (slow.samples[slots], slow.weights[slots],
+                       fast.weights[slots])
+    chunks.append(repr(meta).encode())
+    return chunks
+
+
 def state_bytes(learner: AnticipatingClassifier) -> bytes:
     """The raw bytes of the live model state, as one buffer.
 
@@ -290,55 +355,39 @@ def state_bytes(learner: AnticipatingClassifier) -> bytes:
     entry), the counters and metadata (config, rule ids, hits, horizons,
     window bookkeeping, drift log), and the five FuzzySystem stacks that
     prediction reads, cached inverses included. The buffer is the five
-    stacks, then each rule's and each shadow sub-rule's premise,
-    consequent, window samples and window weights, then ``repr`` of the
-    metadata; the lengths in the metadata fix where each array's bytes
-    start, and repr writes every float exactly. Two buffers are equal iff
+    stacks; each rule's, then each shadow pair's (slow then fast) premise
+    and consequent; the principal windows' samples and weights, oldest
+    first and in rule order, read from the window bank in one gather;
+    every window's fill and skipped count; the premises' hits with the
+    windows' capacities, and the consequents' omegas, in premise order;
+    the drift log's sample indices, rule ids and separations; for each
+    nonempty shadow pair, the samples its two windows share and the slow
+    and the fast weights, oldest first; then ``repr`` of the remaining
+    metadata. The shapes in the metadata and the
+    fills fix where each array's bytes start, and repr writes every float
+    exactly. Two buffers are equal iff
     every array holds the same bits (``-0.0`` differs from ``0.0``) and
     every counter is equal. It builds no JSON and hashes nothing; a
-    78-rule ``plane10d`` model (10 features) takes about 1.5 MB. The bytes
+    53-rule ``plane10d`` model (10 features) takes about 1.1 MB. The bytes
     are native-endian: compare them only within one process.
     """
-    system = learner.system
-    stacks = (system._centers, system._covs, system._invs,
-              system._corrs, system._coeffs)
-    chunks: list = list(stacks)
-    meta: list = [system.n_features, system.n_classes, learner.config,
-                  learner.samples_seen, learner.next_rule_id,
-                  sorted(learner.seen_classes), learner.drift_log,
-                  [stack.shape for stack in stacks]]
-    # every window's weights go into one array; runs records where each
-    # window's slice of it belongs in chunks and how long it is
-    weights: list[float] = []
-    runs: list[tuple[int, int]] = []
+    return b"".join(_state_chunks(learner))
 
-    def put(premise: Premise, consequent: Consequent, window: DDFWindow) -> None:
-        chunks.extend((premise.center, premise.cov,
-                       consequent.coeffs, consequent.corr))
-        entries = window.entries
-        if entries:
-            xs, ws = zip(*entries)
-            chunks.extend(xs)
-            weights.extend(ws)
-        runs.append((len(chunks), len(entries)))
-        chunks.append(None)
-        meta.append((premise.hits, premise.horizon, consequent.omega,
-                     window.capacity, window.skipped, len(entries)))
 
-    for rule in system.rules:
-        meta.append((rule.id, rule.born_class))
-        put(rule.premise, rule.consequent, rule.window)
-    for rule_id, pair in learner.anticipations.items():
-        meta.append((rule_id, pair.samples_seen))
-        put(pair.slow.premise, pair.slow.consequent, pair.slow.window)
-        put(pair.fast.premise, pair.fast.consequent, pair.fast.window)
-    flat = memoryview(array("d", weights))
-    start = 0
-    for at, count in runs:
-        chunks[at] = flat[start:start + count]
-        start += count
-    chunks.append(repr(meta).encode())
-    return b"".join(chunks)
+def state_bytes_match(learner: AnticipatingClassifier, held: bytes) -> bool:
+    """Whether state_bytes(learner) would equal ``held``, without building it.
+
+    Each array is compared in place against its span of ``held``, and the
+    metadata against the rest, so the check holds one buffer, not two.
+    """
+    chunks = _state_chunks(learner)
+    tail = chunks.pop()
+    at = 0
+    for chunk in chunks:
+        if not held.startswith(chunk, at):
+            return False
+        at += chunk.nbytes
+    return held[at:] == tail
 
 
 def state_fingerprint(learner: AnticipatingClassifier) -> bytes:

@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .fis import NonFiniteInputError
+
 
 class StreamParseError(ValueError):
     """CSV ingestion failure, with file and line context in the message."""
@@ -362,8 +364,23 @@ class Standardizer:
     scale: np.ndarray | None = None
 
     def fit(self, X: np.ndarray) -> "Standardizer":
-        self.mean = X.mean(axis=0)
-        std = X.std(axis=0)
+        """Fix the per-feature mean and scale from X.
+
+        Raises NonFiniteInputError when a mean or a spread is not finite:
+        a value like 1e200 is finite, but its squared distance from the
+        mean overflows, and an infinite scale would map the feature to
+        zero for the whole stream.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = X.mean(axis=0)
+            std = X.std(axis=0)
+        bad = ~(np.isfinite(mean) & np.isfinite(std))
+        if bad.any():
+            raise NonFiniteInputError(
+                f"standardizer: feature(s) {np.flatnonzero(bad).tolist()} of "
+                "the fitting chunk have no finite mean or spread; their "
+                "values or squared distances overflow")
+        self.mean = mean
         self.scale = np.where(std == 0.0, 1.0, std)
         return self
 

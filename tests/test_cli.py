@@ -89,10 +89,11 @@ class TestRun:
         assert code == 3
         assert "error:" in capsys.readouterr().err
 
-    # row 160 lies past the first train chunk, on which the scaler is
-    # fitted; 1e200 is finite, so parsing accepts it, but its distances
-    # overflow
-    @pytest.mark.parametrize("row", [160, 130], ids=["train-row", "test-row"])
+    # 1e200 is finite, so parsing accepts it, but its distances overflow:
+    # in row 3, inside the first train chunk, while the scaler is fitted on
+    # it; in row 160, past that chunk, when the learner meets it
+    @pytest.mark.parametrize("row", [160, 130, 3],
+                             ids=["train-row", "test-row", "first-train-row"])
     @pytest.mark.parametrize("value, error", [
         ("nan", "line.csv:{line}: non-finite"),
         ("inf", "line.csv:{line}: non-finite"),

@@ -502,6 +502,26 @@ class TestBatchedAdaptation:
         for row in (1, 2, 3):
             assert batched._corrs[row].tobytes() == before[row].tobytes()
 
+    @pytest.mark.parametrize("guard_row", [None, 1])
+    def test_downdate_leading_rows_in_place_matches_listed_rows(self, guard_row):
+        rng = np.random.default_rng(29)
+        systems = [random_system(np.random.default_rng(29), 6, 3, 2)
+                   for _ in range(2)]
+        for system in systems:
+            system.wrls_step(augment(np.ones(3)), np.full(6, 0.5), one_hot(0, 2))
+            if guard_row is not None:
+                system.rules[guard_row].consequent.corr[:] = np.eye(4)
+        xs = np.array([augment(rng.standard_normal(3)) for _ in range(4)])
+        if guard_row is not None:
+            xs[guard_row] = [1.0, 0.0, 0.0, 0.0]
+        weights = np.array([0.6, 1.0 if guard_row else 0.3, 0.2, 0.05])
+        in_place, listed = systems
+        ok = in_place.downdate_rows(None, xs, weights)
+        assert ok.tolist() == listed.downdate_rows(
+            np.arange(4, dtype=np.intp), xs, weights).tolist()
+        assert ok.all() == (guard_row is None)
+        assert in_place._corrs.tobytes() == listed._corrs.tobytes()
+
     def test_downdate_row_pair_matches_sequential(self):
         rng = np.random.default_rng(24)
         sys_a = random_system(rng, 2, 3, 2)

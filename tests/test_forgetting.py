@@ -1,11 +1,17 @@
 """Unit tests for deferred directional forgetting of WRLS conclusions."""
 
+import json
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftfis.fis import Consequent, augment, one_hot, wrls_update
-from driftfis.forgetting import DDFWindow, ddf_update, frozen_copy, record_sample
+from driftfis.forgetting import DDFWindow, WindowBank, ddf_update, push_pair
 from driftfis.linalg import corr_decrement
+from driftfis.snapshot import _window_from_dict, _window_to_dict
 
 
 def blank_consequent(d=2, c=2, omega=100.0):
@@ -48,28 +54,207 @@ class TestDDFWindow:
         assert len(dup) == 1
 
 
-class TestRecordSample:
-    def test_windows_share_one_read_only_sample(self):
-        windows = [DDFWindow(3), DDFWindow(3)]
-        x = np.array([1.0, 2.0])
-        shared = frozen_copy(x)
-        record_sample(windows, shared, [0.5, 0.25])
-        x[0] = 99.0
-        assert windows[0].entries[0][0] is windows[1].entries[0][0]
-        assert windows[0].entries[0][0][0] == 1.0
-        assert not windows[0].entries[0][0].flags.writeable
-        assert [w.entries[0][1] for w in windows] == [0.5, 0.25]
+class DequeWindow:
+    """Oracle: a window as a deque of (sample, weight) entries, with the
+    push semantics the ring windows must reproduce."""
 
-    def test_returns_only_weighted_evictions(self):
-        windows = [DDFWindow(1), DDFWindow(1), DDFWindow(2)]
-        first = frozen_copy(np.array([1.0]))
-        assert record_sample(windows, first, [0.0, 0.7, 0.4]) == ([], [], [])
-        where, xs, ws = record_sample(windows, frozen_copy(np.array([2.0])),
-                                      [0.1, 0.2, 0.3])
-        # window 0 evicts a zero-weight sample, window 2 is not full yet
-        assert where == [1]
-        assert xs[0] is first and ws == [0.7]
-        assert [len(w) for w in windows] == [1, 1, 2]
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.entries = deque()
+        self.skipped = 0
+
+    def push(self, x, weight):
+        self.entries.append((x.copy(), float(weight)))
+        if len(self.entries) > self.capacity:
+            return self.entries.popleft()
+        return None
+
+
+class RowModel:
+    """A learner's windows, every window paired with its oracle.
+
+    The principal windows live in a WindowBank, the shadow pairs' windows
+    outside it; drifts move windows between the two the way the learner
+    does.
+    """
+
+    def __init__(self, capacity, k):
+        self.capacity = capacity
+        self.bank = WindowBank(capacity, k)
+        self.rules = []   # (window, oracle) per principal row
+        self.pairs = []   # ((window, oracle), (window, oracle)) per rule
+        self.samples = 0
+        self.k = k
+
+    def fresh(self):
+        return DDFWindow(self.capacity), DequeWindow(self.capacity)
+
+    def rows(self):
+        return self.rules + [sub for pair in self.pairs for sub in pair]
+
+    def repack(self):
+        self.bank.set_rows([window for window, _ in self.rules])
+
+    def birth(self):
+        self.rules.append(self.fresh())
+        self.pairs.append((self.fresh(), self.fresh()))
+        self.repack()
+
+    def drift(self, winner, strategy):
+        slow, fast = self.pairs[winner]
+        if strategy == "global":
+            # every other rule adopts its own slow window; all pairs restart
+            self.rules = [pair[0] for pair in self.pairs]
+            self.rules[winner:winner + 1] = [slow, fast]
+            self.pairs = [(self.fresh(), self.fresh()) for _ in self.rules]
+        else:
+            self.rules[winner:winner + 1] = [slow, fast]
+            self.pairs[winner:winner + 1] = [(self.fresh(), self.fresh()),
+                                             (self.fresh(), self.fresh())]
+        self.repack()
+
+    def next_sample(self):
+        self.samples += 1
+        return np.arange(self.k) + 100.0 * self.samples
+
+    def push_pair(self, winner, w0, w1):
+        x = self.next_sample()
+        (slow_window, slow), (fast_window, fast) = self.pairs[winner]
+        got = push_pair(slow_window, fast_window, x, w0, w1)
+        assert slow_window.samples is fast_window.samples
+        out_slow, out_fast = slow.push(x, w0), fast.push(x, w1)
+        assert (out_slow is None) == (out_fast is None)
+        if out_slow is None or out_slow[1] == out_fast[1] == 0.0:
+            assert got is None
+            return
+        old_x, old_w = got
+        assert old_x.tobytes() == out_slow[0].tobytes() == out_fast[0].tobytes()
+        assert old_w.tolist() == [out_slow[1], out_fast[1]]
+
+    def push_leading(self, weights):
+        x = self.next_sample()
+        n = len(self.rules)
+        got = self.bank.push(x, np.array(weights))
+        outs = [oracle.push(x, w) for (_, oracle), w in zip(self.rules, weights)]
+        expected = [(i, out) for i, out in enumerate(outs)
+                    if out is not None and out[1] != 0.0]
+        if not expected:
+            assert got is None
+            return
+        rows, xs, ws = got
+        if len(expected) == n:
+            assert rows is None
+            rows = np.arange(n)
+        assert rows.tolist() == [i for i, _ in expected]
+        assert xs.tobytes() == b"".join(x.tobytes() for _, (x, _) in expected)
+        assert ws.tolist() == [w for _, (_, w) in expected]
+
+    def skip(self, row):
+        window, oracle = self.rows()[row]
+        window.skipped += 1
+        oracle.skipped += 1
+
+    def round_trip(self):
+        """Every window through its snapshot form, as save/load does."""
+        def again(window):
+            return _window_from_dict(
+                json.loads(json.dumps(_window_to_dict(window))), self.k - 1)
+        self.rules = [(again(w), o) for w, o in self.rules]
+        self.pairs = [((again(sw), so), (again(fw), fo))
+                      for (sw, so), (fw, fo) in self.pairs]
+        self.repack()
+
+    def check(self):
+        rows = self.rows()
+        for window, oracle in rows:
+            assert len(window) == len(oracle.entries)
+            assert window.skipped == oracle.skipped
+            got = window.entries
+            assert [w for _, w in got] == [w for _, w in oracle.entries]
+            for (x, _), (ox, _) in zip(got, oracle.entries):
+                assert x.tobytes() == ox.tobytes()
+        xs, ws = self.bank.entries()
+        flat = [entry for _, oracle in self.rules for entry in oracle.entries]
+        assert ws.tolist() == [w for _, w in flat]
+        assert xs.tobytes() == b"".join(x.tobytes() for x, _ in flat)
+        assert self.bank.skipped.tolist() == [o.skipped for _, o in self.rules]
+
+
+WEIGHTS = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+
+
+class TestWindowBank:
+    @given(capacity=st.integers(1, 6), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_rings_match_a_deque_oracle(self, capacity, data):
+        model = RowModel(capacity, k=3)
+        model.birth()
+        for _ in range(data.draw(st.integers(1, 40), label="steps")):
+            n = len(model.rules)
+            op = data.draw(st.sampled_from(
+                ["pair", "pair", "principal", "principal", "birth", "naive",
+                 "global", "skip", "round_trip"]), label="op")
+            if op == "pair":
+                model.push_pair(data.draw(st.integers(0, n - 1)),
+                                data.draw(WEIGHTS), data.draw(WEIGHTS))
+            elif op == "principal":
+                model.push_leading(data.draw(st.lists(WEIGHTS, min_size=n,
+                                                      max_size=n)))
+            elif op == "birth" and n < 4:
+                model.birth()
+            elif op in ("naive", "global") and n < 4:
+                model.drift(data.draw(st.integers(0, n - 1)), op)
+            elif op == "skip":
+                model.skip(data.draw(st.integers(0, 3 * n - 1)))
+            elif op == "round_trip":
+                model.round_trip()
+            model.check()
+
+    def test_steady_state_evicts_every_leading_row_in_place(self):
+        model = RowModel(2, k=3)
+        model.birth()
+        model.birth()
+        for _ in range(2):
+            model.push_leading([0.5, 0.25])
+        rows, xs, ws = model.bank.push(np.ones(3), np.array([1.0, 1.0]))
+        assert rows is None
+        assert ws.tolist() == [0.5, 0.25]
+
+    def test_window_capacity_must_match_the_bank(self):
+        with pytest.raises(ValueError, match="capacity"):
+            WindowBank(3, 2).set_rows([DDFWindow(4)])
+
+    def test_pair_samples_grow_until_they_span_the_ring(self):
+        slow, fast = DDFWindow(6), DDFWindow(6)
+        lengths = []
+        for i in range(8):
+            push_pair(slow, fast, np.array([1.0, float(i)]), 0.5, 0.25)
+            assert slow.samples is fast.samples
+            lengths.append(slow.samples.shape[0])
+        assert lengths == [4, 4, 4, 4, 6, 6, 6, 6]
+        assert [x[1] for x, _ in slow.entries] == [2.0, 3.0, 4.0, 5.0, 6.0, 7.0]
+
+    def test_window_read_from_a_snapshot_pushes_in_order(self):
+        # a loaded window holds only its entries until it is packed or
+        # pushed to; a push first grows it to the whole ring
+        window = _window_from_dict({"capacity": 3, "skipped": 0, "entries": [
+            [[1.0, 1.0], 0.5], [[1.0, 2.0], 0.25]]}, 1)
+        assert window.samples.shape == (2, 2)
+        assert window.push(np.array([1.0, 3.0]), 0.125) is None
+        evicted = window.push(np.array([1.0, 4.0]), 1.0)
+        assert evicted[0].tolist() == [1.0, 1.0] and evicted[1] == 0.5
+        assert [x[1] for x, _ in window.entries] == [2.0, 3.0, 4.0]
+
+    def test_windows_keep_their_contents_through_a_repack(self):
+        window = DDFWindow(2, skipped=1)
+        window.push(np.array([1.0, 2.0]), 0.5)
+        bank = WindowBank(2, 2)
+        bank.set_rows([DDFWindow(2), window])
+        assert window.entries[0][1] == 0.5 and window.skipped == 1
+        # the window now reads and writes the bank's ring
+        window.push(np.array([3.0, 4.0]), 0.25)
+        assert bank.weights[1].tolist() == [0.5, 0.25]
+        assert bank.state[:, 1].tolist() == [0, 2, 1]
 
 
 class TestDdfUpdate:

@@ -3,13 +3,14 @@
 import hashlib
 import json
 import math
-from array import array
-from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftfis.config import LearnerConfig
+from driftfis.forgetting import DDFWindow
 from driftfis.learner import AnticipatingClassifier
 from driftfis.snapshot import (
     FORMAT_NAME,
@@ -20,6 +21,7 @@ from driftfis.snapshot import (
     model_state_hash,
     save_model,
     state_bytes,
+    state_bytes_match,
     state_dict,
     state_fingerprint,
 )
@@ -175,6 +177,7 @@ class TestGuards:
         lambda s: s["rules"].append(s["rules"][0]),
         lambda s: s["anticipations"].update(
             {"999": next(iter(s["anticipations"].values()))}),
+        lambda s: s["rules"][0]["window"].update(capacity=99),
     ])
     def test_malformed_value_rejected(self, mangle):
         state = state_dict(trained_learner(n=40, forgetting_mode="forget_ps"))
@@ -265,31 +268,49 @@ def test_forget_ps_state_hash_is_pinned(strategy):
 
 
 def reference_state_bytes(learner):
-    """state_bytes written out window by window, one weight array each."""
+    """state_bytes written out window by window, each window read through
+    its own entries rather than from the bank's gather or shared slots."""
     system = learner.system
     stacks = (system._centers, system._covs, system._invs,
               system._corrs, system._coeffs)
-    chunks = list(stacks)
+    parts = list(system.rules) + [sub for pair in learner.anticipations.values()
+                                  for sub in (pair.slow, pair.fast)]
+    principal = [rule.window for rule in system.rules]
+    pair_windows = [p.window for p in parts[len(principal):]]
+    entries = [entry for window in principal for entry in window.entries]
+    log = learner.drift_log
+    packed = (
+        np.array([x for x, _ in entries]).reshape(len(entries),
+                                                  system.n_features + 1),
+        np.array([w for _, w in entries]),
+        np.array([[len(w) for w in principal], [w.skipped for w in principal]],
+                 dtype=np.int64).reshape(2, len(principal)),
+        np.array([[len(w), w.skipped] for w in pair_windows],
+                 dtype=np.int64).reshape(len(pair_windows), 2),
+        np.array([[p.premise.hits, p.window.capacity] for p in parts],
+                 dtype=np.int64).reshape(len(parts), 2),
+        np.array([p.consequent.omega for p in parts]),
+        np.array([e.sample_index for e in log], dtype=np.int64),
+        np.array([e.rule_id for e in log], dtype=np.int64),
+        np.array([e.separation for e in log], dtype=np.float64))
     meta = [system.n_features, system.n_classes, learner.config,
             learner.samples_seen, learner.next_rule_id,
-            sorted(learner.seen_classes), learner.drift_log,
-            [stack.shape for stack in stacks]]
-
-    def put(premise, consequent, window):
-        chunks.extend((premise.center, premise.cov,
-                       consequent.coeffs, consequent.corr))
-        chunks.extend(x for x, _ in window.entries)
-        chunks.append(array("d", [weight for _, weight in window.entries]))
-        meta.append((premise.hits, premise.horizon, consequent.omega,
-                     window.capacity, window.skipped, len(window.entries)))
-
-    for rule in system.rules:
-        meta.append((rule.id, rule.born_class))
-        put(rule.premise, rule.consequent, rule.window)
-    for rule_id, pair in learner.anticipations.items():
-        meta.append((rule_id, pair.samples_seen))
-        for sub in (pair.slow, pair.fast):
-            put(sub.premise, sub.consequent, sub.window)
+            sorted(learner.seen_classes),
+            [(rule.id, rule.born_class) for rule in system.rules],
+            [(rule_id, pair.samples_seen)
+             for rule_id, pair in learner.anticipations.items()],
+            [p.premise.horizon for p in parts], [e.strategy for e in log],
+            learner.windows.capacity, [a.shape for a in stacks + packed]]
+    chunks = list(stacks)
+    for p in parts:
+        chunks += [p.premise.center, p.premise.cov, p.consequent.coeffs,
+                   p.consequent.corr]
+    chunks += packed
+    for slow, fast in zip(pair_windows[::2], pair_windows[1::2]):
+        if slow.entries:
+            chunks += [np.array([x for x, _ in slow.entries]),
+                       np.array([w for _, w in slow.entries]),
+                       np.array([w for _, w in fast.entries])]
     chunks.append(repr(meta).encode())
     return b"".join(chunks)
 
@@ -365,6 +386,69 @@ def test_state_bytes_match_the_window_by_window_assembly(mode):
     assert state_fingerprint(learner) == hashlib.sha256(raw).digest()
 
 
+def test_state_bytes_match_compares_every_byte_and_the_length():
+    learner = trained_learner(forgetting_mode="forget_ps")
+    raw = state_bytes(learner)
+    assert state_bytes_match(learner, raw)
+    assert not state_bytes_match(learner, raw[:-1])
+    assert not state_bytes_match(learner, raw + b"\0")
+    for at in (0, len(raw) // 2, len(raw) - 1):
+        flipped = bytearray(raw)
+        flipped[at] ^= 1
+        assert not state_bytes_match(learner, bytes(flipped))
+
+
+@given(ws=st.integers(1, 6), strategy=st.sampled_from(["naive", "global"]),
+       mode=st.sampled_from(["forget_am", "forget_ps"]),
+       seed=st.integers(0, 2**16))
+@settings(max_examples=25, deadline=None)
+def test_ring_windows_survive_drifts_and_a_round_trip(ws, strategy, mode, seed):
+    """Small rings wrap often; drifts move them between rows."""
+    rng = np.random.default_rng(seed)
+    X, y = gaussian_stream(rng, 160, centers=[[0.0, 0.0], [4.0, 4.0]],
+                           sigma=0.5)
+    X[60:] += 2.0
+    X[110:] += 2.0
+    config = dict(ks=0.6, nmin=3, tmax2=5, ws=ws, strategy=strategy,
+                  forgetting_mode=mode)
+    learner = AnticipatingClassifier(2, 2, LearnerConfig(**config))
+    for xi, yi in zip(X[:140], y[:140]):
+        learner.learn_one(xi, int(yi))
+    for pair in learner.anticipations.values():
+        assert len(pair.slow.window) == len(pair.fast.window)
+    raw = state_bytes(learner)
+    assert raw == reference_state_bytes(learner)
+    clone = from_state_dict(json.loads(json.dumps(state_dict(learner))))
+    assert state_bytes(clone) == raw
+    # state_bytes reads a pair's samples once, so they must be one array
+    for pair in clone.anticipations.values():
+        assert pair.slow.window.samples is pair.fast.window.samples
+    for xi, yi in zip(X[140:], y[140:]):
+        assert clone.learn_one(xi, int(yi)) == learner.learn_one(xi, int(yi))
+    assert state_bytes(clone) == state_bytes(learner)
+
+
+@pytest.mark.parametrize("mangle", [
+    lambda pair: pair["fast"]["window"]["entries"].pop(),
+    lambda pair: pair["fast"]["window"]["entries"][0][0].__setitem__(1, 9.0),
+], ids=["fewer-samples", "other-sample"])
+def test_pair_windows_must_hold_the_same_samples(mangle):
+    state = state_dict(trained_learner(forgetting_mode="forget_am"))
+    pair = next(p for p in state["anticipations"].values()
+                if p["fast"]["window"]["entries"])
+    mangle(pair)
+    with pytest.raises(SnapshotError, match="same samples"):
+        from_state_dict(state)
+
+
+def test_window_over_capacity_rejected():
+    state = state_dict(trained_learner(n=40, forgetting_mode="forget_ps"))
+    window = state["rules"][0]["window"]
+    window["entries"] += window["entries"][:1] * (window["capacity"] + 1)
+    with pytest.raises(SnapshotError, match="capacity"):
+        from_state_dict(state)
+
+
 def _leaves(node, path=()):
     """Paths to every scalar in a state_dict tree."""
     if isinstance(node, dict):
@@ -386,38 +470,35 @@ def _perturb_live_field(learner, path):
         return lambda: setattr(learner, "seen_classes", saved)
     node, key = (learner.system if head in ("n_features", "n_classes", "rules")
                  else learner), head
-    entry_at = None
-    for step in rest:
-        outer = (node, key)
+    for i, step in enumerate(rest):
         node = _get(node, key)
-        if isinstance(node, tuple):  # window entry (x, weight)
-            entry_at = outer
+        if isinstance(node, DDFWindow) and step == "entries":
+            return _perturb_window_entry(node, *rest[i + 1:])
         key = int(step) if node is learner.anticipations else step
-    if entry_at is not None:
-        # window samples are read-only and shared between windows, so swap
-        # the whole entry for a changed copy
-        window, index = entry_at
-        entry = window[index]
-        changed = [entry[0].copy(), entry[1]]
-        if node is entry:  # the weight
-            changed[1] = _perturbed(entry[1])
-        else:              # one feature of the sample
-            changed[0][key] = _perturbed(entry[0][key])
-        _set(window, index, tuple(changed))
-        return lambda: _set(window, index, entry)
     saved = _get(node, key)
     _set(node, key, _perturbed(saved))
     return lambda: _set(node, key, saved)
 
 
+def _perturb_window_entry(window, index, part, feature=None):
+    """Change entry ``index`` (oldest first) of a window in its ring slot:
+    ``part`` 0 is the sample, at ``feature``, and 1 the weight."""
+    slot = (int(window.state[0]) - len(window) + index) % window.capacity
+    array, at = ((window.samples, (slot, feature)) if part == 0
+                 else (window.weights, slot))
+    saved = array[at]
+    array[at] = _perturbed(saved)
+    return lambda: array.__setitem__(at, saved)
+
+
 def _get(node, key):
-    if isinstance(node, (dict, list, deque, tuple, np.ndarray)):
+    if isinstance(node, (dict, list, tuple, np.ndarray)):
         return node[key]
     return getattr(node, key)
 
 
 def _set(node, key, value):
-    if isinstance(node, (dict, list, deque, np.ndarray)):
+    if isinstance(node, (dict, list, np.ndarray)):
         node[key] = value
     else:
         setattr(node, key, value)
