@@ -54,6 +54,54 @@ class TestDDFWindow:
         assert len(dup) == 1
 
 
+class TestRecordSample:
+    """Recording one sample in several windows at once: a shadow pair's
+    two windows through push_pair, the principal ones through a bank."""
+
+    def test_windows_share_one_read_only_sample(self):
+        slow, fast = DDFWindow(3), DDFWindow(3)
+        x = np.array([1.0, 2.0])
+        assert push_pair(slow, fast, x, 0.5, 0.25) is None
+        x[0] = 99.0
+        # one stored copy of the sample, which the caller's array no
+        # longer reaches
+        assert slow.samples is fast.samples
+        assert slow.entries[0][0].tolist() == [1.0, 2.0]
+        assert [w.entries[0][1] for w in (slow, fast)] == [0.5, 0.25]
+        bank = WindowBank(3, 2)
+        windows = [DDFWindow(3), DDFWindow(3)]
+        bank.set_rows(windows)
+        x = np.array([3.0, 4.0])
+        bank.push(x, np.array([0.5, 0.25]))
+        x[0] = 99.0
+        assert [w.entries[0][0].tolist() for w in windows] == [[3.0, 4.0]] * 2
+        assert [w.entries[0][1] for w in windows] == [0.5, 0.25]
+
+    def test_returns_only_weighted_evictions(self):
+        first = np.array([1.0, 1.0])
+        windows = [DDFWindow(2), DDFWindow(2), DDFWindow(2)]
+        windows[0].push(first, 0.0)
+        windows[1].push(first, 0.7)
+        bank = WindowBank(2, 2)
+        bank.set_rows(windows)
+        assert bank.push(np.array([1.0, 2.0]), np.array([0.5, 0.5, 0.4])) is None
+        rows, xs, ws = bank.push(np.array([1.0, 3.0]),
+                                 np.array([0.1, 0.2, 0.3]))
+        # row 0 evicts a zero-weight sample, row 2 is not full yet
+        assert rows.tolist() == [1]
+        assert xs.tolist() == [first.tolist()] and ws.tolist() == [0.7]
+        assert [len(w) for w in windows] == [2, 2, 2]
+        # the evicted samples are copies, not views of the ring slots
+        bank.push(np.array([1.0, 4.0]), np.array([0.1, 0.2, 0.3]))
+        assert xs.tolist() == [first.tolist()]
+        slow, fast = DDFWindow(1), DDFWindow(1)
+        assert push_pair(slow, fast, first, 0.0, 0.0) is None
+        assert push_pair(slow, fast, np.array([1.0, 2.0]), 0.0, 0.6) is None
+        evicted = push_pair(slow, fast, np.array([1.0, 3.0]), 0.1, 0.2)
+        assert evicted[0].tolist() == [1.0, 2.0]
+        assert evicted[1].tolist() == [0.0, 0.6]
+
+
 class DequeWindow:
     """Oracle: a window as a deque of (sample, weight) entries, with the
     push semantics the ring windows must reproduce."""
