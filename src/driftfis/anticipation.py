@@ -15,25 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fis import Premise, Rule
+from .fis import Consequent, FuzzySystem, Premise
 from .forgetting import DDFWindow
-
-
-def _copy_premise(premise: Premise, horizon: int) -> Premise:
-    """Deep-copy a premise under a new horizon, capping hits at that horizon.
-
-    The cap makes a freshly spawned sub-rule exactly as plastic as one that
-    had always lived at this horizon; without it a long-lived parent would
-    pin the fast sub-rule's fading factor to 1/horizon from a history it is
-    supposed to be able to abandon anyway.
-    """
-    return Premise(
-        center=premise.center.copy(),
-        cov=premise.cov.copy(),
-        cov_inv=premise.cov_inv.copy(),
-        hits=min(premise.hits, horizon),
-        horizon=horizon,
-    )
 
 
 @dataclass
@@ -41,13 +24,14 @@ class SubRule:
     """One member of an anticipated pair: premise + private consequent/window."""
 
     premise: Premise
-    consequent: "object"
+    consequent: Consequent
     window: DDFWindow
 
 
 @dataclass
 class AnticipatedPair:
-    """Slow/fast shadow pair attached to one principal rule."""
+    """Slow/fast shadow pair attached to one principal rule; the learner
+    hands these out as views of the pair's rows (PairState.view)."""
 
     slow: SubRule
     fast: SubRule
@@ -70,37 +54,51 @@ class AnticipatedPair:
         return gap / spread
 
 
-def spawn_pair(rule: Rule, slow_horizon: int, fast_horizon: int,
-               window_capacity: int, init: str = "parent") -> AnticipatedPair:
-    """Create the shadow pair for a rule from the rule's current state.
+@dataclass
+class PairState:
+    """What a shadow pair keeps outside the system stacks."""
 
-    ``init`` selects the consequent seed: "parent" copies the rule's
-    coefficients and correlation matrix, "zero" restarts them at the blank
-    state (zero coefficients, omega * I correlation). Windows start empty
-    either way: the correlation copy already embodies the parent's window
-    history, and re-evicting those samples would double-count them.
+    slow_window: DDFWindow
+    fast_window: DDFWindow
+    samples_seen: int = 0
+
+    def view(self, system: FuzzySystem, row: int, slow_horizon: int,
+             fast_horizon: int) -> AnticipatedPair:
+        """The pair whose slow sub-rule is row ``row``, fast ``row + 1``."""
+        return AnticipatedPair(
+            slow=SubRule(system.premise(row, slow_horizon),
+                         system.consequent(row), self.slow_window),
+            fast=SubRule(system.premise(row + 1, fast_horizon),
+                         system.consequent(row + 1), self.fast_window),
+            samples_seen=self.samples_seen)
+
+
+def spawn_pair(system: FuzzySystem, rows: np.ndarray, slow_horizon: int,
+               fast_horizon: int, window_capacity: int, init: str,
+               omega: float) -> list[PairState]:
+    """Finish the shadow pairs whose rows were just copied from their parents.
+
+    Each pair holds rows (row, row + 1) for a row in ``rows``, both copies
+    of the parent rule's row (FuzzySystem.set_rows). Each sub-rule caps
+    its hits at its horizon, which makes it exactly as plastic as one that
+    had always lived at this horizon: a long-lived parent would otherwise
+    pin the fast sub-rule's fading factor to 1/horizon. ``init`` "parent"
+    keeps the consequent copy, "zero" restarts it blank (zero
+    coefficients, omega * I correlation). Returns the pairs' states, with
+    empty windows: the correlation copy already embodies the parent's
+    window history, and re-evicting those samples would double-count them.
     """
-    def seed_consequent():
-        if init == "parent":
-            return rule.consequent.copy()
-        if init == "zero":
-            blank = rule.consequent.copy()
-            blank.coeffs[:] = 0.0
-            blank.corr[:] = blank.omega * np.eye(blank.corr.shape[0])
-            return blank
+    if init not in ("parent", "zero"):
         raise ValueError(f"unknown anticipation init {init!r}")
-
-    slow = SubRule(
-        premise=_copy_premise(rule.premise, slow_horizon),
-        consequent=seed_consequent(),
-        window=DDFWindow(window_capacity),
-    )
-    fast = SubRule(
-        premise=_copy_premise(rule.premise, fast_horizon),
-        consequent=seed_consequent(),
-        window=DDFWindow(window_capacity),
-    )
-    return AnticipatedPair(slow=slow, fast=fast, samples_seen=0)
+    hits = system.hits
+    hits[rows] = np.minimum(hits[rows], slow_horizon)
+    hits[rows + 1] = np.minimum(hits[rows + 1], fast_horizon)
+    if init == "zero":
+        both = np.concatenate((rows, rows + 1))
+        system._coeffs[both] = 0.0
+        system._corrs[both] = omega * np.eye(system.n_features + 1)
+    return [PairState(DDFWindow(window_capacity), DDFWindow(window_capacity))
+            for _ in range(rows.shape[0])]
 
 
 @dataclass

@@ -7,8 +7,9 @@ consequent per class, learned by weighted recursive least squares (WRLS).
 The rule base itself evolves elsewhere; this module knows how to evaluate
 and adapt rules and how to aggregate a base. FuzzySystem keeps every
 premise and consequent in stacked arrays so the per-sample work is a fixed
-number of batched array operations regardless of the rule count; the
-dataclass fields of the rules it holds are views into those stacks. The
+number of batched array operations regardless of the rule count. The
+stacks are the only storage of those arrays: a rule is a row plus its
+metadata, and structural changes are row gathers (set_rows). The
 module-level functions (membership, update_premise, wrls_update) are the
 single-rule reference semantics. advance_premises reproduces
 update_premise bitwise row for row; the membership and WRLS paths match
@@ -24,7 +25,8 @@ without changing any row's result.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,7 +67,8 @@ class Premise:
 
     ``hits`` counts the samples that most-activated the rule (including the
     founding sample). ``horizon`` caps the effective sample count in the
-    fading factor; None means no forgetting.
+    fading factor; None means no forgetting. A premise read from a
+    FuzzySystem holds views of its row's arrays and a copy of its count.
     """
 
     center: np.ndarray
@@ -81,19 +84,44 @@ class Consequent:
 
     coeffs: np.ndarray  # (d+1, n_classes)
     corr: np.ndarray    # (d+1, d+1), starts at omega * I
-    omega: float
-
-    def copy(self) -> "Consequent":
-        return Consequent(self.coeffs.copy(), self.corr.copy(), self.omega)
 
 
-@dataclass
+class Rows(NamedTuple):
+    """Row-aligned arrays in the layout of the FuzzySystem stacks."""
+
+    centers: np.ndarray  # (m, d)
+    covs: np.ndarray     # (m, d, d)
+    invs: np.ndarray     # (m, d, d)
+    hits: np.ndarray     # (m,) int64
+    corrs: np.ndarray    # (m, d+1, d+1)
+    coeffs: np.ndarray   # (m, d+1, n_classes)
+
+
+@dataclass(eq=False)
 class Rule:
+    """A principal rule: its metadata and its row ``row`` of ``system``.
+
+    ``premise`` and ``consequent`` read that row as views, ``window`` the
+    same row of ``windows`` (a forgetting.WindowBank) when there is one.
+    """
+
     id: int
-    premise: Premise
-    consequent: Consequent
-    window: "object" = None  # DDFWindow when conclusion forgetting is tracked
     born_class: int | None = None
+    windows: object = field(default=None, repr=False)
+    system: "FuzzySystem | None" = field(default=None, repr=False)
+    row: int = 0
+
+    @property
+    def premise(self) -> Premise:
+        return self.system.premise(self.row)
+
+    @property
+    def consequent(self) -> Consequent:
+        return self.system.consequent(self.row)
+
+    @property
+    def window(self):
+        return None if self.windows is None else self.windows.window(self.row)
 
 
 def membership(premise: Premise, x: np.ndarray) -> float:
@@ -108,8 +136,8 @@ def update_premise(premise: Premise, x: np.ndarray, refresh: bool = True) -> Non
     so an unbounded horizon reproduces the running mean exactly. The
     covariance residual uses the already-updated center. With
     ``refresh=False`` the cached inverse is left stale for the caller to
-    rebuild. Rebinds the arrays; for premises owned by a FuzzySystem use
-    FuzzySystem.advance_premises instead, which updates the stacks in place.
+    rebuild. Rebinds the arrays of a standalone premise; a FuzzySystem's
+    rows advance in place through FuzzySystem.advance_premises.
     """
     premise.hits += 1
     t = premise.hits if premise.horizon is None else min(premise.hits, premise.horizon)
@@ -140,63 +168,60 @@ def wrls_update(con: Consequent, x_aug: np.ndarray, weight: float, target: np.nd
     con.coeffs += weight * (gain[:, None] * resid)
 
 
-def create_rule(
-    x: np.ndarray,
-    label: int,
-    sigma_init: float,
-    omega: float,
-    n_classes: int,
-    rule_id: int,
-    horizon: int | None = None,
-    window: "object" = None,
-) -> Rule:
-    """Seed a rule at a sample: unit-scaled spherical premise, blank consequent."""
+def create_rule(x: np.ndarray, label: int, sigma_init: float, omega: float,
+                n_classes: int, rule_id: int) -> Rule:
+    """Seed a rule at a sample, alone in a one-row system: unit-scaled
+    spherical premise, one hit, blank consequent (zero coefficients, omega
+    * I correlation)."""
     d = x.shape[0]
     cov = (sigma_init ** 2) * np.eye(d)
-    premise = Premise(
-        center=x.copy(),
-        cov=cov,
-        cov_inv=regularized_inverse(cov),
-        hits=1,
-        horizon=horizon,
-    )
-    consequent = Consequent(
-        coeffs=np.zeros((d + 1, n_classes)),
-        corr=omega * np.eye(d + 1),
-        omega=omega,
-    )
-    return Rule(id=rule_id, premise=premise, consequent=consequent,
-                window=window, born_class=label)
+    seed = Rows(centers=x[None, :].copy(), covs=cov[None],
+                invs=regularized_inverse(cov)[None],
+                hits=np.ones(1, dtype=np.int64),
+                corrs=(omega * np.eye(d + 1))[None],
+                coeffs=np.zeros((1, d + 1, n_classes)))
+    rule = Rule(id=rule_id, born_class=label)
+    FuzzySystem(d, n_classes).set_rows([rule], np.zeros(1, np.intp), extra=seed)
+    return rule
 
 
 class FuzzySystem:
     """An ordered rule base over a fixed feature/class signature.
 
-    Premises and consequents live in stacked arrays; the Premise/Consequent
-    objects of the rules hold row views into them, so reading a rule is
-    natural while updates run as one batched operation over every row.
+    The system owns its rules' arrays as five stacks (centers,
+    covariances, cached inverses, correlations, coefficients) plus the hit
+    counts in ``hits``, one row per rule: rule i is row i. Updates run as
+    one batched operation over the rows.
 
-    A caller may also attach auxiliary (premise, consequent) rows behind
-    the principal rules. They live in the same stacks but take no part in
+    Rows after the principal rules are auxiliary. They take no part in
     prediction: memberships, predict_scores and predict_class read only
     the leading principal rows and never evaluate an auxiliary one. The
-    anticipation learner uses them for its shadow sub-rule pairs. The
+    anticipation learner keeps its shadow sub-rule pairs there. The
     updates either run over the whole stack, where a zero weight leaves a
     row unchanged, or gather only the listed rows; both give each row the
-    same bits, so attaching auxiliary rows never alters what the principal
-    rows compute.
+    same bits, so auxiliary rows never alter what the principal rows
+    compute.
 
-    Treat ``rules`` as read-only; structural changes must go through
-    add_rule/set_rows so the stacks stay in sync.
+    Treat ``rules`` as read-only; structural changes go through set_rows.
     """
 
     def __init__(self, n_features: int, n_classes: int,
                  rules: list[Rule] | None = None):
         self.n_features = n_features
         self.n_classes = n_classes
+        d, k = n_features, n_features + 1
+        self._centers = np.empty((0, d))
+        self._covs = np.empty((0, d, d))
+        self._invs = np.empty((0, d, d))
+        self.hits = np.empty(0, dtype=np.int64)
+        self._corrs = np.empty((0, k, k))
+        self._coeffs = np.empty((0, k, n_classes))
         self._rules: list[Rule] = []
-        self._aux: list[tuple[Premise, Consequent]] = []
-        self.set_rows(list(rules) if rules else [])
+        if rules:
+            # each rule brings its row from the system it was read from
+            rows = Rows(*(np.stack(parts) for parts in zip(*(
+                [stack[r.row] for stack in r.system.stacks()] for r in rules))))
+            self.set_rows(list(rules), np.arange(len(rules)), extra=rows)
 
     def __len__(self) -> int:
         return len(self._rules)
@@ -206,55 +231,52 @@ class FuzzySystem:
         return self._rules
 
     @property
-    def n_aux(self) -> int:
-        return len(self._aux)
-
-    @property
     def n_rows(self) -> int:
-        return len(self._rules) + len(self._aux)
+        return self.hits.shape[0]
 
-    def set_rows(self, rules: list[Rule],
-                 aux: list[tuple[Premise, Consequent]] | None = None) -> None:
-        """Repack all rule/auxiliary arrays into fresh stacks and rebind views.
+    def stacks(self) -> Rows:
+        return Rows(self._centers, self._covs, self._invs, self.hits,
+                    self._corrs, self._coeffs)
 
-        ``aux`` defaults to keeping the currently attached auxiliary rows.
-        Every premise/consequent object passed in ends up holding views
-        into the new stacks (their previous arrays are copied first, so
-        objects may arrive holding standalone arrays or stale views).
+    def premise(self, row: int, horizon: int | None = None) -> Premise:
+        """Row ``row``'s premise: views of its arrays, a copy of its hits."""
+        return Premise(self._centers[row], self._covs[row], self._invs[row],
+                       int(self.hits[row]), horizon)
+
+    def consequent(self, row: int) -> Consequent:
+        """Row ``row``'s consequent, as views of its arrays."""
+        return Consequent(self._coeffs[row], self._corrs[row])
+
+    def set_rows(self, rules: list[Rule], rows: np.ndarray,
+                 con_rows: np.ndarray | None = None,
+                 extra: Rows | None = None) -> None:
+        """Rebuild the stacks as a gather of rows; ``rules`` lead them.
+
+        New row i takes its premise (center, covariance, cached inverse,
+        hits) from row ``rows[i]`` and its consequent (correlation,
+        coefficients) from row ``con_rows[i]``, ``rows[i]`` by default.
+        Indices from n_rows on address the rows of ``extra``, appended
+        after the current ones. The first len(rules) new rows are the
+        principal rules, in order, and each rule is bound to its row; any
+        later row is auxiliary. Coefficient columns of classes added since
+        the stacks were built start at zero.
         """
-        if aux is None:
-            aux = self._aux
-        d = self.n_features
-        k = d + 1
-        c = self.n_classes
-        entries = [(r.premise, r.consequent) for r in rules] + list(aux)
-        n = len(entries)
-        centers = np.empty((n, d))
-        covs = np.empty((n, d, d))
-        invs = np.empty((n, d, d))
-        corrs = np.empty((n, k, k))
-        coeffs = np.empty((n, k, c))
-        for i, (premise, con) in enumerate(entries):
-            centers[i] = premise.center
-            covs[i] = premise.cov
-            invs[i] = premise.cov_inv
-            corrs[i] = con.corr
-            coeffs[i] = con.coeffs
-            premise.center = centers[i]
-            premise.cov = covs[i]
-            premise.cov_inv = invs[i]
-            con.corr = corrs[i]
-            con.coeffs = coeffs[i]
-        self._centers = centers
-        self._covs = covs
-        self._invs = invs
-        self._corrs = corrs
+        stacks = self.stacks()
+        if extra is not None:
+            stacks = Rows(*map(np.concatenate, zip(stacks, extra)))
+        if con_rows is None:
+            con_rows = rows
+        self._centers, self._covs, self._invs, self.hits = (
+            stack.take(rows, axis=0) for stack in stacks[:4])
+        self._corrs = stacks.corrs.take(con_rows, axis=0)
+        coeffs = stacks.coeffs.take(con_rows, axis=0)
+        grown = self.n_classes - coeffs.shape[2]
+        if grown:
+            coeffs = np.pad(coeffs, ((0, 0), (0, 0), (0, grown)))
         self._coeffs = coeffs
+        for row, rule in enumerate(rules):
+            rule.system, rule.row = self, row
         self._rules = list(rules)
-        self._aux = list(aux)
-
-    def add_rule(self, rule: Rule) -> None:
-        self.set_rows(self._rules + [rule])
 
     # -- evaluation ----------------------------------------------------
 
@@ -281,11 +303,6 @@ class FuzzySystem:
         if not self._rules:
             raise EmptySystemError("rule base is empty")
         return self.memberships_all(x, len(self._rules))
-
-    def normalized_memberships(self, x: np.ndarray) -> np.ndarray:
-        """Memberships rescaled to sum to one (all entries are positive)."""
-        betas = self.memberships(x)
-        return betas / betas.sum()
 
     def scores_from_memberships(self, betas: np.ndarray, x_aug: np.ndarray,
                                 total: float | None = None) -> np.ndarray:

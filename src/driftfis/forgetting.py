@@ -11,12 +11,12 @@ fresh data no longer excites.
 A window is a ring of ``capacity`` slots, each holding a sample and its
 weight, plus a head (the slot the next sample goes to), a fill (how many
 slots hold a sample) and a ``skipped`` count. A learner stacks the rings of
-its principal windows in one WindowBank, one ring per rule, and each of
-those DDFWindows then holds views into the bank, the way Premise and
-Consequent hold views into the FuzzySystem stacks. Recording a sample in
-every principal window is one scatter, their evictions one gather, and
-reading them all oldest first one more gather. A shadow pair's two windows
-stay outside the bank and share one samples array (push_pair).
+its principal windows in one WindowBank, one ring per rule, and the bank
+is their only storage: a principal rule's window is a DDFWindow of views
+read from its row. Recording a sample in every principal window is one
+scatter, their evictions one gather, and reading them all oldest first
+one more gather. A shadow pair's two windows stay outside the bank and
+share one samples array (push_pair).
 """
 
 from __future__ import annotations
@@ -82,14 +82,6 @@ class DDFWindow:
         xs, ws = self.ordered()
         return list(zip(xs, ws.tolist()))
 
-    def copy(self) -> "DDFWindow":
-        out = DDFWindow(self.capacity)
-        if self.samples is not None:
-            out.samples = self.samples.copy()
-        out.weights = self.weights.copy()
-        out.state = self.state.copy()
-        return out
-
     def push(self, x_aug: np.ndarray, weight: float) -> tuple[np.ndarray, float] | None:
         """Record a sample; return the evicted (x, weight) pair on overflow."""
         head, fill = int(self.state[0]), int(self.state[1])
@@ -152,49 +144,60 @@ class WindowBank:
 
     ``samples`` is (rows, capacity, k), ``weights`` (rows, capacity) and
     ``state`` (3, rows): head, fill and skipped per row. Every window
-    shares the bank's capacity. After set_rows the windows hold views into
-    these stacks, so recording a sample in every window is one scatter.
-    The shadow pairs' windows stay outside: only the winner's pair records
-    a sample, and most pairs hold a few samples, so preallocated rings
-    would mostly sit empty.
+    shares the bank's capacity. Recording a sample in every window is one
+    scatter. The shadow pairs' windows stay outside: only the winner's
+    pair records a sample, and most pairs hold a few samples, so
+    preallocated rings would mostly sit empty.
     """
 
     def __init__(self, capacity: int, n_inputs: int):
         self.capacity = capacity
         self.n_inputs = n_inputs
-        self.set_rows([])
+        self.samples = np.empty((0, capacity, n_inputs))
+        self.weights = np.empty((0, capacity))
+        self.state = np.empty((3, 0), dtype=np.int64)
+        self.set_rows(np.empty(0, dtype=np.intp))
 
     @property
     def skipped(self) -> np.ndarray:
         """Per-row skipped counts (a writable view)."""
         return self.state[2]
 
-    def set_rows(self, windows: list[DDFWindow]) -> None:
-        """Repack the windows into fresh stacks and rebind their views.
+    def window(self, row: int) -> DDFWindow:
+        """Row ``row``'s ring as a DDFWindow of views into the stacks."""
+        window = DDFWindow(self.capacity)
+        window.samples = self.samples[row]
+        window.weights = self.weights[row]
+        window.state = self.state[:, row]
+        return window
 
-        Each window's ring is copied slot for slot, so windows may arrive
-        standalone or holding views into an earlier bank. Raises ValueError
-        for a window whose capacity differs from the bank's.
+    def set_rows(self, rows: np.ndarray, extra: list[DDFWindow] = ()) -> None:
+        """Rebuild the stacks as a gather of rows.
+
+        New row i is a copy of row ``rows[i]``. Indices from the current
+        row count on address the standalone windows in ``extra``, whose
+        rings are appended after the current rows. Raises ValueError for
+        an extra window whose capacity differs from the bank's.
         """
         cap = self.capacity
-        n = len(windows)
-        samples = np.empty((n, cap, self.n_inputs))
-        weights = np.zeros((n, cap))
-        state = np.empty((3, n), dtype=np.int64)
-        for i, window in enumerate(windows):
-            if window.capacity != cap:
-                raise ValueError(f"window capacity {window.capacity} differs "
-                                 f"from the bank's {cap}")
-            state[:, i] = window.state
-            if window.state[1]:
-                samples[i, :window.samples.shape[0]] = window.samples
-                weights[i] = window.weights
-            window.samples = samples[i]
-            window.weights = weights[i]
-            window.state = state[:, i]
-        self.samples = samples
-        self.weights = weights
-        self.state = state
+        samples, weights, state = self.samples, self.weights, self.state
+        if extra:
+            if any(window.capacity != cap for window in extra):
+                raise ValueError(f"a window's capacity differs from the "
+                                 f"bank's {cap}")
+            more = np.empty((len(extra), cap, self.n_inputs))
+            # a standalone ring may hold just its leading slots
+            for ring, window in zip(more, extra):
+                if window.samples is not None:
+                    ring[:window.samples.shape[0]] = window.samples
+            samples = np.concatenate((samples, more))
+            weights = np.concatenate((weights, [w.weights for w in extra]))
+            state = np.concatenate((state, np.transpose([w.state for w in extra])),
+                                   axis=1)
+        n = rows.shape[0]
+        self.samples = samples = samples.take(rows, axis=0)
+        self.weights = weights = weights.take(rows, axis=0)
+        self.state = state = state.take(rows, axis=1)
         self._head = state[0]
         self._fill = state[1]
         self._flat_x = samples.reshape(n * cap, self.n_inputs)

@@ -8,26 +8,28 @@ the rule is declared drifted and surgically replaced by its two sub-rules
 copy). Conclusion matrices may additionally use deferred directional
 forgetting, in the shadow pairs and/or the principal system.
 
-The shadow pairs live as auxiliary rows of the FuzzySystem, so one batched
-membership pass, one batched premise update, and one batched WRLS step per
-sample cover the principal rules and the active pair together. The premise
-update and the WRLS step are told which rows carry weight (the winner and
-its pair; every principal rule and the winner's pair) and, on large stacks,
-touch only those. The principal windows are rings in one stacked
-WindowBank, so principal conclusion forgetting records the sample in every
-principal window with one scatter and sheds all its evictions in one
-batched downdate.
+The FuzzySystem stacks hold every rule and sub-rule as a row: rule i is
+row i, its shadow pair rows n+2i (slow) and n+2i+1 (fast). Births and
+replacements are row gathers. One batched membership pass, one batched
+premise update, and one batched WRLS step per sample cover the principal
+rules and the active pair together. The premise update and the WRLS step are told
+which rows carry weight (the winner and its pair; every principal rule and
+the winner's pair) and, on large stacks, touch only those. The principal
+windows are rings in one stacked WindowBank, so principal conclusion
+forgetting records the sample in every principal window with one scatter
+and sheds all its evictions in one batched downdate.
 """
 
 from __future__ import annotations
 
 import math
+from types import MappingProxyType
 
 import numpy as np
 
-from .anticipation import AnticipatedPair, DriftEvent, spawn_pair
+from .anticipation import AnticipatedPair, DriftEvent, PairState, spawn_pair
 from .config import LearnerConfig
-from .fis import FuzzySystem, NonFiniteInputError, Rule, create_rule
+from .fis import FuzzySystem, NonFiniteInputError, Rows, Rule, create_rule
 from .forgetting import DDFWindow, WindowBank, push_pair
 
 
@@ -54,7 +56,8 @@ class AnticipatingClassifier:
         self.system = FuzzySystem(n_features=n_features, n_classes=n_classes)
         # the principal windows' rings, one row per rule
         self.windows = WindowBank(self.config.ws, n_features + 1)
-        self.anticipations: dict[int, AnticipatedPair] = {}
+        # the shadow pair of rule i, in rule order
+        self.pairs: list[PairState] = []
         self.drift_log: list[DriftEvent] = []
         self.seen_classes: set[int] = set()
         self.samples_seen = 0
@@ -76,6 +79,18 @@ class AnticipatingClassifier:
     @property
     def n_rules(self) -> int:
         return len(self.system.rules)
+
+    @property
+    def anticipations(self) -> MappingProxyType[int, AnticipatedPair]:
+        """Each rule's shadow pair by rule id, as a read-only mapping."""
+        return MappingProxyType({rule.id: self.pair_view(i)
+                                 for i, rule in enumerate(self.system.rules)})
+
+    def pair_view(self, i: int) -> AnticipatedPair:
+        """Rule i's shadow pair, as a view of its rows."""
+        cfg = self.config
+        return self.pairs[i].view(self.system, len(self.system) + 2 * i,
+                                  cfg.tmax1, cfg.tmax2)
 
     def predict_one(self, x) -> int:
         """Class index for x from the principal system; no state change.
@@ -124,7 +139,6 @@ class AnticipatingClassifier:
                 f"sample {x.tolist()} has no finite positive membership sum "
                 f"({bsum!r}); its distances overflow")
         y = self._check_label(y)
-        rules = system.rules
         x_aug = self._x_aug
         x_aug[1:] = x
         prediction = int(np.argmax(
@@ -141,8 +155,7 @@ class AnticipatingClassifier:
             return prediction
 
         winner = int(np.argmax(betas))
-        rule = rules[winner]
-        pair = self.anticipations[rule.id]
+        pair = self.pairs[winner]
         row_slow = n + 2 * winner
         row_fast = row_slow + 1
         # Sub-rule memberships from the pre-update premises, consistent
@@ -163,7 +176,7 @@ class AnticipatingClassifier:
             w_fast = beta_fast
 
         # Premise advance: the winner and its pair blend the sample in,
-        # every other row keeps alpha 0.
+        # every other row keeps alpha 0. The horizon follows from the role.
         alphas = self._alphas
         for row in self._stale_rows:
             alphas[row, 0] = 0.0
@@ -172,13 +185,12 @@ class AnticipatingClassifier:
         rows[0] = winner
         rows[1] = row_slow
         rows[2] = row_fast
-        for row, premise in ((winner, rule.premise),
-                             (row_slow, pair.slow.premise),
-                             (row_fast, pair.fast.premise)):
-            premise.hits += 1
-            h = premise.horizon
-            t = premise.hits if h is None else min(premise.hits, h)
-            alphas[row, 0] = 1.0 / t
+        hits = system.hits
+        for row, horizon in ((winner, None), (row_slow, cfg.tmax1),
+                             (row_fast, cfg.tmax2)):
+            t = hits.item(row) + 1
+            hits[row] = t
+            alphas[row, 0] = 1.0 / (t if horizon is None else min(t, horizon))
         system.advance_premises(x, alphas, rows)
 
         # One WRLS step over the rows that carry weight: principal
@@ -201,7 +213,7 @@ class AnticipatingClassifier:
         # the correlation matrices shed whatever falls out.
         mode = cfg.forgetting_mode
         if mode != "none":
-            evicted = push_pair(pair.slow.window, pair.fast.window, x_aug,
+            evicted = push_pair(pair.slow_window, pair.fast_window, x_aug,
                                 w_slow, w_fast)
             if evicted is not None:
                 self._evict_pair(pair, row_slow, *evicted)
@@ -212,7 +224,7 @@ class AnticipatingClassifier:
         if math.isfinite(cfg.ks) and pair.samples_seen > cfg.nmin:
             # Inline equivalent of pair.separation(_premise_radius), with
             # the two quadratic forms batched through the stacks.
-            delta = pair.fast.premise.center - pair.slow.premise.center
+            delta = system._centers[row_fast] - system._centers[row_slow]
             gap_sq = float(delta @ delta)
             if gap_sq > 0.0:
                 gap = math.sqrt(gap_sq)
@@ -249,46 +261,58 @@ class AnticipatingClassifier:
         return y
 
     def _grow_classes(self, n_classes: int) -> None:
-        extra = n_classes - self.system.n_classes
-        for rule in self.system.rules:
-            rule.consequent.coeffs = _pad_columns(rule.consequent.coeffs, extra)
-        for pair in self.anticipations.values():
-            for sub in (pair.slow, pair.fast):
-                sub.consequent.coeffs = _pad_columns(sub.consequent.coeffs, extra)
-        self.system.n_classes = n_classes
-        self._sync_banks()
+        system = self.system
+        system.n_classes = n_classes
+        system.set_rows(system.rules, np.arange(system.n_rows))
 
     def _give_birth(self, x: np.ndarray, y: int) -> None:
         cfg = self.config
-        rule = create_rule(
-            x, y, cfg.sigma_init, cfg.omega, self.system.n_classes,
-            rule_id=self.next_rule_id, horizon=None, window=DDFWindow(cfg.ws),
-        )
-        self.next_rule_id += 1
-        self.anticipations[rule.id] = spawn_pair(
-            rule, cfg.tmax1, cfg.tmax2, cfg.ws, cfg.am_init)
-        self.seen_classes.add(y)
-        self._sync_banks(self.system.rules + [rule])
-
-    def _sync_banks(self, rules: list[Rule] | None = None) -> None:
-        """Repack the system stacks and the principal window bank after
-        any structural change.
-
-        Auxiliary rows mirror the rule order: the shadow pair of rule i
-        occupies rows n+2i (slow) and n+2i+1 (fast).
-        """
         system = self.system
-        if rules is None:
-            rules = system.rules
-        aux = []
-        for rule in rules:
-            pair = self.anticipations[rule.id]
-            aux.append((pair.slow.premise, pair.slow.consequent))
-            aux.append((pair.fast.premise, pair.fast.consequent))
-        system.set_rows(rules, aux)
-        self.windows.set_rows([rule.window for rule in rules])
-        n = len(rules)
-        self._alphas = np.zeros((system.n_rows, 1))
+        n = len(system)
+        rule = create_rule(x, y, cfg.sigma_init, cfg.omega, system.n_classes,
+                           rule_id=self.next_rule_id)
+        rule.windows = self.windows
+        self.next_rule_id += 1
+        self.seen_classes.add(y)
+        # the newborn's row is appended after the current ones
+        rows = np.append(np.arange(n), system.n_rows)
+        self._set_rows(system.rules + [rule], rows, rows, self.pairs + [None],
+                       extra=rule.system.stacks())
+        self.windows.set_rows(np.arange(n + 1), [DDFWindow(cfg.ws)])
+
+    def _set_rows(self, rules: list[Rule], rows: np.ndarray,
+                  con_rows: np.ndarray, pairs: list[PairState | None],
+                  extra: Rows | None = None) -> None:
+        """Rebuild the system stacks for a new rule list, pairs behind it.
+
+        Rule j takes its premise from current row ``rows[j]`` and its
+        consequent from ``con_rows[j]`` (FuzzySystem.set_rows; indices
+        past its rows address ``extra``). ``pairs[j]`` is the state of the
+        rule's shadow pair: a kept pair's rows move with their rule, which
+        must then come from its own current row; None spawns a fresh pair
+        from the rule's new rows.
+        """
+        cfg = self.config
+        system = self.system
+        spawn = np.array([pair is None for pair in pairs])
+        kept = len(system) + 2 * rows  # a kept rule's slow row
+
+        def with_pairs(src):
+            slow = np.where(spawn, src, kept)
+            fast = np.where(spawn, src, kept + 1)
+            return np.concatenate((src, np.column_stack((slow, fast)).ravel()))
+
+        system.set_rows(rules, with_pairs(rows), with_pairs(con_rows), extra)
+        fresh = iter(spawn_pair(system, len(rules) + 2 * np.flatnonzero(spawn),
+                                cfg.tmax1, cfg.tmax2, cfg.ws, cfg.am_init,
+                                cfg.omega))
+        self.pairs = [next(fresh) if pair is None else pair for pair in pairs]
+        self._resize_buffers()
+
+    def _resize_buffers(self) -> None:
+        """Fit the per-sample scratch arrays to the current stacks."""
+        n = len(self.system)
+        self._alphas = np.zeros((self.system.n_rows, 1))
         self._stale_rows = ()
         self._wrows = np.arange(n + 2, dtype=np.intp)
         self._wvec = np.zeros(n + 2)
@@ -332,7 +356,7 @@ class AnticipatingClassifier:
             failed = np.flatnonzero(~ok)
             self.windows.skipped[failed if rows is None else rows[failed]] += 1
 
-    def _evict_pair(self, pair: AnticipatedPair, row_slow: int,
+    def _evict_pair(self, pair: PairState, row_slow: int,
                     old_x: np.ndarray, w_old: np.ndarray) -> None:
         """Shed the sample leaving the pair windows (they leave together).
 
@@ -341,51 +365,46 @@ class AnticipatingClassifier:
         """
         ok_slow, ok_fast = self.system.downdate_row_pair(row_slow, old_x, w_old)
         if not ok_slow and w_old[0] != 0.0:
-            pair.slow.window.skipped += 1
+            pair.slow_window.skipped += 1
         if not ok_fast and w_old[1] != 0.0:
-            pair.fast.window.skipped += 1
+            pair.fast_window.skipped += 1
 
     def _replace_rule(self, winner: int, separation: float) -> None:
         """Swap the drifted rule for its two sub-rules (N grows by one).
 
-        Under the global strategy every other rule also adopts its own
-        shadow slow conclusion (and window), and all shadow pairs restart;
-        under naive only the two new rules get fresh pairs.
+        The sub-rules' rows become principal rows, whose premises do not
+        forget. Under the global strategy every other rule also adopts its
+        own shadow slow conclusion (and window), and all shadow pairs
+        restart; under naive only the two new rules get fresh pairs.
         """
         cfg = self.config
         system = self.system
+        n = len(system)
         old = system.rules[winner]
-        pair = self.anticipations.pop(old.id)
-
-        new_rules = []
-        for sub in (pair.slow, pair.fast):
-            sub.premise.horizon = None  # principal premises do not forget
-            rule = Rule(id=self.next_rule_id, premise=sub.premise,
-                        consequent=sub.consequent, window=sub.window,
-                        born_class=old.born_class)
-            self.next_rule_id += 1
-            new_rules.append(rule)
-        rules = list(system.rules)
-        rules[winner:winner + 1] = new_rules
-
+        pair = self.pairs[winner]
+        new_rules = [Rule(id=self.next_rule_id + k, born_class=old.born_class,
+                          windows=self.windows) for k in (0, 1)]
+        self.next_rule_id += 2
+        rules = system.rules[:winner] + new_rules + system.rules[winner + 1:]
+        row_slow = n + 2 * winner
+        rows = np.concatenate((np.arange(winner), (row_slow, row_slow + 1),
+                               np.arange(winner + 1, n)))
         if cfg.strategy == "global":
-            new_ids = {new_rules[0].id, new_rules[1].id}
-            for rule in rules:
-                if rule.id in new_ids:
-                    continue
-                other = self.anticipations[rule.id]
-                rule.consequent = other.slow.consequent
-                rule.window = other.slow.window
-            self.anticipations = {
-                rule.id: spawn_pair(rule, cfg.tmax1, cfg.tmax2, cfg.ws, cfg.am_init)
-                for rule in rules
-            }
+            adopts = np.ones(n + 1, dtype=bool)
+            adopts[winner:winner + 2] = False
+            con_rows = np.where(adopts, n + 2 * rows, rows)
+            pairs = [None] * (n + 1)
+            windows = [other.slow_window for other in self.pairs]
+            windows[winner:winner + 1] = [pair.slow_window, pair.fast_window]
+            window_rows = np.arange(n, 2 * n + 1)
         else:
-            for rule in new_rules:
-                self.anticipations[rule.id] = spawn_pair(
-                    rule, cfg.tmax1, cfg.tmax2, cfg.ws, cfg.am_init)
-
-        self._sync_banks(rules)
+            con_rows = rows
+            pairs = self.pairs[:winner] + [None, None] + self.pairs[winner + 1:]
+            windows = [pair.slow_window, pair.fast_window]
+            window_rows = np.concatenate((np.arange(winner), (n, n + 1),
+                                          np.arange(winner + 1, n)))
+        self._set_rows(rules, rows, con_rows, pairs)
+        self.windows.set_rows(window_rows, windows)
         self.drift_log.append(DriftEvent(
             sample_index=self.samples_seen, rule_id=old.id,
             strategy=cfg.strategy, separation=separation))
@@ -398,8 +417,3 @@ def _premise_radius(premise, unit_direction: np.ndarray) -> float:
         return math.inf
     return 1.0 / math.sqrt(q)
 
-
-def _pad_columns(mat: np.ndarray, extra: int) -> np.ndarray:
-    out = np.zeros((mat.shape[0], mat.shape[1] + extra))
-    out[:, :mat.shape[1]] = mat
-    return out

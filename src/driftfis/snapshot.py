@@ -11,10 +11,10 @@ hashes the canonical JSON and is portable across machines. ``state_bytes``
 is the raw array bytes in memory plus a repr of the counters: much
 cheaper to build, it also covers the cached inverses, and two of them are
 compared byte for byte, so a check built on it is exact rather than
-probabilistic. The principal windows' entries come out of the learner's
-WindowBank in one gather. It is only comparable within one process, and
-holding one costs its full size (about 1.1 MB on a 53-rule, 10-feature
-model); ``state_bytes_match`` compares a live state against a held
+probabilistic. It reads the FuzzySystem stacks and the principal windows'
+WindowBank whole. It is only comparable within one process, and holding
+one costs its full size (about 0.67 MB on a 48-rule, 10-feature model);
+``state_bytes_match`` compares a live state against a held
 buffer without building a second one. ``state_fingerprint`` is its
 SHA-256 digest, for when 32 bytes must do.
 """
@@ -27,12 +27,12 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .anticipation import AnticipatedPair, DriftEvent, SubRule
+from .anticipation import DriftEvent, PairState
 from .config import LearnerConfig
-from .fis import Consequent, Premise, Rule
+from .fis import Rows, Rule
 from .forgetting import DDFWindow
 from .learner import AnticipatingClassifier
-from .linalg import regularized_inverse
+from .linalg import regularized_inverse_stack
 
 FORMAT_NAME = "driftfis-model"
 FORMAT_VERSION = 1
@@ -45,15 +45,6 @@ class SnapshotError(ValueError):
     """Snapshot file is missing, malformed, or from an unknown format."""
 
 
-def _premise_to_dict(p: Premise) -> dict:
-    return {
-        "center": p.center.tolist(),
-        "cov": p.cov.tolist(),
-        "hits": p.hits,
-        "horizon": p.horizon,
-    }
-
-
 def _array(value, shape: tuple[int, ...], what: str) -> np.ndarray:
     """Float array from snapshot data; a wrong shape raises ValueError."""
     out = np.array(value, dtype=float)
@@ -62,123 +53,51 @@ def _array(value, shape: tuple[int, ...], what: str) -> np.ndarray:
     return out
 
 
-def _premise_from_dict(d: dict, n_features: int) -> Premise:
-    cov = _array(d["cov"], (n_features, n_features), "premise cov")
-    return Premise(
-        center=_array(d["center"], (n_features,), "premise center"),
-        cov=cov,
-        cov_inv=regularized_inverse(cov),
-        hits=int(d["hits"]),
-        horizon=d["horizon"],
-    )
-
-
-def _consequent_to_dict(c: Consequent) -> dict:
-    return {"coeffs": c.coeffs.tolist(), "corr": c.corr.tolist(), "omega": c.omega}
-
-
-def _consequent_from_dict(d: dict, n_features: int, n_classes: int) -> Consequent:
-    k = n_features + 1
-    return Consequent(
-        coeffs=_array(d["coeffs"], (k, n_classes), "consequent coeffs"),
-        corr=_array(d["corr"], (k, k), "consequent corr"),
-        omega=float(d["omega"]),
-    )
-
-
-def _window_to_dict(w: DDFWindow) -> dict:
-    xs, ws = w.ordered()
+def _sub_entry(sub, omega: float) -> dict:
+    """The premise, consequent and window entries of a rule or sub-rule."""
+    premise, consequent, window = sub.premise, sub.consequent, sub.window
+    xs, ws = window.ordered()
     return {
-        "capacity": w.capacity,
-        "skipped": w.skipped,
-        "entries": [list(entry) for entry in zip(xs.tolist(), ws.tolist())],
+        "premise": {
+            "center": premise.center.tolist(),
+            "cov": premise.cov.tolist(),
+            "hits": premise.hits,
+            "horizon": premise.horizon,
+        },
+        "consequent": {
+            "coeffs": consequent.coeffs.tolist(),
+            "corr": consequent.corr.tolist(),
+            "omega": omega,
+        },
+        "window": {
+            "capacity": window.capacity,
+            "skipped": window.skipped,
+            "entries": [list(entry) for entry in zip(xs.tolist(), ws.tolist())],
+        },
     }
 
 
-def _window_from_dict(d: dict, n_features: int) -> DDFWindow:
-    window = DDFWindow(int(d["capacity"]), skipped=int(d["skipped"]))
-    entries = d["entries"]
-    fill = len(entries)
-    if fill > window.capacity:
-        raise ValueError(f"window holds {fill} entries, more than its "
-                         f"capacity {window.capacity}")
-    if fill:
-        # the entries take the leading slots, oldest first; the window
-        # holds just those rows until a WindowBank packs it
-        window.samples = _array([x for x, _ in entries],
-                                (fill, n_features + 1), "window entries")
-        window.weights[:fill] = [float(w) for _, w in entries]
-        window.state[:2] = (fill % window.capacity, fill)
-    return window
+def _rule_entry(learner: AnticipatingClassifier, i: int) -> dict:
+    rule = learner.system.rules[i]
+    return {"id": rule.id, "born_class": rule.born_class,
+            **_sub_entry(rule, learner.config.omega)}
 
 
-def _rule_to_dict(r: Rule) -> dict:
-    return {
-        "id": r.id,
-        "born_class": r.born_class,
-        "premise": _premise_to_dict(r.premise),
-        "consequent": _consequent_to_dict(r.consequent),
-        "window": _window_to_dict(r.window),
-    }
-
-
-def _rule_from_dict(d: dict, n_features: int, n_classes: int) -> Rule:
-    return Rule(
-        id=int(d["id"]),
-        premise=_premise_from_dict(d["premise"], n_features),
-        consequent=_consequent_from_dict(d["consequent"], n_features, n_classes),
-        window=_window_from_dict(d["window"], n_features),
-        born_class=d["born_class"],
-    )
-
-
-def _sub_to_dict(s: SubRule) -> dict:
-    return {
-        "premise": _premise_to_dict(s.premise),
-        "consequent": _consequent_to_dict(s.consequent),
-        "window": _window_to_dict(s.window),
-    }
-
-
-def _sub_from_dict(d: dict, n_features: int, n_classes: int) -> SubRule:
-    return SubRule(
-        premise=_premise_from_dict(d["premise"], n_features),
-        consequent=_consequent_from_dict(d["consequent"], n_features, n_classes),
-        window=_window_from_dict(d["window"], n_features),
-    )
-
-
-def _pair_to_dict(p: AnticipatedPair) -> dict:
-    return {
-        "samples_seen": p.samples_seen,
-        "slow": _sub_to_dict(p.slow),
-        "fast": _sub_to_dict(p.fast),
-    }
-
-
-def _pair_from_dict(d: dict, n_features: int, n_classes: int) -> AnticipatedPair:
-    pair = AnticipatedPair(
-        slow=_sub_from_dict(d["slow"], n_features, n_classes),
-        fast=_sub_from_dict(d["fast"], n_features, n_classes),
-        samples_seen=int(d["samples_seen"]),
-    )
-    # the two windows record every sample together and evict it together,
-    # so they share one samples array
-    slow, fast = pair.slow.window, pair.fast.window
-    if slow.ordered()[0].tobytes() != fast.ordered()[0].tobytes():
-        raise ValueError("a shadow pair's windows must hold the same samples")
-    fast.samples = slow.samples
-    return pair
+def _pair_entry(learner: AnticipatingClassifier, i: int) -> dict:
+    pair = learner.pair_view(i)
+    omega = learner.config.omega
+    return {"samples_seen": pair.samples_seen,
+            "slow": _sub_entry(pair.slow, omega),
+            "fast": _sub_entry(pair.fast, omega)}
 
 
 def state_dict(learner: AnticipatingClassifier) -> dict:
     """Full model state as a JSON-serializable dictionary."""
     state = _state_skeleton(learner)
-    state["rules"] = [_rule_to_dict(r) for r in learner.system.rules]
-    state["anticipations"] = {
-        str(rule_id): _pair_to_dict(pair)
-        for rule_id, pair in learner.anticipations.items()
-    }
+    rules = learner.system.rules
+    state["rules"] = [_rule_entry(learner, i) for i in range(len(rules))]
+    state["anticipations"] = {str(rule.id): _pair_entry(learner, i)
+                              for i, rule in enumerate(rules)}
     return state
 
 
@@ -225,17 +144,80 @@ def _learner_from_state(state: dict) -> AnticipatingClassifier:
     learner.samples_seen = int(state["samples_seen"])
     learner.next_rule_id = int(state["next_rule_id"])
     learner.seen_classes = {int(label) for label in state["seen_classes"]}
-    learner.anticipations = {
-        int(rule_id): _pair_from_dict(pair, d, c)
-        for rule_id, pair in state["anticipations"].items()
-    }
     learner.drift_log = [DriftEvent(**event) for event in state["drift_log"]]
-    rules = [_rule_from_dict(rule, d, c) for rule in state["rules"]]
-    ids = [rule.id for rule in rules]
-    if len(set(ids)) != len(ids) or set(ids) != set(learner.anticipations):
+    rules = state["rules"]
+    ids = [int(rule["id"]) for rule in rules]
+    pairs = {int(rule_id): pair for rule_id, pair in state["anticipations"].items()}
+    if (len(set(ids)) != len(ids) or len(pairs) != len(state["anticipations"])
+            or set(ids) != set(pairs)):
         raise ValueError("every rule needs a unique id and exactly one "
                          "anticipation pair")
-    learner._sync_banks(rules)
+    if ids and learner.next_rule_id <= max(ids):
+        raise ValueError(f"next_rule_id {learner.next_rule_id} does not "
+                         f"exceed every rule id")
+    # every stacked row in stack order: the rules, then their pairs
+    rows = [(rule, None) for rule in rules]
+    for rule_id in ids:
+        rows += ((pairs[rule_id]["slow"], config.tmax1),
+                 (pairs[rule_id]["fast"], config.tmax2))
+    windows = []
+    for entry, horizon in rows:
+        premise = entry["premise"]
+        hits = premise["hits"]
+        if type(hits) is not int or hits < 1:
+            raise ValueError(f"hits must be an integer >= 1, got {hits!r}")
+        if (type(premise["horizon"]) is not type(horizon)
+                or premise["horizon"] != horizon):
+            raise ValueError(f"horizon {premise['horizon']!r} differs from "
+                             f"its role's {horizon!r}")
+        if entry["consequent"]["omega"] != config.omega:
+            raise ValueError(f"omega {entry['consequent']['omega']!r} "
+                             f"differs from the config's {config.omega!r}")
+        w = entry["window"]
+        if w["capacity"] != config.ws:
+            raise ValueError(f"window capacity {w['capacity']!r} differs "
+                             f"from ws {config.ws}")
+        window = DDFWindow(config.ws, skipped=int(w["skipped"]))
+        fill = len(w["entries"])
+        if fill > config.ws:
+            raise ValueError(f"window holds {fill} entries, more than its "
+                             f"capacity {config.ws}")
+        if fill:
+            # the entries take the leading slots, oldest first
+            window.samples = _array([x for x, _ in w["entries"]],
+                                    (fill, d + 1), "window entries")
+            window.weights[:fill] = [float(weight) for _, weight in w["entries"]]
+            window.state[:2] = (fill % config.ws, fill)
+        windows.append(window)
+    n = len(rules)
+    # the two windows of a pair record every sample together and evict it
+    # together, so they share one samples array
+    for slow, fast in zip(windows[n::2], windows[n + 1::2]):
+        if slow.ordered()[0].tobytes() != fast.ordered()[0].tobytes():
+            raise ValueError("a shadow pair's windows must hold the same samples")
+        fast.samples = slow.samples
+    if not rules:
+        return learner
+
+    def stacked(part, key, *shape):
+        return _array([entry[part][key] for entry, _ in rows],
+                      (len(rows), *shape), f"{part} {key}")
+
+    covs = stacked("premise", "cov", d, d)
+    hits = np.array([entry["premise"]["hits"] for entry, _ in rows], dtype=np.int64)
+    learner.system.set_rows(
+        [Rule(id=rule_id, born_class=rule["born_class"], windows=learner.windows)
+         for rule_id, rule in zip(ids, rules)],
+        np.arange(len(rows)),
+        extra=Rows(stacked("premise", "center", d), covs,
+                   regularized_inverse_stack(covs), hits,
+                   stacked("consequent", "corr", d + 1, d + 1),
+                   stacked("consequent", "coeffs", d + 1, c)))
+    learner.windows.set_rows(np.arange(n), windows[:n])
+    learner.pairs = [PairState(slow, fast, int(pairs[rule_id]["samples_seen"]))
+                     for rule_id, slow, fast
+                     in zip(ids, windows[n::2], windows[n + 1::2])]
+    learner._resize_buffers()
     return learner
 
 
@@ -274,19 +256,18 @@ def model_state_hash(learner: AnticipatingClassifier) -> str:
 
     dumps = _CANONICAL.encode
     state = _state_skeleton(learner)
+    ids = [str(rule.id) for rule in learner.system.rules]
     put("{")
     for i, key in enumerate(sorted(state)):
         # json.dumps separators: ", " between items, ": " after keys
         put(f"{', ' if i else ''}{dumps(key)}: ")
         if key == "rules":
-            _put_items(put, "[]", (dumps(_rule_to_dict(rule))
-                                   for rule in learner.system.rules))
+            _put_items(put, "[]", (dumps(_rule_entry(learner, i))
+                                   for i in range(len(ids))))
         elif key == "anticipations":
-            pairs = {str(rule_id): pair
-                     for rule_id, pair in learner.anticipations.items()}
             _put_items(put, "{}", (
-                f"{dumps(rule_id)}: {dumps(_pair_to_dict(pairs[rule_id]))}"
-                for rule_id in sorted(pairs)))
+                f"{dumps(ids[i])}: {dumps(_pair_entry(learner, i))}"
+                for i in sorted(range(len(ids)), key=ids.__getitem__)))
         else:
             put(dumps(state[key]))
     put("}")
@@ -305,40 +286,28 @@ def _state_chunks(learner: AnticipatingClassifier) -> list:
     """The arrays state_bytes joins, in order, then the metadata bytes."""
     system = learner.system
     windows = learner.windows
+    pairs = learner.pairs
     log = learner.drift_log
-    rows = [(rule.premise, rule.consequent, rule.window)
-            for rule in system.rules]
-    for pair in learner.anticipations.values():
-        rows += ((pair.slow.premise, pair.slow.consequent, pair.slow.window),
-                 (pair.fast.premise, pair.fast.consequent, pair.fast.window))
-    pair_windows = [window for _, _, window in rows[len(system.rules):]]
+    pair_windows = [window for pair in pairs
+                    for window in (pair.slow_window, pair.fast_window)]
     xs, ws = windows.entries()
+    stacks = system.stacks()
     packed = (xs, ws, windows.state[1:],  # fills and skipped counts
               np.array([w.state[1:] for w in pair_windows],
                        dtype=np.int64).reshape(len(pair_windows), 2),
-              np.array([(p.hits, w.capacity) for p, _, w in rows],
-                       dtype=np.int64).reshape(len(rows), 2),
-              np.array([c.omega for _, c, _ in rows], dtype=np.float64),
               np.array([e.sample_index for e in log], dtype=np.int64),
               np.array([e.rule_id for e in log], dtype=np.int64),
               np.array([e.separation for e in log], dtype=np.float64))
-    stacks = (system._centers, system._covs, system._invs,
-              system._corrs, system._coeffs)
     meta = [system.n_features, system.n_classes, learner.config,
             learner.samples_seen, learner.next_rule_id,
             sorted(learner.seen_classes),
             [(rule.id, rule.born_class) for rule in system.rules],
-            [(rule_id, pair.samples_seen)
-             for rule_id, pair in learner.anticipations.items()],
-            [p.horizon for p, _, _ in rows], [e.strategy for e in log],
-            windows.capacity, [a.shape for a in stacks + packed]]
-    chunks: list = list(stacks)
-    for premise, consequent, _ in rows:
-        chunks += (premise.center, premise.cov, consequent.coeffs,
-                   consequent.corr)
-    chunks += packed
+            [pair.samples_seen for pair in pairs], [e.strategy for e in log],
+            [a.shape for a in stacks + packed]]
+    chunks: list = [*stacks, *packed]
     # a pair's windows share their samples and slots: one read per pair
-    for slow, fast in zip(pair_windows[::2], pair_windows[1::2]):
+    for pair in pairs:
+        slow, fast = pair.slow_window, pair.fast_window
         if slow.state[1]:
             slots = slow.slots()
             chunks += (slow.samples[slots], slow.weights[slots],
@@ -350,26 +319,23 @@ def _state_chunks(learner: AnticipatingClassifier) -> list:
 def state_bytes(learner: AnticipatingClassifier) -> bytes:
     """The raw bytes of the live model state, as one buffer.
 
-    Covers every array state_dict serializes (premise centers and
-    covariances, consequent coefficients and correlations, every window
-    entry), the counters and metadata (config, rule ids, hits, horizons,
-    window bookkeeping, drift log), and the five FuzzySystem stacks that
-    prediction reads, cached inverses included. The buffer is the five
-    stacks; each rule's, then each shadow pair's (slow then fast) premise
-    and consequent; the principal windows' samples and weights, oldest
-    first and in rule order, read from the window bank in one gather;
-    every window's fill and skipped count; the premises' hits with the
-    windows' capacities, and the consequents' omegas, in premise order;
-    the drift log's sample indices, rule ids and separations; for each
-    nonempty shadow pair, the samples its two windows share and the slow
-    and the fast weights, oldest first; then ``repr`` of the remaining
-    metadata. The shapes in the metadata and the
-    fills fix where each array's bytes start, and repr writes every float
-    exactly. Two buffers are equal iff
+    Covers every array state_dict serializes (the stacked premises and
+    consequents, every window entry), the counters and metadata (config,
+    rule ids, window bookkeeping, drift log), and the cached inverses that
+    prediction reads. The buffer is the five FuzzySystem stacks with the
+    hit counts, in row order (rules, then each rule's slow and fast
+    sub-rule); the principal windows' samples and weights, oldest first
+    and in rule order, read from the window bank in one gather; every
+    window's fill and skipped count; the drift log's sample indices, rule
+    ids and separations; for each nonempty shadow pair, the samples its
+    two windows share and the slow and the fast weights, oldest first;
+    then ``repr`` of the remaining metadata. Horizons, omegas and window
+    capacities follow from the config, which the metadata holds. The
+    shapes in the metadata and the fills fix where each array's bytes
+    start, and repr writes every float exactly. Two buffers are equal iff
     every array holds the same bits (``-0.0`` differs from ``0.0``) and
-    every counter is equal. It builds no JSON and hashes nothing; a
-    53-rule ``plane10d`` model (10 features) takes about 1.1 MB. The bytes
-    are native-endian: compare them only within one process.
+    every counter is equal. It builds no JSON and hashes nothing. The
+    bytes are native-endian: compare them only within one process.
     """
     return b"".join(_state_chunks(learner))
 

@@ -3,6 +3,7 @@
 import numpy as np
 
 from driftfis.fis import FuzzySystem, create_rule
+from driftfis.linalg import regularized_inverse
 
 
 def random_pd(rng, d, scale=1.0):
@@ -40,9 +41,15 @@ def random_system(rng, n_rules, d, c, omega=100.0, spread=3.0):
             rule_id=i,
         )
         cov = random_pd(rng, d)
-        rule.premise.cov = cov
-        from driftfis.linalg import regularized_inverse
-        rule.premise.cov_inv = regularized_inverse(cov)
-        rule.consequent.coeffs = rng.standard_normal((d + 1, c))
+        rule.premise.cov[:] = cov
+        rule.premise.cov_inv[:] = regularized_inverse(cov)
+        rule.consequent.coeffs[:] = rng.standard_normal((d + 1, c))
         rules.append(rule)
     return FuzzySystem(n_features=d, n_classes=c, rules=rules)
+
+
+def attach_rows(system, rules):
+    """Append the rows of ``rules`` to ``system`` as auxiliary rows."""
+    extra = FuzzySystem(system.n_features, system.n_classes, rules)
+    system.set_rows(system.rules, np.arange(system.n_rows + extra.n_rows),
+                    extra=extra.stacks())

@@ -40,8 +40,7 @@ def _report(capsys, num, name, ok, detail=""):
 
 
 def blank_consequent(d, c, omega):
-    return Consequent(coeffs=np.zeros((d + 1, c)),
-                      corr=omega * np.eye(d + 1), omega=omega)
+    return Consequent(coeffs=np.zeros((d + 1, c)), corr=omega * np.eye(d + 1))
 
 
 def test_criterion_1_wrls_matches_closed_form(capsys):
@@ -131,8 +130,7 @@ def test_criterion_3_premise_recursions(capsys):
     # unbounded horizon reproduces the running mean exactly
     d = 3
     X = rng.normal(size=(10_000, d)) * 2.0 + 0.5
-    rule = create_rule(X[0], 0, 1.0, 100.0, 2, rule_id=0, horizon=None)
-    premise = rule.premise
+    premise = create_rule(X[0], 0, 1.0, 100.0, 2, rule_id=0).premise
     for x in X[1:]:
         update_premise(premise, x, refresh=False)
     mean_err = float(np.max(np.abs(premise.center - X.mean(axis=0))))
@@ -140,8 +138,8 @@ def test_criterion_3_premise_recursions(capsys):
     # bounded horizon matches a 50-digit re-execution of the recursion
     tmax = 20
     X2 = rng.normal(size=(2000, 2))
-    rule2 = create_rule(X2[0], 0, 1.0, 100.0, 2, rule_id=1, horizon=tmax)
-    p2 = rule2.premise
+    p2 = create_rule(X2[0], 0, 1.0, 100.0, 2, rule_id=1).premise
+    p2.horizon = tmax
     for x in X2[1:]:
         update_premise(p2, x, refresh=False)
     with mpmath.workdps(50):
@@ -181,7 +179,8 @@ def test_criterion_4_membership_normalization(capsys):
                                int(rng.integers(1, 7)), int(rng.integers(1, 4)))
         X = rng.uniform(-5.0, 5.0, size=(50_000, system.n_features))
         for x in X:
-            err = abs(float(system.normalized_memberships(x).sum()) - 1.0)
+            m = system.memberships(x)
+            err = abs(float((m / m.sum()).sum()) - 1.0)
             if err > worst:
                 worst = err
         evaluated += len(X)
@@ -299,12 +298,10 @@ class PlainStreamingBaseline:
     reduces the full learner to exactly this behavior, bit for bit.
     """
 
-    def __init__(self, n_features, n_classes, sigma_init=1.0, omega=100.0,
-                 ws=50):
+    def __init__(self, n_features, n_classes, sigma_init=1.0, omega=100.0):
         self.system = FuzzySystem(n_features=n_features, n_classes=n_classes)
         self.sigma_init = sigma_init
         self.omega = omega
-        self.ws = ws
         self.seen = set()
         self.next_id = 0
         self._x_aug = np.empty(n_features + 1)
@@ -312,11 +309,13 @@ class PlainStreamingBaseline:
         self._targets = np.eye(n_classes)
 
     def _birth(self, x, y):
+        system = self.system
+        n = len(system)
         rule = create_rule(x, y, self.sigma_init, self.omega,
-                           self.system.n_classes, rule_id=self.next_id,
-                           horizon=None, window=DDFWindow(self.ws))
+                           system.n_classes, rule_id=self.next_id)
+        system.set_rows(system.rules + [rule], np.arange(n + 1),
+                        extra=rule.system.stacks())
         self.next_id += 1
-        self.system.set_rows(self.system.rules + [rule], [])
         self.seen.add(y)
 
     def learn_one(self, x, y):
@@ -340,10 +339,9 @@ class PlainStreamingBaseline:
             system.wrls_step(x_aug, wvec, self._targets[y])
             return prediction
         winner = int(np.argmax(betas))
-        premise = rules[winner].premise
-        premise.hits += 1
+        system.hits[winner] += 1
         alphas = np.zeros((n, 1))
-        alphas[winner, 0] = 1.0 / premise.hits
+        alphas[winner, 0] = 1.0 / int(system.hits[winner])
         system.advance_premises(x, alphas, np.array([winner], dtype=np.intp))
         wvec = np.empty(n)
         np.divide(betas, bsum, out=wvec)

@@ -4,15 +4,26 @@ import numpy as np
 import pytest
 
 from driftfis.anticipation import AnticipatedPair, DriftEvent, SubRule, spawn_pair
-from driftfis.fis import Consequent, Premise, create_rule
+from driftfis.fis import Premise, create_rule
 from driftfis.linalg import ellipsoid_radius_along, regularized_inverse
 
 
-def make_rule(center, hits=1, horizon=None, omega=100.0, n_classes=2, rule_id=0):
+def make_rule(center, hits=1, omega=100.0, n_classes=2, rule_id=0):
     center = np.asarray(center, dtype=float)
-    rule = create_rule(center, 0, 1.0, omega, n_classes, rule_id, horizon=horizon)
-    rule.premise.hits = hits
+    rule = create_rule(center, 0, 1.0, omega, n_classes, rule_id)
+    rule.system.hits[rule.row] = hits
     return rule
+
+
+def spawn_behind(rule, slow_horizon, fast_horizon, window_capacity,
+                 init="parent", omega=100.0):
+    """Copy a lone rule's row behind it twice and spawn its pair there, as
+    the learner does; returns the pair's view."""
+    system = rule.system
+    system.set_rows([rule], np.zeros(3, dtype=np.intp))
+    state, = spawn_pair(system, np.array([1]), slow_horizon, fast_horizon,
+                        window_capacity, init, omega)
+    return state.view(system, 1, slow_horizon, fast_horizon)
 
 
 def make_premise(center, cov):
@@ -28,7 +39,7 @@ def radius_fn(premise, u):
 class TestSpawnPair:
     def test_premises_are_deep_copies(self):
         rule = make_rule([1.0, 2.0], hits=5)
-        pair = spawn_pair(rule, 200, 10, window_capacity=50)
+        pair = spawn_behind(rule, 200, 10, window_capacity=50)
         for sub in (pair.slow, pair.fast):
             assert not np.shares_memory(sub.premise.center, rule.premise.center)
             assert not np.shares_memory(sub.premise.cov, rule.premise.cov)
@@ -41,7 +52,7 @@ class TestSpawnPair:
 
     def test_horizons_and_hit_caps(self):
         rule = make_rule([0.0], hits=1000)
-        pair = spawn_pair(rule, 200, 10, window_capacity=50)
+        pair = spawn_behind(rule, 200, 10, window_capacity=50)
         assert pair.slow.premise.horizon == 200
         assert pair.fast.premise.horizon == 10
         assert pair.slow.premise.hits == 200
@@ -49,7 +60,7 @@ class TestSpawnPair:
 
     def test_young_parent_keeps_its_hit_count(self):
         rule = make_rule([0.0], hits=3)
-        pair = spawn_pair(rule, 200, 10, window_capacity=50)
+        pair = spawn_behind(rule, 200, 10, window_capacity=50)
         assert pair.slow.premise.hits == 3
         assert pair.fast.premise.hits == 3
 
@@ -57,7 +68,7 @@ class TestSpawnPair:
         rule = make_rule([0.5, -0.5])
         rule.consequent.coeffs[:] = np.arange(6).reshape(3, 2)
         rule.consequent.corr[0, 0] = 42.0
-        pair = spawn_pair(rule, 200, 10, window_capacity=50, init="parent")
+        pair = spawn_behind(rule, 200, 10, window_capacity=50, init="parent")
         for sub in (pair.slow, pair.fast):
             assert np.array_equal(sub.consequent.coeffs, rule.consequent.coeffs)
             assert np.array_equal(sub.consequent.corr, rule.consequent.corr)
@@ -71,21 +82,20 @@ class TestSpawnPair:
         rule = make_rule([0.5, -0.5], omega=7.0)
         rule.consequent.coeffs[:] = 3.0
         rule.consequent.corr[:] = 1.0
-        pair = spawn_pair(rule, 200, 10, window_capacity=50, init="zero")
+        pair = spawn_behind(rule, 200, 10, window_capacity=50, init="zero",
+                            omega=7.0)
         for sub in (pair.slow, pair.fast):
             assert np.array_equal(sub.consequent.coeffs, np.zeros((3, 2)))
             assert np.array_equal(sub.consequent.corr, 7.0 * np.eye(3))
-            assert sub.consequent.omega == 7.0
 
     def test_unknown_init_raises(self):
         rule = make_rule([0.0])
         with pytest.raises(ValueError):
-            spawn_pair(rule, 200, 10, window_capacity=50, init="median")
+            spawn_behind(rule, 200, 10, window_capacity=50, init="median")
 
     def test_windows_start_empty(self):
         rule = make_rule([0.0])
-        rule.window = None
-        pair = spawn_pair(rule, 200, 10, window_capacity=25)
+        pair = spawn_behind(rule, 200, 10, window_capacity=25)
         assert len(pair.slow.window) == 0
         assert len(pair.fast.window) == 0
         assert pair.slow.window.capacity == 25

@@ -17,7 +17,7 @@ from driftfis.fis import (
     wrls_update,
 )
 from driftfis.linalg import DOWNDATE_GUARD, corr_decrement, regularized_inverse
-from helpers import random_pd, random_system
+from helpers import attach_rows, random_pd, random_system
 
 
 def test_augment_prepends_one():
@@ -51,18 +51,19 @@ class TestMembership:
 
 class TestUpdatePremise:
     def test_second_sample_gives_midpoint(self):
-        rule = create_rule(np.array([0.0, 0.0]), 0, 1.0, 100.0, 2, rule_id=0)
-        update_premise(rule.premise, np.array([2.0, 4.0]))
-        assert np.allclose(rule.premise.center, [1.0, 2.0])
-        assert rule.premise.hits == 2
+        premise = create_rule(np.array([0.0, 0.0]), 0, 1.0, 100.0, 2,
+                              rule_id=0).premise
+        update_premise(premise, np.array([2.0, 4.0]))
+        assert np.allclose(premise.center, [1.0, 2.0])
+        assert premise.hits == 2
 
     def test_unbounded_horizon_is_running_mean(self):
         rng = np.random.default_rng(10)
         xs = rng.standard_normal((1000, 3))
-        rule = create_rule(xs[0], 0, 1.0, 100.0, 2, rule_id=0)
+        premise = create_rule(xs[0], 0, 1.0, 100.0, 2, rule_id=0).premise
         for x in xs[1:]:
-            update_premise(rule.premise, x)
-        assert np.max(np.abs(rule.premise.center - xs.mean(axis=0))) < 1e-12
+            update_premise(premise, x)
+        assert np.max(np.abs(premise.center - xs.mean(axis=0))) < 1e-12
 
     def test_horizon_one_tracks_sample(self):
         premise = Premise(center=np.zeros(2), cov=np.eye(2),
@@ -104,14 +105,14 @@ class TestWrlsUpdate:
     def test_worked_single_step(self):
         # d=1, Omega=100, x_aug=(1,0), w=1, target=(1):
         # C -> diag(100/101, 100), Pi column -> (100/101, 0)
-        con = Consequent(coeffs=np.zeros((2, 1)), corr=100.0 * np.eye(2), omega=100.0)
+        con = Consequent(coeffs=np.zeros((2, 1)), corr=100.0 * np.eye(2))
         wrls_update(con, np.array([1.0, 0.0]), 1.0, np.array([1.0]))
         assert np.allclose(con.corr, np.diag([100.0 / 101.0, 100.0]))
         assert con.coeffs[0, 0] == pytest.approx(100.0 / 101.0)
         assert con.coeffs[1, 0] == 0.0
 
     def test_zero_weight_is_exact_noop(self):
-        con = Consequent(coeffs=np.ones((3, 2)), corr=50.0 * np.eye(3), omega=50.0)
+        con = Consequent(coeffs=np.ones((3, 2)), corr=50.0 * np.eye(3))
         coeffs_before = con.coeffs.tobytes()
         corr_before = con.corr.tobytes()
         wrls_update(con, np.array([1.0, 2.0, 3.0]), 0.0, np.array([1.0, 0.0]))
@@ -121,8 +122,7 @@ class TestWrlsUpdate:
     def test_matches_batch_ridge_solution(self):
         rng = np.random.default_rng(12)
         d, c, t, omega = 3, 2, 200, 100.0
-        con = Consequent(coeffs=np.zeros((d + 1, c)),
-                         corr=omega * np.eye(d + 1), omega=omega)
+        con = Consequent(coeffs=np.zeros((d + 1, c)), corr=omega * np.eye(d + 1))
         xs = np.column_stack([np.ones(t), rng.standard_normal((t, d))])
         ws = rng.uniform(0.0, 1.0, size=t)
         ys = np.eye(c)[rng.integers(0, c, size=t)]
@@ -170,15 +170,15 @@ class TestSystemEvaluation:
     def test_single_rule_normalizes_to_one(self):
         rng = np.random.default_rng(13)
         system = random_system(rng, 1, 2, 2)
-        out = system.normalized_memberships(rng.standard_normal(2))
-        assert np.array_equal(out, [1.0])
+        betas = system.memberships(rng.standard_normal(2))
+        assert np.array_equal(betas / betas.sum(), [1.0])
 
     def test_identical_rules_split_evenly(self):
         a = create_rule(np.zeros(2), 0, 1.0, 100.0, 2, rule_id=0)
         b = create_rule(np.zeros(2), 0, 1.0, 100.0, 2, rule_id=1)
         system = FuzzySystem(2, 2, [a, b])
-        out = system.normalized_memberships(np.array([0.7, -0.2]))
-        assert np.allclose(out, [0.5, 0.5])
+        betas = system.memberships(np.array([0.7, -0.2]))
+        assert np.allclose(betas / betas.sum(), [0.5, 0.5])
 
     def test_two_rule_hand_normalization(self):
         # centers (0,0) and (2,0), identity covariances, x at the first center:
@@ -186,7 +186,8 @@ class TestSystemEvaluation:
         a = create_rule(np.array([0.0, 0.0]), 0, 1.0, 100.0, 2, rule_id=0)
         b = create_rule(np.array([2.0, 0.0]), 0, 1.0, 100.0, 2, rule_id=1)
         system = FuzzySystem(2, 2, [a, b])
-        out = system.normalized_memberships(np.zeros(2))
+        betas = system.memberships(np.zeros(2))
+        out = betas / betas.sum()
         assert out[0] == pytest.approx(5.0 / 6.0, rel=1e-5)
         assert out[1] == pytest.approx(1.0 / 6.0, rel=1e-5)
 
@@ -241,18 +242,6 @@ class TestSystemBanks:
         rule.consequent.coeffs[0, 0] = -7.0
         assert system._coeffs[1, 0, 0] == -7.0
 
-    def test_add_rule_keeps_aux_rows(self):
-        rng = np.random.default_rng(16)
-        system = random_system(rng, 2, 2, 2)
-        spare = create_rule(np.ones(2), 0, 1.0, 100.0, 2, rule_id=10)
-        aux = [(spare.premise, spare.consequent)]
-        system.set_rows(system.rules, aux)
-        assert system.n_aux == 1
-        system.add_rule(create_rule(np.zeros(2), 1, 1.0, 100.0, 2, rule_id=11))
-        assert len(system) == 3
-        assert system.n_aux == 1
-        assert system.n_rows == 4
-
     def test_memberships_all_matches_per_rule(self):
         # batched einsum vs the single-rule matvec chain: same value up to
         # dot-product rounding (the reduction orders differ)
@@ -271,7 +260,7 @@ class TestSystemBanks:
         x = rng.standard_normal(2)
         before = system.memberships(x).copy()
         spare = create_rule(x, 0, 1.0, 100.0, 2, rule_id=99)
-        system.set_rows(system.rules, [(spare.premise, spare.consequent)])
+        attach_rows(system, [spare])
         after = system.memberships(x)
         assert np.array_equal(before, after)
         assert len(system.memberships_all(x)) == 4
@@ -283,9 +272,7 @@ class TestSystemBanks:
         # must reproduce the leading entries of the all-row call bitwise
         rng = np.random.default_rng(1000 * d + n)
         system = random_system(rng, n, d, 2)
-        shadows = random_system(rng, 2 * n, d, 2).rules
-        system.set_rows(system.rules,
-                        [(r.premise, r.consequent) for r in shadows])
+        attach_rows(system, random_system(rng, 2 * n, d, 2).rules)
         assert system.n_rows == 3 * n
         for _ in range(5):
             x = rng.standard_normal(d)
@@ -317,18 +304,12 @@ class TestBatchedAdaptation:
         system, shadows = self._system_and_shadows(rng, 6)
         x = rng.standard_normal(3)
         # rows 1 and 4 update (with different effective horizons), rest stay
-        for premise, horizon in ((system.rules[1].premise, None),
-                                 (system.rules[4].premise, 5)):
-            premise.horizon = horizon
-            premise.hits = 9
         shadows[1].horizon, shadows[1].hits = None, 9
         shadows[4].horizon, shadows[4].hits = 5, 9
         alphas = np.zeros((6, 1))
-        for row in (1, 4):
-            premise = system.rules[row].premise
-            premise.hits += 1
-            t = premise.hits if premise.horizon is None \
-                else min(premise.hits, premise.horizon)
+        for row, horizon in ((1, None), (4, 5)):
+            system.hits[row] = 10
+            t = 10 if horizon is None else min(10, horizon)
             alphas[row, 0] = 1.0 / t
         frozen = {i: (shadows[i].center.tobytes(), shadows[i].cov.tobytes(),
                       shadows[i].cov_inv.tobytes())
@@ -368,8 +349,7 @@ class TestBatchedAdaptation:
         rng = np.random.default_rng(21)
         system = random_system(rng, 5, 3, 2)
         shadows = [Consequent(r.consequent.coeffs.copy(),
-                              r.consequent.corr.copy(),
-                              r.consequent.omega) for r in system.rules]
+                              r.consequent.corr.copy()) for r in system.rules]
         x_aug = augment(rng.standard_normal(3))
         weights = np.array([0.4, 0.0, 1.0, 0.0, 0.2])
         target = one_hot(1, 2)
@@ -399,7 +379,7 @@ class TestBatchedAdaptation:
         packed = random_system(rng2, 3, 3, 2)
         extras = [create_rule(rng.standard_normal(3), 0, 1.0, 100.0, 2, rule_id=50 + j)
                   for j in range(6)]
-        packed.set_rows(packed.rules, [(r.premise, r.consequent) for r in extras])
+        attach_rows(packed, extras)
         x_aug = augment(rng.standard_normal(3))
         target = one_hot(0, 2)
         weights3 = np.array([0.7, 0.1, 0.4])
@@ -417,7 +397,7 @@ class TestBatchedAdaptation:
         packed = random_system(rng2, 3, 3, 2)
         extras = [create_rule(rng.standard_normal(3), 0, 1.0, 100.0, 2, rule_id=60 + j)
                   for j in range(6)]
-        packed.set_rows(packed.rules, [(r.premise, r.consequent) for r in extras])
+        attach_rows(packed, extras)
         x = rng.standard_normal(3)
         alphas3 = np.array([[0.5], [0.0], [0.125]])
         alphas9 = np.vstack([alphas3, rng.uniform(0, 1, (6, 1))])

@@ -1,6 +1,5 @@
 """Unit tests for deferred directional forgetting of WRLS conclusions."""
 
-import json
 from collections import deque
 
 import numpy as np
@@ -11,12 +10,10 @@ from hypothesis import strategies as st
 from driftfis.fis import Consequent, augment, one_hot, wrls_update
 from driftfis.forgetting import DDFWindow, WindowBank, ddf_update, push_pair
 from driftfis.linalg import corr_decrement
-from driftfis.snapshot import _window_from_dict, _window_to_dict
 
 
 def blank_consequent(d=2, c=2, omega=100.0):
-    return Consequent(coeffs=np.zeros((d + 1, c)),
-                      corr=omega * np.eye(d + 1), omega=omega)
+    return Consequent(coeffs=np.zeros((d + 1, c)), corr=omega * np.eye(d + 1))
 
 
 class TestDDFWindow:
@@ -43,16 +40,6 @@ class TestDDFWindow:
         out = w.push(np.array([2.0]), 0.7)
         assert out is not None and out[1] == 0.0
 
-    def test_copy_is_isolated(self):
-        w = DDFWindow(2, skipped=3)
-        w.push(np.array([1.0]), 0.5)
-        dup = w.copy()
-        assert dup.capacity == 2 and dup.skipped == 3
-        w.entries[0][0][0] = 99.0
-        w.push(np.array([2.0]), 0.1)
-        assert dup.entries[0][0][0] == 1.0
-        assert len(dup) == 1
-
 
 class TestRecordSample:
     """Recording one sample in several windows at once: a shadow pair's
@@ -69,11 +56,11 @@ class TestRecordSample:
         assert slow.entries[0][0].tolist() == [1.0, 2.0]
         assert [w.entries[0][1] for w in (slow, fast)] == [0.5, 0.25]
         bank = WindowBank(3, 2)
-        windows = [DDFWindow(3), DDFWindow(3)]
-        bank.set_rows(windows)
+        bank.set_rows(np.arange(2), [DDFWindow(3), DDFWindow(3)])
         x = np.array([3.0, 4.0])
         bank.push(x, np.array([0.5, 0.25]))
         x[0] = 99.0
+        windows = [bank.window(row) for row in range(2)]
         assert [w.entries[0][0].tolist() for w in windows] == [[3.0, 4.0]] * 2
         assert [w.entries[0][1] for w in windows] == [0.5, 0.25]
 
@@ -83,7 +70,8 @@ class TestRecordSample:
         windows[0].push(first, 0.0)
         windows[1].push(first, 0.7)
         bank = WindowBank(2, 2)
-        bank.set_rows(windows)
+        bank.set_rows(np.arange(3), windows)
+        windows = [bank.window(row) for row in range(3)]
         assert bank.push(np.array([1.0, 2.0]), np.array([0.5, 0.5, 0.4])) is None
         rows, xs, ws = bank.push(np.array([1.0, 3.0]),
                                  np.array([0.1, 0.2, 0.3]))
@@ -121,15 +109,15 @@ class DequeWindow:
 class RowModel:
     """A learner's windows, every window paired with its oracle.
 
-    The principal windows live in a WindowBank, the shadow pairs' windows
-    outside it; drifts move windows between the two the way the learner
-    does.
+    The principal windows are the rows of a WindowBank, the shadow pairs'
+    windows live outside it; drifts move windows between the two the way
+    the learner does.
     """
 
     def __init__(self, capacity, k):
         self.capacity = capacity
         self.bank = WindowBank(capacity, k)
-        self.rules = []   # (window, oracle) per principal row
+        self.rules = []   # the oracle of each principal row
         self.pairs = []   # ((window, oracle), (window, oracle)) per rule
         self.samples = 0
         self.k = k
@@ -138,28 +126,39 @@ class RowModel:
         return DDFWindow(self.capacity), DequeWindow(self.capacity)
 
     def rows(self):
-        return self.rules + [sub for pair in self.pairs for sub in pair]
-
-    def repack(self):
-        self.bank.set_rows([window for window, _ in self.rules])
+        principal = [(self.bank.window(row), oracle)
+                     for row, oracle in enumerate(self.rules)]
+        return principal + [sub for pair in self.pairs for sub in pair]
 
     def birth(self):
-        self.rules.append(self.fresh())
+        n = len(self.rules)
+        self.bank.set_rows(np.arange(n + 1), [DDFWindow(self.capacity)])
+        self.rules.append(DequeWindow(self.capacity))
         self.pairs.append((self.fresh(), self.fresh()))
-        self.repack()
 
     def drift(self, winner, strategy):
+        n = len(self.rules)
         slow, fast = self.pairs[winner]
         if strategy == "global":
             # every other rule adopts its own slow window; all pairs restart
-            self.rules = [pair[0] for pair in self.pairs]
-            self.rules[winner:winner + 1] = [slow, fast]
-            self.pairs = [(self.fresh(), self.fresh()) for _ in self.rules]
+            moved = [pair[0] for pair in self.pairs]
+            moved[winner:winner + 1] = [slow, fast]
+            rows = np.arange(n, 2 * n + 1)
+            self.pairs = [(self.fresh(), self.fresh()) for _ in moved]
         else:
-            self.rules[winner:winner + 1] = [slow, fast]
+            moved = [slow, fast]
+            rows = np.concatenate((np.arange(winner), (n, n + 1),
+                                   np.arange(winner + 1, n)))
             self.pairs[winner:winner + 1] = [(self.fresh(), self.fresh()),
                                              (self.fresh(), self.fresh())]
-        self.repack()
+        self.bank.set_rows(rows, [window for window, _ in moved])
+        oracles = [oracle for _, oracle in moved]
+        self.rules = oracles if strategy == "global" else \
+            self.rules[:winner] + oracles + self.rules[winner + 1:]
+
+    def regather(self):
+        """Rebuild the bank from its own rows, as a class growth does."""
+        self.bank.set_rows(np.arange(len(self.rules)))
 
     def next_sample(self):
         self.samples += 1
@@ -183,7 +182,7 @@ class RowModel:
         x = self.next_sample()
         n = len(self.rules)
         got = self.bank.push(x, np.array(weights))
-        outs = [oracle.push(x, w) for (_, oracle), w in zip(self.rules, weights)]
+        outs = [oracle.push(x, w) for oracle, w in zip(self.rules, weights)]
         expected = [(i, out) for i, out in enumerate(outs)
                     if out is not None and out[1] != 0.0]
         if not expected:
@@ -202,16 +201,6 @@ class RowModel:
         window.skipped += 1
         oracle.skipped += 1
 
-    def round_trip(self):
-        """Every window through its snapshot form, as save/load does."""
-        def again(window):
-            return _window_from_dict(
-                json.loads(json.dumps(_window_to_dict(window))), self.k - 1)
-        self.rules = [(again(w), o) for w, o in self.rules]
-        self.pairs = [((again(sw), so), (again(fw), fo))
-                      for (sw, so), (fw, fo) in self.pairs]
-        self.repack()
-
     def check(self):
         rows = self.rows()
         for window, oracle in rows:
@@ -222,10 +211,10 @@ class RowModel:
             for (x, _), (ox, _) in zip(got, oracle.entries):
                 assert x.tobytes() == ox.tobytes()
         xs, ws = self.bank.entries()
-        flat = [entry for _, oracle in self.rules for entry in oracle.entries]
+        flat = [entry for oracle in self.rules for entry in oracle.entries]
         assert ws.tolist() == [w for _, w in flat]
         assert xs.tobytes() == b"".join(x.tobytes() for x, _ in flat)
-        assert self.bank.skipped.tolist() == [o.skipped for _, o in self.rules]
+        assert self.bank.skipped.tolist() == [o.skipped for o in self.rules]
 
 
 WEIGHTS = st.sampled_from([0.0, 0.25, 0.5, 1.0])
@@ -241,7 +230,7 @@ class TestWindowBank:
             n = len(model.rules)
             op = data.draw(st.sampled_from(
                 ["pair", "pair", "principal", "principal", "birth", "naive",
-                 "global", "skip", "round_trip"]), label="op")
+                 "global", "skip", "regather"]), label="op")
             if op == "pair":
                 model.push_pair(data.draw(st.integers(0, n - 1)),
                                 data.draw(WEIGHTS), data.draw(WEIGHTS))
@@ -254,8 +243,8 @@ class TestWindowBank:
                 model.drift(data.draw(st.integers(0, n - 1)), op)
             elif op == "skip":
                 model.skip(data.draw(st.integers(0, 3 * n - 1)))
-            elif op == "round_trip":
-                model.round_trip()
+            elif op == "regather":
+                model.regather()
             model.check()
 
     def test_steady_state_evicts_every_leading_row_in_place(self):
@@ -270,7 +259,7 @@ class TestWindowBank:
 
     def test_window_capacity_must_match_the_bank(self):
         with pytest.raises(ValueError, match="capacity"):
-            WindowBank(3, 2).set_rows([DDFWindow(4)])
+            WindowBank(3, 2).set_rows(np.arange(1), [DDFWindow(4)])
 
     def test_pair_samples_grow_until_they_span_the_ring(self):
         slow, fast = DDFWindow(6), DDFWindow(6)
@@ -283,11 +272,13 @@ class TestWindowBank:
         assert [x[1] for x, _ in slow.entries] == [2.0, 3.0, 4.0, 5.0, 6.0, 7.0]
 
     def test_window_read_from_a_snapshot_pushes_in_order(self):
-        # a loaded window holds only its entries until it is packed or
-        # pushed to; a push first grows it to the whole ring
-        window = _window_from_dict({"capacity": 3, "skipped": 0, "entries": [
-            [[1.0, 1.0], 0.5], [[1.0, 2.0], 0.25]]}, 1)
-        assert window.samples.shape == (2, 2)
+        # a loaded window holds only its entries, in the leading slots,
+        # until it is packed or pushed to; a push first grows it to the
+        # whole ring
+        window = DDFWindow(3)
+        window.samples = np.array([[1.0, 1.0], [1.0, 2.0]])
+        window.weights[:2] = [0.5, 0.25]
+        window.state[:2] = (2, 2)
         assert window.push(np.array([1.0, 3.0]), 0.125) is None
         evicted = window.push(np.array([1.0, 4.0]), 1.0)
         assert evicted[0].tolist() == [1.0, 1.0] and evicted[1] == 0.5
@@ -297,9 +288,10 @@ class TestWindowBank:
         window = DDFWindow(2, skipped=1)
         window.push(np.array([1.0, 2.0]), 0.5)
         bank = WindowBank(2, 2)
-        bank.set_rows([DDFWindow(2), window])
+        bank.set_rows(np.arange(2), [DDFWindow(2), window])
+        window = bank.window(1)
         assert window.entries[0][1] == 0.5 and window.skipped == 1
-        # the window now reads and writes the bank's ring
+        # the window read from the bank reads and writes its ring
         window.push(np.array([3.0, 4.0]), 0.25)
         assert bank.weights[1].tolist() == [0.5, 0.25]
         assert bank.state[:, 1].tolist() == [0, 2, 1]
@@ -389,7 +381,7 @@ class TestDdfUpdate:
             x = augment(rng.standard_normal(2))
             w = float(rng.uniform(0.1, 1))
             y = one_hot(int(rng.integers(0, 2)), 2)
-            reference = Consequent(con.coeffs.copy(), con.corr.copy(), con.omega)
+            reference = Consequent(con.coeffs.copy(), con.corr.copy())
             ddf_update(con, window, x, w, y)
             wrls_update(reference, x, w, y)
             assert np.array_equal(con.coeffs, reference.coeffs)

@@ -114,7 +114,7 @@ class TestUpdates:
         seen = pair.samples_seen
         center_fast = pair.fast.premise.center.copy()
         self.learner.learn_one([0.4, 0.4], 0)
-        assert pair.samples_seen == seen + 1
+        assert self.learner.anticipations[rule.id].samples_seen == seen + 1
         assert not np.array_equal(pair.fast.premise.center, center_fast)
 
     def test_loser_pair_untouched(self):
@@ -124,6 +124,7 @@ class TestUpdates:
                   pair.slow.consequent.coeffs.tobytes(),
                   pair.fast.consequent.corr.tobytes(), pair.samples_seen)
         self.learner.learn_one([0.2, -0.1], 0)
+        pair = self.learner.anticipations[rule.id]
         after = (pair.slow.premise.center.tobytes(),
                  pair.slow.consequent.coeffs.tobytes(),
                  pair.fast.consequent.corr.tobytes(), pair.samples_seen)
@@ -331,11 +332,20 @@ class TestDriftReplacement:
         assert learner.drift_log == []
         # jump the class-0 blob; the fast sub-rule follows, the slow one lags
         Xj = rng.normal(0.0, 0.4, size=(200, 2)) + np.array([5.0, 0.0])
+        # the state of every rule and pair just before the replacement,
+        # after the sample that fires it has been learned
+        snapshot = {}
+        replace = learner._replace_rule
+
+        def spy(winner, separation):
+            snapshot.update({
+                r.id: (self.pair_parts(learner.anticipations[r.id]),
+                       (r, self.parts(r)))
+                for r in learner.system.rules})
+            replace(winner, separation)
+
+        learner._replace_rule = spy
         for xi in Xj:
-            snapshot = {
-                r.id: (self.pair_parts(learner.anticipations[r.id]), r)
-                for r in learner.system.rules
-            }
             ids_before = [r.id for r in learner.system.rules]
             next_id = learner.next_rule_id
             learner.learn_one(xi, 0)
@@ -344,10 +354,20 @@ class TestDriftReplacement:
         raise AssertionError("no drift event fired")
 
     @staticmethod
-    def pair_parts(pair):
-        return (pair, pair.slow.premise, pair.fast.premise,
-                pair.slow.consequent, pair.fast.consequent,
-                pair.slow.window, pair.fast.window)
+    def parts(sub):
+        """The bytes of a rule's or sub-rule's premise, consequent and
+        window; the horizon follows from the role, so it is left out."""
+        p, c, w = sub.premise, sub.consequent, sub.window
+        return {
+            "premise": (p.center.tobytes(), p.cov.tobytes(),
+                        p.cov_inv.tobytes(), p.hits),
+            "consequent": (c.coeffs.tobytes(), c.corr.tobytes()),
+            "window": ([(x.tobytes(), weight) for x, weight in w.entries],
+                       w.skipped),
+        }
+
+    def pair_parts(self, pair):
+        return pair.samples_seen, self.parts(pair.slow), self.parts(pair.fast)
 
     def test_naive_replacement(self):
         learner, snapshot, ids_before, next_id = self.fire_one("naive")
@@ -363,16 +383,11 @@ class TestDriftReplacement:
         pos = ids_before.index(event.rule_id)
         assert ids_after[pos] == next_id
         assert ids_after[pos + 1] == next_id + 1
-        (_, slow_p, fast_p, slow_c, fast_c, slow_w, fast_w), _ = \
-            snapshot[event.rule_id]
+        (_, slow, fast), _ = snapshot[event.rule_id]
         slow_rule = learner.system.rules[pos]
         fast_rule = learner.system.rules[pos + 1]
-        assert slow_rule.premise is slow_p
-        assert fast_rule.premise is fast_p
-        assert slow_rule.consequent is slow_c
-        assert fast_rule.consequent is fast_c
-        assert slow_rule.window is slow_w
-        assert fast_rule.window is fast_w
+        assert self.parts(slow_rule) == slow
+        assert self.parts(fast_rule) == fast
         # principal premises never forget
         assert slow_rule.premise.horizon is None
         assert fast_rule.premise.horizon is None
@@ -387,12 +402,12 @@ class TestDriftReplacement:
         for rid in ids_before:
             if rid == event.rule_id:
                 continue
-            (pair, *_), rule_before = snapshot[rid]
+            pair, (rule_before, parts) = snapshot[rid]
             rule_after = next(r for r in learner.system.rules if r.id == rid)
             assert rule_after is rule_before
-            assert rule_after.consequent is rule_before.consequent
+            assert self.parts(rule_after) == parts
             # the untouched rule keeps its shadow pair, history included
-            assert learner.anticipations[rid] is pair
+            assert self.pair_parts(learner.anticipations[rid]) == pair
 
     def test_global_swaps_every_conclusion_and_respawns_pairs(self):
         learner, snapshot, ids_before, _ = self.fire_one("global")
@@ -402,11 +417,14 @@ class TestDriftReplacement:
         for rid in ids_before:
             if rid == event.rule_id:
                 continue
-            (_, _, _, slow_c, _, slow_w, _), _ = snapshot[rid]
+            (_, slow, _), (_, before) = snapshot[rid]
             rule_after = next(r for r in learner.system.rules if r.id == rid)
             # every surviving rule adopted its own shadow slow conclusion
-            assert rule_after.consequent is slow_c
-            assert rule_after.window is slow_w
+            # and window, and kept its premise
+            after = self.parts(rule_after)
+            assert after["consequent"] == slow["consequent"]
+            assert after["window"] == slow["window"]
+            assert after["premise"] == before["premise"]
         # all pairs restart from scratch
         assert set(learner.anticipations) == {r.id for r in learner.system.rules}
         for pair in learner.anticipations.values():

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftfis.config import LearnerConfig
-from driftfis.forgetting import DDFWindow
 from driftfis.learner import AnticipatingClassifier
 from driftfis.snapshot import (
     FORMAT_NAME,
@@ -125,6 +124,10 @@ class TestRoundTrip:
         assert model_state_hash(clone) == model_state_hash(learner)
 
 
+def _first_pair(state):
+    return next(iter(state["anticipations"].values()))
+
+
 class TestGuards:
     def test_wrong_format_rejected(self):
         state = state_dict(trained_learner(n=40))
@@ -178,6 +181,14 @@ class TestGuards:
         lambda s: s["anticipations"].update(
             {"999": next(iter(s["anticipations"].values()))}),
         lambda s: s["rules"][0]["window"].update(capacity=99),
+        lambda s: _first_pair(s)["slow"]["premise"].update(horizon=0),
+        lambda s: _first_pair(s)["fast"]["premise"].update(horizon="x"),
+        lambda s: s["rules"][0]["premise"].update(horizon=5),
+        lambda s: s["rules"][0]["premise"].update(hits=-1),
+        lambda s: _first_pair(s)["fast"]["premise"].update(hits=2.5),
+        lambda s: s["rules"][0]["consequent"].update(omega=7.0),
+        lambda s: _first_pair(s)["slow"]["window"].update(capacity=99),
+        lambda s: s.update(next_rule_id=0),
     ])
     def test_malformed_value_rejected(self, mangle):
         state = state_dict(trained_learner(n=40, forgetting_mode="forget_ps"))
@@ -271,12 +282,11 @@ def reference_state_bytes(learner):
     """state_bytes written out window by window, each window read through
     its own entries rather than from the bank's gather or shared slots."""
     system = learner.system
-    stacks = (system._centers, system._covs, system._invs,
+    stacks = (system._centers, system._covs, system._invs, system.hits,
               system._corrs, system._coeffs)
-    parts = list(system.rules) + [sub for pair in learner.anticipations.values()
-                                  for sub in (pair.slow, pair.fast)]
+    pairs = list(learner.anticipations.values())  # in rule order
     principal = [rule.window for rule in system.rules]
-    pair_windows = [p.window for p in parts[len(principal):]]
+    pair_windows = [sub.window for pair in pairs for sub in (pair.slow, pair.fast)]
     entries = [entry for window in principal for entry in window.entries]
     log = learner.drift_log
     packed = (
@@ -287,9 +297,6 @@ def reference_state_bytes(learner):
                  dtype=np.int64).reshape(2, len(principal)),
         np.array([[len(w), w.skipped] for w in pair_windows],
                  dtype=np.int64).reshape(len(pair_windows), 2),
-        np.array([[p.premise.hits, p.window.capacity] for p in parts],
-                 dtype=np.int64).reshape(len(parts), 2),
-        np.array([p.consequent.omega for p in parts]),
         np.array([e.sample_index for e in log], dtype=np.int64),
         np.array([e.rule_id for e in log], dtype=np.int64),
         np.array([e.separation for e in log], dtype=np.float64))
@@ -297,16 +304,11 @@ def reference_state_bytes(learner):
             learner.samples_seen, learner.next_rule_id,
             sorted(learner.seen_classes),
             [(rule.id, rule.born_class) for rule in system.rules],
-            [(rule_id, pair.samples_seen)
-             for rule_id, pair in learner.anticipations.items()],
-            [p.premise.horizon for p in parts], [e.strategy for e in log],
-            learner.windows.capacity, [a.shape for a in stacks + packed]]
-    chunks = list(stacks)
-    for p in parts:
-        chunks += [p.premise.center, p.premise.cov, p.consequent.coeffs,
-                   p.consequent.corr]
-    chunks += packed
-    for slow, fast in zip(pair_windows[::2], pair_windows[1::2]):
+            [pair.samples_seen for pair in pairs], [e.strategy for e in log],
+            [a.shape for a in stacks + packed]]
+    chunks = list(stacks) + list(packed)
+    for pair in pairs:
+        slow, fast = pair.slow.window, pair.fast.window
         if slow.entries:
             chunks += [np.array([x for x, _ in slow.entries]),
                        np.array([w for _, w in slow.entries]),
@@ -329,8 +331,11 @@ def check_every_state_dict_leaf_moves(describe):
     assert learner.drift_log and learner.system.rules[0].window.entries
     assert any(pair.fast.window.entries for pair in learner.anticipations.values())
     digest = describe(learner)
+    # the format constants and the principal horizons (None for every
+    # principal rule) are not read from the model
     leaves = [path for path in _leaves(state)
-              if path not in (("format",), ("version",))]  # format constants
+              if path not in (("format",), ("version",))
+              and not (path[0] == "rules" and path[-1] == "horizon")]
     for path in leaves:
         undo = _perturb_live_field(learner, path)
         assert describe(learner) != digest, path
@@ -399,18 +404,28 @@ def test_state_bytes_match_compares_every_byte_and_the_length():
 
 
 @given(ws=st.integers(1, 6), strategy=st.sampled_from(["naive", "global"]),
-       mode=st.sampled_from(["forget_am", "forget_ps"]),
+       mode=st.sampled_from(["none", "forget_am", "forget_ps"]),
+       am_init=st.sampled_from(["parent", "zero"]),
+       wrls_weight=st.sampled_from(["normalized", "raw"]),
+       late_class_at=st.one_of(st.none(), st.integers(100, 159)),
        seed=st.integers(0, 2**16))
-@settings(max_examples=25, deadline=None)
-def test_ring_windows_survive_drifts_and_a_round_trip(ws, strategy, mode, seed):
-    """Small rings wrap often; drifts move them between rows."""
+@settings(max_examples=40, deadline=None)
+def test_ring_windows_survive_drifts_and_a_round_trip(
+        ws, strategy, mode, am_init, wrls_weight, late_class_at, seed):
+    """Small rings wrap often; drifts move them between rows. A third
+    class may arrive late, before or after the round trip, and grow the
+    model's classes."""
     rng = np.random.default_rng(seed)
     X, y = gaussian_stream(rng, 160, centers=[[0.0, 0.0], [4.0, 4.0]],
                            sigma=0.5)
     X[60:] += 2.0
     X[110:] += 2.0
+    if late_class_at is not None:
+        y[late_class_at::3] = 2
     config = dict(ks=0.6, nmin=3, tmax2=5, ws=ws, strategy=strategy,
-                  forgetting_mode=mode)
+                  forgetting_mode=mode, am_init=am_init,
+                  wrls_weight=wrls_weight,
+                  allow_class_growth=late_class_at is not None)
     learner = AnticipatingClassifier(2, 2, LearnerConfig(**config))
     for xi, yi in zip(X[:140], y[:140]):
         learner.learn_one(xi, int(yi))
@@ -423,8 +438,11 @@ def test_ring_windows_survive_drifts_and_a_round_trip(ws, strategy, mode, seed):
     # state_bytes reads a pair's samples once, so they must be one array
     for pair in clone.anticipations.values():
         assert pair.slow.window.samples is pair.fast.window.samples
+    probes = rng.uniform(-1.0, 9.0, (20, 2))
     for xi, yi in zip(X[140:], y[140:]):
         assert clone.learn_one(xi, int(yi)) == learner.learn_one(xi, int(yi))
+        assert ([clone.predict_one(p) for p in probes]
+                == [learner.predict_one(p) for p in probes])
     assert state_bytes(clone) == state_bytes(learner)
 
 
@@ -468,13 +486,49 @@ def _perturb_live_field(learner, path):
         saved = learner.seen_classes
         learner.seen_classes = saved - {sorted(saved)[rest[0]]} | {max(saved) + 1}
         return lambda: setattr(learner, "seen_classes", saved)
-    node, key = (learner.system if head in ("n_features", "n_classes", "rules")
+    if head in ("rules", "anticipations"):
+        return _perturb_row_field(learner, head, *rest)
+    node, key = (learner.system if head in ("n_features", "n_classes")
                  else learner), head
-    for i, step in enumerate(rest):
-        node = _get(node, key)
-        if isinstance(node, DDFWindow) and step == "entries":
-            return _perturb_window_entry(node, *rest[i + 1:])
-        key = int(step) if node is learner.anticipations else step
+    for step in rest:
+        node, key = _get(node, key), step
+    return _swap(node, key)
+
+
+def _perturb_row_field(learner, head, key, *rest):
+    """_perturb_live_field for a leaf of a rule's or a pair's entry: the
+    arrays are views of the stacks, hits live in ``system.hits``, and the
+    horizons, omegas and window capacities follow from the config."""
+    system, config = learner.system, learner.config
+    n = len(system)
+    if head == "rules":
+        role, row, owner = None, key, system.rules[key]
+    else:
+        i = [rule.id for rule in system.rules].index(int(key))
+        if rest == ("samples_seen",):
+            return _swap(learner.pairs[i], "samples_seen")
+        role, *rest = rest
+        row = n + 2 * i + (role == "fast")
+        owner = getattr(learner.anticipations[int(key)], role)
+    part, *tail = rest
+    if not tail:  # the rule's id or born class
+        return _swap(owner, part)
+    if tail == ["hits"]:
+        return _swap(system.hits, row)
+    if tail == ["horizon"]:
+        return _swap(config, "tmax1" if role == "slow" else "tmax2")
+    if tail in (["omega"], ["capacity"]):
+        return _swap(config, "omega" if tail == ["omega"] else "ws")
+    node = getattr(owner, part)  # a premise, a consequent or a window
+    if tail[0] == "entries":
+        return _perturb_window_entry(node, *tail[1:])
+    if tail == ["skipped"]:
+        return _swap(node, "skipped")
+    return _swap(getattr(node, tail[0]), tuple(tail[1:]))
+
+
+def _swap(node, key):
+    """Perturb ``node[key]`` (or its attribute ``key``); return an undo."""
     saved = _get(node, key)
     _set(node, key, _perturbed(saved))
     return lambda: _set(node, key, saved)
