@@ -5,8 +5,9 @@ premise horizon) and a fast sub-rule (short horizon). Both start as copies
 of the parent and adapt on the same samples the parent wins, so under a
 stationary distribution they stay on top of each other, while under drift
 the fast one slides toward the new data and the two centers separate. The
-separation test compares the center gap against the sum of the ellipsoid
-radii of the two sub-rule clusters along the gap direction.
+separation test, FuzzySystem.pair_separation, compares the center gap
+against the sum of the ellipsoid radii of the two sub-rule clusters along
+the gap direction.
 """
 
 from __future__ import annotations
@@ -36,22 +37,6 @@ class AnticipatedPair:
     slow: SubRule
     fast: SubRule
     samples_seen: int = 0
-
-    def separation(self, radius_fn) -> float:
-        """Center gap over summed directional radii; 0 while centers coincide.
-
-        ``radius_fn(premise, unit_direction)`` must return the ellipsoid
-        radius of the premise cluster along the given unit vector.
-        """
-        delta = self.fast.premise.center - self.slow.premise.center
-        gap = float(delta @ delta) ** 0.5
-        if gap == 0.0:
-            return 0.0
-        u = delta / gap
-        spread = radius_fn(self.slow.premise, u) + radius_fn(self.fast.premise, u)
-        if spread <= 0.0:
-            return np.inf
-        return gap / spread
 
 
 @dataclass

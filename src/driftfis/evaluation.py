@@ -170,8 +170,7 @@ def build_stream(cfg: ExperimentConfig) -> Stream:
                        flip_prob=cfg.flip_prob, swaps=swaps)
 
 
-def run_experiment(cfg: ExperimentConfig,
-                   verify_purity: bool = False) -> ExperimentOutcome:
+def run_experiment(cfg: ExperimentConfig) -> ExperimentOutcome:
     """Generate/load the stream, train the learner, return everything."""
     cfg.validate()
     stream = build_stream(cfg)
@@ -179,8 +178,7 @@ def run_experiment(cfg: ExperimentConfig,
     learner = AnticipatingClassifier(
         stream.n_features, stream.n_classes, replace(cfg.learner))
     result = periodic_holdout(learner, stream, trs, tes,
-                              standardize=cfg.standardize,
-                              verify_purity=verify_purity)
+                              standardize=cfg.standardize)
     return ExperimentOutcome(config=cfg, trs=trs, tes=tes,
                              stream_meta=stream.meta, result=result,
                              learner=learner)

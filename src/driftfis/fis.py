@@ -375,6 +375,26 @@ class FuzzySystem:
         """vec @ cov_inv @ vec for stacked rows (row, row+1), as a length-2 array."""
         return np.einsum("d,nde,e->n", vec, self._invs[row:row + 2], vec)
 
+    def pair_separation(self, row: int) -> float:
+        """Drift separation of the sub-rule pair in rows (row, row+1).
+
+        The gap between the two centers over the sum of the two premise
+        ellipsoids' radii along it; a radius is 1/sqrt(u @ cov_inv @ u)
+        for the unit gap direction u, infinite where that form is not
+        positive. 0.0 while the centers coincide, inf when the spread is 0.
+        """
+        delta = self._centers[row + 1] - self._centers[row]
+        gap_sq = float(delta @ delta)
+        if gap_sq == 0.0:
+            return 0.0
+        gap = math.sqrt(gap_sq)
+        q = self.quadratic_form_pair(row, delta / gap)
+        q_slow = float(q[0])
+        q_fast = float(q[1])
+        spread = ((1.0 / math.sqrt(q_slow)) if q_slow > 0.0 else math.inf) \
+            + ((1.0 / math.sqrt(q_fast)) if q_fast > 0.0 else math.inf)
+        return gap / spread if spread > 0.0 else math.inf
+
     def wrls_step(self, x_aug: np.ndarray, weights: np.ndarray,
                   target: np.ndarray, rows: np.ndarray | None = None) -> None:
         """One WRLS step on stacked consequents with per-row weights.

@@ -23,6 +23,7 @@ and sheds all its evictions in one batched downdate.
 from __future__ import annotations
 
 import math
+import numbers
 from types import MappingProxyType
 
 import numpy as np
@@ -34,7 +35,9 @@ from .forgetting import DDFWindow, WindowBank, push_pair
 
 
 class UnknownClassError(ValueError):
-    """A label outside the declared class set arrived with growth disabled."""
+    """A label that is no class index: not an integer (an integral float
+    counts as one), negative, or outside the declared class set with
+    growth disabled."""
 
 
 class AnticipatingClassifier:
@@ -110,7 +113,8 @@ class AnticipatingClassifier:
 
         A NaN or infinite feature, or a sample so far from every rule that
         all memberships vanish, raises NonFiniteInputError before any state
-        changes.
+        changes; a label that is no class index raises UnknownClassError,
+        also before any state changes.
         """
         x = self._check_features(x)
         # a finite sum proves every feature finite; the exact test runs only
@@ -222,20 +226,10 @@ class AnticipatingClassifier:
         pair.samples_seen += 1
 
         if math.isfinite(cfg.ks) and pair.samples_seen > cfg.nmin:
-            # Inline equivalent of pair.separation(_premise_radius), with
-            # the two quadratic forms batched through the stacks.
-            delta = system._centers[row_fast] - system._centers[row_slow]
-            gap_sq = float(delta @ delta)
-            if gap_sq > 0.0:
-                gap = math.sqrt(gap_sq)
-                q = system.quadratic_form_pair(row_slow, delta / gap)
-                q_slow = float(q[0])
-                q_fast = float(q[1])
-                spread = ((1.0 / math.sqrt(q_slow)) if q_slow > 0.0 else math.inf) \
-                    + ((1.0 / math.sqrt(q_fast)) if q_fast > 0.0 else math.inf)
-                separation = gap / spread if spread > 0.0 else math.inf
-                if separation > cfg.ks:
-                    self._replace_rule(winner, separation)
+            # ks > 0, so coinciding centers (separation 0.0) never fire
+            separation = system.pair_separation(row_slow)
+            if separation > cfg.ks:
+                self._replace_rule(winner, separation)
 
         self.samples_seen += 1
         return prediction
@@ -250,6 +244,9 @@ class AnticipatingClassifier:
         return x
 
     def _check_label(self, y) -> int:
+        if not isinstance(y, (int, np.integer)) and not (
+                isinstance(y, numbers.Real) and float(y).is_integer()):
+            raise UnknownClassError(f"class label {y!r} is not an integer")
         y = int(y)
         if y < 0:
             raise UnknownClassError(f"negative class label {y}")
@@ -408,12 +405,3 @@ class AnticipatingClassifier:
         self.drift_log.append(DriftEvent(
             sample_index=self.samples_seen, rule_id=old.id,
             strategy=cfg.strategy, separation=separation))
-
-
-def _premise_radius(premise, unit_direction: np.ndarray) -> float:
-    """Ellipsoid radius along a unit direction from the cached inverse."""
-    q = float(unit_direction @ premise.cov_inv @ unit_direction)
-    if q <= 0.0:
-        return math.inf
-    return 1.0 / math.sqrt(q)
-

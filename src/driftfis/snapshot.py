@@ -15,8 +15,7 @@ probabilistic. It reads the FuzzySystem stacks and the principal windows'
 WindowBank whole. It is only comparable within one process, and holding
 one costs its full size (about 0.67 MB on a 48-rule, 10-feature model);
 ``state_bytes_match`` compares a live state against a held
-buffer without building a second one. ``state_fingerprint`` is its
-SHA-256 digest, for when 32 bytes must do.
+buffer without building a second one.
 """
 
 from __future__ import annotations
@@ -246,7 +245,7 @@ def model_state_hash(learner: AnticipatingClassifier) -> str:
     one rule or shadow pair at a time, so the transient memory is one
     rule's worth. Equal iff the serialized states are equal. The cached
     covariance inverses are not serialized, so a change to them alone
-    leaves this hash unchanged (state_fingerprint covers them). Portable
+    leaves this hash unchanged (state_bytes covers them). Portable
     and stable across machines; the benchmark pins its value per stream.
     """
     digest = hashlib.sha256()
@@ -355,10 +354,3 @@ def state_bytes_match(learner: AnticipatingClassifier, held: bytes) -> bool:
         at += chunk.nbytes
     return held[at:] == tail
 
-
-def state_fingerprint(learner: AnticipatingClassifier) -> bytes:
-    """SHA-256 digest of state_bytes: a 32-byte summary of the live state.
-
-    Comparable only within one process, like the bytes it hashes.
-    """
-    return hashlib.sha256(state_bytes(learner)).digest()

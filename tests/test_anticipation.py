@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from driftfis.anticipation import AnticipatedPair, DriftEvent, SubRule, spawn_pair
-from driftfis.fis import Premise, create_rule
-from driftfis.linalg import ellipsoid_radius_along, regularized_inverse
+from driftfis.anticipation import DriftEvent, spawn_pair
+from driftfis.fis import create_rule
+from driftfis.linalg import RIDGE_SCALE, ellipsoid_radius_along, regularized_inverse
 
 
 def make_rule(center, hits=1, omega=100.0, n_classes=2, rule_id=0):
@@ -24,16 +24,6 @@ def spawn_behind(rule, slow_horizon, fast_horizon, window_capacity,
     state, = spawn_pair(system, np.array([1]), slow_horizon, fast_horizon,
                         window_capacity, init, omega)
     return state.view(system, 1, slow_horizon, fast_horizon)
-
-
-def make_premise(center, cov):
-    center = np.asarray(center, dtype=float)
-    cov = np.asarray(cov, dtype=float)
-    return Premise(center=center, cov=cov, cov_inv=regularized_inverse(cov), hits=1)
-
-
-def radius_fn(premise, u):
-    return ellipsoid_radius_along(premise.cov, u)
 
 
 class TestSpawnPair:
@@ -103,53 +93,74 @@ class TestSpawnPair:
         assert pair.samples_seen == 0
 
 
+def pair_system(slow_center, fast_center, slow_cov, fast_cov=None,
+                invert=np.linalg.inv):
+    """A spawned pair in rows (1, 2) whose sub-rules have these centers and
+    the inverses ``invert`` gives of these covariances; returns its system."""
+    rule = make_rule(np.zeros(len(slow_center)))
+    pair = spawn_behind(rule, 200, 10, window_capacity=50)
+    fast_cov = slow_cov if fast_cov is None else fast_cov
+    for sub, center, cov in ((pair.slow, slow_center, slow_cov),
+                             (pair.fast, fast_center, fast_cov)):
+        sub.premise.center[:] = center
+        sub.premise.cov_inv[:] = invert(np.asarray(cov, dtype=float))
+    return rule.system
+
+
 class TestSeparation:
     def test_coincident_centers_give_zero(self):
-        p = make_premise([1.0, 1.0], np.eye(2))
-        pair = AnticipatedPair(slow=SubRule(p, None, None),
-                               fast=SubRule(make_premise([1.0, 1.0], np.eye(2)),
-                                            None, None))
-        assert pair.separation(radius_fn) == 0.0
+        system = pair_system([1.0, 1.0], [1.0, 1.0], np.eye(2))
+        assert system.pair_separation(1) == 0.0
 
     def test_unit_spheres_hand_value(self):
         # gap 10 along e0, both radii 1 -> 10 / 2 = 5
-        slow = SubRule(make_premise([0.0, 0.0], np.eye(2)), None, None)
-        fast = SubRule(make_premise([10.0, 0.0], np.eye(2)), None, None)
-        pair = AnticipatedPair(slow=slow, fast=fast)
-        assert pair.separation(radius_fn) == pytest.approx(5.0, rel=1e-12)
+        system = pair_system([0.0, 0.0], [10.0, 0.0], np.eye(2))
+        assert system.pair_separation(1) == pytest.approx(5.0, rel=1e-12)
 
     def test_anisotropic_hand_value(self):
         # gap 3 along e0, both covariances diag(4, 1): radius along e0 is 2,
         # so separation = 3 / (2 + 2) = 0.75
-        cov = np.diag([4.0, 1.0])
-        slow = SubRule(make_premise([0.0, 0.0], cov), None, None)
-        fast = SubRule(make_premise([3.0, 0.0], cov.copy()), None, None)
-        pair = AnticipatedPair(slow=slow, fast=fast)
-        assert pair.separation(radius_fn) == pytest.approx(0.75, rel=1e-12)
+        system = pair_system([0.0, 0.0], [3.0, 0.0], np.diag([4.0, 1.0]))
+        assert system.pair_separation(1) == pytest.approx(0.75, rel=1e-12)
 
     def test_direction_matters(self):
         # same gap length along e1 where the radius is 1 -> 3 / 2 = 1.5
-        cov = np.diag([4.0, 1.0])
-        slow = SubRule(make_premise([0.0, 0.0], cov), None, None)
-        fast = SubRule(make_premise([0.0, 3.0], cov.copy()), None, None)
-        pair = AnticipatedPair(slow=slow, fast=fast)
-        assert pair.separation(radius_fn) == pytest.approx(1.5, rel=1e-12)
+        system = pair_system([0.0, 0.0], [0.0, 3.0], np.diag([4.0, 1.0]))
+        assert system.pair_separation(1) == pytest.approx(1.5, rel=1e-12)
 
     def test_zero_spread_is_infinite(self):
-        slow = SubRule(make_premise([0.0], [[1.0]]), None, None)
-        fast = SubRule(make_premise([1.0], [[1.0]]), None, None)
-        pair = AnticipatedPair(slow=slow, fast=fast)
-        assert pair.separation(lambda premise, u: 0.0) == np.inf
+        # infinite quadratic forms give both radii 0
+        system = pair_system([0.0], [1.0], [[1.0]])
+        system.premise(1).cov_inv[:] = np.inf
+        system.premise(2).cov_inv[:] = np.inf
+        assert system.pair_separation(1) == np.inf
 
     def test_separation_scales_with_gap(self):
-        cov = np.eye(3)
-        vals = []
-        for gap in (1.0, 2.0, 4.0):
-            slow = SubRule(make_premise([0.0, 0.0, 0.0], cov), None, None)
-            fast = SubRule(make_premise([gap, 0.0, 0.0], cov.copy()), None, None)
-            vals.append(AnticipatedPair(slow=slow, fast=fast).separation(radius_fn))
+        vals = [pair_system([0.0, 0.0, 0.0], [gap, 0.0, 0.0],
+                            np.eye(3)).pair_separation(1)
+                for gap in (1.0, 2.0, 4.0)]
         assert vals[1] == pytest.approx(2 * vals[0], rel=1e-12)
         assert vals[2] == pytest.approx(4 * vals[0], rel=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 10])
+    def test_matches_the_ellipsoid_radius_oracle(self, d):
+        # random SPD pairs with eigenvalues in [0.5, 2]: the ridge moves
+        # each quadratic form by at most RIDGE_SCALE * 4 relative
+        rng = np.random.default_rng(40 + d)
+        for _ in range(20):
+            covs = []
+            for _ in range(2):
+                q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+                covs.append((q * rng.uniform(0.5, 2.0, d)) @ q.T)
+            centers = rng.normal(0.0, 2.0, (2, d))
+            system = pair_system(*centers, *covs, invert=regularized_inverse)
+            delta = centers[1] - centers[0]
+            gap = float(np.linalg.norm(delta))
+            u = delta / gap
+            expected = gap / (ellipsoid_radius_along(covs[0], u)
+                              + ellipsoid_radius_along(covs[1], u))
+            assert system.pair_separation(1) == pytest.approx(
+                expected, rel=10 * RIDGE_SCALE)
 
 
 def test_drift_event_fields():

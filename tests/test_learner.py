@@ -1,6 +1,7 @@
 """Tests for the streaming classifier: births, updates, drift replacement."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from driftfis.learner import (
     AnticipatingClassifier,
     NonFiniteInputError,
     UnknownClassError,
-    _premise_radius,
 )
 from driftfis.snapshot import model_state_hash
 
@@ -163,6 +163,30 @@ class TestValidation:
         learner = make_learner()
         with pytest.raises(UnknownClassError):
             learner.learn_one([0.0, 0.0], -1)
+
+    @pytest.mark.parametrize("n_trained", [0, 60])
+    @pytest.mark.parametrize("bad", [1.7, "1", None, math.nan, math.inf,
+                                     np.float64(0.5)])
+    def test_non_integer_label_rejected_before_any_change(self, n_trained, bad):
+        learner = make_learner(ks=0.6, nmin=3, allow_class_growth=True)
+        X, y = two_blob_stream(np.random.default_rng(8), n_trained)
+        train(learner, X, y)
+        digest = model_state_hash(learner)
+        with pytest.raises(UnknownClassError, match=re.escape(repr(bad))):
+            learner.learn_one([0.5, 0.5], bad)
+        assert model_state_hash(learner) == digest
+        assert learner.samples_seen == n_trained
+
+    @pytest.mark.parametrize("label", [np.int64(1), 1.0, np.float32(1.0), True])
+    def test_integral_labels_are_accepted(self, label):
+        models = []
+        for y1 in (1, label):
+            learner = make_learner()
+            learner.learn_one([0.0, 0.0], 0)
+            assert learner.learn_one([4.0, 4.0], y1) == 0
+            learner.learn_one([4.5, 4.0], y1)
+            models.append(model_state_hash(learner))
+        assert models[0] == models[1]
 
     def test_class_overflow_raises_by_default(self):
         learner = make_learner()
@@ -454,6 +478,24 @@ class TestDriftReplacement:
             learner.learn_one(xi, 0)
         assert learner.drift_log == []
 
+    def test_every_drift_comes_from_a_counted_quadratic_form(self, monkeypatch):
+        # the benchmark counts separation tests as quadratic_form_pair
+        # calls, wrapped on the class; every drift must pass through one
+        calls = []
+        quadratic_form_pair = fis.FuzzySystem.quadratic_form_pair
+
+        def counting(system, row, vec):
+            calls.append(row)
+            return quadratic_form_pair(system, row, vec)
+
+        monkeypatch.setattr(fis.FuzzySystem, "quadratic_form_pair", counting)
+        learner = make_learner(ks=0.6, nmin=3, tmax2=5, strategy="global")
+        X, y = two_blob_stream(np.random.default_rng(17), 150)
+        X[100:] += 3.0
+        train(learner, X, y)
+        assert learner.drift_log
+        assert len(calls) >= len(learner.drift_log)
+
     def test_stationary_stream_never_fires(self):
         # default detector settings on a well separated stationary mixture
         rng = np.random.default_rng(2)
@@ -465,27 +507,6 @@ class TestDriftReplacement:
 
 
 class TestConsistency:
-    def test_inline_separation_matches_pair_method(self):
-        rng = np.random.default_rng(13)
-        learner = make_learner()
-        X, y = two_blob_stream(rng, 250)
-        train(learner, X, y)
-        n = learner.n_rules
-        checked = 0
-        for i, rule in enumerate(learner.system.rules):
-            pair = learner.anticipations[rule.id]
-            expected = pair.separation(_premise_radius)
-            delta = pair.fast.premise.center - pair.slow.premise.center
-            gap = math.sqrt(float(delta @ delta))
-            if gap == 0.0:
-                assert expected == 0.0
-                continue
-            q = learner.system.quadratic_form_pair(n + 2 * i, delta / gap)
-            spread = 1.0 / math.sqrt(q[0]) + 1.0 / math.sqrt(q[1])
-            assert gap / spread == pytest.approx(expected, rel=1e-12)
-            checked += 1
-        assert checked > 0
-
     def test_identical_streams_identical_models(self):
         preds, logs, hashes = [], [], []
         for _ in range(2):

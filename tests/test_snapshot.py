@@ -22,7 +22,6 @@ from driftfis.snapshot import (
     state_bytes,
     state_bytes_match,
     state_dict,
-    state_fingerprint,
 )
 
 from helpers import gaussian_stream
@@ -317,63 +316,41 @@ def reference_state_bytes(learner):
     return b"".join(chunks)
 
 
-def check_file_round_trip(describe, tmp_path):
-    learner = trained_learner(forgetting_mode="forget_ps")
-    path = tmp_path / "model.json"
-    save_model(learner, str(path))
-    assert describe(load_model(str(path))) == describe(learner)
-
-
-def check_every_state_dict_leaf_moves(describe):
-    learner = trained_learner(forgetting_mode="forget_ps")
-    state = state_dict(learner)
-    # the fixture fills every kind of container the state has
-    assert learner.drift_log and learner.system.rules[0].window.entries
-    assert any(pair.fast.window.entries for pair in learner.anticipations.values())
-    digest = describe(learner)
-    # the format constants and the principal horizons (None for every
-    # principal rule) are not read from the model
-    leaves = [path for path in _leaves(state)
-              if path not in (("format",), ("version",))
-              and not (path[0] == "rules" and path[-1] == "horizon")]
-    for path in leaves:
-        undo = _perturb_live_field(learner, path)
-        assert describe(learner) != digest, path
-        undo()
-    assert describe(learner) == digest
-    assert state_dict(learner) == state
-
-
-def check_cached_inverses_move_only(describe):
-    learner = trained_learner(n=60)
-    digest = describe(learner)
-    canonical = model_state_hash(learner)
-    inv = learner.system._invs
-    inv[0, 0, 0] = np.nextafter(inv[0, 0, 0], math.inf)
-    assert describe(learner) != digest
-    assert model_state_hash(learner) == canonical
-
-
-class TestFingerprint:
-    def test_survives_file_round_trip(self, tmp_path):
-        check_file_round_trip(state_fingerprint, tmp_path)
-
-    def test_every_state_dict_leaf_moves_the_fingerprint(self):
-        check_every_state_dict_leaf_moves(state_fingerprint)
-
-    def test_cached_inverses_move_the_fingerprint_only(self):
-        check_cached_inverses_move_only(state_fingerprint)
-
-
 class TestStateBytes:
     def test_survives_file_round_trip(self, tmp_path):
-        check_file_round_trip(state_bytes, tmp_path)
+        learner = trained_learner(forgetting_mode="forget_ps")
+        path = tmp_path / "model.json"
+        save_model(learner, str(path))
+        assert state_bytes(load_model(str(path))) == state_bytes(learner)
 
     def test_every_state_dict_leaf_moves_the_bytes(self):
-        check_every_state_dict_leaf_moves(state_bytes)
+        learner = trained_learner(forgetting_mode="forget_ps")
+        state = state_dict(learner)
+        # the fixture fills every kind of container the state has
+        assert learner.drift_log and learner.system.rules[0].window.entries
+        assert any(pair.fast.window.entries
+                   for pair in learner.anticipations.values())
+        raw = state_bytes(learner)
+        # the format constants and the principal horizons (None for every
+        # principal rule) are not read from the model
+        leaves = [path for path in _leaves(state)
+                  if path not in (("format",), ("version",))
+                  and not (path[0] == "rules" and path[-1] == "horizon")]
+        for path in leaves:
+            undo = _perturb_live_field(learner, path)
+            assert state_bytes(learner) != raw, path
+            undo()
+        assert state_bytes(learner) == raw
+        assert state_dict(learner) == state
 
     def test_cached_inverses_move_the_bytes_only(self):
-        check_cached_inverses_move_only(state_bytes)
+        learner = trained_learner(n=60)
+        raw = state_bytes(learner)
+        canonical = model_state_hash(learner)
+        inv = learner.system._invs
+        inv[0, 0, 0] = np.nextafter(inv[0, 0, 0], math.inf)
+        assert state_bytes(learner) != raw
+        assert model_state_hash(learner) == canonical
 
 
 @pytest.mark.parametrize("mode", ["none", "forget_am", "forget_ps"])
@@ -388,7 +365,6 @@ def test_state_bytes_match_the_window_by_window_assembly(mode):
         assert any(w.entries for w in windows)
     raw = state_bytes(learner)
     assert raw == reference_state_bytes(learner)
-    assert state_fingerprint(learner) == hashlib.sha256(raw).digest()
 
 
 def test_state_bytes_match_compares_every_byte_and_the_length():
