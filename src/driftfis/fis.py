@@ -1,20 +1,18 @@
 """Takagi-Sugeno fuzzy inference core.
 
 A rule pairs an elliptical cluster premise (center + covariance, Cauchy
-membership over the Mahalanobis distance) with a first-order polynomial
-consequent per class, learned by weighted recursive least squares (WRLS).
+membership 1/(1 + (x-c)' S^-1 (x-c)) over the Mahalanobis distance) with
+a first-order polynomial consequent per class, learned by weighted
+recursive least squares (WRLS).
 
 The rule base itself evolves elsewhere; this module knows how to evaluate
 and adapt rules and how to aggregate a base. FuzzySystem keeps every
 premise and consequent in stacked arrays so the per-sample work is a fixed
 number of batched array operations regardless of the rule count. The
 stacks are the only storage of those arrays: a rule is a row plus its
-metadata, and structural changes are row gathers (set_rows). The
-module-level functions (membership, update_premise, wrls_update) are the
-single-rule reference semantics. advance_premises reproduces
-update_premise bitwise row for row; the membership and WRLS paths match
-their references to dot-product rounding. What every batched operation
-does guarantee exactly is stack independence: a row's result is bitwise
+metadata, and structural changes are row gathers (set_rows). Each
+operation has one implementation, the batched one, and what it
+guarantees exactly is stack independence: a row's result is bitwise
 identical no matter which other rows share the stack, so attaching
 auxiliary rows can never perturb the principal ones, and an operation may
 gather just the rows that carry weight (advance_premises, wrls_step and
@@ -32,7 +30,6 @@ import numpy as np
 
 from .linalg import (
     DOWNDATE_GUARD,
-    mahalanobis_sq,
     regularized_inverse,
     regularized_inverse_stack,
 )
@@ -52,12 +49,6 @@ def augment(x: np.ndarray) -> np.ndarray:
     out = np.empty(x.shape[0] + 1)
     out[0] = 1.0
     out[1:] = x
-    return out
-
-
-def one_hot(label: int, n_classes: int) -> np.ndarray:
-    out = np.zeros(n_classes)
-    out[label] = 1.0
     return out
 
 
@@ -122,50 +113,6 @@ class Rule:
     @property
     def window(self):
         return None if self.windows is None else self.windows.window(self.row)
-
-
-def membership(premise: Premise, x: np.ndarray) -> float:
-    """Cauchy membership 1/(1 + squared Mahalanobis distance); 1 iff x == center."""
-    return 1.0 / (1.0 + mahalanobis_sq(x, premise.center, premise.cov_inv))
-
-
-def update_premise(premise: Premise, x: np.ndarray, refresh: bool = True) -> None:
-    """Fold one sample into the center/covariance with the fading recursion.
-
-    The blend weight is 1/min(hits, horizon) after counting the new sample,
-    so an unbounded horizon reproduces the running mean exactly. The
-    covariance residual uses the already-updated center. With
-    ``refresh=False`` the cached inverse is left stale for the caller to
-    rebuild. Rebinds the arrays of a standalone premise; a FuzzySystem's
-    rows advance in place through FuzzySystem.advance_premises.
-    """
-    premise.hits += 1
-    t = premise.hits if premise.horizon is None else min(premise.hits, premise.horizon)
-    alpha = 1.0 / t
-    center = (1.0 - alpha) * premise.center + alpha * x
-    premise.center = center
-    resid = x - center
-    premise.cov = (1.0 - alpha) * premise.cov + alpha * (resid[:, None] * resid)
-    if refresh:
-        premise.cov_inv = regularized_inverse(premise.cov)
-
-
-def wrls_update(con: Consequent, x_aug: np.ndarray, weight: float, target: np.ndarray) -> None:
-    """One weighted recursive least squares step on all class columns jointly.
-
-    Shrinks the correlation matrix by the weighted rank-one increment, then
-    moves the coefficients along the updated gain toward the one-hot target.
-    Zero weight is an exact no-op. Mutates the arrays in place.
-    """
-    if weight == 0.0:
-        return
-    corr = con.corr
-    u = corr @ x_aug
-    s = float(x_aug @ u)
-    corr -= (weight / (1.0 + weight * s)) * (u[:, None] * u)
-    resid = target - x_aug @ con.coeffs
-    gain = corr @ x_aug
-    con.coeffs += weight * (gain[:, None] * resid)
 
 
 def create_rule(x: np.ndarray, label: int, sigma_init: float, omega: float,
@@ -339,9 +286,14 @@ class FuzzySystem:
                          rows: np.ndarray | None = None) -> None:
         """Fading premise update of every row with its own blend weight.
 
-        ``alphas`` has shape (n_rows, 1); a zero entry leaves that row's
-        center and covariance unchanged. Each nonzero row matches
-        update_premise bitwise. ``rows`` (a distinct-integer array) may
+        Row i with blend weight a = ``alphas[i]`` moves its center to
+        c' = (1 - a) c + a x and its covariance to
+        S' = (1 - a) S + a (x - c')(x - c')', the residual taken from the
+        updated center, then re-inverts S' (regularized_inverse_stack).
+        With a = 1/min(hits, horizon), hits counting the new sample, an
+        unbounded horizon reproduces the running mean. ``alphas`` has
+        shape (n_rows, 1); a zero entry leaves that row's center and
+        covariance unchanged. ``rows`` (a distinct-integer array) may
         list the nonzero-alpha rows; large stacks then blend and re-invert
         only those rows. Either way each row's result is the same bit for
         bit: the arithmetic is row-local, and a zero-alpha blend reproduces
@@ -399,15 +351,17 @@ class FuzzySystem:
                   target: np.ndarray, rows: np.ndarray | None = None) -> None:
         """One WRLS step on stacked consequents with per-row weights.
 
-        Each row follows wrls_update with that row's weight (equal to
-        dot-product rounding, and independent of the other rows in the
-        stack); weight 0 degenerates to a no-op exactly. Without ``rows``
-        every stacked row steps and ``weights`` has shape (n_rows,). With
-        ``rows`` (a distinct-integer array) ``weights`` lines up with
-        ``rows`` and every other row keeps its values. Large stacks then
-        gather, step and scatter back only the listed rows; small ones step
-        every row, the others with weight 0. A row's result is the same bit
-        for bit either way.
+        Row i with weight w, correlation C and coefficients P takes
+        C' = C - w C x x' C / (1 + w x' C x), then
+        P' = P + w C' x (t - x' P) for the one-hot target t, all class
+        columns at once; x is ``x_aug``. A row's result does not depend on
+        the other rows in the stack, and weight 0 leaves it unchanged
+        exactly. Without ``rows`` every stacked row steps and ``weights``
+        has shape (n_rows,). With ``rows`` (a distinct-integer array)
+        ``weights`` lines up with ``rows`` and every other row keeps its
+        values. Large stacks then gather, step and scatter back only the
+        listed rows; small ones step every row, the others with weight 0.
+        A row's result is the same bit for bit either way.
         """
         corrs = self._corrs
         if rows is None:
@@ -429,10 +383,12 @@ class FuzzySystem:
                       weights: np.ndarray) -> np.ndarray:
         """Remove one absorbed observation from each listed row's correlation.
 
-        Row ``rows[i]`` sheds ``xs[i]`` with weight ``weights[i]``, the
-        in-place counterpart of linalg.corr_decrement; ``rows`` must be
-        distinct. ``rows`` None stands for the leading ``len(xs)`` rows,
-        which are then updated in place rather than gathered and scattered.
+        Row ``rows[i]`` sheds x = ``xs[i]`` with weight w = ``weights[i]``:
+        C' = C + w C x x' C / (1 - w x' C x), the exact inverse of the
+        wrls_step correlation update, so that C'^-1 = C^-1 - w x x'.
+        ``rows`` must be distinct. ``rows`` None stands for the leading
+        ``len(xs)`` rows, which are then updated in place rather than
+        gathered and scattered.
         Returns the per-row success mask: a row whose downdate denominator
         falls within the guard of zero is left untouched. The stacked
         matmuls reproduce the single-row products bit for bit, so a row's

@@ -1,11 +1,15 @@
 """Deferred directional forgetting for WRLS conclusions.
 
 Each consequent can carry a bounded window of the (augmented input, weight)
-pairs it has absorbed. When the window overflows, the oldest contribution is
-removed from the correlation matrix by the exact inverse of the WRLS
-correlation update, so the matrix only ever reflects the samples still in
-the window. Coefficients are never decremented: old directions merely stop
-being reinforced, which lets the estimator move again along directions that
+pairs it has absorbed. When the window overflows, the oldest contribution
+(x, w) is removed from the correlation matrix C by the exact inverse of the
+WRLS correlation update, C <- C + w C x x' C / (1 - w x' C x), so that
+C^-1 = I/omega + sum of w x x' over the samples still in the window. The
+removal runs on the FuzzySystem stacks (downdate_rows for the principal
+windows, downdate_row_pair for a shadow pair) and is skipped, and counted
+on the window, when 1 - w x' C x is within DOWNDATE_GUARD of zero.
+Coefficients are never decremented: old directions merely stop being
+reinforced, which lets the estimator move again along directions that
 fresh data no longer excites.
 
 A window is a ring of ``capacity`` slots, each holding a sample and its
@@ -22,9 +26,6 @@ share one samples array (push_pair).
 from __future__ import annotations
 
 import numpy as np
-
-from .fis import Consequent, wrls_update
-from .linalg import NearSingularError, corr_decrement
 
 
 class DDFWindow:
@@ -243,25 +244,3 @@ class WindowBank:
         flat %= cap
         flat += np.repeat(self._base, fill)
         return self._flat_x.take(flat, axis=0), self._flat_w.take(flat)
-
-
-def ddf_update(con: Consequent, window: DDFWindow,
-               x_aug: np.ndarray, weight: float, target: np.ndarray) -> None:
-    """WRLS step followed by deferred removal of the sample leaving the window.
-
-    The incoming sample is learned normally and appended to the window even
-    when its weight is zero, so eviction timing depends only on sample
-    count. If the eviction's downdate is numerically unsafe it is skipped
-    and counted on the window.
-    """
-    wrls_update(con, x_aug, weight, target)
-    evicted = window.push(x_aug, weight)
-    if evicted is None:
-        return
-    old_x, old_w = evicted
-    if old_w == 0.0:
-        return
-    try:
-        con.corr = corr_decrement(con.corr, old_x, old_w)
-    except NearSingularError:
-        window.skipped += 1

@@ -1,8 +1,12 @@
-"""Dense linear-algebra kernels for small covariance/correlation matrices.
+"""Dense linear-algebra kernels for small covariance matrices.
 
 Everything operates on float64 numpy arrays of side <= ~11 (feature count
 plus bias term). Functions are pure: inputs are never mutated and outputs
-are freshly allocated.
+are freshly allocated. The premises are inverted here, as
+(sym(S) + r I)^-1 with a trace-scaled ridge r. The rank-one correlation
+updates of the conclusions run in place on the stacks, as
+FuzzySystem.wrls_step and FuzzySystem.downdate_rows; DOWNDATE_GUARD is
+their guard.
 """
 
 from __future__ import annotations
@@ -17,10 +21,6 @@ DOWNDATE_GUARD = 1e-8
 # so a fully collapsed covariance (forgetting horizon 1) stays invertible.
 RIDGE_SCALE = 1e-6
 RIDGE_FLOOR = 1e-12
-
-
-class NearSingularError(ArithmeticError):
-    """Rank-one removal would divide by (almost) zero."""
 
 
 _EYE_CACHE: dict[int, np.ndarray] = {}
@@ -38,47 +38,6 @@ def _eye(d: int) -> np.ndarray:
 def _check_square(mat: np.ndarray, dim: int, name: str) -> None:
     if mat.shape != (dim, dim):
         raise ValueError(f"{name} must be {dim}x{dim}, got {mat.shape}")
-
-
-def mahalanobis_sq(x: np.ndarray, center: np.ndarray, cov_inv: np.ndarray) -> float:
-    """Squared Mahalanobis distance (x-center) @ cov_inv @ (x-center)."""
-    if x.shape != center.shape:
-        raise ValueError(f"shape mismatch: x {x.shape} vs center {center.shape}")
-    _check_square(cov_inv, x.shape[0], "cov_inv")
-    diff = x - center
-    return float(diff @ cov_inv @ diff)
-
-
-def corr_increment(corr: np.ndarray, x: np.ndarray, weight: float) -> np.ndarray:
-    """Fold a weighted observation into an inverse-correlation state.
-
-    Returns C - w*C x x^T C / (1 + w*x^T C x), the rank-one update whose
-    inverse satisfies C_new^-1 = C^-1 + w*x x^T. The denominator is >= 1
-    for w >= 0, so no guard is needed.
-    """
-    if weight == 0.0:
-        return corr.copy()
-    u = corr @ x
-    s = float(x @ u)
-    return corr - (weight / (1.0 + weight * s)) * (u[:, None] * u)
-
-
-def corr_decrement(corr: np.ndarray, x: np.ndarray, weight: float) -> np.ndarray:
-    """Remove a previously folded-in observation (exact inverse of corr_increment).
-
-    Returns C + w*C x x^T C / (1 - w*x^T C x), so C_new^-1 = C^-1 - w*x x^T.
-    Raises NearSingularError when |1 - w*x^T C x| < DOWNDATE_GUARD, which
-    happens only if the observation carries nearly all the information the
-    matrix holds in some direction.
-    """
-    if weight == 0.0:
-        return corr.copy()
-    u = corr @ x
-    s = float(x @ u)
-    denom = 1.0 - weight * s
-    if abs(denom) < DOWNDATE_GUARD:
-        raise NearSingularError(f"downdate denominator {denom:.3e} below guard")
-    return corr + (weight / denom) * (u[:, None] * u)
 
 
 def ellipsoid_radius_along(cov: np.ndarray, direction: np.ndarray) -> float:

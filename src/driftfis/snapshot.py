@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict
 
 import numpy as np
@@ -45,11 +46,22 @@ class SnapshotError(ValueError):
 
 
 def _array(value, shape: tuple[int, ...], what: str) -> np.ndarray:
-    """Float array from snapshot data; a wrong shape raises ValueError."""
+    """Float array from snapshot data; a wrong shape or a NaN or infinite
+    entry raises ValueError."""
     out = np.array(value, dtype=float)
     if out.shape != shape:
         raise ValueError(f"{what} has shape {out.shape}, expected {shape}")
+    if not np.isfinite(out).all():
+        raise ValueError(f"{what} holds a NaN or infinite entry")
     return out
+
+
+def _integer(value, what: str, low: int = 0, high: float = math.inf) -> int:
+    """An int from snapshot data in low..high; anything else raises ValueError."""
+    if type(value) is not int or not low <= value <= high:
+        raise ValueError(f"{what} must be an integer in {low}..{high}, "
+                         f"got {value!r}")
+    return value
 
 
 def _sub_entry(sub, omega: float) -> dict:
@@ -121,7 +133,9 @@ def from_state_dict(state: dict) -> AnticipatingClassifier:
     """Rebuild a learner from a state dictionary (inverse of state_dict).
 
     Raises SnapshotError for an unknown format or version, a missing key,
-    or a value of the wrong type or shape.
+    or a value of the wrong type or shape: among them a NaN or infinite
+    array entry, a covariance or correlation matrix that is not exactly
+    symmetric, a negative count, and a class outside 0..n_classes-1.
     """
     if state.get("format") != FORMAT_NAME:
         raise SnapshotError(f"not a {FORMAT_NAME} snapshot")
@@ -140,10 +154,16 @@ def _learner_from_state(state: dict) -> AnticipatingClassifier:
     d = int(state["n_features"])
     c = int(state["n_classes"])
     learner = AnticipatingClassifier(d, c, config)
-    learner.samples_seen = int(state["samples_seen"])
+    learner.samples_seen = _integer(state["samples_seen"], "samples_seen")
     learner.next_rule_id = int(state["next_rule_id"])
-    learner.seen_classes = {int(label) for label in state["seen_classes"]}
+    learner.seen_classes = {_integer(label, "a seen class", 0, c - 1)
+                            for label in state["seen_classes"]}
     learner.drift_log = [DriftEvent(**event) for event in state["drift_log"]]
+    for event in learner.drift_log:
+        _integer(event.sample_index, "a drift's sample_index")
+        if type(event.separation) not in (int, float):
+            raise ValueError(f"a drift's separation {event.separation!r} "
+                             f"is not a number")
     rules = state["rules"]
     ids = [int(rule["id"]) for rule in rules]
     pairs = {int(rule_id): pair for rule_id, pair in state["anticipations"].items()}
@@ -162,9 +182,7 @@ def _learner_from_state(state: dict) -> AnticipatingClassifier:
     windows = []
     for entry, horizon in rows:
         premise = entry["premise"]
-        hits = premise["hits"]
-        if type(hits) is not int or hits < 1:
-            raise ValueError(f"hits must be an integer >= 1, got {hits!r}")
+        _integer(premise["hits"], "hits", 1)
         if (type(premise["horizon"]) is not type(horizon)
                 or premise["horizon"] != horizon):
             raise ValueError(f"horizon {premise['horizon']!r} differs from "
@@ -176,7 +194,7 @@ def _learner_from_state(state: dict) -> AnticipatingClassifier:
         if w["capacity"] != config.ws:
             raise ValueError(f"window capacity {w['capacity']!r} differs "
                              f"from ws {config.ws}")
-        window = DDFWindow(config.ws, skipped=int(w["skipped"]))
+        window = DDFWindow(config.ws, skipped=_integer(w["skipped"], "skipped"))
         fill = len(w["entries"])
         if fill > config.ws:
             raise ValueError(f"window holds {fill} entries, more than its "
@@ -185,7 +203,8 @@ def _learner_from_state(state: dict) -> AnticipatingClassifier:
             # the entries take the leading slots, oldest first
             window.samples = _array([x for x, _ in w["entries"]],
                                     (fill, d + 1), "window entries")
-            window.weights[:fill] = [float(weight) for _, weight in w["entries"]]
+            window.weights[:fill] = _array([weight for _, weight in w["entries"]],
+                                           (fill,), "window weights")
             window.state[:2] = (fill % config.ws, fill)
         windows.append(window)
     n = len(rules)
@@ -203,17 +222,24 @@ def _learner_from_state(state: dict) -> AnticipatingClassifier:
                       (len(rows), *shape), f"{part} {key}")
 
     covs = stacked("premise", "cov", d, d)
+    corrs = stacked("consequent", "corr", d + 1, d + 1)
+    # every update adds a u u' term, so the learner keeps both exactly
+    # symmetric
+    for what, mats in (("covariance", covs), ("correlation", corrs)):
+        if not np.array_equal(mats, mats.swapaxes(-1, -2)):
+            raise ValueError(f"a {what} matrix is not symmetric")
     hits = np.array([entry["premise"]["hits"] for entry, _ in rows], dtype=np.int64)
     learner.system.set_rows(
-        [Rule(id=rule_id, born_class=rule["born_class"], windows=learner.windows)
+        [Rule(id=rule_id, windows=learner.windows,
+              born_class=_integer(rule["born_class"], "born_class", 0, c - 1))
          for rule_id, rule in zip(ids, rules)],
         np.arange(len(rows)),
         extra=Rows(stacked("premise", "center", d), covs,
-                   regularized_inverse_stack(covs), hits,
-                   stacked("consequent", "corr", d + 1, d + 1),
+                   regularized_inverse_stack(covs), hits, corrs,
                    stacked("consequent", "coeffs", d + 1, c)))
     learner.windows.set_rows(np.arange(n), windows[:n])
-    learner.pairs = [PairState(slow, fast, int(pairs[rule_id]["samples_seen"]))
+    learner.pairs = [PairState(slow, fast, _integer(pairs[rule_id]["samples_seen"],
+                                                    "a pair's samples_seen"))
                      for rule_id, slow, fast
                      in zip(ids, windows[n::2], windows[n + 1::2])]
     learner._resize_buffers()

@@ -3,6 +3,7 @@
 import numpy as np
 
 from driftfis.fis import FuzzySystem, create_rule
+from driftfis.forgetting import push_pair
 from driftfis.linalg import regularized_inverse
 
 
@@ -53,3 +54,44 @@ def attach_rows(system, rules):
     extra = FuzzySystem(system.n_features, system.n_classes, rules)
     system.set_rows(system.rules, np.arange(system.n_rows + extra.n_rows),
                     extra=extra.stacks())
+
+
+def blank_system(d, c, omegas):
+    """One row per omega: a unit premise at the origin, zero coefficients
+    and an omega * I correlation."""
+    rules = [create_rule(np.zeros(d), 0, 1.0, float(omega), c, rule_id=i)
+             for i, omega in enumerate(omegas)]
+    return FuzzySystem(d, c, rules)
+
+
+def advance_row(system, row, x, horizon=None):
+    """advance_premises on one row, every other row at alpha 0, counting
+    the row's hit as the learner does: alpha = 1/min(hits, horizon)."""
+    system.hits[row] += 1
+    hits = int(system.hits[row])
+    alphas = np.zeros((system.n_rows, 1))
+    alphas[row, 0] = 1.0 / (hits if horizon is None else min(hits, horizon))
+    system.advance_premises(x, alphas, np.array([row], dtype=np.intp))
+
+
+def forget_principal(system, bank, x_aug, weights):
+    """Record x_aug in every row of a principal window bank (row i with
+    weights[i]) and downdate each row's correlation by what its window
+    evicts, as the learner does; a tripped guard counts a skip."""
+    evicted = bank.push(x_aug, weights)
+    if evicted is not None:
+        rows, xs, ws = evicted
+        failed = np.flatnonzero(~system.downdate_rows(rows, xs, ws))
+        bank.skipped[failed if rows is None else rows[failed]] += 1
+
+
+def forget_pair(system, row, slow, fast, x_aug, w_slow, w_fast):
+    """Record x_aug in a shadow pair's windows and downdate rows (row,
+    row + 1) by the sample they evict, as the learner does; a tripped
+    guard on a weighted eviction counts a skip."""
+    evicted = push_pair(slow, fast, x_aug, w_slow, w_fast)
+    if evicted is not None:
+        old_x, w_old = evicted
+        oks = system.downdate_row_pair(row, old_x, w_old)
+        for window, ok, weight in zip((slow, fast), oks, w_old):
+            window.skipped += int(not ok and weight != 0.0)

@@ -1,11 +1,14 @@
 """Acceptance gate: one test per external guarantee, at pinned tolerances.
 
 Every test prints a single ``[acceptance] criterion N (...): PASS/FAIL``
-line so the whole gate reads off the terminal at a glance. Expectations
-come from independent oracles: closed-form weighted ridge solutions,
-window-rebuilt correlation identities, a 50-digit re-execution of the
-premise recursion, hand-checkable contingency tables, and a plain
-reference classifier driven through the same batched operations.
+line so the whole gate reads off the terminal at a glance. Criteria 1-3
+drive the stacked kernels the learner runs (FuzzySystem.wrls_step,
+WindowBank.push with downdate_rows, push_pair with downdate_row_pair,
+advance_premises). Expectations come from independent oracles:
+closed-form weighted ridge solutions, correlations rebuilt from the
+window contents, a 50-digit re-execution of the premise recursion,
+hand-checkable contingency tables, and a plain reference classifier
+driven through the same batched operations.
 """
 
 import math
@@ -14,21 +17,19 @@ import time
 import mpmath
 import numpy as np
 
+from driftfis import fis
 from driftfis.config import ExperimentConfig, LearnerConfig
 from driftfis.evaluation import mcnemar, run_experiment
-from driftfis.fis import (
-    Consequent,
-    FuzzySystem,
-    augment,
-    create_rule,
-    one_hot,
-    update_premise,
-    wrls_update,
-)
-from driftfis.forgetting import DDFWindow, ddf_update
+from driftfis.fis import FuzzySystem, augment, create_rule
+from driftfis.forgetting import DDFWindow, WindowBank
 from driftfis.learner import AnticipatingClassifier
-from driftfis.linalg import corr_decrement
-from helpers import random_system
+from helpers import (
+    advance_row,
+    blank_system,
+    forget_pair,
+    forget_principal,
+    random_system,
+)
 
 
 def _report(capsys, num, name, ok, detail=""):
@@ -39,16 +40,24 @@ def _report(capsys, num, name, ok, detail=""):
         print(line)
 
 
-def blank_consequent(d, c, omega):
-    return Consequent(coeffs=np.zeros((d + 1, c)), corr=omega * np.eye(d + 1))
+def _ridge_error(coeffs, Xa, w, Y, omega):
+    """Relative distance of coeffs from the weighted ridge solution with
+    an I/omega prior."""
+    gram = np.eye(Xa.shape[1]) / omega + (Xa * w[:, None]).T @ Xa
+    theta = np.linalg.solve(gram, (Xa * w[:, None]).T @ Y)
+    scale = np.linalg.norm(theta)
+    return float(np.linalg.norm(coeffs - theta)) / (scale if scale > 0.0 else 1.0)
 
 
 def test_criterion_1_wrls_matches_closed_form(capsys):
     # sequential recursive updates must land on the batch weighted ridge
-    # solution (I/omega prior) for any stream shape
+    # solution (I/omega prior) for any stream shape, row by row: on a
+    # one-row and a many-row stack, each stepped whole and through a row
+    # list, every row of the many-row stack with its own omega and weights
     rng = np.random.default_rng(101)
     t0 = time.perf_counter()
     worst = 0.0
+    gathered = set()
     for _ in range(50):
         d = int(rng.integers(1, 11))
         c = int(rng.integers(1, 5))
@@ -58,64 +67,97 @@ def test_criterion_1_wrls_matches_closed_form(capsys):
         Y = rng.normal(size=(t, c))
         w = rng.uniform(0.0, 1.0, size=t)
         w[rng.random(t) < 0.1] = 0.0
-        con = blank_consequent(d, c, omega)
+        m = int(rng.integers(2, 13))
+        omegas = 10.0 ** rng.uniform(-1.0, 2.0, size=m)
+        W = rng.uniform(0.0, 1.0, size=(t, m))
+        W[rng.random((t, m)) < 0.1] = 0.0
+        listed = rng.permutation(m)[:int(rng.integers(1, m + 1))]
+        gathered.add((m - listed.size) * (d + 1) ** 2 > fis._GATHER_MIN_SKIPPED)
+        one, one_listed = blank_system(d, c, [omega]), blank_system(d, c, [omega])
+        many, many_listed = blank_system(d, c, omegas), blank_system(d, c, omegas)
+        row0 = np.zeros(1, dtype=np.intp)
         for i in range(t):
-            wrls_update(con, augment(X[i]), float(w[i]), Y[i])
+            x_aug = augment(X[i])
+            one.wrls_step(x_aug, w[i:i + 1], Y[i])
+            one_listed.wrls_step(x_aug, w[i:i + 1], Y[i], row0)
+            many.wrls_step(x_aug, W[i], Y[i])
+            many_listed.wrls_step(x_aug, W[i, listed], Y[i], listed)
         Xa = np.hstack([np.ones((t, 1)), X])
-        gram = np.eye(d + 1) / omega + (Xa * w[:, None]).T @ Xa
-        theta = np.linalg.solve(gram, (Xa * w[:, None]).T @ Y)
-        scale = np.linalg.norm(theta)
-        err = np.linalg.norm(con.coeffs - theta) / (scale if scale > 0.0 else 1.0)
-        worst = max(worst, err)
+        W_listed = np.zeros_like(W)
+        W_listed[:, listed] = W[:, listed]
+        for system in (one, one_listed):
+            worst = max(worst, _ridge_error(system._coeffs[0], Xa, w, Y, omega))
+        for system, weights in ((many, W), (many_listed, W_listed)):
+            for row in range(m):
+                worst = max(worst, _ridge_error(system._coeffs[row], Xa,
+                                                weights[:, row], Y, omegas[row]))
     elapsed = time.perf_counter() - t0
-    ok = worst < 1e-8 and elapsed < 5.0
+    ok = worst < 1e-8 and elapsed < 5.0 and gathered == {False, True}
     _report(capsys, 1, "recursive least squares vs closed form", ok,
             f"worst rel err {worst:.2e}, {elapsed:.2f}s for 50 streams")
     assert worst < 1e-8
     assert elapsed < 5.0
+    assert gathered == {False, True}  # both row-list paths of wrls_step ran
 
 
 def test_criterion_2_forgetting_window_consistency(capsys):
-    # after every deferred-forgetting step the inverse correlation must
-    # equal the prior plus exactly the weighted outer products still in
-    # the window
+    # after every deferred-forgetting step the inverse correlation of each
+    # row must equal its prior plus exactly the weighted outer products
+    # still in its window: the principal rows forget through a window bank
+    # and downdate_rows, a slow/fast shadow pair through push_pair and
+    # downdate_row_pair, every row with its own omega and weights
     rng = np.random.default_rng(202)
-    d, c = 3, 2
+    d, c, n = 3, 2, 4
     worst = 0.0
     for ws in (5, 20, 100):
         for _ in range(10):
-            omega = float(10.0 ** rng.uniform(0.0, 2.0))
-            con = blank_consequent(d, c, omega)
-            window = DDFWindow(ws)
-            prior = np.eye(d + 1) / omega
-            for _ in range(1000):
-                x_aug = augment(rng.normal(size=d))
-                wt = 0.0 if rng.random() < 0.1 else float(rng.uniform(0.0, 1.0))
-                target = one_hot(int(rng.integers(0, c)), c)
-                ddf_update(con, window, x_aug, wt, target)
-                xs = np.array([e[0] for e in window.entries])
-                wts = np.array([e[1] for e in window.entries])
-                rebuilt = prior + (xs * wts[:, None]).T @ xs
-                err = float(np.linalg.norm(np.linalg.inv(con.corr) - rebuilt))
-                worst = max(worst, err)
-            assert window.skipped == 0
+            omegas = 10.0 ** rng.uniform(0.0, 2.0, size=n + 2)
+            priors = np.eye(d + 1) / omegas[:, None, None]
+            system = blank_system(d, c, omegas)
+            bank = WindowBank(ws, d + 1)
+            bank.set_rows(np.arange(n), [DDFWindow(ws) for _ in range(n)])
+            slow, fast = DDFWindow(ws), DDFWindow(ws)
+            Xa = np.column_stack([np.ones(1000), rng.normal(size=(1000, d))])
+            W = rng.uniform(0.0, 1.0, size=(1000, n + 2))
+            W[rng.random((1000, n + 2)) < 0.1] = 0.0
+            Y = np.eye(c)[rng.integers(0, c, size=1000)]
+            for x_aug, weights, target in zip(Xa, W, Y):
+                system.wrls_step(x_aug, weights, target)
+                forget_principal(system, bank, x_aug, weights[:n])
+                forget_pair(system, n, slow, fast, x_aug,
+                            float(weights[n]), float(weights[n + 1]))
+                # every window records every sample, so the fills are equal
+                xs, wts = bank.entries()
+                pair_xs, w_slow = slow.ordered()
+                xs = np.concatenate([xs.reshape(n, -1, d + 1),
+                                     [pair_xs, pair_xs]])
+                wts = np.concatenate([wts.reshape(n, -1),
+                                      [w_slow, fast.ordered()[1]]])
+                held = np.swapaxes(xs * wts[:, :, None], 1, 2) @ xs
+                err = np.linalg.norm(np.linalg.inv(system._corrs)
+                                     - (priors + held), axis=(1, 2))
+                worst = max(worst, float(err.max()))
+            assert not bank.skipped.any()
+            assert slow.skipped == fast.skipped == 0
 
-    # a single increment followed by its exact downdate is an involution
+    # an increment followed by its exact downdate is an involution
     worst_rt = 0.0
     for _ in range(30):
-        omega = float(10.0 ** rng.uniform(0.0, 2.0))
-        con = blank_consequent(d, c, omega)
+        omegas = 10.0 ** rng.uniform(0.0, 2.0, size=3)
+        system = blank_system(d, c, omegas)
         for _ in range(int(rng.integers(1, 30))):
-            wrls_update(con, augment(rng.normal(size=d)),
-                        float(rng.uniform(0.1, 1.0)),
-                        one_hot(int(rng.integers(0, c)), c))
-        corr_before = con.corr.copy()
+            system.wrls_step(augment(rng.normal(size=d)),
+                             rng.uniform(0.1, 1.0, size=3),
+                             np.eye(c)[int(rng.integers(0, c))])
+        corr_before = system._corrs.copy()
         x_aug = augment(rng.normal(size=d))
-        wt = float(rng.uniform(0.1, 1.0))
-        wrls_update(con, x_aug, wt, one_hot(0, c))
-        back = corr_decrement(con.corr, x_aug, wt)
-        rel = np.linalg.norm(back - corr_before) / np.linalg.norm(corr_before)
-        worst_rt = max(worst_rt, float(rel))
+        wts = rng.uniform(0.1, 1.0, size=3)
+        system.wrls_step(x_aug, wts, np.eye(c)[0])
+        for row in range(3):
+            assert system.downdate_row(row, x_aug, float(wts[row]))
+        rel = (np.linalg.norm(system._corrs - corr_before, axis=(1, 2))
+               / np.linalg.norm(corr_before, axis=(1, 2)))
+        worst_rt = max(worst_rt, float(rel.max()))
 
     ok = worst < 1e-6 and worst_rt < 1e-8
     _report(capsys, 2, "forgetting window consistency", ok,
@@ -124,24 +166,36 @@ def test_criterion_2_forgetting_window_consistency(capsys):
     assert worst_rt < 1e-8
 
 
+def _tracked_rows(x0):
+    """(system, row) for both paths of advance_premises, every row a unit
+    premise at x0: a 3-row stack blends every row (the tracked one with its
+    alpha, the others with 0), a 9-row stack, more than 4x its one listed
+    row, gathers just the tracked row."""
+    return [(FuzzySystem(x0.shape[0], 2, [create_rule(x0, 0, 1.0, 100.0, 2, rule_id=i)
+                                          for i in range(size)]), row)
+            for size, row in ((3, 1), (9, 6))]
+
+
 def test_criterion_3_premise_recursions(capsys):
     rng = np.random.default_rng(303)
 
     # unbounded horizon reproduces the running mean exactly
     d = 3
     X = rng.normal(size=(10_000, d)) * 2.0 + 0.5
-    premise = create_rule(X[0], 0, 1.0, 100.0, 2, rule_id=0).premise
-    for x in X[1:]:
-        update_premise(premise, x, refresh=False)
-    mean_err = float(np.max(np.abs(premise.center - X.mean(axis=0))))
+    mean_err = 0.0
+    for system, row in _tracked_rows(X[0]):
+        for x in X[1:]:
+            advance_row(system, row, x)
+        center = system.rules[row].premise.center
+        mean_err = max(mean_err, float(np.max(np.abs(center - X.mean(axis=0)))))
 
     # bounded horizon matches a 50-digit re-execution of the recursion
     tmax = 20
     X2 = rng.normal(size=(2000, 2))
-    p2 = create_rule(X2[0], 0, 1.0, 100.0, 2, rule_id=1).premise
-    p2.horizon = tmax
-    for x in X2[1:]:
-        update_premise(p2, x, refresh=False)
+    tracked = _tracked_rows(X2[0])
+    for system, row in tracked:
+        for x in X2[1:]:
+            advance_row(system, row, x, tmax)
     with mpmath.workdps(50):
         center = [mpmath.mpf(float(v)) for v in X2[0]]
         cov = [[mpmath.mpf(1 if i == j else 0) for j in range(2)]
@@ -156,10 +210,13 @@ def test_criterion_3_premise_recursions(capsys):
             resid = [xs[i] - center[i] for i in range(2)]
             cov = [[keep * cov[i][j] + alpha * resid[i] * resid[j]
                     for j in range(2)] for i in range(2)]
-        center_err = max(abs(float(p2.center[i] - center[i]))
-                         for i in range(2))
-        cov_err = max(abs(float(p2.cov[i, j] - cov[i][j]))
-                      for i in range(2) for j in range(2))
+        center_err = cov_err = 0.0
+        for system, row in tracked:
+            premise = system.rules[row].premise
+            center_err = max(center_err, *(abs(float(premise.center[i] - center[i]))
+                                           for i in range(2)))
+            cov_err = max(cov_err, *(abs(float(premise.cov[i, j] - cov[i][j]))
+                                     for i in range(2) for j in range(2)))
 
     ok = mean_err < 1e-12 and center_err < 1e-12 and cov_err < 1e-12
     _report(capsys, 3, "premise recursion vs mean and 50-digit rerun", ok,

@@ -5,19 +5,15 @@ import pytest
 
 from driftfis import fis
 from driftfis.fis import (
-    Consequent,
     EmptySystemError,
     FuzzySystem,
-    Premise,
     augment,
     create_rule,
-    membership,
-    one_hot,
-    update_premise,
-    wrls_update,
 )
-from driftfis.linalg import DOWNDATE_GUARD, corr_decrement, regularized_inverse
-from helpers import attach_rows, random_pd, random_system
+from driftfis.linalg import DOWNDATE_GUARD, regularized_inverse
+from helpers import advance_row, attach_rows, blank_system, random_system
+
+ONE_HOT = np.eye(2)  # class targets of a two-class system
 
 
 def test_augment_prepends_one():
@@ -25,113 +21,123 @@ def test_augment_prepends_one():
     assert np.array_equal(out, [1.0, 2.0, 3.0])
 
 
-def test_one_hot():
-    assert np.array_equal(one_hot(1, 3), [0.0, 1.0, 0.0])
-
-
 class TestMembership:
+    """Cauchy membership 1/(1 + squared Mahalanobis distance)."""
+
     def test_center_is_one(self):
         rule = create_rule(np.array([1.0, -2.0]), 0, 1.0, 100.0, 2, rule_id=0)
-        assert membership(rule.premise, np.array([1.0, -2.0])) == 1.0
+        assert rule.system.memberships(np.array([1.0, -2.0]))[0] == 1.0
 
     def test_unit_offset(self):
         rule = create_rule(np.zeros(2), 0, 1.0, 100.0, 2, rule_id=0)
-        beta = membership(rule.premise, np.array([1.0, 0.0]))
+        beta = rule.system.memberships(np.array([1.0, 0.0]))[0]
         assert beta == pytest.approx(0.5, rel=1e-5)  # ridge shifts it a hair
 
     def test_diagonal_hand_value(self):
-        premise = Premise(
-            center=np.zeros(2),
-            cov=np.diag([4.0, 1.0]),
-            cov_inv=np.diag([0.25, 1.0]),
-            hits=1,
-        )
-        assert membership(premise, np.array([2.0, 1.0])) == pytest.approx(1.0 / 3.0)
+        rule = create_rule(np.zeros(2), 0, 1.0, 100.0, 2, rule_id=0)
+        rule.premise.cov_inv[:] = np.diag([0.25, 1.0])
+        beta = rule.system.memberships(np.array([2.0, 1.0]))[0]
+        assert beta == pytest.approx(1.0 / 3.0)
 
 
 class TestUpdatePremise:
+    """The fading premise recursion, through advance_premises."""
+
     def test_second_sample_gives_midpoint(self):
-        premise = create_rule(np.array([0.0, 0.0]), 0, 1.0, 100.0, 2,
-                              rule_id=0).premise
-        update_premise(premise, np.array([2.0, 4.0]))
-        assert np.allclose(premise.center, [1.0, 2.0])
-        assert premise.hits == 2
+        system = create_rule(np.array([0.0, 0.0]), 0, 1.0, 100.0, 2,
+                             rule_id=0).system
+        advance_row(system, 0, np.array([2.0, 4.0]))
+        assert np.allclose(system.rules[0].premise.center, [1.0, 2.0])
+        assert system.rules[0].premise.hits == 2
 
     def test_unbounded_horizon_is_running_mean(self):
         rng = np.random.default_rng(10)
         xs = rng.standard_normal((1000, 3))
-        premise = create_rule(xs[0], 0, 1.0, 100.0, 2, rule_id=0).premise
+        system = create_rule(xs[0], 0, 1.0, 100.0, 2, rule_id=0).system
         for x in xs[1:]:
-            update_premise(premise, x)
-        assert np.max(np.abs(premise.center - xs.mean(axis=0))) < 1e-12
+            advance_row(system, 0, x)
+        center = system.rules[0].premise.center
+        assert np.max(np.abs(center - xs.mean(axis=0))) < 1e-12
 
     def test_horizon_one_tracks_sample(self):
-        premise = Premise(center=np.zeros(2), cov=np.eye(2),
-                          cov_inv=np.eye(2), hits=5, horizon=1)
+        system = create_rule(np.zeros(2), 0, 1.0, 100.0, 2, rule_id=0).system
+        system.hits[0] = 5
         x = np.array([3.0, -1.0])
-        update_premise(premise, x)
+        advance_row(system, 0, x, horizon=1)
+        premise = system.rules[0].premise
         assert np.array_equal(premise.center, x)
         # residual from the fully-moved center is zero, so cov collapses fully
         assert np.array_equal(premise.cov, np.zeros((2, 2)))
 
     def test_matches_manual_recursion(self):
+        # on the full-stack path (3 rows) and the gather path (9 rows, more
+        # than 4x the one listed row); the unlisted rows keep their bits
         rng = np.random.default_rng(11)
         xs = rng.standard_normal((50, 2))
-        premise = Premise(center=xs[0].copy(), cov=np.eye(2),
-                          cov_inv=regularized_inverse(np.eye(2)), hits=1, horizon=7)
-        mu = xs[0].copy()
-        cov = np.eye(2)
-        hits = 1
-        for x in xs[1:]:
-            update_premise(premise, x)
-            hits += 1
-            alpha = 1.0 / min(hits, 7)
-            mu = (1.0 - alpha) * mu + alpha * x
-            resid = x - mu
-            cov = (1.0 - alpha) * cov + alpha * np.outer(resid, resid)
-        assert np.array_equal(premise.center, mu)
-        assert np.array_equal(premise.cov, cov)
-        assert premise.cov_inv.tobytes() == regularized_inverse(cov).tobytes()
-
-    def test_refresh_false_leaves_inverse_stale(self):
-        premise = Premise(center=np.zeros(2), cov=np.eye(2),
-                          cov_inv=np.eye(2), hits=1)
-        stale = premise.cov_inv
-        update_premise(premise, np.array([1.0, 1.0]), refresh=False)
-        assert premise.cov_inv is stale
+        for n_rows, row in ((3, 1), (9, 4)):
+            system = random_system(rng, n_rows, 2, 2)
+            system._centers[row] = xs[0]
+            system._covs[row] = np.eye(2)
+            frozen = [stack.copy() for stack in system.stacks()]
+            mu = xs[0].copy()
+            cov = np.eye(2)
+            hits = 1
+            for x in xs[1:]:
+                advance_row(system, row, x, horizon=7)
+                hits += 1
+                alpha = 1.0 / min(hits, 7)
+                mu = (1.0 - alpha) * mu + alpha * x
+                resid = x - mu
+                cov = (1.0 - alpha) * cov + alpha * np.outer(resid, resid)
+            premise = system.rules[row].premise
+            assert np.array_equal(premise.center, mu)
+            assert np.array_equal(premise.cov, cov)
+            assert premise.cov_inv.tobytes() == regularized_inverse(cov).tobytes()
+            others = np.arange(n_rows) != row
+            for stack, before in zip(system.stacks(), frozen):
+                assert stack[others].tobytes() == before[others].tobytes()
 
 
 class TestWrlsUpdate:
+    """One WRLS step, through FuzzySystem.wrls_step."""
+
     def test_worked_single_step(self):
         # d=1, Omega=100, x_aug=(1,0), w=1, target=(1):
         # C -> diag(100/101, 100), Pi column -> (100/101, 0)
-        con = Consequent(coeffs=np.zeros((2, 1)), corr=100.0 * np.eye(2))
-        wrls_update(con, np.array([1.0, 0.0]), 1.0, np.array([1.0]))
+        system = blank_system(1, 1, [100.0])
+        system.wrls_step(np.array([1.0, 0.0]), np.array([1.0]), np.array([1.0]))
+        con = system.rules[0].consequent
         assert np.allclose(con.corr, np.diag([100.0 / 101.0, 100.0]))
         assert con.coeffs[0, 0] == pytest.approx(100.0 / 101.0)
         assert con.coeffs[1, 0] == 0.0
 
     def test_zero_weight_is_exact_noop(self):
-        con = Consequent(coeffs=np.ones((3, 2)), corr=50.0 * np.eye(3))
-        coeffs_before = con.coeffs.tobytes()
-        corr_before = con.corr.tobytes()
-        wrls_update(con, np.array([1.0, 2.0, 3.0]), 0.0, np.array([1.0, 0.0]))
-        assert con.coeffs.tobytes() == coeffs_before
-        assert con.corr.tobytes() == corr_before
+        # zero-weight rows keep their bits, stepped whole or through a list
+        for rows in (None, np.arange(3)):
+            system = blank_system(2, 2, [50.0, 20.0, 10.0])
+            system._coeffs[:] = 1.0
+            before = [stack.copy() for stack in system.stacks()]
+            system.wrls_step(np.array([1.0, 2.0, 3.0]), np.array([0.0, 0.5, 0.0]),
+                             ONE_HOT[0], rows)
+            for row in (0, 2):
+                assert system._coeffs[row].tobytes() == before[5][row].tobytes()
+                assert system._corrs[row].tobytes() == before[4][row].tobytes()
+            assert system._corrs[1].tobytes() != before[4][1].tobytes()
 
     def test_matches_batch_ridge_solution(self):
         rng = np.random.default_rng(12)
         d, c, t, omega = 3, 2, 200, 100.0
-        con = Consequent(coeffs=np.zeros((d + 1, c)), corr=omega * np.eye(d + 1))
+        system = blank_system(d, c, [omega])
         xs = np.column_stack([np.ones(t), rng.standard_normal((t, d))])
         ws = rng.uniform(0.0, 1.0, size=t)
         ys = np.eye(c)[rng.integers(0, c, size=t)]
         for x, w, y in zip(xs, ws, ys):
-            wrls_update(con, x, float(w), y)
+            system.wrls_step(x, np.array([w]), y)
         gram = np.eye(d + 1) / omega + (xs * ws[:, None]).T @ xs
         rhs = (xs * ws[:, None]).T @ ys
         expected = np.linalg.solve(gram, rhs)
-        assert np.linalg.norm(con.coeffs - expected) / np.linalg.norm(expected) < 1e-8
+        coeffs = system.rules[0].consequent.coeffs
+        assert np.linalg.norm(coeffs - expected) / np.linalg.norm(expected) < 1e-8
 
 
 class TestCreateRule:
@@ -243,16 +249,17 @@ class TestSystemBanks:
         assert system._coeffs[1, 0, 0] == -7.0
 
     def test_memberships_all_matches_per_rule(self):
-        # batched einsum vs the single-rule matvec chain: same value up to
-        # dot-product rounding (the reduction orders differ)
+        # batched einsum vs the membership formula evaluated per rule: same
+        # value up to dot-product rounding (the reduction orders differ)
         rng = np.random.default_rng(17)
         system = random_system(rng, 5, 3, 2)
         for _ in range(10):
             x = rng.standard_normal(3)
             batched = system.memberships(x)
             for i, rule in enumerate(system.rules):
+                diff = x - rule.premise.center
                 assert batched[i] == pytest.approx(
-                    membership(rule.premise, x), rel=1e-12)
+                    1.0 / (1.0 + diff @ rule.premise.cov_inv @ diff), rel=1e-12)
 
     def test_memberships_ignore_aux_rows(self):
         rng = np.random.default_rng(18)
@@ -284,55 +291,15 @@ class TestSystemBanks:
 
 
 class TestBatchedAdaptation:
-    """The batched bank operations must match the single-rule reference bitwise."""
-
-    def _system_and_shadows(self, rng, n, d=3, c=2):
-        system = random_system(rng, n, d, c)
-        shadows = []
-        for rule in system.rules:
-            shadows.append(Premise(
-                center=rule.premise.center.copy(),
-                cov=rule.premise.cov.copy(),
-                cov_inv=rule.premise.cov_inv.copy(),
-                hits=rule.premise.hits,
-                horizon=rule.premise.horizon,
-            ))
-        return system, shadows
-
-    def test_advance_premises_matches_update_premise(self):
-        rng = np.random.default_rng(19)
-        system, shadows = self._system_and_shadows(rng, 6)
-        x = rng.standard_normal(3)
-        # rows 1 and 4 update (with different effective horizons), rest stay
-        shadows[1].horizon, shadows[1].hits = None, 9
-        shadows[4].horizon, shadows[4].hits = 5, 9
-        alphas = np.zeros((6, 1))
-        for row, horizon in ((1, None), (4, 5)):
-            system.hits[row] = 10
-            t = 10 if horizon is None else min(10, horizon)
-            alphas[row, 0] = 1.0 / t
-        frozen = {i: (shadows[i].center.tobytes(), shadows[i].cov.tobytes(),
-                      shadows[i].cov_inv.tobytes())
-                  for i in range(6) if i not in (1, 4)}
-        system.advance_premises(x, alphas)
-        for row in (1, 4):
-            update_premise(shadows[row], x)
-            live = system.rules[row].premise
-            assert live.center.tobytes() == shadows[row].center.tobytes()
-            assert live.cov.tobytes() == shadows[row].cov.tobytes()
-            assert live.cov_inv.tobytes() == shadows[row].cov_inv.tobytes()
-        for i, (center, cov, inv) in frozen.items():
-            live = system.rules[i].premise
-            assert live.center.tobytes() == center
-            assert live.cov.tobytes() == cov
-            assert live.cov_inv.tobytes() == inv
+    """Each row's result is the same bit for bit whichever path of a batched
+    operation computes it and whichever other rows share the stack."""
 
     def test_advance_premises_gather_path_matches_full(self):
         # stacks big enough to trigger the selective re-inversion
         rng = np.random.default_rng(20)
-        sys_full, _ = self._system_and_shadows(rng, 14)
+        sys_full = random_system(rng, 14, 3, 2)
         rng2 = np.random.default_rng(20)
-        sys_rows, _ = self._system_and_shadows(rng2, 14)
+        sys_rows = random_system(rng2, 14, 3, 2)
         x = rng.standard_normal(3)
         alphas = np.zeros((14, 1))
         alphas[2, 0] = 0.25
@@ -345,31 +312,6 @@ class TestBatchedAdaptation:
         assert sys_full._covs.tobytes() == sys_rows._covs.tobytes()
         assert sys_full._invs.tobytes() == sys_rows._invs.tobytes()
 
-    def test_wrls_step_matches_wrls_update(self):
-        rng = np.random.default_rng(21)
-        system = random_system(rng, 5, 3, 2)
-        shadows = [Consequent(r.consequent.coeffs.copy(),
-                              r.consequent.corr.copy()) for r in system.rules]
-        x_aug = augment(rng.standard_normal(3))
-        weights = np.array([0.4, 0.0, 1.0, 0.0, 0.2])
-        target = one_hot(1, 2)
-        before = {i: (system.rules[i].consequent.coeffs.tobytes(),
-                      system.rules[i].consequent.corr.tobytes())
-                  for i in range(5) if weights[i] == 0.0}
-        system.wrls_step(x_aug, weights, target)
-        for i, shadow in enumerate(shadows):
-            wrls_update(shadow, x_aug, float(weights[i]), target)
-            live = system.rules[i].consequent
-            np.testing.assert_allclose(live.coeffs, shadow.coeffs,
-                                       rtol=1e-12, atol=1e-15)
-            np.testing.assert_allclose(live.corr, shadow.corr,
-                                       rtol=1e-12, atol=1e-15)
-        # zero-weight rows are exact no-ops, bit for bit
-        for i, (coeffs, corr) in before.items():
-            live = system.rules[i].consequent
-            assert live.coeffs.tobytes() == coeffs
-            assert live.corr.tobytes() == corr
-
     def test_wrls_step_independent_of_stack_mates(self):
         # a row's update must be bitwise identical no matter how many other
         # rows share the stack — the learner's shadow rows rely on this
@@ -381,7 +323,7 @@ class TestBatchedAdaptation:
                   for j in range(6)]
         attach_rows(packed, extras)
         x_aug = augment(rng.standard_normal(3))
-        target = one_hot(0, 2)
+        target = ONE_HOT[0]
         weights3 = np.array([0.7, 0.1, 0.4])
         bare.wrls_step(x_aug, weights3, target)
         packed.wrls_step(x_aug, np.concatenate([weights3, rng.uniform(0, 1, 6)]),
@@ -408,16 +350,6 @@ class TestBatchedAdaptation:
             assert a.premise.cov.tobytes() == b.premise.cov.tobytes()
             assert a.premise.cov_inv.tobytes() == b.premise.cov_inv.tobytes()
 
-    def test_downdate_row_matches_corr_decrement(self):
-        rng = np.random.default_rng(22)
-        system = random_system(rng, 3, 3, 2)
-        x_aug = augment(rng.standard_normal(3))
-        w = 0.6
-        system.wrls_step(x_aug, np.array([w, 0.0, 0.0]), one_hot(0, 2))
-        expected = corr_decrement(system.rules[0].consequent.corr.copy(), x_aug, w)
-        assert system.downdate_row(0, x_aug, w)
-        assert system.rules[0].consequent.corr.tobytes() == expected.tobytes()
-
     def test_downdate_row_guard_leaves_row_untouched(self):
         rng = np.random.default_rng(23)
         system = random_system(rng, 1, 1, 2)
@@ -439,15 +371,15 @@ class TestBatchedAdaptation:
         for system in (full, listed):  # make the correlations generic
             for _ in range(3):
                 system.wrls_step(augment(np.ones(d)), np.full(n_rows, 0.3),
-                                 one_hot(1, 2))
+                                 ONE_HOT[1])
         rows = np.array([0, 1, 2, 7, 8], dtype=np.intp)
         assert ((n_rows - 5) * (d + 1) ** 2 > fis._GATHER_MIN_SKIPPED) == gathers
         weights = np.zeros(n_rows)
         weights[rows] = [0.4, 0.0, 0.25, 0.01, 0.02]
         corrs_before = listed._corrs.copy()
         coeffs_before = listed._coeffs.copy()
-        full.wrls_step(x_aug, weights, one_hot(0, 2))
-        listed.wrls_step(x_aug, weights[rows], one_hot(0, 2), rows)
+        full.wrls_step(x_aug, weights, ONE_HOT[0])
+        listed.wrls_step(x_aug, weights[rows], ONE_HOT[0], rows)
         assert full._corrs[rows].tobytes() == listed._corrs[rows].tobytes()
         assert full._coeffs[rows].tobytes() == listed._coeffs[rows].tobytes()
         others = np.setdiff1d(np.arange(n_rows), rows)
@@ -459,7 +391,7 @@ class TestBatchedAdaptation:
         batched = random_system(rng, 6, 3, 2)
         single = random_system(np.random.default_rng(28), 6, 3, 2)
         for system in (batched, single):
-            system.wrls_step(augment(np.ones(3)), np.full(6, 0.5), one_hot(0, 2))
+            system.wrls_step(augment(np.ones(3)), np.full(6, 0.5), ONE_HOT[0])
             system.rules[2].consequent.corr[:] = np.eye(4)  # guard row
         rows = np.array([4, 0, 2, 5], dtype=np.intp)
         xs = np.array([augment(rng.standard_normal(3)) for _ in rows])
@@ -488,7 +420,7 @@ class TestBatchedAdaptation:
         systems = [random_system(np.random.default_rng(29), 6, 3, 2)
                    for _ in range(2)]
         for system in systems:
-            system.wrls_step(augment(np.ones(3)), np.full(6, 0.5), one_hot(0, 2))
+            system.wrls_step(augment(np.ones(3)), np.full(6, 0.5), ONE_HOT[0])
             if guard_row is not None:
                 system.rules[guard_row].consequent.corr[:] = np.eye(4)
         xs = np.array([augment(rng.standard_normal(3)) for _ in range(4)])
@@ -509,8 +441,8 @@ class TestBatchedAdaptation:
         sys_b = random_system(rng2, 2, 3, 2)
         x_aug = augment(rng.standard_normal(3))
         weights = np.array([0.5, 0.3])
-        sys_a.wrls_step(x_aug, weights, one_hot(1, 2))
-        sys_b.wrls_step(x_aug, weights, one_hot(1, 2))
+        sys_a.wrls_step(x_aug, weights, ONE_HOT[1])
+        sys_b.wrls_step(x_aug, weights, ONE_HOT[1])
         ok = sys_a.downdate_row_pair(0, x_aug, weights)
         assert ok == (True, True)
         assert sys_b.downdate_row(0, x_aug, float(weights[0]))
@@ -527,9 +459,12 @@ class TestBatchedAdaptation:
         system.rules[0].consequent.corr[:] = np.eye(2)
         x_aug = np.array([1.0, 0.0])
         system.rules[1].consequent.corr[:] = 100.0 * np.eye(2)
-        system.wrls_step(x_aug, np.array([0.0, 0.7]), one_hot(0, 2))
+        system.wrls_step(x_aug, np.array([0.0, 0.7]), ONE_HOT[0])
         before_0 = system.rules[0].consequent.corr.tobytes()
-        expected_1 = corr_decrement(system.rules[1].consequent.corr.copy(), x_aug, 0.7)
+        # the single-row downdate, written out
+        corr = system.rules[1].consequent.corr.copy()
+        u = corr @ x_aug
+        expected_1 = corr + (0.7 / (1.0 - 0.7 * float(x_aug @ u))) * (u[:, None] * u)
         ok0, ok1 = system.downdate_row_pair(0, x_aug, np.array([1.0, 0.7]))
         assert (ok0, ok1) == (False, True)
         assert system.rules[0].consequent.corr.tobytes() == before_0

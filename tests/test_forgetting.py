@@ -1,5 +1,6 @@
 """Unit tests for deferred directional forgetting of WRLS conclusions."""
 
+import copy
 from collections import deque
 
 import numpy as np
@@ -7,13 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftfis.fis import Consequent, augment, one_hot, wrls_update
-from driftfis.forgetting import DDFWindow, WindowBank, ddf_update, push_pair
-from driftfis.linalg import corr_decrement
-
-
-def blank_consequent(d=2, c=2, omega=100.0):
-    return Consequent(coeffs=np.zeros((d + 1, c)), corr=omega * np.eye(d + 1))
+from driftfis.fis import augment
+from driftfis.forgetting import DDFWindow, WindowBank, push_pair
+from helpers import blank_system, forget_principal
 
 
 class TestDDFWindow:
@@ -297,115 +294,130 @@ class TestWindowBank:
         assert bank.state[:, 1].tolist() == [0, 2, 1]
 
 
+def forgetting_rows(ws, n=1, d=2, c=2, omega=100.0):
+    """A blank n-row system and a principal window bank of capacity ws."""
+    bank = WindowBank(ws, d + 1)
+    bank.set_rows(np.arange(n), [DDFWindow(ws) for _ in range(n)])
+    return blank_system(d, c, [omega] * n), bank
+
+
+def ddf_step(system, bank, x_aug, weights, target):
+    """A WRLS step of every row, then the deferred forgetting of what the
+    windows evict."""
+    system.wrls_step(x_aug, weights, target)
+    forget_principal(system, bank, x_aug, weights)
+
+
 class TestDdfUpdate:
+    """Deferred forgetting through WindowBank.push and downdate_rows."""
+
     def test_window_size_one_keeps_only_newest(self):
-        # after p1 then p2 with ws=1: C^-1 == Omega^-1 I + w2 x2 x2^T
+        # after p1 then p2 with ws=1: C^-1 == Omega^-1 I + w2 x2 x2^T, per row
         omega = 100.0
-        con = blank_consequent(d=2, c=1, omega=omega)
-        window = DDFWindow(1)
+        system, bank = forgetting_rows(1, n=2, c=1, omega=omega)
         rng = np.random.default_rng(30)
         x1, x2 = augment(rng.standard_normal(2)), augment(rng.standard_normal(2))
-        ddf_update(con, window, x1, 0.8, np.array([1.0]))
-        ddf_update(con, window, x2, 0.6, np.array([0.0]))
-        lhs = np.linalg.inv(con.corr)
-        rhs = np.eye(3) / omega + 0.6 * np.outer(x2, x2)
-        assert np.linalg.norm(lhs - rhs) < 1e-8
+        ddf_step(system, bank, x1, np.array([0.8, 0.3]), np.array([1.0]))
+        ddf_step(system, bank, x2, np.array([0.6, 0.9]), np.array([0.0]))
+        for row, w2 in enumerate((0.6, 0.9)):
+            lhs = np.linalg.inv(system._corrs[row])
+            rhs = np.eye(3) / omega + w2 * np.outer(x2, x2)
+            assert np.linalg.norm(lhs - rhs) < 1e-8
 
     def test_large_window_equals_plain_wrls(self):
         rng = np.random.default_rng(31)
-        con_a = blank_consequent()
-        con_b = blank_consequent()
-        window = DDFWindow(1000)
+        system, bank = forgetting_rows(1000, n=3)
+        plain = blank_system(2, 2, [100.0] * 3)
         for _ in range(50):
             x = augment(rng.standard_normal(2))
-            w = float(rng.uniform(0, 1))
-            y = one_hot(int(rng.integers(0, 2)), 2)
-            ddf_update(con_a, window, x, w, y)
-            wrls_update(con_b, x, w, y)
-        assert np.array_equal(con_a.corr, con_b.corr)
-        assert np.array_equal(con_a.coeffs, con_b.coeffs)
-        assert window.skipped == 0
+            w = rng.uniform(0, 1, size=3)
+            y = np.eye(2)[int(rng.integers(0, 2))]
+            ddf_step(system, bank, x, w, y)
+            plain.wrls_step(x, w, y)
+        assert np.array_equal(system._corrs, plain._corrs)
+        assert np.array_equal(system._coeffs, plain._coeffs)
+        assert not bank.skipped.any()
 
     def test_zero_weight_eviction_is_noop(self):
-        con = blank_consequent()
-        window = DDFWindow(1)
-        ddf_update(con, window, augment(np.zeros(2)), 0.0, one_hot(0, 2))
-        before = con.corr.copy()
-        ddf_update(con, window, augment(np.ones(2)), 0.5, one_hot(1, 2))
-        # the evicted entry had weight 0, so only the increment of the new
+        system, bank = forgetting_rows(1, n=2)
+        ddf_step(system, bank, augment(np.zeros(2)), np.zeros(2), np.eye(2)[0])
+        before = system._corrs.copy()
+        ddf_step(system, bank, augment(np.ones(2)), np.array([0.5, 0.25]),
+                 np.eye(2)[1])
+        # the evicted entries had weight 0, so only the increment of the new
         # sample separates the two states
-        expected = blank_consequent()
-        wrls_update(expected, augment(np.ones(2)), 0.5, one_hot(1, 2))
-        assert np.array_equal(con.corr, expected.corr)
-        assert not np.array_equal(con.corr, before)
+        expected = blank_system(2, 2, [100.0] * 2)
+        expected.wrls_step(augment(np.ones(2)), np.array([0.5, 0.25]), np.eye(2)[1])
+        assert np.array_equal(system._corrs, expected._corrs)
+        assert not np.array_equal(system._corrs, before)
 
     def test_window_consistency_random_stream(self):
         rng = np.random.default_rng(32)
         omega = 100.0
-        con = blank_consequent(d=3, c=2, omega=omega)
-        window = DDFWindow(20)
+        system, bank = forgetting_rows(20, n=3, d=3, omega=omega)
         for step in range(400):
             x = augment(rng.standard_normal(3))
-            w = float(rng.uniform(0, 1))
-            y = one_hot(int(rng.integers(0, 2)), 2)
-            ddf_update(con, window, x, w, y)
-            # C^-1 must equal the prior plus exactly the window contents
-            ident = np.eye(4) / omega
-            for wx, ww in window.entries:
-                ident += ww * np.outer(wx, wx)
-            assert np.linalg.norm(np.linalg.inv(con.corr) - ident) < 1e-6
-            # and C stays symmetric positive definite
-            assert np.min(np.linalg.eigvalsh(con.corr)) > 0.0
+            w = rng.uniform(0, 1, size=3)
+            y = np.eye(2)[int(rng.integers(0, 2))]
+            ddf_step(system, bank, x, w, y)
+            for row in range(3):
+                # C^-1 must equal the prior plus exactly the window contents
+                ident = np.eye(4) / omega
+                for wx, ww in bank.window(row).entries:
+                    ident += ww * np.outer(wx, wx)
+                corr = system._corrs[row]
+                assert np.linalg.norm(np.linalg.inv(corr) - ident) < 1e-6
+                # and C stays symmetric positive definite
+                assert np.min(np.linalg.eigvalsh(corr)) > 0.0
 
     def test_draining_window_restores_prior(self):
         # evicting every stored entry by hand returns C to Omega I
         rng = np.random.default_rng(33)
         omega = 100.0
-        con = blank_consequent(d=2, c=2, omega=omega)
-        window = DDFWindow(30)
+        system, bank = forgetting_rows(30, n=2, omega=omega)
         for _ in range(25):
-            ddf_update(con, window, augment(rng.standard_normal(2)),
-                       float(rng.uniform(0.05, 1)), one_hot(0, 2))
-        corr = con.corr
-        for x, w in window.entries:
-            corr = corr_decrement(corr, x, w)
-        assert np.linalg.norm(corr - omega * np.eye(3)) < 1e-6
+            ddf_step(system, bank, augment(rng.standard_normal(2)),
+                     rng.uniform(0.05, 1, size=2), np.eye(2)[0])
+        for row in range(2):
+            for x, w in bank.window(row).entries:
+                assert system.downdate_row(row, x, w)
+            assert np.linalg.norm(system._corrs[row] - omega * np.eye(3)) < 1e-6
 
     def test_coefficients_never_decremented(self):
         # eviction rewrites C only; within a step the coefficients move
-        # exactly as a plain wrls_update from the same starting state would
+        # exactly as a plain WRLS step from the same starting state would
         rng = np.random.default_rng(34)
-        con = blank_consequent()
-        window = DDFWindow(5)
+        system, bank = forgetting_rows(5, n=2)
         for step in range(30):
             x = augment(rng.standard_normal(2))
-            w = float(rng.uniform(0.1, 1))
-            y = one_hot(int(rng.integers(0, 2)), 2)
-            reference = Consequent(con.coeffs.copy(), con.corr.copy())
-            ddf_update(con, window, x, w, y)
-            wrls_update(reference, x, w, y)
-            assert np.array_equal(con.coeffs, reference.coeffs)
+            w = rng.uniform(0.1, 1, size=2)
+            y = np.eye(2)[int(rng.integers(0, 2))]
+            reference = copy.deepcopy(system)
+            ddf_step(system, bank, x, w, y)
+            reference.wrls_step(x, w, y)
+            assert np.array_equal(system._coeffs, reference._coeffs)
             if step >= 5:  # eviction active: C must have moved past plain WRLS
-                assert not np.array_equal(con.corr, reference.corr)
+                for row in range(2):
+                    assert not np.array_equal(system._corrs[row],
+                                              reference._corrs[row])
 
     def test_near_singular_eviction_skipped_and_counted(self):
         # rounding floors the denominator reachable through ordinary update
         # sequences around 1e-6, so build the degenerate state by hand: the
         # evicted entry's weight almost exactly exhausts C along its
         # direction, putting 1 - w x'Cx inside the guard band
-        omega = 100.0
-        con = blank_consequent(d=1, c=1, omega=omega)
-        con.corr = np.array([[1.0 + 1e-9, 0.0], [0.0, 1.0]])
-        window = DDFWindow(1)
-        window.push(np.array([1.0, 0.0]), 1.0)
-        corr_before = con.corr.copy()
-        coeffs_before = con.coeffs.copy()
-        ddf_update(con, window, np.array([0.0, 1.0]), 0.0, np.array([0.0]))
-        assert window.skipped == 1
+        system, bank = forgetting_rows(1, d=1, c=1)
+        system._corrs[0] = [[1.0 + 1e-9, 0.0], [0.0, 1.0]]
+        bank.push(np.array([1.0, 0.0]), np.array([1.0]))
+        corr_before = system._corrs.copy()
+        coeffs_before = system._coeffs.copy()
+        ddf_step(system, bank, np.array([0.0, 1.0]), np.zeros(1), np.array([0.0]))
+        assert bank.skipped.tolist() == [1]
         # the skipped eviction leaves the state untouched: zero-weight
         # increment plus refused downdate means nothing moved
-        assert np.array_equal(con.corr, corr_before)
-        assert np.array_equal(con.coeffs, coeffs_before)
+        assert np.array_equal(system._corrs, corr_before)
+        assert np.array_equal(system._coeffs, coeffs_before)
         # the window itself still rotated to the new sample
+        window = bank.window(0)
         assert len(window) == 1
         assert window.entries[0][1] == 0.0

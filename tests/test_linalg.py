@@ -1,19 +1,29 @@
-"""Unit tests for the dense linear-algebra kernels."""
+"""Unit tests for the dense linear-algebra kernels.
+
+The Mahalanobis form and the rank-one correlation updates have no
+standalone kernel: they are tested here through the FuzzySystem methods
+that compute them (memberships_all, wrls_step, downdate_row).
+"""
 
 import numpy as np
 import pytest
 
+from driftfis.fis import create_rule
 from driftfis.linalg import (
     DOWNDATE_GUARD,
-    NearSingularError,
-    corr_decrement,
-    corr_increment,
     ellipsoid_radius_along,
-    mahalanobis_sq,
     regularized_inverse,
     regularized_inverse_stack,
 )
-from helpers import random_orthogonal, random_pd
+from helpers import blank_system, random_orthogonal, random_pd
+
+
+def squared_distance(x, center, cov_inv):
+    """(x-center) @ cov_inv @ (x-center), read back from the membership
+    1/(1 + that form) of a one-rule system."""
+    rule = create_rule(center, 0, 1.0, 100.0, 1, rule_id=0)
+    rule.premise.cov_inv[:] = cov_inv
+    return 1.0 / rule.system.memberships_all(x)[0] - 1.0
 
 
 class TestMahalanobis:
@@ -22,24 +32,22 @@ class TestMahalanobis:
         for d in (1, 2, 5):
             x = rng.standard_normal(d)
             a_inv = np.linalg.inv(random_pd(rng, d))
-            assert mahalanobis_sq(x, x, a_inv) == 0.0
+            assert squared_distance(x, x, a_inv) == 0.0
 
     def test_euclidean_reduction(self):
         # identity covariance degenerates to squared Euclidean distance
         x = np.array([3.0, 4.0])
         mu = np.zeros(2)
-        assert mahalanobis_sq(x, mu, np.eye(2)) == pytest.approx(25.0)
+        assert squared_distance(x, mu, np.eye(2)) == pytest.approx(25.0)
 
     def test_diagonal_hand_value(self):
         # A = diag(4,1), offset (2,1): 4/4 + 1/1 = 2
         a_inv = np.diag([0.25, 1.0])
-        assert mahalanobis_sq(np.array([2.0, 1.0]), np.zeros(2), a_inv) == pytest.approx(2.0)
+        assert squared_distance(np.array([2.0, 1.0]), np.zeros(2), a_inv) == pytest.approx(2.0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            mahalanobis_sq(np.zeros(3), np.zeros(2), np.eye(2))
-        with pytest.raises(ValueError):
-            mahalanobis_sq(np.zeros(2), np.zeros(2), np.eye(3))
+            squared_distance(np.zeros(3), np.zeros(2), np.eye(2))
 
     def test_rotation_invariance(self):
         rng = np.random.default_rng(1)
@@ -49,44 +57,64 @@ class TestMahalanobis:
             mu = rng.standard_normal(d)
             a = random_pd(rng, d)
             r = random_orthogonal(rng, d)
-            base = mahalanobis_sq(x, mu, np.linalg.inv(a))
-            rotated = mahalanobis_sq(r @ x, r @ mu, np.linalg.inv(r @ a @ r.T))
+            base = squared_distance(x, mu, np.linalg.inv(a))
+            rotated = squared_distance(r @ x, r @ mu, np.linalg.inv(r @ a @ r.T))
             assert rotated == pytest.approx(base, abs=1e-9, rel=1e-9)
 
 
+def one_row(corr):
+    """A one-row system holding ``corr`` as its correlation."""
+    system = blank_system(corr.shape[0] - 1, 1, [1.0])
+    system._corrs[0] = corr
+    return system
+
+
+def increment(system, x, w):
+    """The wrls_step correlation update of row 0 alone."""
+    system.wrls_step(x, np.array([w]), np.zeros(1))
+    return system._corrs[0].copy()
+
+
 class TestCorrUpdates:
+    """wrls_step folds (x, w) into C, downdate_row removes it again."""
+
     def test_zero_weight_is_copy(self):
         corr = 100.0 * np.eye(3)
         x = np.array([1.0, 2.0, 3.0])
-        for fn in (corr_increment, corr_decrement):
-            out = fn(corr, x, 0.0)
-            assert np.array_equal(out, corr)
-            assert out is not corr
+        system = one_row(corr)
+        assert np.array_equal(increment(system, x, 0.0), corr)
+        assert system.downdate_row(0, x, 0.0)
+        assert np.array_equal(system._corrs[0], corr)
 
     def test_scalar_hand_computation(self):
-        # d=1, C=[100], x=[1], w=1: increment -> [100/101], downdate restores
-        corr = np.array([[100.0]])
-        x = np.array([1.0])
-        inc = corr_increment(corr, x, 1.0)
+        # C=100 I, x=(1,0), w=1: increment -> diag(100/101, 100), downdate restores
+        system = one_row(100.0 * np.eye(2))
+        x = np.array([1.0, 0.0])
+        inc = increment(system, x, 1.0)
         assert inc[0, 0] == pytest.approx(100.0 / 101.0)
-        back = corr_decrement(inc, x, 1.0)
-        assert back[0, 0] == pytest.approx(100.0, abs=1e-10)
+        assert inc[1, 1] == 100.0
+        assert system.downdate_row(0, x, 1.0)
+        assert system._corrs[0, 0, 0] == pytest.approx(100.0, abs=1e-10)
 
     def test_roundtrip_identity_case(self):
         corr = 100.0 * np.eye(2)
+        system = one_row(corr)
         x = np.array([1.0, 0.0])
-        back = corr_decrement(corr_increment(corr, x, 1.0), x, 1.0)
-        assert np.allclose(back, corr, atol=1e-10)
+        increment(system, x, 1.0)
+        assert system.downdate_row(0, x, 1.0)
+        assert np.allclose(system._corrs[0], corr, atol=1e-10)
 
     def test_roundtrip_random(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
-            d = int(rng.integers(1, 8))
-            corr = random_pd(rng, d, scale=50.0)
-            x = rng.standard_normal(d)
+            k = int(rng.integers(1, 8)) + 1  # a system has at least one feature
+            corr = random_pd(rng, k, scale=50.0)
+            x = rng.standard_normal(k)
             w = float(rng.uniform(0.01, 1.0))
-            back = corr_decrement(corr_increment(corr, x, w), x, w)
-            assert np.linalg.norm(back - corr) < 1e-8
+            system = one_row(corr)
+            increment(system, x, w)
+            assert system.downdate_row(0, x, w)
+            assert np.linalg.norm(system._corrs[0] - corr) < 1e-8
 
     def test_increment_inverse_semantics(self):
         # C_new^-1 == C^-1 + w * x x^T
@@ -94,24 +122,30 @@ class TestCorrUpdates:
         corr = random_pd(rng, 4, scale=10.0)
         x = rng.standard_normal(4)
         w = 0.7
-        new = corr_increment(corr, x, w)
+        new = increment(one_row(corr), x, w)
         lhs = np.linalg.inv(new)
         rhs = np.linalg.inv(corr) + w * np.outer(x, x)
         assert np.allclose(lhs, rhs, atol=1e-10)
 
     def test_inputs_not_mutated(self):
-        corr = 100.0 * np.eye(2)
-        snap = corr.copy()
+        # the updates rewrite the stacks only, never the sample or weights
+        system = one_row(100.0 * np.eye(2))
         x = np.array([1.0, 2.0])
-        corr_increment(corr, x, 0.5)
-        corr_decrement(corr, x, 0.001)
-        assert np.array_equal(corr, snap)
+        weights = np.array([0.5])
+        system.wrls_step(x, weights, np.ones(1))
+        system.downdate_rows(np.array([0]), x[None, :], np.array([0.001]))
+        system.downdate_rows(None, x[None, :], weights)
+        assert x.tolist() == [1.0, 2.0] and weights.tolist() == [0.5]
 
     def test_decrement_guard(self):
-        # removing the only informative observation trips the guard
-        corr = np.array([[1.0]])
-        with pytest.raises(NearSingularError):
-            corr_decrement(corr, np.array([1.0]), 1.0)
+        # the downdate refuses exactly when |1 - w x'Cx| < DOWNDATE_GUARD
+        x = np.array([1.0, 0.0])
+        for margin, ok in ((2.0, True), (0.5, False), (0.0, False)):
+            corr = np.diag([1.0 - margin * DOWNDATE_GUARD, 1.0])
+            system = one_row(corr)
+            assert system.downdate_row(0, x, 1.0) == ok
+            if not ok:
+                assert np.array_equal(system._corrs[0], corr)
 
 
 class TestEllipsoidRadius:

@@ -127,6 +127,11 @@ def _first_pair(state):
     return next(iter(state["anticipations"].values()))
 
 
+def _mirror_break(matrix):
+    """Move one off-diagonal entry by one ulp, leaving its mirror as is."""
+    matrix[0][1] = math.nextafter(matrix[0][1], math.inf)
+
+
 class TestGuards:
     def test_wrong_format_rejected(self):
         state = state_dict(trained_learner(n=40))
@@ -188,6 +193,21 @@ class TestGuards:
         lambda s: s["rules"][0]["consequent"].update(omega=7.0),
         lambda s: _first_pair(s)["slow"]["window"].update(capacity=99),
         lambda s: s.update(next_rule_id=0),
+        lambda s: s["rules"][0]["consequent"]["coeffs"][0].__setitem__(0, math.nan),
+        lambda s: s["rules"][0]["consequent"]["corr"][1].__setitem__(1, math.inf),
+        lambda s: s["rules"][0]["premise"]["center"].__setitem__(0, math.nan),
+        lambda s: s["rules"][0]["window"]["entries"][0].__setitem__(1, math.nan),
+        lambda s: s.update(samples_seen=-1),
+        lambda s: _first_pair(s).update(samples_seen=-1),
+        lambda s: s["rules"][0]["window"].update(skipped=-1),
+        lambda s: s["rules"][0].update(born_class=2),
+        lambda s: s.update(seen_classes=[0, 1, 2]),
+        lambda s: s["drift_log"].append({"sample_index": "7", "rule_id": 0,
+                                         "strategy": "global", "separation": 1.5}),
+        lambda s: s["drift_log"].append({"sample_index": 7, "rule_id": 0,
+                                         "strategy": "global", "separation": "1.5"}),
+        lambda s: _mirror_break(s["rules"][0]["premise"]["cov"]),
+        lambda s: _mirror_break(_first_pair(s)["fast"]["consequent"]["corr"]),
     ])
     def test_malformed_value_rejected(self, mangle):
         state = state_dict(trained_learner(n=40, forgetting_mode="forget_ps"))
