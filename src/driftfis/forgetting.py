@@ -12,15 +12,14 @@ Coefficients are never decremented: old directions merely stop being
 reinforced, which lets the estimator move again along directions that
 fresh data no longer excites.
 
-A window is a ring of ``capacity`` slots, each holding a sample and its
-weight, plus a head (the slot the next sample goes to), a fill (how many
-slots hold a sample) and a ``skipped`` count. A learner stacks the rings of
-its principal windows in one WindowBank, one ring per rule, and the bank
-is their only storage: a principal rule's window is a DDFWindow of views
-read from its row. Recording a sample in every principal window is one
-scatter, their evictions one gather, and reading them all oldest first
-one more gather. A shadow pair's two windows stay outside the bank and
-share one samples array (push_pair).
+A window is a ring of ``capacity`` slots (a sample and its weight each),
+a head, a fill and a ``skipped`` count. The principal windows are the rows
+of one WindowBank; a shadow pair's two windows stay outside it and share
+one samples array. Only this module knows how a window is stored: it
+records, evicts and sheds samples (WindowBank.forget, forget_pair), counts
+the skips, moves the windows with their consequents (WindowBank.set_rows)
+and builds windows from their entries. Elsewhere a window is read through
+``len()``, ``capacity``, ``skipped``, ``ordered()`` and shadow_state.
 """
 
 from __future__ import annotations
@@ -31,32 +30,33 @@ import numpy as np
 class DDFWindow:
     """FIFO memory of the weighted samples currently inside a consequent.
 
-    ``capacity`` is the window size. ``samples`` (capacity, k) and
-    ``weights`` (capacity,) are the ring slots; a slot that holds no sample
-    has weight 0.0. ``state`` holds the head, the fill and ``skipped``, the
-    count of evictions that had to be abandoned because the downdate
-    denominator was within the guard of zero (the sample is dropped from
-    memory but its weight stays baked into the correlation matrix).
-    ``samples`` may hold just the leading slots, or be None while the
-    window is empty: a standalone window allocates the whole ring at its
-    first push, once the sample length is known.
+    ``samples`` (capacity, k) and ``weights`` (capacity,) are the ring
+    slots; an empty slot has weight 0.0. ``state`` holds the head, the fill
+    and ``skipped``, the count of evictions abandoned because the downdate
+    denominator was within the guard of zero (the sample leaves memory,
+    its weight stays baked into the correlation matrix). A window starts
+    out holding ``samples`` with ``weights``, oldest first, in its leading
+    slots (ValueError if they overflow it): ``samples`` holds just those,
+    or None while empty, until a push allocates the whole ring.
     """
 
-    def __init__(self, capacity: int, skipped: int = 0):
+    def __init__(self, capacity: int, skipped: int = 0,
+                 samples: np.ndarray | None = None, weights=()):
+        fill = len(weights)
         if capacity < 1:
             raise ValueError(f"window capacity must be positive, got {capacity}")
+        if fill > capacity:
+            raise ValueError(f"window holds {fill} entries, more than its "
+                             f"capacity {capacity}")
         self.capacity = capacity
-        self.samples: np.ndarray | None = None
+        self.samples = samples if fill else None
         self.weights = np.zeros(capacity)
-        self.state = np.array([0, 0, skipped], dtype=np.int64)
+        self.weights[:fill] = weights
+        self.state = np.array([fill % capacity, fill, skipped], dtype=np.int64)
 
     @property
     def skipped(self) -> int:
         return int(self.state[2])
-
-    @skipped.setter
-    def skipped(self, value: int) -> None:
-        self.state[2] = value
 
     def __len__(self) -> int:
         return int(self.state[1])
@@ -77,12 +77,6 @@ class DDFWindow:
         slots = self.slots()
         return self.samples[slots], self.weights[slots]
 
-    @property
-    def entries(self) -> list[tuple[np.ndarray, float]]:
-        """(sample, weight) pairs, oldest first; samples may be ring views."""
-        xs, ws = self.ordered()
-        return list(zip(xs, ws.tolist()))
-
     def push(self, x_aug: np.ndarray, weight: float) -> tuple[np.ndarray, float] | None:
         """Record a sample; return the evicted (x, weight) pair on overflow."""
         head, fill = int(self.state[0]), int(self.state[1])
@@ -102,17 +96,48 @@ class DDFWindow:
         return evicted
 
 
+def shadow_state(pairs) -> tuple[np.ndarray, list[np.ndarray]]:
+    """What state_bytes reads of the windows of ``pairs`` (each with a
+    ``slow_window`` and a ``fast_window``): every window's fill and skipped
+    count, (2 * pairs, 2), and each nonempty pair's samples, slow weights
+    and fast weights, oldest first, with one slots computation per pair."""
+    counts = np.array([(p.slow_window.state[1:], p.fast_window.state[1:])
+                       for p in pairs], dtype=np.int64)
+    entries = []
+    for pair in pairs:
+        slow, fast = pair.slow_window, pair.fast_window
+        if slow.state[1]:
+            slots = slow.slots()
+            entries += (slow.samples[slots], slow.weights[slots], fast.weights[slots])
+    return counts.reshape(2 * len(pairs), 2), entries
+
+
+def forget_pair(system, row: int, slow: DDFWindow, fast: DDFWindow,
+                x_aug: np.ndarray, w_slow: float, w_fast: float) -> None:
+    """Record x_aug in a shadow pair's windows and downdate rows (row,
+    row + 1) of ``system`` by the sample they evict. A side whose guard
+    trips keeps its matrix and counts the skip on its window, unless its
+    departing weight is zero (that downdate would change nothing)."""
+    evicted = push_pair(slow, fast, x_aug, w_slow, w_fast)
+    if evicted is not None:
+        old_x, w_old = evicted
+        ok_slow, ok_fast = system.downdate_row_pair(row, old_x, w_old)
+        if not ok_slow and w_old[0] != 0.0:
+            slow.state[2] += 1
+        if not ok_fast and w_old[1] != 0.0:
+            fast.state[2] += 1
+
+
 def push_pair(slow: DDFWindow, fast: DDFWindow, x_aug: np.ndarray,
               w_slow: float, w_fast: float):
     """Record x_aug in a shadow pair's two windows, weighted w_slow and w_fast.
 
     The two windows record and evict every sample together, so they share
-    one samples array and keep equal heads and fills. Record into them
-    only through this function: a push on one of them alone would rewrite
-    its partner's samples. Most shadow pairs restart before they fill, so
-    the samples array grows by doubling until it spans the ring. Returns
-    (sample, weights) for an eviction in which either weight is nonzero,
-    else None.
+    one samples array and keep equal heads and fills: a push on one of
+    them alone would rewrite its partner's samples. Most shadow pairs
+    restart before they fill, so the samples array grows by doubling until
+    it spans the ring. Returns (sample, weights) for an eviction in which
+    either weight is nonzero, else None.
     """
     cap = slow.capacity
     state = slow.state
@@ -159,10 +184,9 @@ class WindowBank:
         self.state = np.empty((3, 0), dtype=np.int64)
         self.set_rows(np.empty(0, dtype=np.intp))
 
-    @property
-    def skipped(self) -> np.ndarray:
-        """Per-row skipped counts (a writable view)."""
-        return self.state[2]
+    def counts(self) -> np.ndarray:
+        """Per-row fills and skipped counts, (2, rows) (a view)."""
+        return self.state[1:]
 
     def window(self, row: int) -> DDFWindow:
         """Row ``row``'s ring as a DDFWindow of views into the stacks."""
@@ -173,19 +197,26 @@ class WindowBank:
         return window
 
     def set_rows(self, rows: np.ndarray, extra: list[DDFWindow] = ()) -> None:
-        """Rebuild the stacks as a gather of rows.
+        """Rebuild the stacks as a gather: new row i copies row ``rows[i]``.
 
-        New row i is a copy of row ``rows[i]``. Indices from the current
-        row count on address the standalone windows in ``extra``, whose
-        rings are appended after the current rows. Raises ValueError for
-        an extra window whose capacity differs from the bank's.
+        Index n + j past the current n rows addresses the standalone window
+        ``extra[j]``, and one past those a blank ring; only the windows
+        referenced are copied. Given a structural change's consequent rows
+        and the shadow windows in stack order, each rule's window follows
+        its consequent. ValueError if a window's capacity is not the bank's.
         """
         cap = self.capacity
         samples, weights, state = self.samples, self.weights, self.state
-        if extra:
+        current = state.shape[1]
+        outside = np.flatnonzero(rows >= current)
+        if outside.shape[0]:
+            extra = [extra[j] if j < len(extra) else DDFWindow(cap)
+                     for j in (rows[outside] - current).tolist()]
             if any(window.capacity != cap for window in extra):
                 raise ValueError(f"a window's capacity differs from the "
                                  f"bank's {cap}")
+            rows = rows.copy()
+            rows[outside] = current + np.arange(len(extra))
             more = np.empty((len(extra), cap, self.n_inputs))
             # a standalone ring may hold just its leading slots
             for ring, window in zip(more, extra):
@@ -204,6 +235,19 @@ class WindowBank:
         self._flat_x = samples.reshape(n * cap, self.n_inputs)
         self._flat_w = weights.reshape(n * cap)
         self._base = np.arange(n, dtype=np.int64) * cap
+
+    def forget(self, system, x_aug: np.ndarray, weights: np.ndarray) -> None:
+        """Record x_aug in every ring, row i with weights[i], and downdate
+        row i of ``system`` by what it evicts, all in one downdate_rows
+        call. A row whose guard trips keeps its matrix and counts the skip.
+        """
+        evicted = self.push(x_aug, weights)
+        if evicted is not None:
+            rows, xs, ws = evicted
+            ok = system.downdate_rows(rows, xs, ws)
+            if not ok.all():
+                failed = np.flatnonzero(~ok)
+                self.state[2, failed if rows is None else rows[failed]] += 1
 
     def push(self, x_aug: np.ndarray, weights: np.ndarray):
         """Record x_aug in every row's ring, row i with weights[i].

@@ -14,10 +14,9 @@ replacements are row gathers. One batched membership pass, one batched
 premise update, and one batched WRLS step per sample cover the principal
 rules and the active pair together. The premise update and the WRLS step are told
 which rows carry weight (the winner and its pair; every principal rule and
-the winner's pair) and, on large stacks, touch only those. The principal
-windows are rings in one stacked WindowBank, so principal conclusion
-forgetting records the sample in every principal window with one scatter
-and sheds all its evictions in one batched downdate.
+the winner's pair) and, on large stacks, touch only those. Conclusion
+forgetting runs in the forgetting module: WindowBank.forget for every
+principal window at once, forget_pair for the winner's pair.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ import numpy as np
 from .anticipation import AnticipatedPair, DriftEvent, PairState, spawn_pair
 from .config import LearnerConfig
 from .fis import FuzzySystem, NonFiniteInputError, Rows, Rule, create_rule
-from .forgetting import DDFWindow, WindowBank, push_pair
+from .forgetting import WindowBank, forget_pair
 
 
 class UnknownClassError(ValueError):
@@ -217,12 +216,10 @@ class AnticipatingClassifier:
         # the correlation matrices shed whatever falls out.
         mode = cfg.forgetting_mode
         if mode != "none":
-            evicted = push_pair(pair.slow_window, pair.fast_window, x_aug,
-                                w_slow, w_fast)
-            if evicted is not None:
-                self._evict_pair(pair, row_slow, *evicted)
+            forget_pair(system, row_slow, pair.slow_window, pair.fast_window,
+                        x_aug, w_slow, w_fast)
             if mode == "forget_ps":
-                self._forget_principal(x_aug, wvec[:n])
+                self.windows.forget(system, x_aug, wvec[:n])
         pair.samples_seen += 1
 
         if math.isfinite(cfg.ks) and pair.samples_seen > cfg.nmin:
@@ -275,7 +272,6 @@ class AnticipatingClassifier:
         rows = np.append(np.arange(n), system.n_rows)
         self._set_rows(system.rules + [rule], rows, rows, self.pairs + [None],
                        extra=rule.system.stacks())
-        self.windows.set_rows(np.arange(n + 1), [DDFWindow(cfg.ws)])
 
     def _set_rows(self, rules: list[Rule], rows: np.ndarray,
                   con_rows: np.ndarray, pairs: list[PairState | None],
@@ -284,13 +280,16 @@ class AnticipatingClassifier:
 
         Rule j takes its premise from current row ``rows[j]`` and its
         consequent from ``con_rows[j]`` (FuzzySystem.set_rows; indices
-        past its rows address ``extra``). ``pairs[j]`` is the state of the
+        past its rows address ``extra``); its window follows the
+        consequent (WindowBank.set_rows). ``pairs[j]`` is the state of the
         rule's shadow pair: a kept pair's rows move with their rule, which
         must then come from its own current row; None spawns a fresh pair
         from the rule's new rows.
         """
         cfg = self.config
         system = self.system
+        self.windows.set_rows(con_rows, [window for pair in self.pairs for window
+                                         in (pair.slow_window, pair.fast_window)])
         spawn = np.array([pair is None for pair in pairs])
         kept = len(system) + 2 * rows  # a kept rule's slow row
 
@@ -334,37 +333,7 @@ class AnticipatingClassifier:
             wvec[:] = betas
         self.system.wrls_step(x_aug, wvec, self._target(y), self._wrows[:n])
         if self.config.forgetting_mode == "forget_ps":
-            self._forget_principal(x_aug, wvec)
-
-    def _forget_principal(self, x_aug: np.ndarray, weights: np.ndarray) -> None:
-        """Record a sample in every principal window and shed the evictions.
-
-        ``weights`` are the principal conclusion weights the sample was
-        learned with. All evictions that carry weight go through one
-        batched downdate; a row whose guard trips keeps its matrix and
-        counts the skip on its window.
-        """
-        evicted = self.windows.push(x_aug, weights)
-        if evicted is None:
-            return
-        rows, xs, ws = evicted
-        ok = self.system.downdate_rows(rows, xs, ws)
-        if not ok.all():
-            failed = np.flatnonzero(~ok)
-            self.windows.skipped[failed if rows is None else rows[failed]] += 1
-
-    def _evict_pair(self, pair: PairState, row_slow: int,
-                    old_x: np.ndarray, w_old: np.ndarray) -> None:
-        """Shed the sample leaving the pair windows (they leave together).
-
-        ``w_old`` holds the departing weights of the slow and the fast
-        window; a zero one is not a skip when its guard trips.
-        """
-        ok_slow, ok_fast = self.system.downdate_row_pair(row_slow, old_x, w_old)
-        if not ok_slow and w_old[0] != 0.0:
-            pair.slow_window.skipped += 1
-        if not ok_fast and w_old[1] != 0.0:
-            pair.fast_window.skipped += 1
+            self.windows.forget(self.system, x_aug, wvec)
 
     def _replace_rule(self, winner: int, separation: float) -> None:
         """Swap the drifted rule for its two sub-rules (N grows by one).
@@ -378,7 +347,6 @@ class AnticipatingClassifier:
         system = self.system
         n = len(system)
         old = system.rules[winner]
-        pair = self.pairs[winner]
         new_rules = [Rule(id=self.next_rule_id + k, born_class=old.born_class,
                           windows=self.windows) for k in (0, 1)]
         self.next_rule_id += 2
@@ -391,17 +359,10 @@ class AnticipatingClassifier:
             adopts[winner:winner + 2] = False
             con_rows = np.where(adopts, n + 2 * rows, rows)
             pairs = [None] * (n + 1)
-            windows = [other.slow_window for other in self.pairs]
-            windows[winner:winner + 1] = [pair.slow_window, pair.fast_window]
-            window_rows = np.arange(n, 2 * n + 1)
         else:
             con_rows = rows
             pairs = self.pairs[:winner] + [None, None] + self.pairs[winner + 1:]
-            windows = [pair.slow_window, pair.fast_window]
-            window_rows = np.concatenate((np.arange(winner), (n, n + 1),
-                                          np.arange(winner + 1, n)))
         self._set_rows(rules, rows, con_rows, pairs)
-        self.windows.set_rows(window_rows, windows)
         self.drift_log.append(DriftEvent(
             sample_index=self.samples_seen, rule_id=old.id,
             strategy=cfg.strategy, separation=separation))

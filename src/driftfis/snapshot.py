@@ -4,18 +4,19 @@ Snapshots capture the full learner state (rules, shadow pairs, windows,
 counters, config) as plain JSON. Floats survive the round trip exactly
 (repr-based encoding), so saving and reloading resumes the stream
 bit-for-bit. Cached covariance inverses are not stored; they are
-recomputed from the covariance, which is deterministic.
+recomputed from the covariance, which is deterministic. Windows are built
+and read through the forgetting module.
 
-Two descriptions of a state serve two purposes. ``model_state_hash``
-hashes the canonical JSON and is portable across machines. ``state_bytes``
-is the raw array bytes in memory plus a repr of the counters: much
-cheaper to build, it also covers the cached inverses, and two of them are
-compared byte for byte, so a check built on it is exact rather than
-probabilistic. It reads the FuzzySystem stacks and the principal windows'
-WindowBank whole. It is only comparable within one process, and holding
-one costs its full size (about 0.67 MB on a 48-rule, 10-feature model);
-``state_bytes_match`` compares a live state against a held
-buffer without building a second one.
+Two descriptions of a state serve two purposes. The canonical JSON, which
+``save_model`` writes and ``model_state_hash`` hashes, is portable across
+machines. ``state_bytes`` is the raw array bytes in memory plus a repr of
+the counters: much cheaper to build, it also covers the cached inverses,
+and two of them are compared byte for byte, so a check built on it is
+exact rather than probabilistic. It reads the FuzzySystem stacks and the
+principal windows' WindowBank whole. It is only comparable within one
+process, and holding one costs its full size (about 0.67 MB on a 48-rule,
+10-feature model); ``state_bytes_match`` compares a live state against a
+held buffer without building a second one.
 """
 
 from __future__ import annotations
@@ -23,14 +24,15 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import asdict
 
 import numpy as np
 
 from .anticipation import DriftEvent, PairState
-from .config import LearnerConfig
+from .config import STRATEGIES, LearnerConfig
 from .fis import Rows, Rule
-from .forgetting import DDFWindow
+from .forgetting import DDFWindow, shadow_state
 from .learner import AnticipatingClassifier
 from .linalg import regularized_inverse_stack
 
@@ -56,8 +58,12 @@ def _array(value, shape: tuple[int, ...], what: str) -> np.ndarray:
     return out
 
 
-def _integer(value, what: str, low: int = 0, high: float = math.inf) -> int:
-    """An int from snapshot data in low..high; anything else raises ValueError."""
+def _integer(value, what: str, low: int = 0, high: float = math.inf,
+             integral: bool = False) -> int:
+    """An int from snapshot data in low..high, else ValueError; ``integral``
+    also admits numpy ints (any numbers.Integral but bool)."""
+    if integral and isinstance(value, numbers.Integral) and type(value) is not bool:
+        value = int(value)
     if type(value) is not int or not low <= value <= high:
         raise ValueError(f"{what} must be an integer in {low}..{high}, "
                          f"got {value!r}")
@@ -135,7 +141,8 @@ def from_state_dict(state: dict) -> AnticipatingClassifier:
     Raises SnapshotError for an unknown format or version, a missing key,
     or a value of the wrong type or shape: among them a NaN or infinite
     array entry, a covariance or correlation matrix that is not exactly
-    symmetric, a negative count, and a class outside 0..n_classes-1.
+    symmetric, a negative count or a non-integer one, a class outside
+    0..n_classes-1, and a drift naming an unknown rule id or strategy.
     """
     if state.get("format") != FORMAT_NAME:
         raise SnapshotError(f"not a {FORMAT_NAME} snapshot")
@@ -151,24 +158,27 @@ def from_state_dict(state: dict) -> AnticipatingClassifier:
 
 def _learner_from_state(state: dict) -> AnticipatingClassifier:
     config = LearnerConfig(**state["config"])
-    d = int(state["n_features"])
-    c = int(state["n_classes"])
+    d = _integer(state["n_features"], "n_features", 1, integral=True)
+    c = _integer(state["n_classes"], "n_classes", 1, integral=True)
     learner = AnticipatingClassifier(d, c, config)
     learner.samples_seen = _integer(state["samples_seen"], "samples_seen")
-    learner.next_rule_id = int(state["next_rule_id"])
+    learner.next_rule_id = _integer(state["next_rule_id"], "next_rule_id")
     learner.seen_classes = {_integer(label, "a seen class", 0, c - 1)
                             for label in state["seen_classes"]}
     learner.drift_log = [DriftEvent(**event) for event in state["drift_log"]]
     for event in learner.drift_log:
         _integer(event.sample_index, "a drift's sample_index")
+        _integer(event.rule_id, "a drift's rule_id", 0, learner.next_rule_id - 1)
+        if event.strategy not in STRATEGIES:
+            raise ValueError(f"a drift's strategy {event.strategy!r} is not "
+                             f"one of {STRATEGIES}")
         if type(event.separation) not in (int, float):
             raise ValueError(f"a drift's separation {event.separation!r} "
                              f"is not a number")
     rules = state["rules"]
-    ids = [int(rule["id"]) for rule in rules]
-    pairs = {int(rule_id): pair for rule_id, pair in state["anticipations"].items()}
-    if (len(set(ids)) != len(ids) or len(pairs) != len(state["anticipations"])
-            or set(ids) != set(pairs)):
+    ids = [_integer(rule["id"], "a rule id") for rule in rules]
+    pairs = [state["anticipations"][str(rule_id)] for rule_id in ids]
+    if len(set(ids)) != len(ids) or len(pairs) != len(state["anticipations"]):
         raise ValueError("every rule needs a unique id and exactly one "
                          "anticipation pair")
     if ids and learner.next_rule_id <= max(ids):
@@ -176,10 +186,9 @@ def _learner_from_state(state: dict) -> AnticipatingClassifier:
                          f"exceed every rule id")
     # every stacked row in stack order: the rules, then their pairs
     rows = [(rule, None) for rule in rules]
-    for rule_id in ids:
-        rows += ((pairs[rule_id]["slow"], config.tmax1),
-                 (pairs[rule_id]["fast"], config.tmax2))
-    windows = []
+    for pair in pairs:
+        rows += ((pair["slow"], config.tmax1), (pair["fast"], config.tmax2))
+    windows = []  # each row's samples, weights and skipped count
     for entry, horizon in rows:
         premise = entry["premise"]
         _integer(premise["hits"], "hits", 1)
@@ -194,26 +203,20 @@ def _learner_from_state(state: dict) -> AnticipatingClassifier:
         if w["capacity"] != config.ws:
             raise ValueError(f"window capacity {w['capacity']!r} differs "
                              f"from ws {config.ws}")
-        window = DDFWindow(config.ws, skipped=_integer(w["skipped"], "skipped"))
-        fill = len(w["entries"])
-        if fill > config.ws:
-            raise ValueError(f"window holds {fill} entries, more than its "
-                             f"capacity {config.ws}")
-        if fill:
-            # the entries take the leading slots, oldest first
-            window.samples = _array([x for x, _ in w["entries"]],
-                                    (fill, d + 1), "window entries")
-            window.weights[:fill] = _array([weight for _, weight in w["entries"]],
-                                           (fill,), "window weights")
-            window.state[:2] = (fill % config.ws, fill)
-        windows.append(window)
+        held = w["entries"]
+        windows.append([
+            _array([x for x, _ in held] or np.empty((0, d + 1)),
+                   (len(held), d + 1), "window entries"),
+            _array([weight for _, weight in held], (len(held),), "window weights"),
+            _integer(w["skipped"], "skipped")])
     n = len(rules)
     # the two windows of a pair record every sample together and evict it
     # together, so they share one samples array
     for slow, fast in zip(windows[n::2], windows[n + 1::2]):
-        if slow.ordered()[0].tobytes() != fast.ordered()[0].tobytes():
+        if slow[0].tobytes() != fast[0].tobytes():
             raise ValueError("a shadow pair's windows must hold the same samples")
-        fast.samples = slow.samples
+        fast[0] = slow[0]
+    windows = [DDFWindow(config.ws, skipped, xs, ws) for xs, ws, skipped in windows]
     if not rules:
         return learner
 
@@ -238,17 +241,18 @@ def _learner_from_state(state: dict) -> AnticipatingClassifier:
                    regularized_inverse_stack(covs), hits, corrs,
                    stacked("consequent", "coeffs", d + 1, c)))
     learner.windows.set_rows(np.arange(n), windows[:n])
-    learner.pairs = [PairState(slow, fast, _integer(pairs[rule_id]["samples_seen"],
+    learner.pairs = [PairState(slow, fast, _integer(pair["samples_seen"],
                                                     "a pair's samples_seen"))
-                     for rule_id, slow, fast
-                     in zip(ids, windows[n::2], windows[n + 1::2])]
+                     for pair, slow, fast in zip(pairs, windows[n::2],
+                                                 windows[n + 1::2])]
     learner._resize_buffers()
     return learner
 
 
 def save_model(learner: AnticipatingClassifier, path: str) -> None:
+    """Stream the canonical JSON of state_dict and a newline to ``path``."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(state_dict(learner), fh)
+        fh.writelines(_canonical_text(learner))
         fh.write("\n")
 
 
@@ -266,45 +270,45 @@ def load_model(path: str) -> AnticipatingClassifier:
 def model_state_hash(learner: AnticipatingClassifier) -> str:
     """SHA-256 over the canonical JSON of state_dict, as a hex string.
 
-    The canonical text is ``json.dumps(state_dict(learner),
-    sort_keys=True)``, but it is never built whole: it is fed to the hash
-    one rule or shadow pair at a time, so the transient memory is one
-    rule's worth. Equal iff the serialized states are equal. The cached
-    covariance inverses are not serialized, so a change to them alone
-    leaves this hash unchanged (state_bytes covers them). Portable
-    and stable across machines; the benchmark pins its value per stream.
+    The text is the one save_model writes, fed to the hash one rule or
+    shadow pair at a time. Equal iff the serialized states are equal; the
+    cached covariance inverses are not serialized (state_bytes covers
+    them). Portable and stable across machines; the benchmark pins its
+    value per stream.
     """
     digest = hashlib.sha256()
-
-    def put(text: str) -> None:
+    for text in _canonical_text(learner):
         digest.update(text.encode("utf-8"))
-
-    dumps = _CANONICAL.encode
-    state = _state_skeleton(learner)
-    ids = [str(rule.id) for rule in learner.system.rules]
-    put("{")
-    for i, key in enumerate(sorted(state)):
-        # json.dumps separators: ", " between items, ": " after keys
-        put(f"{', ' if i else ''}{dumps(key)}: ")
-        if key == "rules":
-            _put_items(put, "[]", (dumps(_rule_entry(learner, i))
-                                   for i in range(len(ids))))
-        elif key == "anticipations":
-            _put_items(put, "{}", (
-                f"{dumps(ids[i])}: {dumps(_pair_entry(learner, i))}"
-                for i in sorted(range(len(ids)), key=ids.__getitem__)))
-        else:
-            put(dumps(state[key]))
-    put("}")
     return digest.hexdigest()
 
 
-def _put_items(put, brackets: str, items) -> None:
-    """Stream a JSON array or object from its already-encoded items."""
-    put(brackets[0])
+def _canonical_text(learner: AnticipatingClassifier):
+    """``json.dumps(state_dict(learner), sort_keys=True)``, one entry at a time."""
+    dumps = _CANONICAL.encode
+    state = _state_skeleton(learner)
+    ids = [str(rule.id) for rule in learner.system.rules]
+    yield "{"
+    for i, key in enumerate(sorted(state)):
+        # json.dumps separators: ", " between items, ": " after keys
+        yield f"{', ' if i else ''}{dumps(key)}: "
+        if key == "rules":
+            yield from _items("[]", (dumps(_rule_entry(learner, i))
+                                     for i in range(len(ids))))
+        elif key == "anticipations":
+            yield from _items("{}", (
+                f"{dumps(ids[i])}: {dumps(_pair_entry(learner, i))}"
+                for i in sorted(range(len(ids)), key=ids.__getitem__)))
+        else:
+            yield dumps(state[key])
+    yield "}"
+
+
+def _items(brackets: str, items):
+    """A JSON array or object, in pieces, from its already-encoded items."""
+    yield brackets[0]
     for i, item in enumerate(items):
-        put(f", {item}" if i else item)
-    put(brackets[1])
+        yield f", {item}" if i else item
+    yield brackets[1]
 
 
 def _state_chunks(learner: AnticipatingClassifier) -> list:
@@ -313,13 +317,10 @@ def _state_chunks(learner: AnticipatingClassifier) -> list:
     windows = learner.windows
     pairs = learner.pairs
     log = learner.drift_log
-    pair_windows = [window for pair in pairs
-                    for window in (pair.slow_window, pair.fast_window)]
     xs, ws = windows.entries()
+    shadow_counts, shadow_entries = shadow_state(pairs)
     stacks = system.stacks()
-    packed = (xs, ws, windows.state[1:],  # fills and skipped counts
-              np.array([w.state[1:] for w in pair_windows],
-                       dtype=np.int64).reshape(len(pair_windows), 2),
+    packed = (xs, ws, windows.counts(), shadow_counts,  # fills and skipped counts
               np.array([e.sample_index for e in log], dtype=np.int64),
               np.array([e.rule_id for e in log], dtype=np.int64),
               np.array([e.separation for e in log], dtype=np.float64))
@@ -329,16 +330,7 @@ def _state_chunks(learner: AnticipatingClassifier) -> list:
             [(rule.id, rule.born_class) for rule in system.rules],
             [pair.samples_seen for pair in pairs], [e.strategy for e in log],
             [a.shape for a in stacks + packed]]
-    chunks: list = [*stacks, *packed]
-    # a pair's windows share their samples and slots: one read per pair
-    for pair in pairs:
-        slow, fast = pair.slow_window, pair.fast_window
-        if slow.state[1]:
-            slots = slow.slots()
-            chunks += (slow.samples[slots], slow.weights[slots],
-                       fast.weights[slots])
-    chunks.append(repr(meta).encode())
-    return chunks
+    return [*stacks, *packed, *shadow_entries, repr(meta).encode()]
 
 
 def state_bytes(learner: AnticipatingClassifier) -> bytes:

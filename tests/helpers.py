@@ -3,7 +3,6 @@
 import numpy as np
 
 from driftfis.fis import FuzzySystem, create_rule
-from driftfis.forgetting import push_pair
 from driftfis.linalg import regularized_inverse
 
 
@@ -74,24 +73,7 @@ def advance_row(system, row, x, horizon=None):
     system.advance_premises(x, alphas, np.array([row], dtype=np.intp))
 
 
-def forget_principal(system, bank, x_aug, weights):
-    """Record x_aug in every row of a principal window bank (row i with
-    weights[i]) and downdate each row's correlation by what its window
-    evicts, as the learner does; a tripped guard counts a skip."""
-    evicted = bank.push(x_aug, weights)
-    if evicted is not None:
-        rows, xs, ws = evicted
-        failed = np.flatnonzero(~system.downdate_rows(rows, xs, ws))
-        bank.skipped[failed if rows is None else rows[failed]] += 1
-
-
-def forget_pair(system, row, slow, fast, x_aug, w_slow, w_fast):
-    """Record x_aug in a shadow pair's windows and downdate rows (row,
-    row + 1) by the sample they evict, as the learner does; a tripped
-    guard on a weighted eviction counts a skip."""
-    evicted = push_pair(slow, fast, x_aug, w_slow, w_fast)
-    if evicted is not None:
-        old_x, w_old = evicted
-        oks = system.downdate_row_pair(row, old_x, w_old)
-        for window, ok, weight in zip((slow, fast), oks, w_old):
-            window.skipped += int(not ok and weight != 0.0)
+def entries(window):
+    """A window's (sample, weight) pairs, oldest first."""
+    xs, ws = window.ordered()
+    return list(zip(xs, ws.tolist()))

@@ -2,13 +2,13 @@
 
 Every test prints a single ``[acceptance] criterion N (...): PASS/FAIL``
 line so the whole gate reads off the terminal at a glance. Criteria 1-3
-drive the stacked kernels the learner runs (FuzzySystem.wrls_step,
-WindowBank.push with downdate_rows, push_pair with downdate_row_pair,
-advance_premises). Expectations come from independent oracles:
-closed-form weighted ridge solutions, correlations rebuilt from the
-window contents, a 50-digit re-execution of the premise recursion,
-hand-checkable contingency tables, and a plain reference classifier
-driven through the same batched operations.
+drive the stacked kernels and the forgetting code the learner runs
+(FuzzySystem.wrls_step, WindowBank.forget with downdate_rows, forget_pair
+with downdate_row_pair, advance_premises). Expectations come from
+independent oracles: closed-form weighted ridge solutions, correlations
+rebuilt from the window contents, a 50-digit re-execution of the premise
+recursion, hand-checkable contingency tables, and a plain reference
+classifier driven through the same batched operations.
 """
 
 import math
@@ -21,15 +21,9 @@ from driftfis import fis
 from driftfis.config import ExperimentConfig, LearnerConfig
 from driftfis.evaluation import mcnemar, run_experiment
 from driftfis.fis import FuzzySystem, augment, create_rule
-from driftfis.forgetting import DDFWindow, WindowBank
+from driftfis.forgetting import DDFWindow, WindowBank, forget_pair
 from driftfis.learner import AnticipatingClassifier
-from helpers import (
-    advance_row,
-    blank_system,
-    forget_pair,
-    forget_principal,
-    random_system,
-)
+from helpers import advance_row, blank_system, random_system
 
 
 def _report(capsys, num, name, ok, detail=""):
@@ -103,9 +97,9 @@ def test_criterion_1_wrls_matches_closed_form(capsys):
 def test_criterion_2_forgetting_window_consistency(capsys):
     # after every deferred-forgetting step the inverse correlation of each
     # row must equal its prior plus exactly the weighted outer products
-    # still in its window: the principal rows forget through a window bank
-    # and downdate_rows, a slow/fast shadow pair through push_pair and
-    # downdate_row_pair, every row with its own omega and weights
+    # still in its window: the principal rows forget through
+    # WindowBank.forget, a slow/fast shadow pair through forget_pair, every
+    # row with its own omega and weights
     rng = np.random.default_rng(202)
     d, c, n = 3, 2, 4
     worst = 0.0
@@ -123,7 +117,7 @@ def test_criterion_2_forgetting_window_consistency(capsys):
             Y = np.eye(c)[rng.integers(0, c, size=1000)]
             for x_aug, weights, target in zip(Xa, W, Y):
                 system.wrls_step(x_aug, weights, target)
-                forget_principal(system, bank, x_aug, weights[:n])
+                bank.forget(system, x_aug, weights[:n])
                 forget_pair(system, n, slow, fast, x_aug,
                             float(weights[n]), float(weights[n + 1]))
                 # every window records every sample, so the fills are equal
@@ -137,7 +131,7 @@ def test_criterion_2_forgetting_window_consistency(capsys):
                 err = np.linalg.norm(np.linalg.inv(system._corrs)
                                      - (priors + held), axis=(1, 2))
                 worst = max(worst, float(err.max()))
-            assert not bank.skipped.any()
+            assert not bank.counts()[1].any()
             assert slow.skipped == fast.skipped == 0
 
     # an increment followed by its exact downdate is an involution

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftfis.fis import augment
-from driftfis.forgetting import DDFWindow, WindowBank, push_pair
-from helpers import blank_system, forget_principal
+from driftfis.forgetting import DDFWindow, WindowBank, forget_pair, push_pair
+from helpers import blank_system, entries
 
 
 class TestDDFWindow:
@@ -28,7 +28,7 @@ class TestDDFWindow:
         x = np.array([1.0, 2.0])
         w.push(x, 0.5)
         x[0] = 99.0
-        assert w.entries[0][0][0] == 1.0
+        assert entries(w)[0][0][0] == 1.0
 
     def test_zero_weight_still_occupies_a_slot(self):
         # eviction timing depends on sample count, not on weight
@@ -50,16 +50,16 @@ class TestRecordSample:
         # one stored copy of the sample, which the caller's array no
         # longer reaches
         assert slow.samples is fast.samples
-        assert slow.entries[0][0].tolist() == [1.0, 2.0]
-        assert [w.entries[0][1] for w in (slow, fast)] == [0.5, 0.25]
+        assert entries(slow)[0][0].tolist() == [1.0, 2.0]
+        assert [entries(w)[0][1] for w in (slow, fast)] == [0.5, 0.25]
         bank = WindowBank(3, 2)
         bank.set_rows(np.arange(2), [DDFWindow(3), DDFWindow(3)])
         x = np.array([3.0, 4.0])
         bank.push(x, np.array([0.5, 0.25]))
         x[0] = 99.0
         windows = [bank.window(row) for row in range(2)]
-        assert [w.entries[0][0].tolist() for w in windows] == [[3.0, 4.0]] * 2
-        assert [w.entries[0][1] for w in windows] == [0.5, 0.25]
+        assert [entries(w)[0][0].tolist() for w in windows] == [[3.0, 4.0]] * 2
+        assert [entries(w)[0][1] for w in windows] == [0.5, 0.25]
 
     def test_returns_only_weighted_evictions(self):
         first = np.array([1.0, 1.0])
@@ -107,8 +107,9 @@ class RowModel:
     """A learner's windows, every window paired with its oracle.
 
     The principal windows are the rows of a WindowBank, the shadow pairs'
-    windows live outside it; drifts move windows between the two the way
-    the learner does.
+    windows live outside it. A birth or a drift hands WindowBank.set_rows
+    each new rule's consequent row, as the learner does, and the oracles
+    move by hand.
     """
 
     def __init__(self, capacity, k):
@@ -127,28 +128,37 @@ class RowModel:
                      for row, oracle in enumerate(self.rules)]
         return principal + [sub for pair in self.pairs for sub in pair]
 
+    def follow(self, con_rows):
+        """Move the bank's windows with consequent rows in stack order:
+        the rules, then each rule's slow and fast row, then new rows."""
+        self.bank.set_rows(np.array(con_rows),
+                           [window for pair in self.pairs for window, _ in pair])
+
     def birth(self):
         n = len(self.rules)
-        self.bank.set_rows(np.arange(n + 1), [DDFWindow(self.capacity)])
+        # the newborn's consequent is a new row, past the 3n current ones
+        self.follow(list(range(n)) + [3 * n])
         self.rules.append(DequeWindow(self.capacity))
         self.pairs.append((self.fresh(), self.fresh()))
 
     def drift(self, winner, strategy):
         n = len(self.rules)
         slow, fast = self.pairs[winner]
+        # the winner's two new rules take its slow and fast rows
+        new_rows = [n + 2 * winner, n + 2 * winner + 1]
         if strategy == "global":
-            # every other rule adopts its own slow window; all pairs restart
+            # every other rule adopts its own slow row; all pairs restart
+            self.follow([n + 2 * k for k in range(winner)] + new_rows
+                        + [n + 2 * k for k in range(winner + 1, n)])
             moved = [pair[0] for pair in self.pairs]
             moved[winner:winner + 1] = [slow, fast]
-            rows = np.arange(n, 2 * n + 1)
             self.pairs = [(self.fresh(), self.fresh()) for _ in moved]
         else:
+            self.follow(list(range(winner)) + new_rows
+                        + list(range(winner + 1, n)))
             moved = [slow, fast]
-            rows = np.concatenate((np.arange(winner), (n, n + 1),
-                                   np.arange(winner + 1, n)))
             self.pairs[winner:winner + 1] = [(self.fresh(), self.fresh()),
                                              (self.fresh(), self.fresh())]
-        self.bank.set_rows(rows, [window for window, _ in moved])
         oracles = [oracle for _, oracle in moved]
         self.rules = oracles if strategy == "global" else \
             self.rules[:winner] + oracles + self.rules[winner + 1:]
@@ -195,7 +205,7 @@ class RowModel:
 
     def skip(self, row):
         window, oracle = self.rows()[row]
-        window.skipped += 1
+        window.state[2] += 1
         oracle.skipped += 1
 
     def check(self):
@@ -203,7 +213,7 @@ class RowModel:
         for window, oracle in rows:
             assert len(window) == len(oracle.entries)
             assert window.skipped == oracle.skipped
-            got = window.entries
+            got = entries(window)
             assert [w for _, w in got] == [w for _, w in oracle.entries]
             for (x, _), (ox, _) in zip(got, oracle.entries):
                 assert x.tobytes() == ox.tobytes()
@@ -211,7 +221,7 @@ class RowModel:
         flat = [entry for oracle in self.rules for entry in oracle.entries]
         assert ws.tolist() == [w for _, w in flat]
         assert xs.tobytes() == b"".join(x.tobytes() for x, _ in flat)
-        assert self.bank.skipped.tolist() == [o.skipped for o in self.rules]
+        assert self.bank.counts()[1].tolist() == [o.skipped for o in self.rules]
 
 
 WEIGHTS = st.sampled_from([0.0, 0.25, 0.5, 1.0])
@@ -266,20 +276,18 @@ class TestWindowBank:
             assert slow.samples is fast.samples
             lengths.append(slow.samples.shape[0])
         assert lengths == [4, 4, 4, 4, 6, 6, 6, 6]
-        assert [x[1] for x, _ in slow.entries] == [2.0, 3.0, 4.0, 5.0, 6.0, 7.0]
+        assert [x[1] for x, _ in entries(slow)] == [2.0, 3.0, 4.0, 5.0, 6.0, 7.0]
 
     def test_window_read_from_a_snapshot_pushes_in_order(self):
         # a loaded window holds only its entries, in the leading slots,
         # until it is packed or pushed to; a push first grows it to the
         # whole ring
-        window = DDFWindow(3)
-        window.samples = np.array([[1.0, 1.0], [1.0, 2.0]])
-        window.weights[:2] = [0.5, 0.25]
-        window.state[:2] = (2, 2)
+        window = DDFWindow(3, 0, np.array([[1.0, 1.0], [1.0, 2.0]]), [0.5, 0.25])
+        assert window.samples.shape == (2, 2)
         assert window.push(np.array([1.0, 3.0]), 0.125) is None
         evicted = window.push(np.array([1.0, 4.0]), 1.0)
         assert evicted[0].tolist() == [1.0, 1.0] and evicted[1] == 0.5
-        assert [x[1] for x, _ in window.entries] == [2.0, 3.0, 4.0]
+        assert [x[1] for x, _ in entries(window)] == [2.0, 3.0, 4.0]
 
     def test_windows_keep_their_contents_through_a_repack(self):
         window = DDFWindow(2, skipped=1)
@@ -287,7 +295,7 @@ class TestWindowBank:
         bank = WindowBank(2, 2)
         bank.set_rows(np.arange(2), [DDFWindow(2), window])
         window = bank.window(1)
-        assert window.entries[0][1] == 0.5 and window.skipped == 1
+        assert entries(window)[0][1] == 0.5 and window.skipped == 1
         # the window read from the bank reads and writes its ring
         window.push(np.array([3.0, 4.0]), 0.25)
         assert bank.weights[1].tolist() == [0.5, 0.25]
@@ -305,11 +313,11 @@ def ddf_step(system, bank, x_aug, weights, target):
     """A WRLS step of every row, then the deferred forgetting of what the
     windows evict."""
     system.wrls_step(x_aug, weights, target)
-    forget_principal(system, bank, x_aug, weights)
+    bank.forget(system, x_aug, weights)
 
 
 class TestDdfUpdate:
-    """Deferred forgetting through WindowBank.push and downdate_rows."""
+    """Deferred forgetting through WindowBank.forget."""
 
     def test_window_size_one_keeps_only_newest(self):
         # after p1 then p2 with ws=1: C^-1 == Omega^-1 I + w2 x2 x2^T, per row
@@ -336,7 +344,7 @@ class TestDdfUpdate:
             plain.wrls_step(x, w, y)
         assert np.array_equal(system._corrs, plain._corrs)
         assert np.array_equal(system._coeffs, plain._coeffs)
-        assert not bank.skipped.any()
+        assert not bank.counts()[1].any()
 
     def test_zero_weight_eviction_is_noop(self):
         system, bank = forgetting_rows(1, n=2)
@@ -363,7 +371,7 @@ class TestDdfUpdate:
             for row in range(3):
                 # C^-1 must equal the prior plus exactly the window contents
                 ident = np.eye(4) / omega
-                for wx, ww in bank.window(row).entries:
+                for wx, ww in entries(bank.window(row)):
                     ident += ww * np.outer(wx, wx)
                 corr = system._corrs[row]
                 assert np.linalg.norm(np.linalg.inv(corr) - ident) < 1e-6
@@ -379,7 +387,7 @@ class TestDdfUpdate:
             ddf_step(system, bank, augment(rng.standard_normal(2)),
                      rng.uniform(0.05, 1, size=2), np.eye(2)[0])
         for row in range(2):
-            for x, w in bank.window(row).entries:
+            for x, w in entries(bank.window(row)):
                 assert system.downdate_row(row, x, w)
             assert np.linalg.norm(system._corrs[row] - omega * np.eye(3)) < 1e-6
 
@@ -412,7 +420,7 @@ class TestDdfUpdate:
         corr_before = system._corrs.copy()
         coeffs_before = system._coeffs.copy()
         ddf_step(system, bank, np.array([0.0, 1.0]), np.zeros(1), np.array([0.0]))
-        assert bank.skipped.tolist() == [1]
+        assert bank.counts()[1].tolist() == [1]
         # the skipped eviction leaves the state untouched: zero-weight
         # increment plus refused downdate means nothing moved
         assert np.array_equal(system._corrs, corr_before)
@@ -420,4 +428,62 @@ class TestDdfUpdate:
         # the window itself still rotated to the new sample
         window = bank.window(0)
         assert len(window) == 1
-        assert window.entries[0][1] == 0.0
+        assert entries(window)[0][1] == 0.0
+
+
+# a correlation whose downdate by weight 1.0 along (1, 0) has the
+# denominator 1 - w x'Cx = -1e-9, inside the guard; ordinary update
+# sequences floor it near 1e-6, so it is written by hand
+NEAR_SINGULAR = [[1.0 + 1e-9, 0.0], [0.0, 1.0]]
+
+
+class TestSkipCounting:
+    """A refused downdate counts one skip on the window that evicted."""
+
+    def test_partial_principal_eviction_counts_on_the_tripped_row(self, monkeypatch):
+        system, bank = forgetting_rows(1, n=3, d=1, c=1)
+        # row 0 records weight 0.0, so only rows 1 and 2 evict next step
+        ddf_step(system, bank, np.array([1.0, 0.0]), np.array([0.0, 0.5, 1.0]),
+                 np.array([1.0]))
+        system._corrs[2] = NEAR_SINGULAR
+        calls = []
+        downdate = system.downdate_rows
+
+        def spy(rows, xs, ws):
+            calls.append(rows.tolist())
+            return downdate(rows, xs, ws)
+
+        monkeypatch.setattr(system, "downdate_rows", spy)
+        ddf_step(system, bank, np.array([0.0, 1.0]), np.zeros(3), np.array([0.0]))
+        assert calls == [[1, 2]]
+        assert bank.counts()[1].tolist() == [0, 0, 1]
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_weighted_pair_side_that_trips_counts_one_skip(self, side):
+        system = blank_system(1, 1, [100.0, 100.0])
+        slow, fast = DDFWindow(1), DDFWindow(1)
+        weights = [0.5, 0.5]
+        weights[side] = 1.0
+        x = np.array([1.0, 0.0])
+        system.wrls_step(x, np.array(weights), np.array([1.0]))
+        forget_pair(system, 0, slow, fast, x, *weights)
+        system._corrs[side] = NEAR_SINGULAR
+        forget_pair(system, 0, slow, fast, np.array([0.0, 1.0]), 0.5, 0.5)
+        assert [slow.skipped, fast.skipped] == [int(side == 0), int(side == 1)]
+
+    def test_zero_weight_pair_side_that_trips_counts_no_skip(self, monkeypatch):
+        # a zero weight makes the denominator exactly 1.0 for any finite
+        # state, so a stub kernel reports both guards tripped
+        system = blank_system(1, 1, [100.0, 100.0])
+        slow, fast = DDFWindow(1), DDFWindow(1)
+        forget_pair(system, 0, slow, fast, np.array([1.0, 0.0]), 0.0, 0.5)
+        calls = []
+
+        def tripped(row, x, ws):
+            calls.append(ws.tolist())
+            return False, False
+
+        monkeypatch.setattr(system, "downdate_row_pair", tripped)
+        forget_pair(system, 0, slow, fast, np.array([0.0, 1.0]), 0.5, 0.5)
+        assert calls == [[0.0, 0.5]]
+        assert [slow.skipped, fast.skipped] == [0, 1]

@@ -16,7 +16,7 @@ from driftfis.learner import (
 )
 from driftfis.snapshot import model_state_hash
 
-from helpers import gaussian_stream
+from helpers import entries, gaussian_stream
 
 
 def make_learner(**overrides):
@@ -386,7 +386,7 @@ class TestDriftReplacement:
             "premise": (p.center.tobytes(), p.cov.tobytes(),
                         p.cov_inv.tobytes(), p.hits),
             "consequent": (c.coeffs.tobytes(), c.corr.tobytes()),
-            "window": ([(x.tobytes(), weight) for x, weight in w.entries],
+            "window": ([(x.tobytes(), weight) for x, weight in entries(w)],
                        w.skipped),
         }
 
@@ -465,7 +465,7 @@ class TestDriftReplacement:
         for rule in learner.system.rules:
             lhs = np.linalg.inv(rule.consequent.corr)
             rhs = np.eye(k) / omega
-            for x_aug, w in rule.window.entries:
+            for x_aug, w in entries(rule.window):
                 rhs += w * np.outer(x_aug, x_aug)
             assert np.linalg.norm(lhs - rhs) < 1e-6
 
