@@ -16,8 +16,8 @@ guarantees exactly is stack independence: a row's result is bitwise
 identical no matter which other rows share the stack, so attaching
 auxiliary rows can never perturb the principal ones, and an operation may
 gather just the rows that carry weight (advance_premises, wrls_step and
-downdate_rows take a row index, memberships_all a leading-row bound)
-without changing any row's result.
+downdate_rows take a row index, memberships_all a row range) without
+changing any row's result.
 """
 
 from __future__ import annotations
@@ -227,19 +227,21 @@ class FuzzySystem:
 
     # -- evaluation ----------------------------------------------------
 
-    def memberships_all(self, x: np.ndarray, stop: int | None = None) -> np.ndarray:
+    def memberships_all(self, x: np.ndarray, stop: int | None = None,
+                        start: int = 0) -> np.ndarray:
         """Raw membership of x in the stacked rows (principal then auxiliary).
 
-        ``stop`` bounds the evaluation to the leading ``stop`` rows; by
-        default every row is evaluated. The einsum is row-local, so a
-        bounded call returns exactly the leading entries of the full one.
+        Rows ``start`` to ``stop`` are evaluated, every row by default. The
+        einsum is row-local, so a bounded call returns exactly the
+        corresponding slice of the full one.
         """
         centers, invs = self._centers, self._invs
-        if stop is not None:  # unbounded calls (learn_one) build no views
-            centers, invs = centers[:stop], invs[:stop]
+        if stop is not None or start:  # an unbounded call builds no views
+            centers, invs = centers[start:stop], invs[start:stop]
         diffs = x - centers
         quad = np.einsum("nd,nde,ne->n", diffs, invs, diffs)
-        return 1.0 / (1.0 + quad)
+        quad += 1.0
+        return np.divide(1.0, quad, out=quad)
 
     def memberships(self, x: np.ndarray) -> np.ndarray:
         """Raw membership of x in every rule, in rule order.
@@ -269,7 +271,7 @@ class FuzzySystem:
         distances overflow, would otherwise score NaN for every class.
         """
         betas = self.memberships(x)
-        total = float(betas.sum())
+        total = float(np.add.reduce(betas))
         if not 0.0 < total < math.inf:
             raise NonFiniteInputError(
                 f"sample {x.tolist()} has no finite positive membership sum "
@@ -278,7 +280,7 @@ class FuzzySystem:
 
     def predict_class(self, x: np.ndarray) -> int:
         """Argmax class; ties resolve to the lowest class index."""
-        return int(np.argmax(self.predict_scores(x)))
+        return int(self.predict_scores(x).argmax())
 
     # -- adaptation ----------------------------------------------------
 
@@ -462,7 +464,13 @@ def _wrls_kernel(corrs: np.ndarray, coeffs: np.ndarray, x_aug: np.ndarray,
     # depend on how many other rows share the stack
     s = np.einsum("nk,k->n", u, x_aug)
     f = weights / (1.0 + weights * s)
-    corrs -= f[:, None, None] * (u[:, :, None] * u[:, None, :])
+    # both outer products scaled in place: the same bits as scaling first,
+    # since multiplication commutes exactly
+    outer = u[:, :, None] * u[:, None, :]
+    outer *= f[:, None, None]
+    corrs -= outer
     resid = target - x_aug @ coeffs                          # (n, c)
     gains = corrs @ x_aug
-    coeffs += weights[:, None, None] * (gains[:, :, None] * resid[:, None, :])
+    outer = gains[:, :, None] * resid[:, None, :]
+    outer *= weights[:, None, None]
+    coeffs += outer

@@ -10,11 +10,13 @@ forgetting, in the shadow pairs and/or the principal system.
 
 The FuzzySystem stacks hold every rule and sub-rule as a row: rule i is
 row i, its shadow pair rows n+2i (slow) and n+2i+1 (fast). Births and
-replacements are row gathers. One batched membership pass, one batched
-premise update, and one batched WRLS step per sample cover the principal
-rules and the active pair together. The premise update and the WRLS step are told
-which rows carry weight (the winner and its pair; every principal rule and
-the winner's pair) and, on large stacks, touch only those. Conclusion
+replacements are row gathers. Per sample, one batched membership pass
+scores the principal rules and picks the winner; a second evaluates only
+the winner's pair, the one pair that carries weight. One batched premise
+update and one batched WRLS step then cover the principal rules and that
+pair together. The premise update and the WRLS step are told which rows
+carry weight (the winner and its pair; every principal rule and the
+winner's pair) and, on large stacks, touch only those. Conclusion
 forgetting runs in the forgetting module: WindowBank.forget for every
 principal window at once, forget_pair for the winner's pair.
 """
@@ -132,9 +134,8 @@ class AnticipatingClassifier:
             return y
 
         n = len(system.rules)
-        all_betas = system.memberships_all(x)
-        betas = all_betas[:n]
-        bsum = float(betas.sum())
+        betas = system.memberships_all(x, n)
+        bsum = float(np.add.reduce(betas))
         # every weight below divides by bsum (or by the pair denominator),
         # so check it before the label check can grow the classes
         if not 0.0 < bsum < math.inf:
@@ -144,8 +145,8 @@ class AnticipatingClassifier:
         y = self._check_label(y)
         x_aug = self._x_aug
         x_aug[1:] = x
-        prediction = int(np.argmax(
-            system.scores_from_memberships(betas, x_aug, bsum)))
+        prediction = int(
+            system.scores_from_memberships(betas, x_aug, bsum).argmax())
 
         if y not in self.seen_classes:
             # First sample of a class seeds a rule there. The founding
@@ -157,15 +158,17 @@ class AnticipatingClassifier:
             self.samples_seen += 1
             return prediction
 
-        winner = int(np.argmax(betas))
+        winner = int(betas.argmax())
         pair = self.pairs[winner]
         row_slow = n + 2 * winner
         row_fast = row_slow + 1
-        # Sub-rule memberships from the pre-update premises, consistent
-        # with betas (they came out of the same batched evaluation). The
-        # pair's conclusion weights come from them, before any state change.
-        beta_slow = float(all_betas[row_slow])
-        beta_fast = float(all_betas[row_fast])
+        # Sub-rule memberships from the pre-update premises: only the
+        # winner's pair carries weight, so only its two rows are evaluated,
+        # with the same bits as the full evaluation (memberships_all is
+        # row-local). The pair's conclusion weights come from them, before
+        # any state change.
+        beta_slow, beta_fast = system.memberships_all(
+            x, row_fast + 1, row_slow).tolist()
         if cfg.wrls_weight == "normalized":
             denom = beta_slow + beta_fast + bsum - float(betas[winner])
             if not 0.0 < denom < math.inf:

@@ -3,7 +3,9 @@
 Everything operates on float64 numpy arrays of side <= ~11 (feature count
 plus bias term). Functions are pure: inputs are never mutated and outputs
 are freshly allocated. The premises are inverted here, as
-(sym(S) + r I)^-1 with a trace-scaled ridge r. The rank-one correlation
+(S + r I)^-1 with a trace-scaled ridge r: regularized_inverse symmetrizes
+S first, while regularized_inverse_stack requires exactly symmetric
+input, which every covariance stack is. The rank-one correlation
 updates of the conclusions run in place on the stacks, as
 FuzzySystem.wrls_step and FuzzySystem.downdate_rows; DOWNDATE_GUARD is
 their guard.
@@ -75,17 +77,22 @@ def regularized_inverse(cov: np.ndarray) -> np.ndarray:
 
 
 def regularized_inverse_stack(covs: np.ndarray) -> np.ndarray:
-    """regularized_inverse applied over a stack of matrices in one call.
+    """(S + r I)^-1 for each matrix S of a stack, with regularized_inverse's ridge r.
 
-    Bitwise identical per slice to the single-matrix version: the batched
-    trace, maximum, and inversion all reduce each slice independently with
-    the same operations the scalar path performs. Batching amortizes the
-    inversion overhead on the per-sample hot path.
+    Precondition: every slice is exactly symmetric, bit for bit. The
+    covariance stacks are by construction (each update adds a scaled
+    outer product x x', whose entries commute), and the snapshot loader
+    rejects any other. The symmetrization of regularized_inverse is then
+    the identity, so it is skipped, and each slice equals
+    regularized_inverse of it bit for bit: the batched trace, maximum and
+    inversion reduce each slice independently with the same operations the
+    single-matrix path performs. Batching amortizes the inversion overhead
+    on the per-sample hot path.
     """
     d = covs.shape[-1]
-    traces = np.trace(covs, axis1=-2, axis2=-1)
-    ridges = np.maximum(RIDGE_SCALE * traces / d, RIDGE_FLOOR)
-    sym = covs + np.swapaxes(covs, -1, -2)
-    sym *= 0.5
-    sym += ridges[..., None, None] * _eye(d)
-    return np.linalg.inv(sym)
+    ridges = np.maximum(RIDGE_SCALE * covs.trace(axis1=-2, axis2=-1) / d,
+                        RIDGE_FLOOR)
+    # r I + S in one temporary; addition commutes exactly
+    reg = ridges[..., None, None] * _eye(d)
+    reg += covs
+    return np.linalg.inv(reg)

@@ -7,10 +7,16 @@ from driftfis.linalg import regularized_inverse
 
 
 def random_pd(rng, d, scale=1.0):
-    """Random symmetric positive definite matrix with eigenvalues in ~[0.3, 1.3]*scale."""
+    """Random symmetric positive definite matrix with eigenvalues in ~[0.3, 1.3]*scale.
+
+    Symmetric bit for bit, like every covariance the model builds: the
+    product q diag q' is symmetric only to rounding, so it is averaged with
+    its transpose (a sum that commutes exactly).
+    """
     q, _ = np.linalg.qr(rng.standard_normal((d, d)))
     eigs = scale * rng.uniform(0.3, 1.3, size=d)
-    return q @ np.diag(eigs) @ q.T
+    m = q @ np.diag(eigs) @ q.T
+    return 0.5 * (m + m.T)
 
 
 def random_orthogonal(rng, d):

@@ -275,12 +275,16 @@ class TestSystemBanks:
     @pytest.mark.parametrize("d", [1, 3, 10])
     @pytest.mark.parametrize("n", [1, 2, 5, 30, 70])
     def test_bounded_memberships_equal_leading_rows(self, d, n):
-        # the einsum is row-local, so bounding it to the principal rows
-        # must reproduce the leading entries of the all-row call bitwise
+        # the einsum is row-local, so bounding it to a row range must
+        # reproduce that slice of the all-row call bitwise: the principal
+        # rows, and each shadow pair n+2w .. n+2w+2 that learn_one scores
+        # on its own
         rng = np.random.default_rng(1000 * d + n)
         system = random_system(rng, n, d, 2)
         attach_rows(system, random_system(rng, 2 * n, d, 2).rules)
         assert system.n_rows == 3 * n
+        ranges = [(0, n), (0, 3 * n), (1, n), (n, 3 * n), (n - 1, n + 1)]
+        ranges += [(n + 2 * w, n + 2 * w + 2) for w in range(n)]
         for _ in range(5):
             x = rng.standard_normal(d)
             full = system.memberships_all(x)
@@ -288,6 +292,10 @@ class TestSystemBanks:
             assert bounded.shape == (n,)
             assert np.array_equal(bounded, full[:n])
             assert np.array_equal(system.memberships(x), full[:n])
+            for start, stop in ranges:
+                part = system.memberships_all(x, stop, start)
+                assert part.shape == (stop - start,)
+                assert part.tobytes() == full[start:stop].tobytes()
 
 
 class TestBatchedAdaptation:

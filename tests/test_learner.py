@@ -1,10 +1,13 @@
 """Tests for the streaming classifier: births, updates, drift replacement."""
 
+import json
 import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import driftfis
 from driftfis import fis
@@ -14,7 +17,7 @@ from driftfis.learner import (
     NonFiniteInputError,
     UnknownClassError,
 )
-from driftfis.snapshot import model_state_hash
+from driftfis.snapshot import from_state_dict, model_state_hash, state_dict
 
 from helpers import entries, gaussian_stream
 
@@ -529,3 +532,33 @@ class TestConsistency:
         X, y = two_blob_stream(rng, 37)
         train(learner, X, y)
         assert learner.samples_seen == 37
+
+
+@given(strategy=st.sampled_from(["naive", "global"]),
+       mode=st.sampled_from(["none", "forget_am", "forget_ps"]),
+       ws=st.integers(1, 6),
+       late_class_at=st.one_of(st.none(), st.integers(40, 150)),
+       round_trip_at=st.integers(1, 159),
+       seed=st.integers(0, 2**16))
+@settings(max_examples=40, deadline=None)
+def test_covariance_stacks_stay_exactly_symmetric(
+        strategy, mode, ws, late_class_at, round_trip_at, seed):
+    """regularized_inverse_stack inverts the covariance stacks unsymmetrized,
+    so every update must keep them symmetric exactly: births, drifts,
+    forgetting, class growth and a snapshot round trip mid-stream."""
+    rng = np.random.default_rng(seed)
+    X, y = two_blob_stream(rng, 160)
+    X[60:] += 2.0
+    X[110:] += 2.0
+    if late_class_at is not None:
+        y[late_class_at::3] = 2
+    learner = AnticipatingClassifier(2, 2, LearnerConfig(
+        ks=0.6, nmin=3, tmax2=5, ws=ws, strategy=strategy,
+        forgetting_mode=mode, allow_class_growth=late_class_at is not None))
+    for i, (xi, yi) in enumerate(zip(X, y)):
+        if i == round_trip_at:
+            learner = from_state_dict(json.loads(json.dumps(state_dict(learner))))
+        learner.learn_one(xi, int(yi))
+        stacks = learner.system.stacks()
+        for stack in (stacks.covs, stacks.corrs):
+            assert stack.tobytes() == np.swapaxes(stack, 1, 2).tobytes()
