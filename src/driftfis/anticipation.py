@@ -8,6 +8,11 @@ the fast one slides toward the new data and the two centers separate. The
 separation test, FuzzySystem.pair_separation, compares the center gap
 against the sum of the ellipsoid radii of the two sub-rule clusters along
 the gap direction.
+
+A pair is state in two places only: its two rows of the FuzzySystem
+stacks and the same two rows of the learner's WindowBank, next to each
+other, plus the learner's count of the samples it has seen. spawn_pair
+finishes those rows; AnticipatedPair and SubRule are views of them.
 """
 
 from __future__ import annotations
@@ -22,7 +27,8 @@ from .forgetting import DDFWindow
 
 @dataclass
 class SubRule:
-    """One member of an anticipated pair: premise + private consequent/window."""
+    """One member of an anticipated pair: views of its premise, consequent
+    and window rows."""
 
     premise: Premise
     consequent: Consequent
@@ -31,36 +37,17 @@ class SubRule:
 
 @dataclass
 class AnticipatedPair:
-    """Slow/fast shadow pair attached to one principal rule; the learner
-    hands these out as views of the pair's rows (PairState.view)."""
+    """Slow/fast shadow pair attached to one principal rule, as the learner
+    hands it out: a view of the pair's rows
+    (AnticipatingClassifier.pair_view)."""
 
     slow: SubRule
     fast: SubRule
     samples_seen: int = 0
 
 
-@dataclass
-class PairState:
-    """What a shadow pair keeps outside the system stacks."""
-
-    slow_window: DDFWindow
-    fast_window: DDFWindow
-    samples_seen: int = 0
-
-    def view(self, system: FuzzySystem, row: int, slow_horizon: int,
-             fast_horizon: int) -> AnticipatedPair:
-        """The pair whose slow sub-rule is row ``row``, fast ``row + 1``."""
-        return AnticipatedPair(
-            slow=SubRule(system.premise(row, slow_horizon),
-                         system.consequent(row), self.slow_window),
-            fast=SubRule(system.premise(row + 1, fast_horizon),
-                         system.consequent(row + 1), self.fast_window),
-            samples_seen=self.samples_seen)
-
-
 def spawn_pair(system: FuzzySystem, rows: np.ndarray, slow_horizon: int,
-               fast_horizon: int, window_capacity: int, init: str,
-               omega: float) -> list[PairState]:
+               fast_horizon: int, init: str, omega: float) -> None:
     """Finish the shadow pairs whose rows were just copied from their parents.
 
     Each pair holds rows (row, row + 1) for a row in ``rows``, both copies
@@ -69,9 +56,10 @@ def spawn_pair(system: FuzzySystem, rows: np.ndarray, slow_horizon: int,
     had always lived at this horizon: a long-lived parent would otherwise
     pin the fast sub-rule's fading factor to 1/horizon. ``init`` "parent"
     keeps the consequent copy, "zero" restarts it blank (zero
-    coefficients, omega * I correlation). Returns the pairs' states, with
-    empty windows: the correlation copy already embodies the parent's
-    window history, and re-evicting those samples would double-count them.
+    coefficients, omega * I correlation). The pairs' windows are blank
+    rows of the window bank: the correlation copy already embodies the
+    parent's window history, and re-evicting those samples would
+    double-count them.
     """
     if init not in ("parent", "zero"):
         raise ValueError(f"unknown anticipation init {init!r}")
@@ -82,8 +70,6 @@ def spawn_pair(system: FuzzySystem, rows: np.ndarray, slow_horizon: int,
         both = np.concatenate((rows, rows + 1))
         system._coeffs[both] = 0.0
         system._corrs[both] = omega * np.eye(system.n_features + 1)
-    return [PairState(DDFWindow(window_capacity), DDFWindow(window_capacity))
-            for _ in range(rows.shape[0])]
 
 
 @dataclass

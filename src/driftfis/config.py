@@ -9,6 +9,7 @@ out-of-range values raise ConfigError.
 from __future__ import annotations
 
 import math
+import numbers
 import typing
 from dataclasses import dataclass, field, fields
 
@@ -43,6 +44,20 @@ class LearnerConfig:
     allow_class_growth: bool = False
 
     def validate(self) -> None:
+        """ConfigError unless every field has its type and lies in range:
+        the horizons, nmin and ws integers (bool is none), ks, omega and
+        sigma_init real numbers (bool is none), allow_class_growth a bool."""
+        for name in ("tmax1", "tmax2", "nmin", "ws"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in ("ks", "omega", "sigma_init"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be a real number, got {value!r}")
+        if not isinstance(self.allow_class_growth, bool):
+            raise ConfigError(f"allow_class_growth must be a bool, got "
+                              f"{self.allow_class_growth!r}")
         if self.tmax1 < 1 or self.tmax2 < 1:
             raise ConfigError("tmax1 and tmax2 must be positive")
         if self.tmax1 <= self.tmax2:

@@ -12,14 +12,17 @@ Coefficients are never decremented: old directions merely stop being
 reinforced, which lets the estimator move again along directions that
 fresh data no longer excites.
 
-A window is a ring of ``capacity`` slots (a sample and its weight each),
-a head, a fill and a ``skipped`` count. The principal windows are the rows
-of one WindowBank; a shadow pair's two windows stay outside it and share
-one samples array. Only this module knows how a window is stored: it
-records, evicts and sheds samples (WindowBank.forget, forget_pair), counts
-the skips, moves the windows with their consequents (WindowBank.set_rows)
-and builds windows from their entries. Elsewhere a window is read through
-``len()``, ``capacity``, ``skipped``, ``ordered()`` and shadow_state.
+Every window is a row of one WindowBank, and bank row r is the window of
+FuzzySystem row r: the principal rules first, then each rule's slow and
+fast sub-rule. A window is a ring of ``capacity`` slots (a sample and its
+weight each), a head, a fill and a ``skipped`` count. Only this module
+knows how a window is stored: it records, evicts and sheds samples
+(WindowBank.forget for the principal rows, WindowBank.forget_pair for a
+shadow pair), counts the skips, moves the windows with their consequents
+(WindowBank.set_rows) and loads them from their entries
+(WindowBank.load). Elsewhere a window is read through ``len()``,
+``capacity``, ``skipped`` and ``ordered()``, or the whole bank through
+``entries()`` and ``counts()``.
 """
 
 from __future__ import annotations
@@ -28,31 +31,22 @@ import numpy as np
 
 
 class DDFWindow:
-    """FIFO memory of the weighted samples currently inside a consequent.
+    """FIFO memory of the weighted samples currently inside a consequent:
+    one row of a WindowBank, as views of its stacks.
 
     ``samples`` (capacity, k) and ``weights`` (capacity,) are the ring
     slots; an empty slot has weight 0.0. ``state`` holds the head, the fill
     and ``skipped``, the count of evictions abandoned because the downdate
     denominator was within the guard of zero (the sample leaves memory,
-    its weight stays baked into the correlation matrix). A window starts
-    out holding ``samples`` with ``weights``, oldest first, in its leading
-    slots (ValueError if they overflow it): ``samples`` holds just those,
-    or None while empty, until a push allocates the whole ring.
+    its weight stays baked into the correlation matrix).
     """
 
-    def __init__(self, capacity: int, skipped: int = 0,
-                 samples: np.ndarray | None = None, weights=()):
-        fill = len(weights)
-        if capacity < 1:
-            raise ValueError(f"window capacity must be positive, got {capacity}")
-        if fill > capacity:
-            raise ValueError(f"window holds {fill} entries, more than its "
-                             f"capacity {capacity}")
-        self.capacity = capacity
-        self.samples = samples if fill else None
-        self.weights = np.zeros(capacity)
-        self.weights[:fill] = weights
-        self.state = np.array([fill % capacity, fill, skipped], dtype=np.int64)
+    def __init__(self, samples: np.ndarray, weights: np.ndarray,
+                 state: np.ndarray):
+        self.capacity = weights.shape[0]
+        self.samples = samples
+        self.weights = weights
+        self.state = state
 
     @property
     def skipped(self) -> int:
@@ -61,30 +55,15 @@ class DDFWindow:
     def __len__(self) -> int:
         return int(self.state[1])
 
-    def slots(self) -> slice | np.ndarray:
-        """Index of the filled slots, oldest first: a slice unless the
-        held samples wrap around the end of the ring."""
-        head, fill = int(self.state[0]), int(self.state[1])
-        start = head - fill
-        if start >= 0:
-            return slice(start, head)
-        return np.arange(start, head) % self.weights.shape[0]
-
     def ordered(self) -> tuple[np.ndarray, np.ndarray]:
         """The held samples and weights, oldest first."""
-        if not self.state[1]:
-            return np.empty((0, 0)), np.empty(0)
-        slots = self.slots()
+        head, fill = int(self.state[0]), int(self.state[1])
+        slots = np.arange(head - fill, head) % self.capacity
         return self.samples[slots], self.weights[slots]
 
     def push(self, x_aug: np.ndarray, weight: float) -> tuple[np.ndarray, float] | None:
         """Record a sample; return the evicted (x, weight) pair on overflow."""
         head, fill = int(self.state[0]), int(self.state[1])
-        samples = self.samples
-        if samples is None or samples.shape[0] < self.capacity:
-            self.samples = np.empty((self.capacity, x_aug.shape[0]))
-            if samples is not None:
-                self.samples[:samples.shape[0]] = samples
         evicted = None
         if fill == self.capacity:
             evicted = (self.samples[head].copy(), float(self.weights[head]))
@@ -96,84 +75,15 @@ class DDFWindow:
         return evicted
 
 
-def shadow_state(pairs) -> tuple[np.ndarray, list[np.ndarray]]:
-    """What state_bytes reads of the windows of ``pairs`` (each with a
-    ``slow_window`` and a ``fast_window``): every window's fill and skipped
-    count, (2 * pairs, 2), and each nonempty pair's samples, slow weights
-    and fast weights, oldest first, with one slots computation per pair."""
-    counts = np.array([(p.slow_window.state[1:], p.fast_window.state[1:])
-                       for p in pairs], dtype=np.int64)
-    entries = []
-    for pair in pairs:
-        slow, fast = pair.slow_window, pair.fast_window
-        if slow.state[1]:
-            slots = slow.slots()
-            entries += (slow.samples[slots], slow.weights[slots], fast.weights[slots])
-    return counts.reshape(2 * len(pairs), 2), entries
-
-
-def forget_pair(system, row: int, slow: DDFWindow, fast: DDFWindow,
-                x_aug: np.ndarray, w_slow: float, w_fast: float) -> None:
-    """Record x_aug in a shadow pair's windows and downdate rows (row,
-    row + 1) of ``system`` by the sample they evict. A side whose guard
-    trips keeps its matrix and counts the skip on its window, unless its
-    departing weight is zero (that downdate would change nothing)."""
-    evicted = push_pair(slow, fast, x_aug, w_slow, w_fast)
-    if evicted is not None:
-        old_x, w_old = evicted
-        ok_slow, ok_fast = system.downdate_row_pair(row, old_x, w_old)
-        if not ok_slow and w_old[0] != 0.0:
-            slow.state[2] += 1
-        if not ok_fast and w_old[1] != 0.0:
-            fast.state[2] += 1
-
-
-def push_pair(slow: DDFWindow, fast: DDFWindow, x_aug: np.ndarray,
-              w_slow: float, w_fast: float):
-    """Record x_aug in a shadow pair's two windows, weighted w_slow and w_fast.
-
-    The two windows record and evict every sample together, so they share
-    one samples array and keep equal heads and fills: a push on one of
-    them alone would rewrite its partner's samples. Most shadow pairs
-    restart before they fill, so the samples array grows by doubling until
-    it spans the ring. Returns (sample, weights) for an eviction in which
-    either weight is nonzero, else None.
-    """
-    cap = slow.capacity
-    state = slow.state
-    head, fill = int(state[0]), int(state[1])
-    samples = slow.samples
-    held = 0 if samples is None else samples.shape[0]
-    if head >= held or samples is not fast.samples:
-        # a ring shorter than capacity has not wrapped yet: its samples
-        # are the leading rows
-        grown = np.empty((min(cap, max(4, 2 * held)), x_aug.shape[0]))
-        grown[:held] = samples
-        slow.samples = fast.samples = samples = grown
-    old_slow = float(slow.weights[head])
-    old_fast = float(fast.weights[head])
-    evicted = None
-    if old_slow != 0.0 or old_fast != 0.0:
-        evicted = (samples[head].copy(), np.array((old_slow, old_fast)))
-    samples[head] = x_aug
-    slow.weights[head] = w_slow
-    fast.weights[head] = w_fast
-    head = head + 1 if head + 1 < cap else 0
-    state[0] = fast.state[0] = head
-    if fill < cap:
-        state[1] = fast.state[1] = fill + 1
-    return evicted
-
-
 class WindowBank:
-    """The rings of a learner's principal windows, stacked, one row per rule.
+    """The rings of every window, stacked: row r is FuzzySystem row r's.
 
     ``samples`` is (rows, capacity, k), ``weights`` (rows, capacity) and
     ``state`` (3, rows): head, fill and skipped per row. Every window
-    shares the bank's capacity. Recording a sample in every window is one
-    scatter. The shadow pairs' windows stay outside: only the winner's
-    pair records a sample, and most pairs hold a few samples, so
-    preallocated rings would mostly sit empty.
+    shares the bank's capacity. Recording a sample in every principal
+    window is one scatter over the leading rows (forget); a shadow pair's
+    two rows record each sample together (forget_pair), so they keep equal
+    heads and fills and hold the same samples.
     """
 
     def __init__(self, capacity: int, n_inputs: int):
@@ -190,56 +100,54 @@ class WindowBank:
 
     def window(self, row: int) -> DDFWindow:
         """Row ``row``'s ring as a DDFWindow of views into the stacks."""
-        window = DDFWindow(self.capacity)
-        window.samples = self.samples[row]
-        window.weights = self.weights[row]
-        window.state = self.state[:, row]
-        return window
+        return DDFWindow(self.samples[row], self.weights[row],
+                         self.state[:, row])
 
-    def set_rows(self, rows: np.ndarray, extra: list[DDFWindow] = ()) -> None:
+    def set_rows(self, rows: np.ndarray) -> None:
         """Rebuild the stacks as a gather: new row i copies row ``rows[i]``.
 
-        Index n + j past the current n rows addresses the standalone window
-        ``extra[j]``, and one past those a blank ring; only the windows
-        referenced are copied. Given a structural change's consequent rows
-        and the shadow windows in stack order, each rule's window follows
-        its consequent. ValueError if a window's capacity is not the bank's.
+        An index at or past the current row count makes a blank ring,
+        which is allocated, not copied. Given the consequent rows of a
+        structural change (FuzzySystem.set_rows), each window follows its
+        consequent.
         """
         cap = self.capacity
-        samples, weights, state = self.samples, self.weights, self.state
-        current = state.shape[1]
-        outside = np.flatnonzero(rows >= current)
-        if outside.shape[0]:
-            extra = [extra[j] if j < len(extra) else DDFWindow(cap)
-                     for j in (rows[outside] - current).tolist()]
-            if any(window.capacity != cap for window in extra):
-                raise ValueError(f"a window's capacity differs from the "
-                                 f"bank's {cap}")
-            rows = rows.copy()
-            rows[outside] = current + np.arange(len(extra))
-            more = np.empty((len(extra), cap, self.n_inputs))
-            # a standalone ring may hold just its leading slots
-            for ring, window in zip(more, extra):
-                if window.samples is not None:
-                    ring[:window.samples.shape[0]] = window.samples
-            samples = np.concatenate((samples, more))
-            weights = np.concatenate((weights, [w.weights for w in extra]))
-            state = np.concatenate((state, np.transpose([w.state for w in extra])),
-                                   axis=1)
         n = rows.shape[0]
-        self.samples = samples = samples.take(rows, axis=0)
-        self.weights = weights = weights.take(rows, axis=0)
-        self.state = state = state.take(rows, axis=1)
+        kept = rows < self.state.shape[1]
+        src = rows[kept]
+        samples = np.empty((n, cap, self.n_inputs))
+        weights = np.zeros((n, cap))
+        state = np.zeros((3, n), dtype=np.int64)
+        samples[kept] = self.samples[src]
+        weights[kept] = self.weights[src]
+        state[:, kept] = self.state[:, src]
+        self.samples, self.weights, self.state = samples, weights, state
         self._head = state[0]
         self._fill = state[1]
         self._flat_x = samples.reshape(n * cap, self.n_inputs)
         self._flat_w = weights.reshape(n * cap)
         self._base = np.arange(n, dtype=np.int64) * cap
 
+    def load(self, entries: list) -> None:
+        """Rebuild the bank from each row's (samples, weights, skipped):
+        the held entries, oldest first, in the leading slots. ValueError if
+        a row holds more entries than the capacity."""
+        cap = self.capacity
+        self.set_rows(np.full(len(entries), self.state.shape[1]))
+        for row, (xs, ws, skipped) in enumerate(entries):
+            fill = len(ws)
+            if fill > cap:
+                raise ValueError(f"window holds {fill} entries, more than "
+                                 f"its capacity {cap}")
+            self.samples[row, :fill] = xs
+            self.weights[row, :fill] = ws
+            self.state[:, row] = (fill % cap, fill, skipped)
+
     def forget(self, system, x_aug: np.ndarray, weights: np.ndarray) -> None:
-        """Record x_aug in every ring, row i with weights[i], and downdate
-        row i of ``system`` by what it evicts, all in one downdate_rows
-        call. A row whose guard trips keeps its matrix and counts the skip.
+        """Record x_aug in the leading rings, row i with weights[i], and
+        downdate row i of ``system`` by what it evicts, all in one
+        downdate_rows call. A row whose guard trips keeps its matrix and
+        counts the skip.
         """
         evicted = self.push(x_aug, weights)
         if evicted is not None:
@@ -250,15 +158,17 @@ class WindowBank:
                 self.state[2, failed if rows is None else rows[failed]] += 1
 
     def push(self, x_aug: np.ndarray, weights: np.ndarray):
-        """Record x_aug in every row's ring, row i with weights[i].
+        """Record x_aug in the leading ``len(weights)`` rings, row i with
+        weights[i].
 
         Returns the evictions that carry weight as (rows, samples,
-        weights), with rows None when every row evicted, or None when no
-        row did. A zero-weight eviction is dropped, since its downdate
-        would be a no-op.
+        weights), with rows None when every pushed row evicted, or None
+        when no row did. A zero-weight eviction is dropped, since its
+        downdate would be a no-op.
         """
-        head = self._head
-        flat = self._base + head
+        m = weights.shape[0]
+        head = self._head[:m]
+        flat = self._base[:m] + head
         old_w = self._flat_w[flat]
         # empty slots weigh 0.0, so a weighted slot at the head means a full ring
         hit = old_w != 0.0
@@ -272,10 +182,46 @@ class WindowBank:
         self._flat_x[flat] = x_aug
         self._flat_w[flat] = weights
         if evicted is None or evicted[0] is not None:
-            np.minimum(self._fill + 1, self.capacity, out=self._fill)
+            fill = self._fill[:m]
+            np.minimum(fill + 1, self.capacity, out=fill)
         head += 1
         head[head == self.capacity] = 0
         return evicted
+
+    def forget_pair(self, system, row: int, x_aug: np.ndarray,
+                    w_slow: float, w_fast: float) -> None:
+        """Record x_aug in a shadow pair's rings, rows (row, row + 1),
+        weighted w_slow and w_fast, and downdate the same rows of
+        ``system`` by the sample they evict.
+
+        The two rings record every sample together and evict it together,
+        when either departing weight is nonzero. A side whose guard trips
+        keeps its matrix and counts the skip, unless its departing weight
+        is zero (that downdate would change nothing).
+        """
+        state = self.state
+        weights = self.weights
+        samples = self.samples
+        head, fill = int(state[0, row]), int(state[1, row])
+        old_slow = float(weights[row, head])
+        old_fast = float(weights[row + 1, head])
+        old_x = None
+        if old_slow != 0.0 or old_fast != 0.0:
+            old_x = samples[row, head].copy()
+        samples[row, head] = x_aug
+        samples[row + 1, head] = x_aug
+        weights[row, head] = w_slow
+        weights[row + 1, head] = w_fast
+        state[0, row:row + 2] = head + 1 if head + 1 < self.capacity else 0
+        if fill < self.capacity:
+            state[1, row:row + 2] = fill + 1
+        if old_x is not None:
+            ok_slow, ok_fast = system.downdate_row_pair(
+                row, old_x, np.array((old_slow, old_fast)))
+            if not ok_slow and old_slow != 0.0:
+                state[2, row] += 1
+            if not ok_fast and old_fast != 0.0:
+                state[2, row + 1] += 1
 
     def entries(self) -> tuple[np.ndarray, np.ndarray]:
         """Every row's held samples and weights, oldest first, in row order."""

@@ -17,8 +17,10 @@ update and one batched WRLS step then cover the principal rules and that
 pair together. The premise update and the WRLS step are told which rows
 carry weight (the winner and its pair; every principal rule and the
 winner's pair) and, on large stacks, touch only those. Conclusion
-forgetting runs in the forgetting module: WindowBank.forget for every
-principal window at once, forget_pair for the winner's pair.
+forgetting runs in the forgetting module, on one WindowBank whose row r
+is the window of stack row r: WindowBank.forget for every principal
+window at once, WindowBank.forget_pair for the winner's pair. A window
+moves with its consequent through the same row gather.
 """
 
 from __future__ import annotations
@@ -29,10 +31,10 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .anticipation import AnticipatedPair, DriftEvent, PairState, spawn_pair
+from .anticipation import AnticipatedPair, DriftEvent, SubRule, spawn_pair
 from .config import LearnerConfig
 from .fis import FuzzySystem, NonFiniteInputError, Rows, Rule, create_rule
-from .forgetting import WindowBank, forget_pair
+from .forgetting import WindowBank
 
 
 class UnknownClassError(ValueError):
@@ -58,10 +60,10 @@ class AnticipatingClassifier:
         self.config = config if config is not None else LearnerConfig()
         self.config.validate()
         self.system = FuzzySystem(n_features=n_features, n_classes=n_classes)
-        # the principal windows' rings, one row per rule
+        # every window's ring, row r that of system row r
         self.windows = WindowBank(self.config.ws, n_features + 1)
-        # the shadow pair of rule i, in rule order
-        self.pairs: list[PairState] = []
+        # the samples rule i's shadow pair has seen, in rule order
+        self.pair_seen: list[int] = []
         self.drift_log: list[DriftEvent] = []
         self.seen_classes: set[int] = set()
         self.samples_seen = 0
@@ -91,10 +93,17 @@ class AnticipatingClassifier:
                                  for i, rule in enumerate(self.system.rules)})
 
     def pair_view(self, i: int) -> AnticipatedPair:
-        """Rule i's shadow pair, as a view of its rows."""
-        cfg = self.config
-        return self.pairs[i].view(self.system, len(self.system) + 2 * i,
-                                  cfg.tmax1, cfg.tmax2)
+        """Rule i's shadow pair, as a view of its stack and window rows."""
+        system, windows = self.system, self.windows
+        row = len(system) + 2 * i
+
+        def sub(row, horizon):
+            return SubRule(system.premise(row, horizon), system.consequent(row),
+                           windows.window(row))
+
+        return AnticipatedPair(sub(row, self.config.tmax1),
+                               sub(row + 1, self.config.tmax2),
+                               self.pair_seen[i])
 
     def predict_one(self, x) -> int:
         """Class index for x from the principal system; no state change.
@@ -159,7 +168,6 @@ class AnticipatingClassifier:
             return prediction
 
         winner = int(betas.argmax())
-        pair = self.pairs[winner]
         row_slow = n + 2 * winner
         row_fast = row_slow + 1
         # Sub-rule memberships from the pre-update premises: only the
@@ -219,13 +227,13 @@ class AnticipatingClassifier:
         # the correlation matrices shed whatever falls out.
         mode = cfg.forgetting_mode
         if mode != "none":
-            forget_pair(system, row_slow, pair.slow_window, pair.fast_window,
-                        x_aug, w_slow, w_fast)
+            self.windows.forget_pair(system, row_slow, x_aug, w_slow, w_fast)
             if mode == "forget_ps":
                 self.windows.forget(system, x_aug, wvec[:n])
-        pair.samples_seen += 1
+        seen = self.pair_seen[winner] + 1
+        self.pair_seen[winner] = seen
 
-        if math.isfinite(cfg.ks) and pair.samples_seen > cfg.nmin:
+        if math.isfinite(cfg.ks) and seen > cfg.nmin:
             # ks > 0, so coinciding centers (separation 0.0) never fire
             separation = system.pair_separation(row_slow)
             if separation > cfg.ks:
@@ -273,39 +281,40 @@ class AnticipatingClassifier:
         self.seen_classes.add(y)
         # the newborn's row is appended after the current ones
         rows = np.append(np.arange(n), system.n_rows)
-        self._set_rows(system.rules + [rule], rows, rows, self.pairs + [None],
-                       extra=rule.system.stacks())
+        self._set_rows(system.rules + [rule], rows, rows,
+                       self.pair_seen + [None], extra=rule.system.stacks())
 
     def _set_rows(self, rules: list[Rule], rows: np.ndarray,
-                  con_rows: np.ndarray, pairs: list[PairState | None],
+                  con_rows: np.ndarray, pair_seen: list[int | None],
                   extra: Rows | None = None) -> None:
         """Rebuild the system stacks for a new rule list, pairs behind it.
 
         Rule j takes its premise from current row ``rows[j]`` and its
         consequent from ``con_rows[j]`` (FuzzySystem.set_rows; indices
-        past its rows address ``extra``); its window follows the
-        consequent (WindowBank.set_rows). ``pairs[j]`` is the state of the
-        rule's shadow pair: a kept pair's rows move with their rule, which
-        must then come from its own current row; None spawns a fresh pair
-        from the rule's new rows.
+        past its rows address ``extra``). ``pair_seen[j]`` is the sample
+        count of the rule's shadow pair: a kept pair's rows move with their
+        rule, which must then come from its own current row; None spawns a
+        fresh pair from the rule's new rows. Every window follows its
+        consequent (WindowBank.set_rows); a spawned pair's, and a newborn
+        rule's, start blank.
         """
         cfg = self.config
         system = self.system
-        self.windows.set_rows(con_rows, [window for pair in self.pairs for window
-                                         in (pair.slow_window, pair.fast_window)])
-        spawn = np.array([pair is None for pair in pairs])
+        spawn = np.array([seen is None for seen in pair_seen])
         kept = len(system) + 2 * rows  # a kept rule's slow row
 
-        def with_pairs(src):
-            slow = np.where(spawn, src, kept)
-            fast = np.where(spawn, src, kept + 1)
+        def with_pairs(src, spawned):
+            slow = np.where(spawn, spawned, kept)
+            fast = np.where(spawn, spawned, kept + 1)
             return np.concatenate((src, np.column_stack((slow, fast)).ravel()))
 
-        system.set_rows(rules, with_pairs(rows), with_pairs(con_rows), extra)
-        fresh = iter(spawn_pair(system, len(rules) + 2 * np.flatnonzero(spawn),
-                                cfg.tmax1, cfg.tmax2, cfg.ws, cfg.am_init,
-                                cfg.omega))
-        self.pairs = [next(fresh) if pair is None else pair for pair in pairs]
+        # an index past the current rows is a blank window
+        self.windows.set_rows(with_pairs(con_rows, system.n_rows))
+        system.set_rows(rules, with_pairs(rows, rows),
+                        with_pairs(con_rows, con_rows), extra)
+        spawn_pair(system, len(rules) + 2 * np.flatnonzero(spawn), cfg.tmax1,
+                   cfg.tmax2, cfg.am_init, cfg.omega)
+        self.pair_seen = [0 if seen is None else seen for seen in pair_seen]
         self._resize_buffers()
 
     def _resize_buffers(self) -> None:
@@ -361,11 +370,12 @@ class AnticipatingClassifier:
             adopts = np.ones(n + 1, dtype=bool)
             adopts[winner:winner + 2] = False
             con_rows = np.where(adopts, n + 2 * rows, rows)
-            pairs = [None] * (n + 1)
+            pair_seen = [None] * (n + 1)
         else:
             con_rows = rows
-            pairs = self.pairs[:winner] + [None, None] + self.pairs[winner + 1:]
-        self._set_rows(rules, rows, con_rows, pairs)
+            pair_seen = (self.pair_seen[:winner] + [None, None]
+                         + self.pair_seen[winner + 1:])
+        self._set_rows(rules, rows, con_rows, pair_seen)
         self.drift_log.append(DriftEvent(
             sample_index=self.samples_seen, rule_id=old.id,
             strategy=cfg.strategy, separation=separation))

@@ -4,19 +4,19 @@ Snapshots capture the full learner state (rules, shadow pairs, windows,
 counters, config) as plain JSON. Floats survive the round trip exactly
 (repr-based encoding), so saving and reloading resumes the stream
 bit-for-bit. Cached covariance inverses are not stored; they are
-recomputed from the covariance, which is deterministic. Windows are built
-and read through the forgetting module.
+recomputed from the covariance, which is deterministic. Windows are
+loaded and read through the forgetting module's WindowBank.
 
 Two descriptions of a state serve two purposes. The canonical JSON, which
 ``save_model`` writes and ``model_state_hash`` hashes, is portable across
 machines. ``state_bytes`` is the raw array bytes in memory plus a repr of
 the counters: much cheaper to build, it also covers the cached inverses,
 and two of them are compared byte for byte, so a check built on it is
-exact rather than probabilistic. It reads the FuzzySystem stacks and the
-principal windows' WindowBank whole. It is only comparable within one
-process, and holding one costs its full size (about 0.67 MB on a 48-rule,
-10-feature model); ``state_bytes_match`` compares a live state against a
-held buffer without building a second one.
+exact rather than probabilistic. It reads the FuzzySystem stacks and
+the WindowBank whole, both one row per rule and sub-rule. It is only
+comparable within one process, and holding one costs its full size;
+``state_bytes_match`` compares a live state against a held buffer without
+building a second one.
 """
 
 from __future__ import annotations
@@ -29,10 +29,9 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .anticipation import DriftEvent, PairState
+from .anticipation import DriftEvent
 from .config import STRATEGIES, LearnerConfig
 from .fis import Rows, Rule
-from .forgetting import DDFWindow, shadow_state
 from .learner import AnticipatingClassifier
 from .linalg import regularized_inverse_stack
 
@@ -211,12 +210,10 @@ def _learner_from_state(state: dict) -> AnticipatingClassifier:
             _integer(w["skipped"], "skipped")])
     n = len(rules)
     # the two windows of a pair record every sample together and evict it
-    # together, so they share one samples array
+    # together
     for slow, fast in zip(windows[n::2], windows[n + 1::2]):
         if slow[0].tobytes() != fast[0].tobytes():
             raise ValueError("a shadow pair's windows must hold the same samples")
-        fast[0] = slow[0]
-    windows = [DDFWindow(config.ws, skipped, xs, ws) for xs, ws, skipped in windows]
     if not rules:
         return learner
 
@@ -240,11 +237,9 @@ def _learner_from_state(state: dict) -> AnticipatingClassifier:
         extra=Rows(stacked("premise", "center", d), covs,
                    regularized_inverse_stack(covs), hits, corrs,
                    stacked("consequent", "coeffs", d + 1, c)))
-    learner.windows.set_rows(np.arange(n), windows[:n])
-    learner.pairs = [PairState(slow, fast, _integer(pair["samples_seen"],
-                                                    "a pair's samples_seen"))
-                     for pair, slow, fast in zip(pairs, windows[n::2],
-                                                 windows[n + 1::2])]
+    learner.windows.load(windows)
+    learner.pair_seen = [_integer(pair["samples_seen"], "a pair's samples_seen")
+                         for pair in pairs]
     learner._resize_buffers()
     return learner
 
@@ -315,12 +310,10 @@ def _state_chunks(learner: AnticipatingClassifier) -> list:
     """The arrays state_bytes joins, in order, then the metadata bytes."""
     system = learner.system
     windows = learner.windows
-    pairs = learner.pairs
     log = learner.drift_log
     xs, ws = windows.entries()
-    shadow_counts, shadow_entries = shadow_state(pairs)
     stacks = system.stacks()
-    packed = (xs, ws, windows.counts(), shadow_counts,  # fills and skipped counts
+    packed = (xs, ws, windows.counts(),  # fills and skipped counts
               np.array([e.sample_index for e in log], dtype=np.int64),
               np.array([e.rule_id for e in log], dtype=np.int64),
               np.array([e.separation for e in log], dtype=np.float64))
@@ -328,9 +321,9 @@ def _state_chunks(learner: AnticipatingClassifier) -> list:
             learner.samples_seen, learner.next_rule_id,
             sorted(learner.seen_classes),
             [(rule.id, rule.born_class) for rule in system.rules],
-            [pair.samples_seen for pair in pairs], [e.strategy for e in log],
+            learner.pair_seen, [e.strategy for e in log],
             [a.shape for a in stacks + packed]]
-    return [*stacks, *packed, *shadow_entries, repr(meta).encode()]
+    return [*stacks, *packed, repr(meta).encode()]
 
 
 def state_bytes(learner: AnticipatingClassifier) -> bytes:
@@ -341,18 +334,19 @@ def state_bytes(learner: AnticipatingClassifier) -> bytes:
     rule ids, window bookkeeping, drift log), and the cached inverses that
     prediction reads. The buffer is the five FuzzySystem stacks with the
     hit counts, in row order (rules, then each rule's slow and fast
-    sub-rule); the principal windows' samples and weights, oldest first
-    and in rule order, read from the window bank in one gather; every
-    window's fill and skipped count; the drift log's sample indices, rule
-    ids and separations; for each nonempty shadow pair, the samples its
-    two windows share and the slow and the fast weights, oldest first;
-    then ``repr`` of the remaining metadata. Horizons, omegas and window
-    capacities follow from the config, which the metadata holds. The
-    shapes in the metadata and the fills fix where each array's bytes
-    start, and repr writes every float exactly. Two buffers are equal iff
-    every array holds the same bits (``-0.0`` differs from ``0.0``) and
-    every counter is equal. It builds no JSON and hashes nothing. The
-    bytes are native-endian: compare them only within one process.
+    sub-rule); every window's samples and weights, oldest first and in
+    the same row order, read from the window bank in one gather
+    (``entries()``); every window's fill and skipped count
+    (``counts()``); the drift log's sample indices, rule ids and
+    separations; then ``repr`` of the remaining metadata. A shadow pair's
+    two windows hold the same samples, so their bytes appear twice.
+    Horizons, omegas and window capacities follow from the config, which
+    the metadata holds. The shapes in the metadata and the fills fix
+    where each array's bytes start, and repr writes every float exactly.
+    Two buffers are equal iff every array holds the same bits (``-0.0``
+    differs from ``0.0``) and every counter is equal. It builds no JSON
+    and hashes nothing. The bytes are native-endian: compare them only
+    within one process.
     """
     return b"".join(_state_chunks(learner))
 

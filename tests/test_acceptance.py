@@ -3,12 +3,13 @@
 Every test prints a single ``[acceptance] criterion N (...): PASS/FAIL``
 line so the whole gate reads off the terminal at a glance. Criteria 1-3
 drive the stacked kernels and the forgetting code the learner runs
-(FuzzySystem.wrls_step, WindowBank.forget with downdate_rows, forget_pair
-with downdate_row_pair, advance_premises). Expectations come from
-independent oracles: closed-form weighted ridge solutions, correlations
-rebuilt from the window contents, a 50-digit re-execution of the premise
-recursion, hand-checkable contingency tables, and a plain reference
-classifier driven through the same batched operations.
+(FuzzySystem.wrls_step, WindowBank.forget with downdate_rows,
+WindowBank.forget_pair with downdate_row_pair, advance_premises).
+Expectations come from independent oracles: closed-form weighted ridge
+solutions, correlations rebuilt from the window contents, a 50-digit
+re-execution of the premise recursion, hand-checkable contingency tables,
+and a plain reference classifier driven through the same batched
+operations.
 """
 
 import math
@@ -21,7 +22,7 @@ from driftfis import fis
 from driftfis.config import ExperimentConfig, LearnerConfig
 from driftfis.evaluation import mcnemar, run_experiment
 from driftfis.fis import FuzzySystem, augment, create_rule
-from driftfis.forgetting import DDFWindow, WindowBank, forget_pair
+from driftfis.forgetting import WindowBank
 from driftfis.learner import AnticipatingClassifier
 from helpers import advance_row, blank_system, random_system
 
@@ -98,8 +99,8 @@ def test_criterion_2_forgetting_window_consistency(capsys):
     # after every deferred-forgetting step the inverse correlation of each
     # row must equal its prior plus exactly the weighted outer products
     # still in its window: the principal rows forget through
-    # WindowBank.forget, a slow/fast shadow pair through forget_pair, every
-    # row with its own omega and weights
+    # WindowBank.forget, a slow/fast shadow pair in the same bank through
+    # WindowBank.forget_pair, every row with its own omega and weights
     rng = np.random.default_rng(202)
     d, c, n = 3, 2, 4
     worst = 0.0
@@ -109,8 +110,7 @@ def test_criterion_2_forgetting_window_consistency(capsys):
             priors = np.eye(d + 1) / omegas[:, None, None]
             system = blank_system(d, c, omegas)
             bank = WindowBank(ws, d + 1)
-            bank.set_rows(np.arange(n), [DDFWindow(ws) for _ in range(n)])
-            slow, fast = DDFWindow(ws), DDFWindow(ws)
+            bank.set_rows(np.arange(n + 2))  # blank rows: n rules, one pair
             Xa = np.column_stack([np.ones(1000), rng.normal(size=(1000, d))])
             W = rng.uniform(0.0, 1.0, size=(1000, n + 2))
             W[rng.random((1000, n + 2)) < 0.1] = 0.0
@@ -118,21 +118,17 @@ def test_criterion_2_forgetting_window_consistency(capsys):
             for x_aug, weights, target in zip(Xa, W, Y):
                 system.wrls_step(x_aug, weights, target)
                 bank.forget(system, x_aug, weights[:n])
-                forget_pair(system, n, slow, fast, x_aug,
-                            float(weights[n]), float(weights[n + 1]))
+                bank.forget_pair(system, n, x_aug, float(weights[n]),
+                                 float(weights[n + 1]))
                 # every window records every sample, so the fills are equal
                 xs, wts = bank.entries()
-                pair_xs, w_slow = slow.ordered()
-                xs = np.concatenate([xs.reshape(n, -1, d + 1),
-                                     [pair_xs, pair_xs]])
-                wts = np.concatenate([wts.reshape(n, -1),
-                                      [w_slow, fast.ordered()[1]]])
+                xs = xs.reshape(n + 2, -1, d + 1)
+                wts = wts.reshape(n + 2, -1)
                 held = np.swapaxes(xs * wts[:, :, None], 1, 2) @ xs
                 err = np.linalg.norm(np.linalg.inv(system._corrs)
                                      - (priors + held), axis=(1, 2))
                 worst = max(worst, float(err.max()))
             assert not bank.counts()[1].any()
-            assert slow.skipped == fast.skipped == 0
 
     # an increment followed by its exact downdate is an involution
     worst_rt = 0.0

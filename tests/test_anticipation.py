@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from driftfis.anticipation import DriftEvent, spawn_pair
+from driftfis.anticipation import AnticipatedPair, DriftEvent, SubRule, spawn_pair
 from driftfis.fis import create_rule
+from driftfis.forgetting import WindowBank
 from driftfis.linalg import RIDGE_SCALE, ellipsoid_radius_along, regularized_inverse
 
 
@@ -18,12 +19,17 @@ def make_rule(center, hits=1, omega=100.0, n_classes=2, rule_id=0):
 def spawn_behind(rule, slow_horizon, fast_horizon, window_capacity,
                  init="parent", omega=100.0):
     """Copy a lone rule's row behind it twice and spawn its pair there, as
-    the learner does; returns the pair's view."""
+    the learner does, with blank window rows; returns the pair's view."""
     system = rule.system
     system.set_rows([rule], np.zeros(3, dtype=np.intp))
-    state, = spawn_pair(system, np.array([1]), slow_horizon, fast_horizon,
-                        window_capacity, init, omega)
-    return state.view(system, 1, slow_horizon, fast_horizon)
+    windows = WindowBank(window_capacity, system.n_features + 1)
+    windows.set_rows(np.arange(3))  # past the empty bank's rows: all blank
+    assert spawn_pair(system, np.array([1]), slow_horizon, fast_horizon,
+                      init, omega) is None
+    return AnticipatedPair(*(
+        SubRule(system.premise(row, horizon), system.consequent(row),
+                windows.window(row))
+        for row, horizon in ((1, slow_horizon), (2, fast_horizon))))
 
 
 class TestSpawnPair:

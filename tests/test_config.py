@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from driftfis.config import (
@@ -25,6 +26,11 @@ class TestLearnerValidation:
         {"ks": float("nan")}, {"nmin": -1}, {"ws": 0}, {"omega": 0.0},
         {"sigma_init": 0.0}, {"strategy": "bold"}, {"forgetting_mode": "all"},
         {"wrls_weight": "squared"}, {"am_init": "median"},
+        # in range but of the wrong type
+        {"tmax1": 200.5}, {"tmax2": 10.0}, {"nmin": 20.5}, {"ws": "50"},
+        {"nmin": True}, {"ks": True}, {"ks": "0.5"}, {"omega": None},
+        {"sigma_init": False}, {"allow_class_growth": "yes"},
+        {"allow_class_growth": "false"}, {"allow_class_growth": 1},
     ])
     def test_rejects_bad_values(self, overrides):
         cfg = LearnerConfig(**overrides)
@@ -33,6 +39,11 @@ class TestLearnerValidation:
 
     def test_infinite_ks_is_allowed(self):
         LearnerConfig(ks=math.inf).validate()
+
+    def test_numpy_numbers_are_allowed(self):
+        LearnerConfig(tmax1=np.int64(200), tmax2=np.int32(10), nmin=np.int64(20),
+                      ws=np.int16(50), ks=np.float64(0.5), omega=np.float32(100.0),
+                      sigma_init=np.int64(1)).validate()
 
 
 class TestExperimentValidation:

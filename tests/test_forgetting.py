@@ -9,13 +9,34 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftfis.fis import augment
-from driftfis.forgetting import DDFWindow, WindowBank, forget_pair, push_pair
+from driftfis.forgetting import WindowBank
 from helpers import blank_system, entries
+
+
+def blank_bank(capacity, k, n):
+    """A window bank of n blank rows of the given capacity and sample size."""
+    bank = WindowBank(capacity, k)
+    # every index is past the empty bank's rows, so every row is blank
+    bank.set_rows(np.arange(n))
+    return bank
+
+
+class PairDowndates:
+    """A stand-in system for WindowBank.forget_pair: records each pair
+    downdate it is asked for and reports the two sides ``ok``."""
+
+    def __init__(self):
+        self.calls = []
+        self.ok = (True, True)
+
+    def downdate_row_pair(self, row, x, weights):
+        self.calls.append((row, x.copy(), weights.tolist()))
+        return self.ok
 
 
 class TestDDFWindow:
     def test_fifo_eviction_order(self):
-        w = DDFWindow(2)
+        w = blank_bank(2, 1, 1).window(0)
         assert w.push(np.array([1.0]), 0.1) is None
         assert w.push(np.array([2.0]), 0.2) is None
         out = w.push(np.array([3.0]), 0.3)
@@ -24,7 +45,7 @@ class TestDDFWindow:
         assert len(w) == 2
 
     def test_push_copies_input(self):
-        w = DDFWindow(3)
+        w = blank_bank(3, 2, 1).window(0)
         x = np.array([1.0, 2.0])
         w.push(x, 0.5)
         x[0] = 99.0
@@ -32,7 +53,7 @@ class TestDDFWindow:
 
     def test_zero_weight_still_occupies_a_slot(self):
         # eviction timing depends on sample count, not on weight
-        w = DDFWindow(1)
+        w = blank_bank(1, 1, 1).window(0)
         w.push(np.array([1.0]), 0.0)
         out = w.push(np.array([2.0]), 0.7)
         assert out is not None and out[1] == 0.0
@@ -40,20 +61,19 @@ class TestDDFWindow:
 
 class TestRecordSample:
     """Recording one sample in several windows at once: a shadow pair's
-    two windows through push_pair, the principal ones through a bank."""
+    two rows through forget_pair, the leading rows through push."""
 
     def test_windows_share_one_read_only_sample(self):
-        slow, fast = DDFWindow(3), DDFWindow(3)
+        bank = blank_bank(3, 2, 2)
         x = np.array([1.0, 2.0])
-        assert push_pair(slow, fast, x, 0.5, 0.25) is None
+        bank.forget_pair(PairDowndates(), 0, x, 0.5, 0.25)
         x[0] = 99.0
-        # one stored copy of the sample, which the caller's array no
-        # longer reaches
-        assert slow.samples is fast.samples
-        assert entries(slow)[0][0].tolist() == [1.0, 2.0]
-        assert [entries(w)[0][1] for w in (slow, fast)] == [0.5, 0.25]
-        bank = WindowBank(3, 2)
-        bank.set_rows(np.arange(2), [DDFWindow(3), DDFWindow(3)])
+        # each row stores a copy of the sample, which the caller's array
+        # no longer reaches
+        windows = [bank.window(row) for row in range(2)]
+        assert [entries(w)[0][0].tolist() for w in windows] == [[1.0, 2.0]] * 2
+        assert [entries(w)[0][1] for w in windows] == [0.5, 0.25]
+        bank = blank_bank(3, 2, 2)
         x = np.array([3.0, 4.0])
         bank.push(x, np.array([0.5, 0.25]))
         x[0] = 99.0
@@ -63,11 +83,9 @@ class TestRecordSample:
 
     def test_returns_only_weighted_evictions(self):
         first = np.array([1.0, 1.0])
-        windows = [DDFWindow(2), DDFWindow(2), DDFWindow(2)]
-        windows[0].push(first, 0.0)
-        windows[1].push(first, 0.7)
-        bank = WindowBank(2, 2)
-        bank.set_rows(np.arange(3), windows)
+        bank = blank_bank(2, 2, 3)
+        bank.window(0).push(first, 0.0)
+        bank.window(1).push(first, 0.7)
         windows = [bank.window(row) for row in range(3)]
         assert bank.push(np.array([1.0, 2.0]), np.array([0.5, 0.5, 0.4])) is None
         rows, xs, ws = bank.push(np.array([1.0, 3.0]),
@@ -79,12 +97,14 @@ class TestRecordSample:
         # the evicted samples are copies, not views of the ring slots
         bank.push(np.array([1.0, 4.0]), np.array([0.1, 0.2, 0.3]))
         assert xs.tolist() == [first.tolist()]
-        slow, fast = DDFWindow(1), DDFWindow(1)
-        assert push_pair(slow, fast, first, 0.0, 0.0) is None
-        assert push_pair(slow, fast, np.array([1.0, 2.0]), 0.0, 0.6) is None
-        evicted = push_pair(slow, fast, np.array([1.0, 3.0]), 0.1, 0.2)
-        assert evicted[0].tolist() == [1.0, 2.0]
-        assert evicted[1].tolist() == [0.0, 0.6]
+        # a pair downdates only an eviction in which either weight is nonzero
+        bank, system = blank_bank(1, 2, 2), PairDowndates()
+        bank.forget_pair(system, 0, first, 0.0, 0.0)
+        bank.forget_pair(system, 0, np.array([1.0, 2.0]), 0.0, 0.6)
+        assert system.calls == []
+        bank.forget_pair(system, 0, np.array([1.0, 3.0]), 0.1, 0.2)
+        (row, x, weights), = system.calls
+        assert row == 0 and x.tolist() == [1.0, 2.0] and weights == [0.0, 0.6]
 
 
 class DequeWindow:
@@ -104,92 +124,95 @@ class DequeWindow:
 
 
 class RowModel:
-    """A learner's windows, every window paired with its oracle.
+    """A learner's windows, every bank row paired with its oracle.
 
-    The principal windows are the rows of a WindowBank, the shadow pairs'
-    windows live outside it. A birth or a drift hands WindowBank.set_rows
-    each new rule's consequent row, as the learner does, and the oracles
-    move by hand.
+    Bank row r is the window of stack row r: the n rules, then each rule's
+    slow and fast row. A birth, a drift or a respawn hands
+    WindowBank.set_rows every new row's consequent row, as the learner
+    does, with an index past the current rows for a blank window; the
+    oracles move by hand.
     """
 
     def __init__(self, capacity, k):
         self.capacity = capacity
         self.bank = WindowBank(capacity, k)
-        self.rules = []   # the oracle of each principal row
-        self.pairs = []   # ((window, oracle), (window, oracle)) per rule
+        self.oracles = []  # the oracle of each bank row
+        self.n = 0         # rules
+        self.system = PairDowndates()
         self.samples = 0
         self.k = k
 
-    def fresh(self):
-        return DDFWindow(self.capacity), DequeWindow(self.capacity)
+    def follow(self, rows):
+        """Gather the bank's rows and their oracles."""
+        current = len(self.oracles)
+        self.bank.set_rows(np.array(rows, dtype=np.intp))
+        self.oracles = [copy.deepcopy(self.oracles[row]) if row < current
+                        else DequeWindow(self.capacity) for row in rows]
 
-    def rows(self):
-        principal = [(self.bank.window(row), oracle)
-                     for row, oracle in enumerate(self.rules)]
-        return principal + [sub for pair in self.pairs for sub in pair]
+    def slow_row(self, i):
+        return self.n + 2 * i
 
-    def follow(self, con_rows):
-        """Move the bank's windows with consequent rows in stack order:
-        the rules, then each rule's slow and fast row, then new rows."""
-        self.bank.set_rows(np.array(con_rows),
-                           [window for pair in self.pairs for window, _ in pair])
+    def kept_pairs(self, rules):
+        return [row for i in rules for row in (self.slow_row(i),
+                                               self.slow_row(i) + 1)]
 
     def birth(self):
-        n = len(self.rules)
-        # the newborn's consequent is a new row, past the 3n current ones
-        self.follow(list(range(n)) + [3 * n])
-        self.rules.append(DequeWindow(self.capacity))
-        self.pairs.append((self.fresh(), self.fresh()))
+        n, blank = self.n, len(self.oracles)
+        # the newborn's consequent and its pair's are new rows
+        self.follow(list(range(n)) + [blank]
+                    + self.kept_pairs(range(n)) + [blank, blank])
+        self.n += 1
 
     def drift(self, winner, strategy):
-        n = len(self.rules)
-        slow, fast = self.pairs[winner]
+        n, blank = self.n, len(self.oracles)
         # the winner's two new rules take its slow and fast rows
-        new_rows = [n + 2 * winner, n + 2 * winner + 1]
+        new_rows = [self.slow_row(winner), self.slow_row(winner) + 1]
+        before, after = range(winner), range(winner + 1, n)
         if strategy == "global":
             # every other rule adopts its own slow row; all pairs restart
-            self.follow([n + 2 * k for k in range(winner)] + new_rows
-                        + [n + 2 * k for k in range(winner + 1, n)])
-            moved = [pair[0] for pair in self.pairs]
-            moved[winner:winner + 1] = [slow, fast]
-            self.pairs = [(self.fresh(), self.fresh()) for _ in moved]
+            self.follow([self.slow_row(i) for i in before] + new_rows
+                        + [self.slow_row(i) for i in after]
+                        + [blank] * (2 * n + 2))
         else:
-            self.follow(list(range(winner)) + new_rows
-                        + list(range(winner + 1, n)))
-            moved = [slow, fast]
-            self.pairs[winner:winner + 1] = [(self.fresh(), self.fresh()),
-                                             (self.fresh(), self.fresh())]
-        oracles = [oracle for _, oracle in moved]
-        self.rules = oracles if strategy == "global" else \
-            self.rules[:winner] + oracles + self.rules[winner + 1:]
+            self.follow(list(before) + new_rows + list(after)
+                        + self.kept_pairs(before) + [blank] * 4
+                        + self.kept_pairs(after))
+        self.n += 1
 
     def regather(self):
-        """Rebuild the bank from its own rows, as a class growth does."""
-        self.bank.set_rows(np.arange(len(self.rules)))
+        """Rebuild the bank from its own rows."""
+        self.follow(list(range(len(self.oracles))))
 
     def next_sample(self):
         self.samples += 1
         return np.arange(self.k) + 100.0 * self.samples
 
-    def push_pair(self, winner, w0, w1):
+    def push_pair(self, winner, w0, w1, ok):
         x = self.next_sample()
-        (slow_window, slow), (fast_window, fast) = self.pairs[winner]
-        got = push_pair(slow_window, fast_window, x, w0, w1)
-        assert slow_window.samples is fast_window.samples
+        row = self.slow_row(winner)
+        calls = self.system.calls
+        before = len(calls)
+        self.system.ok = ok
+        self.bank.forget_pair(self.system, row, x, w0, w1)
+        slow, fast = self.oracles[row:row + 2]
         out_slow, out_fast = slow.push(x, w0), fast.push(x, w1)
         assert (out_slow is None) == (out_fast is None)
         if out_slow is None or out_slow[1] == out_fast[1] == 0.0:
-            assert got is None
+            assert len(calls) == before
             return
-        old_x, old_w = got
+        (got_row, old_x, old_w), = calls[before:]
+        assert got_row == row
         assert old_x.tobytes() == out_slow[0].tobytes() == out_fast[0].tobytes()
-        assert old_w.tolist() == [out_slow[1], out_fast[1]]
+        assert old_w == [out_slow[1], out_fast[1]]
+        # a side whose guard trips counts a skip unless it departs unweighted
+        for oracle, side_ok, weight in zip((slow, fast), ok, old_w):
+            oracle.skipped += not side_ok and weight != 0.0
 
     def push_leading(self, weights):
         x = self.next_sample()
-        n = len(self.rules)
+        n = self.n
         got = self.bank.push(x, np.array(weights))
-        outs = [oracle.push(x, w) for oracle, w in zip(self.rules, weights)]
+        outs = [oracle.push(x, w) for oracle, w in zip(self.oracles, weights)]
         expected = [(i, out) for i, out in enumerate(outs)
                     if out is not None and out[1] != 0.0]
         if not expected:
@@ -204,27 +227,34 @@ class RowModel:
         assert ws.tolist() == [w for _, (_, w) in expected]
 
     def skip(self, row):
-        window, oracle = self.rows()[row]
-        window.state[2] += 1
-        oracle.skipped += 1
+        self.bank.window(row).state[2] += 1
+        self.oracles[row].skipped += 1
 
     def check(self):
-        rows = self.rows()
-        for window, oracle in rows:
+        bank = self.bank
+        for row, oracle in enumerate(self.oracles):
+            window = bank.window(row)
             assert len(window) == len(oracle.entries)
             assert window.skipped == oracle.skipped
             got = entries(window)
             assert [w for _, w in got] == [w for _, w in oracle.entries]
             for (x, _), (ox, _) in zip(got, oracle.entries):
                 assert x.tobytes() == ox.tobytes()
-        xs, ws = self.bank.entries()
-        flat = [entry for oracle in self.rules for entry in oracle.entries]
+        # a pair's two rows move in lockstep
+        pairs = bank.state[:2, self.n:]
+        assert np.array_equal(pairs[:, ::2], pairs[:, 1::2])
+        xs, ws = bank.entries()
+        flat = [entry for oracle in self.oracles for entry in oracle.entries]
         assert ws.tolist() == [w for _, w in flat]
         assert xs.tobytes() == b"".join(x.tobytes() for x, _ in flat)
-        assert self.bank.counts()[1].tolist() == [o.skipped for o in self.rules]
+        assert bank.counts()[1].tolist() == [o.skipped for o in self.oracles]
 
 
 WEIGHTS = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+
+
+GUARDS = st.sampled_from([(True, True), (True, False), (False, True),
+                          (False, False)])
 
 
 class TestWindowBank:
@@ -234,13 +264,14 @@ class TestWindowBank:
         model = RowModel(capacity, k=3)
         model.birth()
         for _ in range(data.draw(st.integers(1, 40), label="steps")):
-            n = len(model.rules)
+            n = model.n
             op = data.draw(st.sampled_from(
                 ["pair", "pair", "principal", "principal", "birth", "naive",
                  "global", "skip", "regather"]), label="op")
             if op == "pair":
                 model.push_pair(data.draw(st.integers(0, n - 1)),
-                                data.draw(WEIGHTS), data.draw(WEIGHTS))
+                                data.draw(WEIGHTS), data.draw(WEIGHTS),
+                                data.draw(GUARDS))
             elif op == "principal":
                 model.push_leading(data.draw(st.lists(WEIGHTS, min_size=n,
                                                       max_size=n)))
@@ -265,48 +296,43 @@ class TestWindowBank:
         assert ws.tolist() == [0.5, 0.25]
 
     def test_window_capacity_must_match_the_bank(self):
+        # every row has the bank's capacity: a loaded window holding more
+        # entries does not fit
         with pytest.raises(ValueError, match="capacity"):
-            WindowBank(3, 2).set_rows(np.arange(1), [DDFWindow(4)])
-
-    def test_pair_samples_grow_until_they_span_the_ring(self):
-        slow, fast = DDFWindow(6), DDFWindow(6)
-        lengths = []
-        for i in range(8):
-            push_pair(slow, fast, np.array([1.0, float(i)]), 0.5, 0.25)
-            assert slow.samples is fast.samples
-            lengths.append(slow.samples.shape[0])
-        assert lengths == [4, 4, 4, 4, 6, 6, 6, 6]
-        assert [x[1] for x, _ in entries(slow)] == [2.0, 3.0, 4.0, 5.0, 6.0, 7.0]
+            WindowBank(3, 2).load([(np.ones((4, 2)), np.ones(4), 0)])
 
     def test_window_read_from_a_snapshot_pushes_in_order(self):
-        # a loaded window holds only its entries, in the leading slots,
-        # until it is packed or pushed to; a push first grows it to the
-        # whole ring
-        window = DDFWindow(3, 0, np.array([[1.0, 1.0], [1.0, 2.0]]), [0.5, 0.25])
-        assert window.samples.shape == (2, 2)
+        # a loaded window holds its entries in the leading slots, its head
+        # just past them
+        bank = WindowBank(3, 2)
+        bank.load([(np.array([[1.0, 1.0], [1.0, 2.0]]), np.array([0.5, 0.25]), 0),
+                   (np.empty((0, 2)), np.empty(0), 2)])
+        assert bank.state.tolist() == [[2, 0], [2, 0], [0, 2]]
+        window = bank.window(0)
         assert window.push(np.array([1.0, 3.0]), 0.125) is None
         evicted = window.push(np.array([1.0, 4.0]), 1.0)
         assert evicted[0].tolist() == [1.0, 1.0] and evicted[1] == 0.5
         assert [x[1] for x, _ in entries(window)] == [2.0, 3.0, 4.0]
+        assert len(bank.window(1)) == 0 and bank.window(1).skipped == 2
 
     def test_windows_keep_their_contents_through_a_repack(self):
-        window = DDFWindow(2, skipped=1)
-        window.push(np.array([1.0, 2.0]), 0.5)
-        bank = WindowBank(2, 2)
-        bank.set_rows(np.arange(2), [DDFWindow(2), window])
+        bank = blank_bank(2, 2, 2)
         window = bank.window(1)
+        window.state[2] = 1
+        window.push(np.array([1.0, 2.0]), 0.5)
+        # row 1 moves to row 0, row 0 is dropped and a blank row follows
+        bank.set_rows(np.array([1, 2]))
+        window = bank.window(0)
         assert entries(window)[0][1] == 0.5 and window.skipped == 1
         # the window read from the bank reads and writes its ring
         window.push(np.array([3.0, 4.0]), 0.25)
-        assert bank.weights[1].tolist() == [0.5, 0.25]
-        assert bank.state[:, 1].tolist() == [0, 2, 1]
+        assert bank.weights.tolist() == [[0.5, 0.25], [0.0, 0.0]]
+        assert bank.state.tolist() == [[0, 0], [2, 0], [1, 0]]
 
 
 def forgetting_rows(ws, n=1, d=2, c=2, omega=100.0):
     """A blank n-row system and a principal window bank of capacity ws."""
-    bank = WindowBank(ws, d + 1)
-    bank.set_rows(np.arange(n), [DDFWindow(ws) for _ in range(n)])
-    return blank_system(d, c, [omega] * n), bank
+    return blank_system(d, c, [omega] * n), blank_bank(ws, d + 1, n)
 
 
 def ddf_step(system, bank, x_aug, weights, target):
@@ -461,22 +487,22 @@ class TestSkipCounting:
     @pytest.mark.parametrize("side", [0, 1])
     def test_weighted_pair_side_that_trips_counts_one_skip(self, side):
         system = blank_system(1, 1, [100.0, 100.0])
-        slow, fast = DDFWindow(1), DDFWindow(1)
+        bank = blank_bank(1, 2, 2)
         weights = [0.5, 0.5]
         weights[side] = 1.0
         x = np.array([1.0, 0.0])
         system.wrls_step(x, np.array(weights), np.array([1.0]))
-        forget_pair(system, 0, slow, fast, x, *weights)
+        bank.forget_pair(system, 0, x, *weights)
         system._corrs[side] = NEAR_SINGULAR
-        forget_pair(system, 0, slow, fast, np.array([0.0, 1.0]), 0.5, 0.5)
-        assert [slow.skipped, fast.skipped] == [int(side == 0), int(side == 1)]
+        bank.forget_pair(system, 0, np.array([0.0, 1.0]), 0.5, 0.5)
+        assert bank.counts()[1].tolist() == [int(side == 0), int(side == 1)]
 
     def test_zero_weight_pair_side_that_trips_counts_no_skip(self, monkeypatch):
         # a zero weight makes the denominator exactly 1.0 for any finite
         # state, so a stub kernel reports both guards tripped
         system = blank_system(1, 1, [100.0, 100.0])
-        slow, fast = DDFWindow(1), DDFWindow(1)
-        forget_pair(system, 0, slow, fast, np.array([1.0, 0.0]), 0.0, 0.5)
+        bank = blank_bank(1, 2, 2)
+        bank.forget_pair(system, 0, np.array([1.0, 0.0]), 0.0, 0.5)
         calls = []
 
         def tripped(row, x, ws):
@@ -484,6 +510,6 @@ class TestSkipCounting:
             return False, False
 
         monkeypatch.setattr(system, "downdate_row_pair", tripped)
-        forget_pair(system, 0, slow, fast, np.array([0.0, 1.0]), 0.5, 0.5)
+        bank.forget_pair(system, 0, np.array([0.0, 1.0]), 0.5, 0.5)
         assert calls == [[0.0, 0.5]]
-        assert [slow.skipped, fast.skipped] == [0, 1]
+        assert bank.counts()[1].tolist() == [0, 1]

@@ -545,7 +545,9 @@ def test_covariance_stacks_stay_exactly_symmetric(
         strategy, mode, ws, late_class_at, round_trip_at, seed):
     """regularized_inverse_stack inverts the covariance stacks unsymmetrized,
     so every update must keep them symmetric exactly: births, drifts,
-    forgetting, class growth and a snapshot round trip mid-stream."""
+    forgetting, class growth and a snapshot round trip mid-stream. Through
+    all of it, each shadow pair's two window rows stay in lockstep, and a
+    freshly spawned pair's rows are blank."""
     rng = np.random.default_rng(seed)
     X, y = two_blob_stream(rng, 160)
     X[60:] += 2.0
@@ -562,3 +564,16 @@ def test_covariance_stacks_stay_exactly_symmetric(
         stacks = learner.system.stacks()
         for stack in (stacks.covs, stacks.corrs):
             assert stack.tobytes() == np.swapaxes(stack, 1, 2).tobytes()
+        windows, n = learner.windows, learner.n_rules
+        assert windows.state.shape[1] == learner.system.n_rows
+        for i, seen in enumerate(learner.pair_seen):
+            row = n + 2 * i
+            slow, fast = windows.window(row), windows.window(row + 1)
+            # equal head and fill, and the same samples, bit for bit
+            assert slow.state[:2].tolist() == fast.state[:2].tolist()
+            assert slow.ordered()[0].tobytes() == fast.ordered()[0].tobytes()
+            if seen == 0:  # the pair has learned nothing since its spawn
+                assert not windows.state[:, row:row + 2].any()
+                assert not windows.weights[row:row + 2].any()
+            elif mode != "none":
+                assert len(slow) == min(seen, ws)

@@ -220,6 +220,11 @@ class TestGuards:
                                          "strategy": 5, "separation": 1.5}),
         lambda s: s["drift_log"].append({"sample_index": 7, "rule_id": 0,
                                          "strategy": "bogus", "separation": 1.5}),
+        # config values in range but of the wrong type
+        lambda s: s["config"].update(tmax1=200.5),
+        lambda s: s["config"].update(tmax2=10.0),
+        lambda s: s["config"].update(nmin=20.5),
+        lambda s: s["config"].update(allow_class_growth="yes"),
     ])
     def test_malformed_value_rejected(self, mangle):
         state = state_dict(trained_learner(n=40, forgetting_mode="forget_ps"))
@@ -326,22 +331,21 @@ def test_forget_ps_state_hash_is_pinned(strategy):
 
 def reference_state_bytes(learner):
     """state_bytes written out window by window, each window read through
-    its own entries rather than from the bank's gather or shared slots."""
+    its own entries rather than from the bank's gather."""
     system = learner.system
     stacks = (system._centers, system._covs, system._invs, system.hits,
               system._corrs, system._coeffs)
     pairs = list(learner.anticipations.values())  # in rule order
-    principal = [rule.window for rule in system.rules]
-    pair_windows = [sub.window for pair in pairs for sub in (pair.slow, pair.fast)]
-    held = [entry for window in principal for entry in entries(window)]
+    # every window in stack row order: the rules, then each slow and fast
+    windows = [rule.window for rule in system.rules] + [
+        sub.window for pair in pairs for sub in (pair.slow, pair.fast)]
+    held = [entry for window in windows for entry in entries(window)]
     log = learner.drift_log
     packed = (
         np.array([x for x, _ in held]).reshape(len(held), system.n_features + 1),
         np.array([w for _, w in held]),
-        np.array([[len(w) for w in principal], [w.skipped for w in principal]],
-                 dtype=np.int64).reshape(2, len(principal)),
-        np.array([[len(w), w.skipped] for w in pair_windows],
-                 dtype=np.int64).reshape(len(pair_windows), 2),
+        np.array([[len(w) for w in windows], [w.skipped for w in windows]],
+                 dtype=np.int64).reshape(2, len(windows)),
         np.array([e.sample_index for e in log], dtype=np.int64),
         np.array([e.rule_id for e in log], dtype=np.int64),
         np.array([e.separation for e in log], dtype=np.float64))
@@ -351,15 +355,7 @@ def reference_state_bytes(learner):
             [(rule.id, rule.born_class) for rule in system.rules],
             [pair.samples_seen for pair in pairs], [e.strategy for e in log],
             [a.shape for a in stacks + packed]]
-    chunks = list(stacks) + list(packed)
-    for pair in pairs:
-        slow, fast = pair.slow.window, pair.fast.window
-        if entries(slow):
-            chunks += [np.array([x for x, _ in entries(slow)]),
-                       np.array([w for _, w in entries(slow)]),
-                       np.array([w for _, w in entries(fast)])]
-    chunks.append(repr(meta).encode())
-    return b"".join(chunks)
+    return b"".join([*stacks, *packed, repr(meta).encode()])
 
 
 class TestStateBytes:
@@ -457,9 +453,11 @@ def test_ring_windows_survive_drifts_and_a_round_trip(
     assert raw == reference_state_bytes(learner)
     clone = from_state_dict(json.loads(json.dumps(state_dict(learner))))
     assert state_bytes(clone) == raw
-    # state_bytes reads a pair's samples once, so they must be one array
+    # a loaded pair's two rows are in lockstep, as the live ones are
     for pair in clone.anticipations.values():
-        assert pair.slow.window.samples is pair.fast.window.samples
+        slow, fast = pair.slow.window, pair.fast.window
+        assert slow.state[:2].tolist() == fast.state[:2].tolist()
+        assert slow.ordered()[0].tobytes() == fast.ordered()[0].tobytes()
     probes = rng.uniform(-1.0, 9.0, (20, 2))
     for xi, yi in zip(X[140:], y[140:]):
         assert clone.learn_one(xi, int(yi)) == learner.learn_one(xi, int(yi))
@@ -528,7 +526,7 @@ def _perturb_row_field(learner, head, key, *rest):
     else:
         i = [rule.id for rule in system.rules].index(int(key))
         if rest == ("samples_seen",):
-            return _swap(learner.pairs[i], "samples_seen")
+            return _swap(learner.pair_seen, i)
         role, *rest = rest
         row = n + 2 * i + (role == "fast")
         owner = getattr(learner.anticipations[int(key)], role)
