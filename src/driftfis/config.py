@@ -27,7 +27,8 @@ class ConfigError(ValueError):
 class LearnerConfig:
     """Hyperparameters of the anticipating classifier.
 
-    ks may be ``inf`` to disable drift detection entirely.
+    ks may be ``inf`` to disable drift detection entirely; omega and
+    sigma_init must be finite.
     """
 
     tmax1: int = 200
@@ -46,7 +47,8 @@ class LearnerConfig:
     def validate(self) -> None:
         """ConfigError unless every field has its type and lies in range:
         the horizons, nmin and ws integers (bool is none), ks, omega and
-        sigma_init real numbers (bool is none), allow_class_growth a bool."""
+        sigma_init real numbers (bool is none), omega and sigma_init
+        finite, allow_class_growth a bool."""
         for name in ("tmax1", "tmax2", "nmin", "ws"):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or isinstance(value, bool):
@@ -68,10 +70,10 @@ class LearnerConfig:
             raise ConfigError("nmin must be nonnegative")
         if self.ws < 1:
             raise ConfigError("ws (window size) must be at least 1")
-        if self.omega <= 0.0:
-            raise ConfigError("omega must be positive")
-        if self.sigma_init <= 0.0:
-            raise ConfigError("sigma_init must be positive")
+        if not 0.0 < self.omega < math.inf:  # also rejects NaN
+            raise ConfigError("omega must be positive and finite")
+        if not 0.0 < self.sigma_init < math.inf:
+            raise ConfigError("sigma_init must be positive and finite")
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"strategy must be one of {STRATEGIES}")
         if self.forgetting_mode not in FORGETTING_MODES:

@@ -28,11 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import (
-    DOWNDATE_GUARD,
-    regularized_inverse,
-    regularized_inverse_stack,
-)
+from .linalg import DOWNDATE_GUARD, regularized_inverse_stack
 
 
 class EmptySystemError(ValueError):
@@ -117,13 +113,14 @@ class Rule:
 
 def create_rule(x: np.ndarray, label: int, sigma_init: float, omega: float,
                 n_classes: int, rule_id: int) -> Rule:
-    """Seed a rule at a sample, alone in a one-row system: unit-scaled
-    spherical premise, one hit, blank consequent (zero coefficients, omega
-    * I correlation)."""
+    """Seed a rule at a sample, alone in a one-row system: spherical
+    premise sigma_init^2 I, inverted by regularized_inverse_stack like
+    every other premise, one hit, blank consequent (zero coefficients,
+    omega * I correlation)."""
     d = x.shape[0]
-    cov = (sigma_init ** 2) * np.eye(d)
-    seed = Rows(centers=x[None, :].copy(), covs=cov[None],
-                invs=regularized_inverse(cov)[None],
+    covs = ((sigma_init ** 2) * np.eye(d))[None]
+    seed = Rows(centers=x[None, :].copy(), covs=covs,
+                invs=regularized_inverse_stack(covs),
                 hits=np.ones(1, dtype=np.int64),
                 corrs=(omega * np.eye(d + 1))[None],
                 coeffs=np.zeros((1, d + 1, n_classes)))
@@ -431,8 +428,8 @@ class FuzzySystem:
         The anticipation sub-rule pair absorbs and sheds samples in
         lockstep, so its two downdates share the departing sample (the
         batched denominators match the per-row ones to dot-product
-        rounding). Falls back to per-row application when either
-        denominator trips the guard; returns per-row success flags.
+        rounding). When one side's denominator trips the guard, only the
+        other side is downdated, on its own; returns per-row success flags.
         """
         corr2 = self._corrs[row:row + 2]
         u = corr2 @ x_aug
@@ -442,10 +439,9 @@ class FuzzySystem:
         ok1 = abs(float(denom[1])) >= DOWNDATE_GUARD
         if ok0 and ok1:
             corr2 += (weights / denom)[:, None, None] * (u[:, :, None] * u[:, None, :])
-        elif ok0:
-            corr2[0] += (float(weights[0]) / float(denom[0])) * (u[0][:, None] * u[0])
-        elif ok1:
-            corr2[1] += (float(weights[1]) / float(denom[1])) * (u[1][:, None] * u[1])
+        elif ok0 or ok1:
+            i = 0 if ok0 else 1
+            corr2[i] += (float(weights[i]) / float(denom[i])) * (u[i][:, None] * u[i])
         return ok0, ok1
 
 

@@ -15,14 +15,13 @@ fresh data no longer excites.
 Every window is a row of one WindowBank, and bank row r is the window of
 FuzzySystem row r: the principal rules first, then each rule's slow and
 fast sub-rule. A window is a ring of ``capacity`` slots (a sample and its
-weight each), a head, a fill and a ``skipped`` count. Only this module
-knows how a window is stored: it records, evicts and sheds samples
-(WindowBank.forget for the principal rows, WindowBank.forget_pair for a
-shadow pair), counts the skips, moves the windows with their consequents
-(WindowBank.set_rows) and loads them from their entries
-(WindowBank.load). Elsewhere a window is read through ``len()``,
-``capacity``, ``skipped`` and ``ordered()``, or the whole bank through
-``entries()`` and ``counts()``.
+weight each), a head, a fill and a ``skipped`` count. Only WindowBank
+writes and reads a ring: it records samples (push, record), evicts and
+sheds them (forget for the principal rows, forget_pair for a shadow
+pair), counts the skips, reads the held entries (entries), moves the
+windows with their consequents (set_rows) and loads them (load). A
+DDFWindow is one bank row seen from outside: ``len()``, ``capacity``,
+``skipped`` and ``ordered()``.
 """
 
 from __future__ import annotations
@@ -32,21 +31,22 @@ import numpy as np
 
 class DDFWindow:
     """FIFO memory of the weighted samples currently inside a consequent:
-    one row of a WindowBank, as views of its stacks.
+    row ``row`` of a WindowBank, read and written through the bank.
 
-    ``samples`` (capacity, k) and ``weights`` (capacity,) are the ring
-    slots; an empty slot has weight 0.0. ``state`` holds the head, the fill
-    and ``skipped``, the count of evictions abandoned because the downdate
-    denominator was within the guard of zero (the sample leaves memory,
-    its weight stays baked into the correlation matrix).
+    ``samples`` (capacity, k), ``weights`` (capacity,) and ``state`` are
+    views of the row's ring slots and of its head, fill and ``skipped``,
+    the count of evictions abandoned because the downdate denominator was
+    within the guard of zero (the sample leaves memory, its weight stays
+    baked into the correlation matrix). An empty slot has weight 0.0.
     """
 
-    def __init__(self, samples: np.ndarray, weights: np.ndarray,
-                 state: np.ndarray):
-        self.capacity = weights.shape[0]
-        self.samples = samples
-        self.weights = weights
-        self.state = state
+    def __init__(self, bank: "WindowBank", row: int):
+        self.bank = bank
+        self.row = row
+        self.capacity = bank.capacity
+        self.samples = bank.samples[row]
+        self.weights = bank.weights[row]
+        self.state = bank.state[:, row]
 
     @property
     def skipped(self) -> int:
@@ -57,22 +57,14 @@ class DDFWindow:
 
     def ordered(self) -> tuple[np.ndarray, np.ndarray]:
         """The held samples and weights, oldest first."""
-        head, fill = int(self.state[0]), int(self.state[1])
-        slots = np.arange(head - fill, head) % self.capacity
-        return self.samples[slots], self.weights[slots]
+        return self.bank.entries(self.row, self.row + 1)
 
     def push(self, x_aug: np.ndarray, weight: float) -> tuple[np.ndarray, float] | None:
         """Record a sample; return the evicted (x, weight) pair on overflow."""
-        head, fill = int(self.state[0]), int(self.state[1])
-        evicted = None
-        if fill == self.capacity:
-            evicted = (self.samples[head].copy(), float(self.weights[head]))
-        else:
-            self.state[1] = fill + 1
-        self.samples[head] = x_aug
-        self.weights[head] = weight
-        self.state[0] = (head + 1) % self.capacity
-        return evicted
+        departed = self.bank.record(self.row, x_aug, (weight,))
+        if departed is None:
+            return None
+        return departed[0], float(departed[1][0])
 
 
 class WindowBank:
@@ -100,8 +92,7 @@ class WindowBank:
 
     def window(self, row: int) -> DDFWindow:
         """Row ``row``'s ring as a DDFWindow of views into the stacks."""
-        return DDFWindow(self.samples[row], self.weights[row],
-                         self.state[:, row])
+        return DDFWindow(self, row)
 
     def set_rows(self, rows: np.ndarray) -> None:
         """Rebuild the stacks as a gather: new row i copies row ``rows[i]``.
@@ -188,49 +179,59 @@ class WindowBank:
         head[head == self.capacity] = 0
         return evicted
 
+    def record(self, row: int, x_aug: np.ndarray, weights) -> tuple | None:
+        """Record x_aug in rows row to row + len(weights) - 1, which share
+        a head and a fill, row + i weighted weights[i]. Returns a copy of
+        the departing sample and the rows' departing weights (zeros
+        included) when the rings were full, else None."""
+        state = self.state
+        head, fill = int(state[0, row]), int(state[1, row])
+        stop = row + len(weights)
+        departed = None
+        if fill == self.capacity:
+            departed = (self.samples[row, head].copy(),
+                        self.weights[row:stop, head].copy())
+        else:
+            state[1, row:stop] = fill + 1
+        self.samples[row:stop, head] = x_aug
+        self.weights[row:stop, head] = weights
+        state[0, row:stop] = head + 1 if head + 1 < self.capacity else 0
+        return departed
+
     def forget_pair(self, system, row: int, x_aug: np.ndarray,
                     w_slow: float, w_fast: float) -> None:
         """Record x_aug in a shadow pair's rings, rows (row, row + 1),
         weighted w_slow and w_fast, and downdate the same rows of
         ``system`` by the sample they evict.
 
-        The two rings record every sample together and evict it together,
-        when either departing weight is nonzero. A side whose guard trips
-        keeps its matrix and counts the skip, unless its departing weight
-        is zero (that downdate would change nothing).
+        The two rings record every sample together and evict it together;
+        the downdate runs when either departing weight is nonzero. A side
+        whose guard trips keeps its matrix and counts the skip, unless its
+        departing weight is zero (that downdate would change nothing).
         """
-        state = self.state
-        weights = self.weights
-        samples = self.samples
-        head, fill = int(state[0, row]), int(state[1, row])
-        old_slow = float(weights[row, head])
-        old_fast = float(weights[row + 1, head])
-        old_x = None
-        if old_slow != 0.0 or old_fast != 0.0:
-            old_x = samples[row, head].copy()
-        samples[row, head] = x_aug
-        samples[row + 1, head] = x_aug
-        weights[row, head] = w_slow
-        weights[row + 1, head] = w_fast
-        state[0, row:row + 2] = head + 1 if head + 1 < self.capacity else 0
-        if fill < self.capacity:
-            state[1, row:row + 2] = fill + 1
-        if old_x is not None:
-            ok_slow, ok_fast = system.downdate_row_pair(
-                row, old_x, np.array((old_slow, old_fast)))
-            if not ok_slow and old_slow != 0.0:
-                state[2, row] += 1
-            if not ok_fast and old_fast != 0.0:
-                state[2, row + 1] += 1
+        departed = self.record(row, x_aug, (w_slow, w_fast))
+        if departed is None:
+            return
+        old_x, old_w = departed
+        old_slow, old_fast = old_w.tolist()
+        if old_slow == 0.0 and old_fast == 0.0:
+            return
+        ok_slow, ok_fast = system.downdate_row_pair(row, old_x, old_w)
+        if not ok_slow and old_slow != 0.0:
+            self.state[2, row] += 1
+        if not ok_fast and old_fast != 0.0:
+            self.state[2, row + 1] += 1
 
-    def entries(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every row's held samples and weights, oldest first, in row order."""
+    def entries(self, start: int = 0, stop: int | None = None
+                ) -> tuple[np.ndarray, np.ndarray]:
+        """The held samples and weights of rows ``start`` to ``stop`` (every
+        row by default), each row's oldest first, in row order."""
         cap = self.capacity
         pos = np.arange(cap)
-        fill = self._fill
+        fill = self._fill[start:stop]
         # slot of a row's j-th oldest entry: head - fill + j, modulo cap
-        slots = (self._head - fill + cap)[:, None] + pos
+        slots = (self._head[start:stop] - fill + cap)[:, None] + pos
         flat = slots[pos < fill[:, None]]
         flat %= cap
-        flat += np.repeat(self._base, fill)
+        flat += np.repeat(self._base[start:stop], fill)
         return self._flat_x.take(flat, axis=0), self._flat_w.take(flat)

@@ -59,6 +59,11 @@ class AnticipatingClassifier:
             raise ValueError("n_classes must be positive")
         self.config = config if config is not None else LearnerConfig()
         self.config.validate()
+        # numpy numbers, which validate admits, become the equal Python
+        # ones, so the snapshot's JSON can encode them
+        for name, value in vars(self.config).items():
+            if isinstance(value, np.generic):
+                setattr(self.config, name, value.item())
         self.system = FuzzySystem(n_features=n_features, n_classes=n_classes)
         # every window's ring, row r that of system row r
         self.windows = WindowBank(self.config.ws, n_features + 1)

@@ -156,6 +156,19 @@ _BOUNDARY_BOXES = {
 }
 
 
+def _swap_parity(n_samples: int, swaps) -> tuple[list[int], np.ndarray]:
+    """The sorted swap positions (default: one at the midpoint) and, per
+    sample, the parity of the swaps at or before it (0 or 1)."""
+    if swaps is None:
+        swaps = [n_samples // 2]
+    swaps = sorted(int(s) for s in swaps)
+    parity = np.zeros(n_samples, dtype=np.int64)
+    for pos in swaps:
+        if pos < n_samples:
+            parity[pos:] += 1
+    return swaps, parity % 2
+
+
 def gen_boundary_swap(kind: str, n_samples: int = 2500,
                       swaps=None, seed: int = 0) -> Stream:
     """2-D points labeled by their side of a fixed curve, with abrupt swaps.
@@ -167,19 +180,12 @@ def gen_boundary_swap(kind: str, n_samples: int = 2500,
     """
     if kind not in _BOUNDARY_BOXES:
         raise ValueError(f"unknown boundary kind {kind!r}")
-    if swaps is None:
-        swaps = [n_samples // 2]
-    swaps = sorted(int(s) for s in swaps)
+    swaps, flipped = _swap_parity(n_samples, swaps)
     rng = np.random.default_rng(seed)
     (lo1, hi1), (lo2, hi2) = _BOUNDARY_BOXES[kind]
     x1 = rng.uniform(lo1, hi1, size=n_samples)
     x2 = rng.uniform(lo2, hi2, size=n_samples)
-    side = boundary_side(kind, x1, x2)
-    parity = np.zeros(n_samples, dtype=np.int64)
-    for pos in swaps:
-        if pos < n_samples:
-            parity[pos:] += 1
-    y = side ^ (parity % 2)
+    y = boundary_side(kind, x1, x2) ^ flipped
     meta = {
         "generator": kind,
         "seed": seed,
@@ -196,22 +202,15 @@ def gen_plane10d(n_samples: int = 1200, seed: int = 0, swaps=None) -> Stream:
     adaptive threshold); labels follow the first plane until the swap
     position, the second afterwards. Default swap: sample 600.
     """
-    if swaps is None:
-        swaps = [n_samples // 2]
-    swaps = sorted(int(s) for s in swaps)
+    swaps, use_b = _swap_parity(n_samples, swaps)
     rng = np.random.default_rng(seed)
     d = 10
     X = rng.uniform(0.0, 1.0, size=(n_samples, d))
     w_a = rng.uniform(-1.0, 1.0, size=d)
     w_b = rng.uniform(-1.0, 1.0, size=d)
-    parity = np.zeros(n_samples, dtype=np.int64)
-    for pos in swaps:
-        if pos < n_samples:
-            parity[pos:] += 1
-    use_b = (parity % 2).astype(bool)
     y_a = (X @ w_a >= 0.5 * w_a.sum()).astype(np.int64)
     y_b = (X @ w_b >= 0.5 * w_b.sum()).astype(np.int64)
-    y = np.where(use_b, y_b, y_a)
+    y = np.where(use_b.astype(bool), y_b, y_a)
     meta = {
         "generator": "plane10d",
         "seed": seed,

@@ -1,9 +1,49 @@
-"""Shared builders for the test suite: random PD matrices, streams, rule bases."""
+"""Shared builders for the test suite: random PD matrices, streams, rule
+bases, and the single-matrix oracles the stacked kernels are checked
+against."""
 
 import numpy as np
 
 from driftfis.fis import FuzzySystem, create_rule
-from driftfis.linalg import regularized_inverse
+from driftfis.linalg import RIDGE_FLOOR, RIDGE_SCALE
+
+
+def _check_square(mat, dim, name):
+    if mat.shape != (dim, dim):
+        raise ValueError(f"{name} must be {dim}x{dim}, got {mat.shape}")
+
+
+def ellipsoid_radius_along(cov, direction):
+    """Oracle: radius of the unit-level ellipsoid {z : z @ cov^-1 @ z = 1}
+    along a unit vector.
+
+    Equals 1/sqrt(u @ cov^-1 @ u), by a linear solve rather than a cached
+    inverse. Raises ValueError if cov is not symmetric positive definite or
+    the direction is not (close to) unit length.
+    """
+    _check_square(cov, direction.shape[0], "cov")
+    norm_sq = float(direction @ direction)
+    if abs(norm_sq - 1.0) > 1e-6:
+        raise ValueError(f"direction must be unit length, |u|^2 = {norm_sq}")
+    if not np.allclose(cov, cov.T, rtol=1e-8, atol=1e-12):
+        raise ValueError("covariance must be symmetric")
+    try:
+        np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("covariance must be positive definite") from exc
+    quad = float(direction @ np.linalg.solve(cov, direction))
+    if quad <= 0.0:
+        raise ValueError("covariance must be positive definite")
+    return 1.0 / np.sqrt(quad)
+
+
+def regularized_inverse(cov):
+    """Oracle: one (near-)symmetric covariance, symmetrized, plus the
+    trace-scaled ridge of regularized_inverse_stack, inverted on its own."""
+    d = cov.shape[0]
+    ridge = max(RIDGE_SCALE * float(cov.trace()) / d, RIDGE_FLOOR)
+    sym = 0.5 * (cov + cov.T)
+    return np.linalg.inv(sym + ridge * np.eye(d))
 
 
 def random_pd(rng, d, scale=1.0):

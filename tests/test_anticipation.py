@@ -6,7 +6,8 @@ import pytest
 from driftfis.anticipation import AnticipatedPair, DriftEvent, SubRule, spawn_pair
 from driftfis.fis import create_rule
 from driftfis.forgetting import WindowBank
-from driftfis.linalg import RIDGE_SCALE, ellipsoid_radius_along, regularized_inverse
+from driftfis.linalg import RIDGE_SCALE
+from helpers import ellipsoid_radius_along, regularized_inverse
 
 
 def make_rule(center, hits=1, omega=100.0, n_classes=2, rule_id=0):

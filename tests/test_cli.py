@@ -121,6 +121,14 @@ class TestRun:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         return str(path)
 
+    @pytest.mark.parametrize("flag", ["--omega", "--sigma-init"])
+    def test_infinite_scale_is_a_config_error(self, outdir, flag, capsys):
+        args = ["run", "--dataset", "line", "--n-samples", "450",
+                "--trs", "100", "--tes", "50", flag, "inf"]
+        assert cli.main(args) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (outdir / "run-line-seed0.json").exists()
+
     def test_unknown_config_key_fails(self, outdir, tmp_path, capsys):
         path = tmp_path / "typo.cfg"
         path.write_text("datset=line\n", encoding="utf-8")

@@ -31,6 +31,9 @@ class TestLearnerValidation:
         {"nmin": True}, {"ks": True}, {"ks": "0.5"}, {"omega": None},
         {"sigma_init": False}, {"allow_class_growth": "yes"},
         {"allow_class_growth": "false"}, {"allow_class_growth": 1},
+        # out of range: an infinite or NaN scale
+        {"omega": math.inf}, {"sigma_init": math.inf},
+        {"omega": math.nan}, {"sigma_init": math.nan},
     ])
     def test_rejects_bad_values(self, overrides):
         cfg = LearnerConfig(**overrides)

@@ -10,8 +10,14 @@ from driftfis.fis import (
     augment,
     create_rule,
 )
-from driftfis.linalg import DOWNDATE_GUARD, regularized_inverse
-from helpers import advance_row, attach_rows, blank_system, random_system
+from driftfis.linalg import DOWNDATE_GUARD
+from helpers import (
+    advance_row,
+    attach_rows,
+    blank_system,
+    random_system,
+    regularized_inverse,
+)
 
 ONE_HOT = np.eye(2)  # class targets of a two-class system
 
@@ -163,6 +169,15 @@ class TestCreateRule:
         assert np.array_equal(a.premise.center, b.premise.center)
         assert np.array_equal(a.consequent.corr, b.consequent.corr)
         assert a.id != b.id
+
+    @pytest.mark.parametrize("d", range(1, 12))
+    @pytest.mark.parametrize("sigma", [1e-8, 1e-3, 0.1, 0.7, 1.0, 3.0, 1e4, 1e8])
+    def test_birth_inverse_matches_the_single_matrix_oracle(self, d, sigma):
+        # births invert sigma^2 I through the stacked kernel; every bit
+        # must equal the symmetrizing single-matrix inverse
+        rule = create_rule(np.zeros(d), 0, sigma, 100.0, 2, rule_id=0)
+        expected = regularized_inverse((sigma ** 2) * np.eye(d))
+        assert rule.premise.cov_inv.tobytes() == expected.tobytes()
 
 
 class TestSystemEvaluation:

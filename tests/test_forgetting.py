@@ -57,6 +57,7 @@ class TestDDFWindow:
         w.push(np.array([1.0]), 0.0)
         out = w.push(np.array([2.0]), 0.7)
         assert out is not None and out[1] == 0.0
+        assert out[0].tolist() == [1.0]
 
 
 class TestRecordSample:

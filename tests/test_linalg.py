@@ -2,20 +2,23 @@
 
 The Mahalanobis form and the rank-one correlation updates have no
 standalone kernel: they are tested here through the FuzzySystem methods
-that compute them (memberships_all, wrls_step, downdate_row).
+that compute them (memberships_all, wrls_step, downdate_row). The
+single-matrix oracles (regularized_inverse, ellipsoid_radius_along) live
+in tests/helpers.py; their own properties are checked here too.
 """
 
 import numpy as np
 import pytest
 
 from driftfis.fis import create_rule
-from driftfis.linalg import (
-    DOWNDATE_GUARD,
+from driftfis.linalg import DOWNDATE_GUARD, regularized_inverse_stack
+from helpers import (
+    blank_system,
     ellipsoid_radius_along,
+    random_orthogonal,
+    random_pd,
     regularized_inverse,
-    regularized_inverse_stack,
 )
-from helpers import blank_system, random_orthogonal, random_pd
 
 
 def squared_distance(x, center, cov_inv):
@@ -184,17 +187,23 @@ class TestEllipsoidRadius:
 
 
 class TestRegularizedInverse:
+    """The single-matrix oracle of tests/helpers.py, and the stacked kernel
+    every premise goes through."""
+
     def test_well_conditioned_close_to_plain_inverse(self):
         rng = np.random.default_rng(6)
         cov = random_pd(rng, 4)
         out = regularized_inverse(cov)
         assert np.allclose(out, np.linalg.inv(cov), rtol=1e-4)
+        assert np.allclose(regularized_inverse_stack(cov[None])[0],
+                           np.linalg.inv(cov), rtol=1e-4)
 
     def test_collapsed_covariance_stays_finite(self):
-        out = regularized_inverse(np.zeros((3, 3)))
-        assert np.all(np.isfinite(out))
-        # ridge floor turns the zero matrix into (floor * I)^-1
-        assert out[0, 0] == pytest.approx(1e12)
+        for out in (regularized_inverse(np.zeros((3, 3))),
+                    regularized_inverse_stack(np.zeros((1, 3, 3)))[0]):
+            assert np.all(np.isfinite(out))
+            # ridge floor turns the zero matrix into (floor * I)^-1
+            assert out[0, 0] == pytest.approx(1e12)
 
     def test_symmetrizes_input(self):
         cov = np.array([[2.0, 0.3], [0.1, 1.0]])

@@ -225,6 +225,9 @@ class TestGuards:
         lambda s: s["config"].update(tmax2=10.0),
         lambda s: s["config"].update(nmin=20.5),
         lambda s: s["config"].update(allow_class_growth="yes"),
+        # config values of the right type but infinite
+        lambda s: s["config"].update(omega=math.inf),
+        lambda s: s["config"].update(sigma_init=math.inf),
     ])
     def test_malformed_value_rejected(self, mangle):
         state = state_dict(trained_learner(n=40, forgetting_mode="forget_ps"))
@@ -238,6 +241,22 @@ class TestGuards:
         state.update(n_features=np.int64(2), n_classes=np.int32(2))
         clone = from_state_dict(state)
         assert model_state_hash(clone) == model_state_hash(learner)
+
+    def test_numpy_config_numbers_hash_and_round_trip(self, tmp_path):
+        # the config of test_config's test_numpy_numbers_are_allowed, with
+        # numpy numbers and with the equal Python ones
+        numpy_cfg = dict(tmax1=np.int64(200), tmax2=np.int32(10),
+                         nmin=np.int64(20), ws=np.int16(50),
+                         ks=np.float64(0.5), omega=np.float32(100.0),
+                         sigma_init=np.int64(1))
+        python_cfg = {key: value.item() for key, value in numpy_cfg.items()}
+        learner = trained_learner(n=80, **numpy_cfg)
+        twin = trained_learner(n=80, **python_cfg)
+        assert model_state_hash(learner) == model_state_hash(twin)
+        assert state_bytes(learner) == state_bytes(twin)
+        path = tmp_path / "model.json"
+        save_model(learner, str(path))
+        assert model_state_hash(load_model(str(path))) == model_state_hash(twin)
 
     def test_format_constants(self):
         state = state_dict(trained_learner(n=40))
