@@ -17,7 +17,13 @@ identical no matter which other rows share the stack, so attaching
 auxiliary rows can never perturb the principal ones, and an operation may
 gather just the rows that carry weight (advance_premises, wrls_step and
 downdate_rows take a row index, memberships_all a row range) without
-changing any row's result.
+changing any row's result. The learner scores every row in one
+memberships_all call on small stacks and a row range on large ones.
+
+The einsum sites call numpy's C einsum, _einsum, directly: np.einsum with
+optimize=False calls the same function after a Python wrapper. Should a
+numpy release move that private name, _einsum falls back to np.einsum at
+import time.
 """
 
 from __future__ import annotations
@@ -29,6 +35,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import DOWNDATE_GUARD, regularized_inverse_stack
+
+try:  # what np.einsum calls when optimize is False, minus its wrapper
+    from numpy._core._multiarray_umath import c_einsum as _einsum
+except ImportError:
+    _einsum = np.einsum
 
 
 class EmptySystemError(ValueError):
@@ -236,7 +247,7 @@ class FuzzySystem:
         if stop is not None or start:  # an unbounded call builds no views
             centers, invs = centers[start:stop], invs[start:stop]
         diffs = x - centers
-        quad = np.einsum("nd,nde,ne->n", diffs, invs, diffs)
+        quad = _einsum("nd,nde,ne->n", diffs, invs, diffs)
         quad += 1.0
         return np.divide(1.0, quad, out=quad)
 
@@ -300,7 +311,7 @@ class FuzzySystem:
         """
         centers = self._centers
         covs = self._covs
-        if rows is None or covs.shape[0] <= 4 * rows.shape[0]:
+        if rows is None or covs.shape[0] <= 3 * rows.shape[0]:
             np.multiply(centers, 1.0 - alphas, out=centers)
             centers += alphas * x
             resids = x - centers
@@ -309,14 +320,14 @@ class FuzzySystem:
             covs += a3 * (resids[:, :, None] * resids[:, None, :])
             self._invs[:] = regularized_inverse_stack(covs)
         else:
-            a = alphas[rows]
-            sub_c = centers[rows]
+            a = alphas.take(rows, axis=0)
+            sub_c = centers.take(rows, axis=0)
             np.multiply(sub_c, 1.0 - a, out=sub_c)
             sub_c += a * x
             centers[rows] = sub_c
             resids = x - sub_c
             a3 = a[:, :, None]
-            sub_v = covs[rows]
+            sub_v = covs.take(rows, axis=0)
             np.multiply(sub_v, 1.0 - a3, out=sub_v)
             sub_v += a3 * (resids[:, :, None] * resids[:, None, :])
             covs[rows] = sub_v
@@ -324,7 +335,7 @@ class FuzzySystem:
 
     def quadratic_form_pair(self, row: int, vec: np.ndarray) -> np.ndarray:
         """vec @ cov_inv @ vec for stacked rows (row, row+1), as a length-2 array."""
-        return np.einsum("d,nde,e->n", vec, self._invs[row:row + 2], vec)
+        return _einsum("d,nde,e->n", vec, self._invs[row:row + 2], vec)
 
     def pair_separation(self, row: int) -> float:
         """Drift separation of the sub-rule pair in rows (row, row+1).
@@ -458,7 +469,7 @@ def _wrls_kernel(corrs: np.ndarray, coeffs: np.ndarray, x_aug: np.ndarray,
     # einsum rather than u @ x_aug: BLAS gemv accumulates differently
     # depending on the matrix height, which would make a row's result
     # depend on how many other rows share the stack
-    s = np.einsum("nk,k->n", u, x_aug)
+    s = _einsum("nk,k->n", u, x_aug)
     f = weights / (1.0 + weights * s)
     # both outer products scaled in place: the same bits as scaling first,
     # since multiplication commutes exactly

@@ -11,16 +11,20 @@ forgetting, in the shadow pairs and/or the principal system.
 The FuzzySystem stacks hold every rule and sub-rule as a row: rule i is
 row i, its shadow pair rows n+2i (slow) and n+2i+1 (fast). Births and
 replacements are row gathers. Per sample, one batched membership pass
-scores the principal rules and picks the winner; a second evaluates only
-the winner's pair, the one pair that carries weight. One batched premise
-update and one batched WRLS step then cover the principal rules and that
-pair together. The premise update and the WRLS step are told which rows
-carry weight (the winner and its pair; every principal rule and the
-winner's pair) and, on large stacks, touch only those. Conclusion
-forgetting runs in the forgetting module, on one WindowBank whose row r
-is the window of stack row r: WindowBank.forget for every principal
-window at once, WindowBank.forget_pair for the winner's pair. A window
-moves with its consequent through the same row gather.
+scores the principal rules and picks the winner; only the winner's pair
+carries weight among the shadow rows. On small stacks that same pass
+scores every row, the pairs too, which costs less than a second call; once
+the other pairs' rows outweigh a call (_SPLIT_MIN_SKIPPED), the pass stops
+at the principal rows and a second evaluates only the winner's pair. Both
+give the same bits. One batched premise update and one batched WRLS step
+then cover the principal rules and that pair together. The premise update
+and the WRLS step are told which rows carry weight (the winner and its
+pair; every principal rule and the winner's pair) and, on large stacks,
+touch only those. Conclusion forgetting runs in the forgetting module, on
+one WindowBank whose row r is the window of stack row r: WindowBank.forget
+for every principal window at once, WindowBank.forget_pair for the
+winner's pair. A window moves with its consequent through the same row
+gather.
 """
 
 from __future__ import annotations
@@ -35,6 +39,12 @@ from .anticipation import AnticipatedPair, DriftEvent, SubRule, spawn_pair
 from .config import LearnerConfig
 from .fis import FuzzySystem, NonFiniteInputError, Rows, Rule, create_rule
 from .forgetting import WindowBank
+
+# Scoring only the winner's pair takes a second membership call; it pays
+# once the 2(n - 1) other pair rows it skips cost more than this. A row
+# costs about its d^2 inverse entries plus 21 entries' worth of fixed work
+# (measured crossovers: 45 rules at 3 features, 37 at 4, 12 at 10).
+_SPLIT_MIN_SKIPPED = 2640
 
 
 class UnknownClassError(ValueError):
@@ -76,14 +86,8 @@ class AnticipatingClassifier:
         self._targets: np.ndarray | None = None
         self._x_aug = np.empty(n_features + 1)
         self._x_aug[0] = 1.0
-        self._alphas = np.zeros((0, 1))
         self._rows3 = np.empty(3, dtype=np.intp)
-        # rows of _alphas written last sample, zeroed lazily next sample
-        self._stale_rows: tuple = ()
-        # WRLS rows (every principal rule, then the winner's pair) and
-        # their weights, in matching order
-        self._wrows = np.zeros(2, dtype=np.intp)
-        self._wvec = np.zeros(2)
+        self._resize_buffers()
 
     # -- public surface ------------------------------------------------
 
@@ -148,7 +152,8 @@ class AnticipatingClassifier:
             return y
 
         n = len(system.rules)
-        betas = system.memberships_all(x, n)
+        every = system.memberships_all(x) if self._fused else None
+        betas = system.memberships_all(x, n) if every is None else every[:n]
         bsum = float(np.add.reduce(betas))
         # every weight below divides by bsum (or by the pair denominator),
         # so check it before the label check can grow the classes
@@ -176,12 +181,15 @@ class AnticipatingClassifier:
         row_slow = n + 2 * winner
         row_fast = row_slow + 1
         # Sub-rule memberships from the pre-update premises: only the
-        # winner's pair carries weight, so only its two rows are evaluated,
-        # with the same bits as the full evaluation (memberships_all is
-        # row-local). The pair's conclusion weights come from them, before
-        # any state change.
-        beta_slow, beta_fast = system.memberships_all(
-            x, row_fast + 1, row_slow).tolist()
+        # winner's pair carries weight. Unless the first pass already
+        # scored every row, only its two rows are evaluated, with the same
+        # bits as the full evaluation (memberships_all is row-local). The
+        # pair's conclusion weights come from them, before any state change.
+        if every is None:
+            beta_slow, beta_fast = system.memberships_all(
+                x, row_fast + 1, row_slow).tolist()
+        else:
+            beta_slow, beta_fast = every.item(row_slow), every.item(row_fast)
         if cfg.wrls_weight == "normalized":
             denom = beta_slow + beta_fast + bsum - float(betas[winner])
             if not 0.0 < denom < math.inf:
@@ -325,10 +333,17 @@ class AnticipatingClassifier:
     def _resize_buffers(self) -> None:
         """Fit the per-sample scratch arrays to the current stacks."""
         n = len(self.system)
+        d = self.system.n_features
         self._alphas = np.zeros((self.system.n_rows, 1))
-        self._stale_rows = ()
+        # rows of _alphas written last sample, zeroed lazily next sample
+        self._stale_rows: tuple = ()
+        # WRLS rows (every principal rule, then the winner's pair) and
+        # their weights, in matching order
         self._wrows = np.arange(n + 2, dtype=np.intp)
         self._wvec = np.zeros(n + 2)
+        # one membership pass over every row, unless scoring only the
+        # winner's pair skips enough of the other pairs' rows to pay
+        self._fused = 2 * (n - 1) * (d * d + 21) <= _SPLIT_MIN_SKIPPED
 
     def _target(self, y: int) -> np.ndarray:
         """Cached one-hot row for the label (read-only; never mutated)."""

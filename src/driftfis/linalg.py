@@ -7,6 +7,12 @@ trace-scaled ridge r for each exactly symmetric matrix S of a stack. The
 rank-one correlation updates of the conclusions run in place on the
 stacks, as FuzzySystem.wrls_step and FuzzySystem.downdate_rows;
 DOWNDATE_GUARD is their guard.
+
+The inversion skips np.linalg.inv's Python wrapper: _inv calls the gufunc
+behind it, numpy.linalg._umath_linalg.inv with signature 'd->d', under the
+same errstate (a singular slice raises LinAlgError), which is exactly what
+np.linalg.inv runs for a float64 stack. Should a numpy release move those
+private names, _inv falls back to np.linalg.inv at import time.
 """
 
 from __future__ import annotations
@@ -21,6 +27,21 @@ DOWNDATE_GUARD = 1e-8
 # so a fully collapsed covariance (forgetting horizon 1) stays invertible.
 RIDGE_SCALE = 1e-6
 RIDGE_FLOOR = 1e-12
+
+
+try:
+    from numpy.linalg import _umath_linalg
+    from numpy.linalg._linalg import _raise_linalgerror_singular
+    _umath_inv = _umath_linalg.inv
+except (ImportError, AttributeError):
+    _inv = np.linalg.inv
+else:
+    def _inv(a: np.ndarray) -> np.ndarray:
+        """np.linalg.inv of a float64 stack, without its wrapper. An
+        errstate cannot be entered twice, so each call builds its own."""
+        with np.errstate(call=_raise_linalgerror_singular, invalid="call",
+                         over="ignore", divide="ignore", under="ignore"):
+            return _umath_inv(a, signature="d->d")
 
 
 _EYE_CACHE: dict[int, np.ndarray] = {}
@@ -55,4 +76,4 @@ def regularized_inverse_stack(covs: np.ndarray) -> np.ndarray:
     # r I + S in one temporary; addition commutes exactly
     reg = ridges[..., None, None] * _eye(d)
     reg += covs
-    return np.linalg.inv(reg)
+    return _inv(reg)

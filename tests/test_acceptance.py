@@ -159,7 +159,7 @@ def test_criterion_2_forgetting_window_consistency(capsys):
 def _tracked_rows(x0):
     """(system, row) for both paths of advance_premises, every row a unit
     premise at x0: a 3-row stack blends every row (the tracked one with its
-    alpha, the others with 0), a 9-row stack, more than 4x its one listed
+    alpha, the others with 0), a 9-row stack, more than 3x its one listed
     row, gathers just the tracked row."""
     return [(FuzzySystem(x0.shape[0], 2, [create_rule(x0, 0, 1.0, 100.0, 2, rule_id=i)
                                           for i in range(size)]), row)

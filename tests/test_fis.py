@@ -77,7 +77,7 @@ class TestUpdatePremise:
 
     def test_matches_manual_recursion(self):
         # on the full-stack path (3 rows) and the gather path (9 rows, more
-        # than 4x the one listed row); the unlisted rows keep their bits
+        # than 3x the one listed row); the unlisted rows keep their bits
         rng = np.random.default_rng(11)
         xs = rng.standard_normal((50, 2))
         for n_rows, row in ((3, 1), (9, 4)):
@@ -329,7 +329,7 @@ class TestBatchedAdaptation:
         alphas[9, 0] = 0.5
         sys_full.advance_premises(x, alphas.copy(), rows=None)
         rows = np.array([2, 9], dtype=np.intp)
-        assert 14 > 4 * rows.shape[0]  # gather branch actually taken
+        assert 14 > 3 * rows.shape[0]  # gather branch actually taken
         sys_rows.advance_premises(x, alphas.copy(), rows=rows)
         assert sys_full._centers.tobytes() == sys_rows._centers.tobytes()
         assert sys_full._covs.tobytes() == sys_rows._covs.tobytes()

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -11,13 +12,20 @@ from hypothesis import strategies as st
 
 import driftfis
 from driftfis import fis
+from driftfis import learner as learner_module
 from driftfis.config import LearnerConfig
 from driftfis.learner import (
     AnticipatingClassifier,
     NonFiniteInputError,
     UnknownClassError,
 )
-from driftfis.snapshot import from_state_dict, model_state_hash, state_dict
+from driftfis.snapshot import (
+    from_state_dict,
+    model_state_hash,
+    state_bytes,
+    state_dict,
+)
+from driftfis.streams import gen_plane10d, gen_sea
 
 from helpers import entries, gaussian_stream
 
@@ -532,6 +540,83 @@ class TestConsistency:
         X, y = two_blob_stream(rng, 37)
         train(learner, X, y)
         assert learner.samples_seen == 37
+
+
+def _criterion_9_stream():
+    """The opening of test_criterion_9_throughput's stream: two 4-D blobs."""
+    rng = np.random.default_rng(909)
+    centers = np.array([[0.0] * 4, [4.0] * 4])
+    y = rng.integers(0, 2, 3000)
+    X = centers[y] + rng.normal(0.0, 1.0, (3000, 4))
+    return 4, LearnerConfig(ks=5.0, ws=50), X, y
+
+
+def _sea_stream():
+    stream = gen_sea(2400, seed=0)  # concept drifts at 600, 1200, 1800
+    return 3, LearnerConfig(ks=0.4), stream.X, stream.y
+
+
+def _plane10d_prefix():
+    stream = gen_plane10d(1200, seed=0)
+    return 10, LearnerConfig(strategy="global", forgetting_mode="forget_ps"), \
+        stream.X, stream.y
+
+
+class TestMembershipSwitch:
+    """learn_one scores every stacked row in one pass on small stacks and
+    splits off the winner's pair on large ones; both give the same bits."""
+
+    @staticmethod
+    def _run(monkeypatch, skipped, make):
+        monkeypatch.setattr(learner_module, "_SPLIT_MIN_SKIPPED", skipped)
+        bounds = []
+        real = fis.FuzzySystem.memberships_all
+
+        def recording(self, x, stop=None, start=0):
+            bounds.append(start)
+            return real(self, x, stop, start)
+
+        monkeypatch.setattr(fis.FuzzySystem, "memberships_all", recording)
+        d, cfg, X, y = make()
+        learner = AnticipatingClassifier(d, 2, cfg)
+        preds = train(learner, X, y)
+        split_calls = sum(start > 0 for start in bounds)
+        return (preds, learner.drift_log, state_bytes(learner)), split_calls
+
+    @pytest.mark.parametrize("make", [_criterion_9_stream, _sea_stream,
+                                      _plane10d_prefix])
+    def test_fused_and_split_passes_agree(self, monkeypatch, make):
+        fused, fused_splits = self._run(monkeypatch, math.inf, make)
+        split, split_splits = self._run(monkeypatch, -1, make)
+        assert fused_splits == 0 and split_splits > 0  # each side was taken
+        assert fused[0] == split[0]
+        assert fused[1] == split[1]
+        assert fused[2] == split[2]
+        if make is not _criterion_9_stream:
+            assert fused[1]  # the stream reaches the drift machinery
+
+    @pytest.mark.parametrize("mode", ["none", "forget_am", "forget_ps"])
+    @pytest.mark.parametrize("far", [1e150, 1e200])
+    def test_far_sample_same_outcome_on_both_sides(self, monkeypatch, mode, far):
+        # the fused pass also scores the pairs the split pass skips, so it
+        # must neither warn nor raise where the split pass accepts
+        outcomes = []
+        for skipped in (math.inf, -1):
+            monkeypatch.setattr(learner_module, "_SPLIT_MIN_SKIPPED", skipped)
+            learner = make_learner(forgetting_mode=mode)
+            X, y = gaussian_stream(np.random.default_rng(5), 60,
+                                   centers=[[0.0, 0.0], [3.0, 3.0]])
+            train(learner, X, y)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                try:
+                    outcome = learner.learn_one(np.array([far, 0.0]), 0)
+                except NonFiniteInputError as exc:
+                    outcome = str(exc)
+            outcomes.append((outcome, state_bytes(learner)))
+        assert outcomes[0] == outcomes[1]
+        # 1e150 is accepted (a class is returned); 1e200 overflows and raises
+        assert isinstance(outcomes[0][0], int) == (far == 1e150)
 
 
 @given(strategy=st.sampled_from(["naive", "global"]),

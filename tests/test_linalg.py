@@ -10,10 +10,15 @@ in tests/helpers.py; their own properties are checked here too.
 import numpy as np
 import pytest
 
+from driftfis import fis, linalg
+from driftfis.config import LearnerConfig
 from driftfis.fis import create_rule
+from driftfis.learner import AnticipatingClassifier
 from driftfis.linalg import DOWNDATE_GUARD, regularized_inverse_stack
+from driftfis.snapshot import state_bytes
 from helpers import (
     blank_system,
+    gaussian_stream,
     ellipsoid_radius_along,
     random_orthogonal,
     random_pd,
@@ -233,3 +238,62 @@ class TestRegularizedInverse:
 
     def test_guard_constant(self):
         assert DOWNDATE_GUARD == 1e-8
+
+
+class TestDispatchBypass:
+    """linalg._inv and fis._einsum skip numpy's Python wrappers; on the
+    pinned numpy they must be bound and give the public functions' bits."""
+
+    def test_private_names_resolve(self):
+        from numpy._core._multiarray_umath import c_einsum
+        from numpy.linalg._umath_linalg import inv
+        assert linalg._umath_inv is inv
+        assert linalg._inv is not np.linalg.inv
+        assert fis._einsum is c_einsum
+
+    @pytest.mark.parametrize("m", [1, 3, 200])
+    def test_inv_matches_public_bitwise(self, m):
+        rng = np.random.default_rng(40 + m)
+        for d in range(1, 12):
+            stack = np.stack([random_pd(rng, d, scale=float(rng.uniform(0.01, 10.0)))
+                              for _ in range(m)])
+            assert linalg._inv(stack).tobytes() == np.linalg.inv(stack).tobytes()
+
+    def test_einsum_matches_public_bitwise(self):
+        rng = np.random.default_rng(41)
+        for n, d in ((1, 3), (6, 4), (75, 11)):
+            diffs = rng.standard_normal((n, d))
+            invs = np.stack([random_pd(rng, d) for _ in range(n)])
+            vec = rng.standard_normal(d)
+            cases = (("nd,nde,ne->n", diffs, invs, diffs),
+                     ("d,nde,e->n", vec, invs, vec),
+                     ("nk,k->n", diffs, vec))
+            for operands in cases:
+                assert (fis._einsum(*operands).tobytes()
+                        == np.einsum(*operands).tobytes())
+
+    def test_singular_stack_raises_and_restores_errstate(self):
+        before = np.geterr()
+        rng = np.random.default_rng(42)
+        linalg._inv(np.stack([random_pd(rng, 3) for _ in range(2)]))
+        assert np.geterr() == before
+        singular = np.stack([np.eye(3), np.zeros((3, 3))])
+        with pytest.raises(np.linalg.LinAlgError):
+            linalg._inv(singular)
+        assert np.geterr() == before
+
+    def test_public_fallback_learns_the_same_state(self, monkeypatch):
+        def learned():
+            rng = np.random.default_rng(43)
+            learner = AnticipatingClassifier(3, 2, LearnerConfig(ks=0.3, nmin=5))
+            X, y = gaussian_stream(rng, 400, centers=[[0.0] * 3, [3.0] * 3])
+            X[200:] += 2.0  # a shift, so the pairs separate and drifts fire
+            for xi, yi in zip(X, y):
+                learner.learn_one(xi, int(yi))
+            assert learner.drift_log
+            return state_bytes(learner)
+
+        fast = learned()
+        monkeypatch.setattr(linalg, "_inv", np.linalg.inv)
+        monkeypatch.setattr(fis, "_einsum", np.einsum)
+        assert learned() == fast
