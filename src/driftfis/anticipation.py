@@ -12,7 +12,9 @@ the gap direction.
 A pair is state in two places only: its two rows of the FuzzySystem
 stacks and the same two rows of the learner's WindowBank, next to each
 other, plus the learner's count of the samples it has seen. spawn_pair
-finishes those rows; AnticipatedPair and SubRule are views of them.
+finishes those rows. AnticipatedPair and SubRule are views of them, which
+AnticipatingClassifier.anticipations alone builds; the snapshot writer
+reads the rows directly.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ class SubRule:
 class AnticipatedPair:
     """Slow/fast shadow pair attached to one principal rule, as the learner
     hands it out: a view of the pair's rows
-    (AnticipatingClassifier.pair_view)."""
+    (AnticipatingClassifier.anticipations)."""
 
     slow: SubRule
     fast: SubRule

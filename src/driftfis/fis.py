@@ -5,20 +5,19 @@ membership 1/(1 + (x-c)' S^-1 (x-c)) over the Mahalanobis distance) with
 a first-order polynomial consequent per class, learned by weighted
 recursive least squares (WRLS).
 
-The rule base itself evolves elsewhere; this module knows how to evaluate
-and adapt rules and how to aggregate a base. FuzzySystem keeps every
-premise and consequent in stacked arrays so the per-sample work is a fixed
-number of batched array operations regardless of the rule count. The
-stacks are the only storage of those arrays: a rule is a row plus its
-metadata, and structural changes are row gathers (set_rows). Each
-operation has one implementation, the batched one, and what it
-guarantees exactly is stack independence: a row's result is bitwise
-identical no matter which other rows share the stack, so attaching
-auxiliary rows can never perturb the principal ones, and an operation may
-gather just the rows that carry weight (advance_premises, wrls_step and
-downdate_rows take a row index, memberships_all a row range) without
-changing any row's result. The learner scores every row in one
-memberships_all call on small stacks and a row range on large ones.
+The rule base itself evolves elsewhere; this module evaluates and adapts
+rules and aggregates a base. FuzzySystem keeps every premise and
+consequent in stacked arrays, so the per-sample work is a fixed number of
+batched operations whatever the rule count. A rule is nothing but rows: a
+row of each stack, its id and born class an entry of two int64 arrays.
+Structural changes are row gathers (set_rows), a birth appends seed_row's
+one-row stacks, and a Rule is a view of rows built on demand. Each
+operation has one implementation, the batched one, and it guarantees
+stack independence: a row's result is bitwise identical whichever other
+rows share the stack, so auxiliary rows never perturb the principal ones,
+and an operation may gather just the rows that carry weight
+(advance_premises, wrls_step and downdate_rows take a row index,
+memberships_all a row range) without changing any result.
 
 The einsum sites call numpy's C einsum, _einsum, directly: np.einsum with
 optimize=False calls the same function after a Python wrapper. Should a
@@ -29,7 +28,7 @@ import time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -95,49 +94,40 @@ class Rows(NamedTuple):
     coeffs: np.ndarray   # (m, d+1, n_classes)
 
 
-@dataclass(eq=False)
-class Rule:
-    """A principal rule: its metadata and its row ``row`` of ``system``.
-
-    ``premise`` and ``consequent`` read that row as views, ``window`` the
-    same row of ``windows`` (a forgetting.WindowBank) when there is one.
-    """
+class Rule(NamedTuple):
+    """A principal rule as FuzzySystem.rules hands it out: id, born class
+    and views of its rows. A structural change (set_rows) builds new
+    stacks, so a rule read before it keeps its old arrays, cut off."""
 
     id: int
-    born_class: int | None = None
-    windows: object = field(default=None, repr=False)
-    system: "FuzzySystem | None" = field(default=None, repr=False)
-    row: int = 0
-
-    @property
-    def premise(self) -> Premise:
-        return self.system.premise(self.row)
-
-    @property
-    def consequent(self) -> Consequent:
-        return self.system.consequent(self.row)
-
-    @property
-    def window(self):
-        return None if self.windows is None else self.windows.window(self.row)
+    born_class: int
+    premise: Premise
+    consequent: Consequent
+    window: object = None  # a forgetting.DDFWindow, when there is a bank
 
 
-def create_rule(x: np.ndarray, label: int, sigma_init: float, omega: float,
-                n_classes: int, rule_id: int) -> Rule:
-    """Seed a rule at a sample, alone in a one-row system: spherical
-    premise sigma_init^2 I, inverted by regularized_inverse_stack like
-    every other premise, one hit, blank consequent (zero coefficients,
-    omega * I correlation)."""
+def seed_row(x: np.ndarray, sigma_init: float, omega: float,
+             n_classes: int) -> Rows:
+    """The one-row stacks of a rule seeded at a sample: spherical premise
+    sigma_init^2 I, inverted by regularized_inverse_stack like every other
+    premise, one hit, blank consequent (zero coefficients, omega * I
+    correlation)."""
     d = x.shape[0]
     covs = ((sigma_init ** 2) * np.eye(d))[None]
-    seed = Rows(centers=x[None, :].copy(), covs=covs,
+    return Rows(centers=x[None, :].copy(), covs=covs,
                 invs=regularized_inverse_stack(covs),
                 hits=np.ones(1, dtype=np.int64),
                 corrs=(omega * np.eye(d + 1))[None],
                 coeffs=np.zeros((1, d + 1, n_classes)))
-    rule = Rule(id=rule_id, born_class=label)
-    FuzzySystem(d, n_classes).set_rows([rule], np.zeros(1, np.intp), extra=seed)
-    return rule
+
+
+def create_rule(x: np.ndarray, label: int, sigma_init: float, omega: float,
+                n_classes: int, rule_id: int) -> Rule:
+    """A rule seeded at a sample (seed_row), as views of its own row."""
+    seed = seed_row(x, sigma_init, omega, n_classes)
+    return Rule(rule_id, label,
+                Premise(seed.centers[0], seed.covs[0], seed.invs[0], 1),
+                Consequent(seed.coeffs[0], seed.corrs[0]))
 
 
 class FuzzySystem:
@@ -145,8 +135,9 @@ class FuzzySystem:
 
     The system owns its rules' arrays as five stacks (centers,
     covariances, cached inverses, correlations, coefficients) plus the hit
-    counts in ``hits``, one row per rule: rule i is row i. Updates run as
-    one batched operation over the rows.
+    counts in ``hits``, one row per rule: rule i is row i, with id
+    ``ids[i]`` and born class ``born_classes[i]`` (int64 arrays). Updates
+    run as one batched operation over the rows.
 
     Rows after the principal rules are auxiliary. They take no part in
     prediction: memberships, predict_scores and predict_class read only
@@ -157,7 +148,8 @@ class FuzzySystem:
     same bits, so auxiliary rows never alter what the principal rows
     compute.
 
-    Treat ``rules`` as read-only; structural changes go through set_rows.
+    ``rules`` reads rule i's window from row i of ``windows``, a
+    forgetting.WindowBank, if set. Structural changes go through set_rows.
     """
 
     def __init__(self, n_features: int, n_classes: int,
@@ -171,19 +163,28 @@ class FuzzySystem:
         self.hits = np.empty(0, dtype=np.int64)
         self._corrs = np.empty((0, k, k))
         self._coeffs = np.empty((0, k, n_classes))
-        self._rules: list[Rule] = []
-        if rules:
-            # each rule brings its row from the system it was read from
-            rows = Rows(*(np.stack(parts) for parts in zip(*(
-                [stack[r.row] for stack in r.system.stacks()] for r in rules))))
-            self.set_rows(list(rules), np.arange(len(rules)), extra=rows)
+        self.ids = np.empty(0, dtype=np.int64)
+        self.born_classes = np.empty(0, dtype=np.int64)
+        self.windows = None
+        if rules:  # each rule's row, stacked from its views
+            rows = Rows(*map(np.stack, zip(*(
+                (r.premise.center, r.premise.cov, r.premise.cov_inv,
+                 np.int64(r.premise.hits), r.consequent.corr, r.consequent.coeffs)
+                for r in rules))))
+            ids, born = np.array([(r.id, r.born_class) for r in rules], np.int64).T
+            self.set_rows(ids, born, np.arange(len(rules)), extra=rows)
 
     def __len__(self) -> int:
-        return len(self._rules)
+        return self.ids.shape[0]
 
     @property
     def rules(self) -> list[Rule]:
-        return self._rules
+        """The principal rules in order, as views of the current rows."""
+        windows = self.windows
+        return [Rule(rule_id, born, self.premise(row), self.consequent(row),
+                     None if windows is None else windows.window(row))
+                for row, (rule_id, born) in enumerate(
+                    zip(self.ids.tolist(), self.born_classes.tolist()))]
 
     @property
     def n_rows(self) -> int:
@@ -202,19 +203,20 @@ class FuzzySystem:
         """Row ``row``'s consequent, as views of its arrays."""
         return Consequent(self._coeffs[row], self._corrs[row])
 
-    def set_rows(self, rules: list[Rule], rows: np.ndarray,
-                 con_rows: np.ndarray | None = None,
+    def set_rows(self, ids: np.ndarray, born_classes: np.ndarray,
+                 rows: np.ndarray, con_rows: np.ndarray | None = None,
                  extra: Rows | None = None) -> None:
-        """Rebuild the stacks as a gather of rows; ``rules`` lead them.
+        """Rebuild the stacks as a gather of rows behind new principal rules.
 
         New row i takes its premise (center, covariance, cached inverse,
         hits) from row ``rows[i]`` and its consequent (correlation,
         coefficients) from row ``con_rows[i]``, ``rows[i]`` by default.
         Indices from n_rows on address the rows of ``extra``, appended
-        after the current ones. The first len(rules) new rows are the
-        principal rules, in order, and each rule is bound to its row; any
-        later row is auxiliary. Coefficient columns of classes added since
-        the stacks were built start at zero.
+        after the current ones. The first len(ids) new rows are the
+        principal rules, rule i with id ``ids[i]`` and born class
+        ``born_classes[i]`` (both int64 arrays, stored as given); any later
+        row is auxiliary. Coefficient columns of classes added since the
+        stacks were built start at zero.
         """
         stacks = self.stacks()
         if extra is not None:
@@ -229,9 +231,8 @@ class FuzzySystem:
         if grown:
             coeffs = np.pad(coeffs, ((0, 0), (0, 0), (0, grown)))
         self._coeffs = coeffs
-        for row, rule in enumerate(rules):
-            rule.system, rule.row = self, row
-        self._rules = list(rules)
+        self.ids = ids
+        self.born_classes = born_classes
 
     # -- evaluation ----------------------------------------------------
 
@@ -257,9 +258,10 @@ class FuzzySystem:
         Only the principal rows are evaluated; the auxiliary rows take no
         part in prediction.
         """
-        if not self._rules:
+        n = self.ids.shape[0]
+        if not n:
             raise EmptySystemError("rule base is empty")
-        return self.memberships_all(x, len(self._rules))
+        return self.memberships_all(x, n)
 
     def scores_from_memberships(self, betas: np.ndarray, x_aug: np.ndarray,
                                 total: float | None = None) -> np.ndarray:
@@ -268,7 +270,7 @@ class FuzzySystem:
         ``total`` may pass in an already-computed betas.sum().
         """
         weights = betas / (betas.sum() if total is None else total)
-        partial = x_aug @ self._coeffs[:len(self._rules)]  # (n, c)
+        partial = x_aug @ self._coeffs[:self.ids.shape[0]]  # (n, c)
         return weights @ partial
 
     def predict_scores(self, x: np.ndarray) -> np.ndarray:
@@ -304,14 +306,16 @@ class FuzzySystem:
         unbounded horizon reproduces the running mean. ``alphas`` has
         shape (n_rows, 1); a zero entry leaves that row's center and
         covariance unchanged. ``rows`` (a distinct-integer array) may
-        list the nonzero-alpha rows; large stacks then blend and re-invert
-        only those rows. Either way each row's result is the same bit for
+        list the nonzero-alpha rows; once the other rows outweigh
+        _BLEND_MIN_SKIPPED, only the listed rows are blended and
+        re-inverted. Either way each row's result is the same bit for
         bit: the arithmetic is row-local, and a zero-alpha blend reproduces
         the stored values. Caller maintains hit counts.
         """
         centers = self._centers
         covs = self._covs
-        if rows is None or covs.shape[0] <= 3 * rows.shape[0]:
+        m, d, _ = covs.shape
+        if rows is None or (m - rows.shape[0]) * (d * d + 21) <= _BLEND_MIN_SKIPPED:
             np.multiply(centers, 1.0 - alphas, out=centers)
             centers += alphas * x
             resids = x - centers
@@ -350,9 +354,7 @@ class FuzzySystem:
         if gap_sq == 0.0:
             return 0.0
         gap = math.sqrt(gap_sq)
-        q = self.quadratic_form_pair(row, delta / gap)
-        q_slow = float(q[0])
-        q_fast = float(q[1])
+        q_slow, q_fast = self.quadratic_form_pair(row, delta / gap).tolist()
         spread = ((1.0 / math.sqrt(q_slow)) if q_slow > 0.0 else math.inf) \
             + ((1.0 / math.sqrt(q_fast)) if q_fast > 0.0 else math.inf)
         return gap / spread if spread > 0.0 else math.inf
@@ -460,6 +462,10 @@ class FuzzySystem:
 # skips hold more correlation entries than this (measured crossover in the
 # learner's n + 2 of 3n rows: about 8 rules at 3 features, 3-4 at 10).
 _GATHER_MIN_SKIPPED = 256
+# The same for advance_premises, where a skipped row costs about its d^2
+# covariance entries plus 21 entries' worth of fixed work (measured
+# crossovers at 3 listed rows: 7-8 skipped at 3 features, 5-6 at 4, 1-2 at 10).
+_BLEND_MIN_SKIPPED = 190
 
 
 def _wrls_kernel(corrs: np.ndarray, coeffs: np.ndarray, x_aug: np.ndarray,

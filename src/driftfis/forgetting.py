@@ -20,8 +20,8 @@ writes and reads a ring: it records samples (push, record), evicts and
 sheds them (forget for the principal rows, forget_pair for a shadow
 pair), counts the skips, reads the held entries (entries), moves the
 windows with their consequents (set_rows) and loads them (load). A
-DDFWindow is one bank row seen from outside: ``len()``, ``capacity``,
-``skipped`` and ``ordered()``.
+DDFWindow is one bank row seen from outside, as a one-row bank of views:
+``len()``, ``capacity``, ``skipped``, ``ordered()`` and ``push``.
 """
 
 from __future__ import annotations
@@ -31,22 +31,25 @@ import numpy as np
 
 class DDFWindow:
     """FIFO memory of the weighted samples currently inside a consequent:
-    row ``row`` of a WindowBank, read and written through the bank.
+    row ``row`` of a WindowBank, read and written as a one-row bank of
+    views into that row.
 
     ``samples`` (capacity, k), ``weights`` (capacity,) and ``state`` are
     views of the row's ring slots and of its head, fill and ``skipped``,
     the count of evictions abandoned because the downdate denominator was
     within the guard of zero (the sample leaves memory, its weight stays
-    baked into the correlation matrix). An empty slot has weight 0.0.
+    baked into the correlation matrix). An empty slot has weight 0.0. A
+    window read before a structural change keeps the old arrays, cut off
+    from the bank (WindowBank.set_rows builds new ones).
     """
 
     def __init__(self, bank: "WindowBank", row: int):
-        self.bank = bank
-        self.row = row
+        ring = self._ring = WindowBank(bank.capacity, bank.n_inputs)
+        ring._bind(bank.samples[row:row + 1], bank.weights[row:row + 1],
+                   bank.state[:, row:row + 1])
         self.capacity = bank.capacity
-        self.samples = bank.samples[row]
-        self.weights = bank.weights[row]
-        self.state = bank.state[:, row]
+        self.samples, self.weights = ring.samples[0], ring.weights[0]
+        self.state = ring.state[:, 0]
 
     @property
     def skipped(self) -> int:
@@ -57,11 +60,11 @@ class DDFWindow:
 
     def ordered(self) -> tuple[np.ndarray, np.ndarray]:
         """The held samples and weights, oldest first."""
-        return self.bank.entries(self.row, self.row + 1)
+        return self._ring.entries()
 
     def push(self, x_aug: np.ndarray, weight: float) -> tuple[np.ndarray, float] | None:
         """Record a sample; return the evicted (x, weight) pair on overflow."""
-        departed = self.bank.record(self.row, x_aug, (weight,))
+        departed = self._ring.record(0, x_aug, (weight,))
         if departed is None:
             return None
         return departed[0], float(departed[1][0])
@@ -112,6 +115,12 @@ class WindowBank:
         samples[kept] = self.samples[src]
         weights[kept] = self.weights[src]
         state[:, kept] = self.state[:, src]
+        self._bind(samples, weights, state)
+
+    def _bind(self, samples: np.ndarray, weights: np.ndarray,
+              state: np.ndarray) -> None:
+        """Take these arrays as the stacks, with flat views of the rings."""
+        n, cap = weights.shape
         self.samples, self.weights, self.state = samples, weights, state
         self._head = state[0]
         self._fill = state[1]

@@ -9,22 +9,20 @@ copy). Conclusion matrices may additionally use deferred directional
 forgetting, in the shadow pairs and/or the principal system.
 
 The FuzzySystem stacks hold every rule and sub-rule as a row: rule i is
-row i, its shadow pair rows n+2i (slow) and n+2i+1 (fast). Births and
-replacements are row gathers. Per sample, one batched membership pass
-scores the principal rules and picks the winner; only the winner's pair
-carries weight among the shadow rows. On small stacks that same pass
-scores every row, the pairs too, which costs less than a second call; once
-the other pairs' rows outweigh a call (_SPLIT_MIN_SKIPPED), the pass stops
-at the principal rows and a second evaluates only the winner's pair. Both
-give the same bits. One batched premise update and one batched WRLS step
-then cover the principal rules and that pair together. The premise update
-and the WRLS step are told which rows carry weight (the winner and its
-pair; every principal rule and the winner's pair) and, on large stacks,
-touch only those. Conclusion forgetting runs in the forgetting module, on
-one WindowBank whose row r is the window of stack row r: WindowBank.forget
-for every principal window at once, WindowBank.forget_pair for the
-winner's pair. A window moves with its consequent through the same row
-gather.
+row i, its shadow pair rows n+2i (slow) and n+2i+1 (fast); rule ids and
+born classes are the system's two int64 arrays. Births (one seed_row
+appended) and replacements are row gathers of the stacks, the arrays and
+the WindowBank, whose row r is the window of stack row r. Per sample, one
+batched membership pass scores the principal rules and picks the winner;
+only the winner's pair carries weight among the shadow rows. On small
+stacks that pass scores every row, the pairs too; once the other pairs'
+rows outweigh a second call (_SPLIT_MIN_SKIPPED), it stops at the
+principal rows and a second call scores the winner's pair, with the same
+bits. One batched premise update and one batched WRLS step then cover the
+principal rules and that pair, each told which rows carry weight. The
+forgetting module's WindowBank.forget serves every principal window at
+once, WindowBank.forget_pair the winner's pair. The rule and pair objects
+the learner hands out (system.rules, anticipations) are views of rows.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ import numpy as np
 
 from .anticipation import AnticipatedPair, DriftEvent, SubRule, spawn_pair
 from .config import LearnerConfig
-from .fis import FuzzySystem, NonFiniteInputError, Rows, Rule, create_rule
+from .fis import FuzzySystem, NonFiniteInputError, Rows, seed_row
 from .forgetting import WindowBank
 
 # Scoring only the winner's pair takes a second membership call; it pays
@@ -77,6 +75,7 @@ class AnticipatingClassifier:
         self.system = FuzzySystem(n_features=n_features, n_classes=n_classes)
         # every window's ring, row r that of system row r
         self.windows = WindowBank(self.config.ws, n_features + 1)
+        self.system.windows = self.windows
         # the samples rule i's shadow pair has seen, in rule order
         self.pair_seen: list[int] = []
         self.drift_log: list[DriftEvent] = []
@@ -93,26 +92,22 @@ class AnticipatingClassifier:
 
     @property
     def n_rules(self) -> int:
-        return len(self.system.rules)
+        return len(self.system)
 
     @property
     def anticipations(self) -> MappingProxyType[int, AnticipatedPair]:
-        """Each rule's shadow pair by rule id, as a read-only mapping."""
-        return MappingProxyType({rule.id: self.pair_view(i)
-                                 for i, rule in enumerate(self.system.rules)})
-
-    def pair_view(self, i: int) -> AnticipatedPair:
-        """Rule i's shadow pair, as a view of its stack and window rows."""
-        system, windows = self.system, self.windows
-        row = len(system) + 2 * i
+        """Each rule's shadow pair by rule id, as a read-only mapping of
+        views of the pair's stack and window rows."""
+        system, windows, cfg = self.system, self.windows, self.config
 
         def sub(row, horizon):
             return SubRule(system.premise(row, horizon), system.consequent(row),
                            windows.window(row))
 
-        return AnticipatedPair(sub(row, self.config.tmax1),
-                               sub(row + 1, self.config.tmax2),
-                               self.pair_seen[i])
+        slow_rows = range(len(system), system.n_rows, 2)
+        return MappingProxyType({
+            rule_id: AnticipatedPair(sub(row, cfg.tmax1), sub(row + 1, cfg.tmax2), seen)
+            for rule_id, seen, row in zip(system.ids.tolist(), self.pair_seen, slow_rows)})
 
     def predict_one(self, x) -> int:
         """Class index for x from the principal system; no state change.
@@ -143,7 +138,8 @@ class AnticipatingClassifier:
         cfg = self.config
         system = self.system
 
-        if not system.rules:
+        n = len(system)
+        if not n:
             # Founding sample: nothing to predict from, so the model's
             # answer is the sample's own class by construction.
             y = self._check_label(y)
@@ -151,7 +147,6 @@ class AnticipatingClassifier:
             self.samples_seen += 1
             return y
 
-        n = len(system.rules)
         every = system.memberships_all(x) if self._fused else None
         betas = system.memberships_all(x, n) if every is None else every[:n]
         bsum = float(np.add.reduce(betas))
@@ -180,11 +175,9 @@ class AnticipatingClassifier:
         winner = int(betas.argmax())
         row_slow = n + 2 * winner
         row_fast = row_slow + 1
-        # Sub-rule memberships from the pre-update premises: only the
-        # winner's pair carries weight. Unless the first pass already
-        # scored every row, only its two rows are evaluated, with the same
-        # bits as the full evaluation (memberships_all is row-local). The
-        # pair's conclusion weights come from them, before any state change.
+        # The winner's pair memberships from the pre-update premises, which
+        # weight its conclusions: the first pass's if it scored every row,
+        # else its two rows alone, with the same bits (row-local einsum).
         if every is None:
             beta_slow, beta_fast = system.memberships_all(
                 x, row_fast + 1, row_slow).tolist()
@@ -281,35 +274,31 @@ class AnticipatingClassifier:
     def _grow_classes(self, n_classes: int) -> None:
         system = self.system
         system.n_classes = n_classes
-        system.set_rows(system.rules, np.arange(system.n_rows))
+        system.set_rows(system.ids, system.born_classes, np.arange(system.n_rows))
 
     def _give_birth(self, x: np.ndarray, y: int) -> None:
-        cfg = self.config
-        system = self.system
-        n = len(system)
-        rule = create_rule(x, y, cfg.sigma_init, cfg.omega, system.n_classes,
-                           rule_id=self.next_rule_id)
-        rule.windows = self.windows
+        cfg, system = self.config, self.system
+        ids = np.append(system.ids, np.int64(self.next_rule_id))  # never promoted
         self.next_rule_id += 1
         self.seen_classes.add(y)
         # the newborn's row is appended after the current ones
-        rows = np.append(np.arange(n), system.n_rows)
-        self._set_rows(system.rules + [rule], rows, rows,
-                       self.pair_seen + [None], extra=rule.system.stacks())
+        rows = np.append(np.arange(len(system)), system.n_rows)
+        self._set_rows(ids, np.append(system.born_classes, y), rows, rows,
+                       self.pair_seen + [None],
+                       extra=seed_row(x, cfg.sigma_init, cfg.omega, system.n_classes))
 
-    def _set_rows(self, rules: list[Rule], rows: np.ndarray,
-                  con_rows: np.ndarray, pair_seen: list[int | None],
-                  extra: Rows | None = None) -> None:
-        """Rebuild the system stacks for a new rule list, pairs behind it.
+    def _set_rows(self, ids: np.ndarray, born_classes: np.ndarray,
+                  rows: np.ndarray, con_rows: np.ndarray,
+                  pair_seen: list[int | None], extra: Rows | None = None) -> None:
+        """Rebuild the stacks for new principal rules, their pairs behind.
 
-        Rule j takes its premise from current row ``rows[j]`` and its
-        consequent from ``con_rows[j]`` (FuzzySystem.set_rows; indices
-        past its rows address ``extra``). ``pair_seen[j]`` is the sample
-        count of the rule's shadow pair: a kept pair's rows move with their
-        rule, which must then come from its own current row; None spawns a
-        fresh pair from the rule's new rows. Every window follows its
-        consequent (WindowBank.set_rows); a spawned pair's, and a newborn
-        rule's, start blank.
+        Rule j (id ``ids[j]``, born class ``born_classes[j]``) takes its
+        premise from row ``rows[j]`` and its consequent from ``con_rows[j]``
+        (FuzzySystem.set_rows; indices past its rows address ``extra``).
+        ``pair_seen[j]`` is the sample count of the rule's shadow pair,
+        whose rows move with their rule (which must then come from its own
+        row); None spawns a fresh pair from the rule's new rows. Each window
+        follows its consequent; a spawned pair's and a newborn's start blank.
         """
         cfg = self.config
         system = self.system
@@ -323,9 +312,9 @@ class AnticipatingClassifier:
 
         # an index past the current rows is a blank window
         self.windows.set_rows(with_pairs(con_rows, system.n_rows))
-        system.set_rows(rules, with_pairs(rows, rows),
+        system.set_rows(ids, born_classes, with_pairs(rows, rows),
                         with_pairs(con_rows, con_rows), extra)
-        spawn_pair(system, len(rules) + 2 * np.flatnonzero(spawn), cfg.tmax1,
+        spawn_pair(system, len(ids) + 2 * np.flatnonzero(spawn), cfg.tmax1,
                    cfg.tmax2, cfg.am_init, cfg.omega)
         self.pair_seen = [0 if seen is None else seen for seen in pair_seen]
         self._resize_buffers()
@@ -357,7 +346,7 @@ class AnticipatingClassifier:
     def _update_conclusions_only(self, x_aug: np.ndarray, betas: np.ndarray,
                                  y: int) -> None:
         """Principal-only conclusion step (used on class-birth samples)."""
-        n = len(self.system.rules)
+        n = len(self.system)
         wvec = self._wvec[:n]
         if self.config.wrls_weight == "normalized":
             np.divide(betas, betas.sum(), out=wvec)
@@ -378,11 +367,12 @@ class AnticipatingClassifier:
         cfg = self.config
         system = self.system
         n = len(system)
-        old = system.rules[winner]
-        new_rules = [Rule(id=self.next_rule_id + k, born_class=old.born_class,
-                          windows=self.windows) for k in (0, 1)]
+        old_id = system.ids.item(winner)
+        # the two new rules take the winner's place and its born class
+        pick = np.insert(np.arange(n), winner, winner)
+        ids = system.ids[pick]
+        ids[winner:winner + 2] = (self.next_rule_id, self.next_rule_id + 1)
         self.next_rule_id += 2
-        rules = system.rules[:winner] + new_rules + system.rules[winner + 1:]
         row_slow = n + 2 * winner
         rows = np.concatenate((np.arange(winner), (row_slow, row_slow + 1),
                                np.arange(winner + 1, n)))
@@ -395,7 +385,7 @@ class AnticipatingClassifier:
             con_rows = rows
             pair_seen = (self.pair_seen[:winner] + [None, None]
                          + self.pair_seen[winner + 1:])
-        self._set_rows(rules, rows, con_rows, pair_seen)
+        self._set_rows(ids, system.born_classes[pick], rows, con_rows, pair_seen)
         self.drift_log.append(DriftEvent(
-            sample_index=self.samples_seen, rule_id=old.id,
+            sample_index=self.samples_seen, rule_id=old_id,
             strategy=cfg.strategy, separation=separation))

@@ -4,17 +4,17 @@ Snapshots capture the full learner state (rules, shadow pairs, windows,
 counters, config) as plain JSON. Floats survive the round trip exactly
 (repr-based encoding), so saving and reloading resumes the stream
 bit-for-bit. Cached covariance inverses are not stored; they are
-recomputed from the covariance, which is deterministic. Windows are
-loaded and read through the forgetting module's WindowBank.
+recomputed from the covariance, which is deterministic. Both directions
+work on rows: the writer reads each rule's and sub-rule's row of the
+FuzzySystem stacks, its id and born class and its WindowBank row, and the
+loader rebuilds the stacks, the id and born-class arrays and the bank.
 
 Two descriptions of a state serve two purposes. The canonical JSON, which
 ``save_model`` writes and ``model_state_hash`` hashes, is portable across
-machines. ``state_bytes`` is the raw array bytes in memory plus a repr of
-the counters: much cheaper to build, it also covers the cached inverses,
-and two of them are compared byte for byte, so a check built on it is
-exact rather than probabilistic. It reads the FuzzySystem stacks and
-the WindowBank whole, both one row per rule and sub-rule. It is only
-comparable within one process, and holding one costs its full size;
+machines. ``state_bytes``, the raw array bytes plus a repr of the
+counters, is much cheaper, also covers the cached inverses, and compares
+byte for byte, so a check built on it is exact. It is only comparable
+within one process, and holding one costs its full size;
 ``state_bytes_match`` compares a live state against a held buffer without
 building a second one.
 """
@@ -31,7 +31,7 @@ import numpy as np
 
 from .anticipation import DriftEvent
 from .config import STRATEGIES, LearnerConfig
-from .fis import Rows, Rule
+from .fis import Rows
 from .learner import AnticipatingClassifier
 from .linalg import regularized_inverse_stack
 
@@ -69,51 +69,45 @@ def _integer(value, what: str, low: int = 0, high: float = math.inf,
     return value
 
 
-def _sub_entry(sub, omega: float) -> dict:
-    """The premise, consequent and window entries of a rule or sub-rule."""
-    premise, consequent, window = sub.premise, sub.consequent, sub.window
-    xs, ws = window.ordered()
+def _sub_entry(learner: AnticipatingClassifier, row: int,
+               horizon: int | None) -> dict:
+    """The premise, consequent and window entries of stack row ``row``, a
+    rule (horizon None) or a sub-rule (its role's horizon)."""
+    stacks, windows = learner.system.stacks(), learner.windows
+    xs, ws = windows.entries(row, row + 1)
     return {
-        "premise": {
-            "center": premise.center.tolist(),
-            "cov": premise.cov.tolist(),
-            "hits": premise.hits,
-            "horizon": premise.horizon,
-        },
-        "consequent": {
-            "coeffs": consequent.coeffs.tolist(),
-            "corr": consequent.corr.tolist(),
-            "omega": omega,
-        },
-        "window": {
-            "capacity": window.capacity,
-            "skipped": window.skipped,
-            "entries": [list(entry) for entry in zip(xs.tolist(), ws.tolist())],
-        },
+        "premise": {"center": stacks.centers[row].tolist(),
+                    "cov": stacks.covs[row].tolist(),
+                    "hits": stacks.hits.item(row), "horizon": horizon},
+        "consequent": {"coeffs": stacks.coeffs[row].tolist(),
+                       "corr": stacks.corrs[row].tolist(),
+                       "omega": learner.config.omega},
+        "window": {"capacity": windows.capacity,
+                   "skipped": windows.state.item(2, row),
+                   "entries": [list(e) for e in zip(xs.tolist(), ws.tolist())]},
     }
 
 
 def _rule_entry(learner: AnticipatingClassifier, i: int) -> dict:
-    rule = learner.system.rules[i]
-    return {"id": rule.id, "born_class": rule.born_class,
-            **_sub_entry(rule, learner.config.omega)}
+    system = learner.system
+    return {"id": system.ids.item(i), "born_class": system.born_classes.item(i),
+            **_sub_entry(learner, i, None)}
 
 
 def _pair_entry(learner: AnticipatingClassifier, i: int) -> dict:
-    pair = learner.pair_view(i)
-    omega = learner.config.omega
-    return {"samples_seen": pair.samples_seen,
-            "slow": _sub_entry(pair.slow, omega),
-            "fast": _sub_entry(pair.fast, omega)}
+    row = len(learner.system) + 2 * i  # the slow sub-rule's
+    return {"samples_seen": learner.pair_seen[i],
+            "slow": _sub_entry(learner, row, learner.config.tmax1),
+            "fast": _sub_entry(learner, row + 1, learner.config.tmax2)}
 
 
 def state_dict(learner: AnticipatingClassifier) -> dict:
     """Full model state as a JSON-serializable dictionary."""
     state = _state_skeleton(learner)
-    rules = learner.system.rules
-    state["rules"] = [_rule_entry(learner, i) for i in range(len(rules))]
-    state["anticipations"] = {str(rule.id): _pair_entry(learner, i)
-                              for i, rule in enumerate(rules)}
+    ids = learner.system.ids.tolist()
+    state["rules"] = [_rule_entry(learner, i) for i in range(len(ids))]
+    state["anticipations"] = {str(rule_id): _pair_entry(learner, i)
+                              for i, rule_id in enumerate(ids)}
     return state
 
 
@@ -161,7 +155,9 @@ def _learner_from_state(state: dict) -> AnticipatingClassifier:
     c = _integer(state["n_classes"], "n_classes", 1, integral=True)
     learner = AnticipatingClassifier(d, c, config)
     learner.samples_seen = _integer(state["samples_seen"], "samples_seen")
-    learner.next_rule_id = _integer(state["next_rule_id"], "next_rule_id")
+    # rule ids live in an int64 array, and each is below next_rule_id
+    learner.next_rule_id = _integer(state["next_rule_id"], "next_rule_id",
+                                    high=np.iinfo(np.int64).max)
     learner.seen_classes = {_integer(label, "a seen class", 0, c - 1)
                             for label in state["seen_classes"]}
     learner.drift_log = [DriftEvent(**event) for event in state["drift_log"]]
@@ -230,9 +226,8 @@ def _learner_from_state(state: dict) -> AnticipatingClassifier:
             raise ValueError(f"a {what} matrix is not symmetric")
     hits = np.array([entry["premise"]["hits"] for entry, _ in rows], dtype=np.int64)
     learner.system.set_rows(
-        [Rule(id=rule_id, windows=learner.windows,
-              born_class=_integer(rule["born_class"], "born_class", 0, c - 1))
-         for rule_id, rule in zip(ids, rules)],
+        *np.array([(rule_id, _integer(rule["born_class"], "born_class", 0, c - 1))
+                   for rule_id, rule in zip(ids, rules)], dtype=np.int64).T,
         np.arange(len(rows)),
         extra=Rows(stacked("premise", "center", d), covs,
                    regularized_inverse_stack(covs), hits, corrs,
@@ -281,7 +276,7 @@ def _canonical_text(learner: AnticipatingClassifier):
     """``json.dumps(state_dict(learner), sort_keys=True)``, one entry at a time."""
     dumps = _CANONICAL.encode
     state = _state_skeleton(learner)
-    ids = [str(rule.id) for rule in learner.system.rules]
+    ids = [str(rule_id) for rule_id in learner.system.ids.tolist()]
     yield "{"
     for i, key in enumerate(sorted(state)):
         # json.dumps separators: ", " between items, ": " after keys
@@ -320,7 +315,7 @@ def _state_chunks(learner: AnticipatingClassifier) -> list:
     meta = [system.n_features, system.n_classes, learner.config,
             learner.samples_seen, learner.next_rule_id,
             sorted(learner.seen_classes),
-            [(rule.id, rule.born_class) for rule in system.rules],
+            list(zip(system.ids.tolist(), system.born_classes.tolist())),
             learner.pair_seen, [e.strategy for e in log],
             [a.shape for a in stacks + packed]]
     return [*stacks, *packed, repr(meta).encode()]
@@ -329,24 +324,21 @@ def _state_chunks(learner: AnticipatingClassifier) -> list:
 def state_bytes(learner: AnticipatingClassifier) -> bytes:
     """The raw bytes of the live model state, as one buffer.
 
-    Covers every array state_dict serializes (the stacked premises and
-    consequents, every window entry), the counters and metadata (config,
-    rule ids, window bookkeeping, drift log), and the cached inverses that
-    prediction reads. The buffer is the five FuzzySystem stacks with the
-    hit counts, in row order (rules, then each rule's slow and fast
-    sub-rule); every window's samples and weights, oldest first and in
-    the same row order, read from the window bank in one gather
-    (``entries()``); every window's fill and skipped count
-    (``counts()``); the drift log's sample indices, rule ids and
-    separations; then ``repr`` of the remaining metadata. A shadow pair's
-    two windows hold the same samples, so their bytes appear twice.
-    Horizons, omegas and window capacities follow from the config, which
-    the metadata holds. The shapes in the metadata and the fills fix
-    where each array's bytes start, and repr writes every float exactly.
-    Two buffers are equal iff every array holds the same bits (``-0.0``
-    differs from ``0.0``) and every counter is equal. It builds no JSON
-    and hashes nothing. The bytes are native-endian: compare them only
-    within one process.
+    Covers every array state_dict serializes, the counters and metadata,
+    and the cached inverses that prediction reads. The buffer is the five
+    FuzzySystem stacks with the hit counts, in row order (rules, then each
+    rule's slow and fast sub-rule); every window's samples and weights,
+    oldest first in the same row order (WindowBank.entries); every
+    window's fill and skipped count (WindowBank.counts); the drift log's
+    sample indices, rule ids and separations; then ``repr`` of the rest
+    (config, counters, rule ids and born classes, pair sample counts,
+    shapes). A pair's two windows hold the same samples, so their bytes
+    appear twice. Horizons, omegas and window capacities follow from the
+    config. The shapes and the fills fix where each array's bytes start,
+    and repr writes every float exactly, so two buffers are equal iff
+    every array holds the same bits (``-0.0`` differs from ``0.0``) and
+    every counter is equal. The bytes are native-endian: compare them
+    only within one process.
     """
     return b"".join(_state_chunks(learner))
 

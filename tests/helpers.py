@@ -97,8 +97,8 @@ def random_system(rng, n_rules, d, c, omega=100.0, spread=3.0):
 def attach_rows(system, rules):
     """Append the rows of ``rules`` to ``system`` as auxiliary rows."""
     extra = FuzzySystem(system.n_features, system.n_classes, rules)
-    system.set_rows(system.rules, np.arange(system.n_rows + extra.n_rows),
-                    extra=extra.stacks())
+    system.set_rows(system.ids, system.born_classes,
+                    np.arange(system.n_rows + extra.n_rows), extra=extra.stacks())
 
 
 def blank_system(d, c, omegas):

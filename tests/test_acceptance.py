@@ -21,7 +21,7 @@ import numpy as np
 from driftfis import fis
 from driftfis.config import ExperimentConfig, LearnerConfig
 from driftfis.evaluation import mcnemar, run_experiment
-from driftfis.fis import FuzzySystem, augment, create_rule
+from driftfis.fis import FuzzySystem, augment, create_rule, seed_row
 from driftfis.forgetting import WindowBank
 from driftfis.learner import AnticipatingClassifier
 from helpers import advance_row, blank_system, random_system
@@ -159,8 +159,11 @@ def test_criterion_2_forgetting_window_consistency(capsys):
 def _tracked_rows(x0):
     """(system, row) for both paths of advance_premises, every row a unit
     premise at x0: a 3-row stack blends every row (the tracked one with its
-    alpha, the others with 0), a 9-row stack, more than 3x its one listed
-    row, gathers just the tracked row."""
+    alpha, the others with 0); in a 9-row stack the 8 unlisted rows of 2 or
+    3 features outweigh fis._BLEND_MIN_SKIPPED, so it gathers just the
+    tracked row."""
+    d = x0.shape[0]
+    assert 2 * (d * d + 21) <= fis._BLEND_MIN_SKIPPED < 8 * (d * d + 21)
     return [(FuzzySystem(x0.shape[0], 2, [create_rule(x0, 0, 1.0, 100.0, 2, rule_id=i)
                                           for i in range(size)]), row)
             for size, row in ((3, 1), (9, 6))]
@@ -358,20 +361,19 @@ class PlainStreamingBaseline:
     def _birth(self, x, y):
         system = self.system
         n = len(system)
-        rule = create_rule(x, y, self.sigma_init, self.omega,
-                           system.n_classes, rule_id=self.next_id)
-        system.set_rows(system.rules + [rule], np.arange(n + 1),
-                        extra=rule.system.stacks())
+        system.set_rows(np.append(system.ids, self.next_id),
+                        np.append(system.born_classes, y), np.arange(n + 1),
+                        extra=seed_row(x, self.sigma_init, self.omega,
+                                       system.n_classes))
         self.next_id += 1
         self.seen.add(y)
 
     def learn_one(self, x, y):
         system = self.system
-        rules = system.rules
-        if not rules:
+        n = len(system)
+        if not n:
             self._birth(x, y)
             return y
-        n = len(rules)
         betas = system.memberships(x)
         bsum = float(betas.sum())
         x_aug = self._x_aug
@@ -381,7 +383,7 @@ class PlainStreamingBaseline:
         if y not in self.seen:
             self._birth(x, y)
             betas = system.memberships(x)
-            wvec = np.empty(len(system.rules))
+            wvec = np.empty(len(system))
             np.divide(betas, betas.sum(), out=wvec)
             system.wrls_step(x_aug, wvec, self._targets[y])
             return prediction

@@ -4,30 +4,32 @@ import numpy as np
 import pytest
 
 from driftfis.anticipation import AnticipatedPair, DriftEvent, SubRule, spawn_pair
-from driftfis.fis import create_rule
+from driftfis.fis import FuzzySystem, create_rule
 from driftfis.forgetting import WindowBank
 from driftfis.linalg import RIDGE_SCALE
 from helpers import ellipsoid_radius_along, regularized_inverse
 
 
-def make_rule(center, hits=1, omega=100.0, n_classes=2, rule_id=0):
+def make_system(center, hits=1, omega=100.0, n_classes=2, rule_id=0):
+    """A system of one rule at ``center`` with ``hits`` hits."""
     center = np.asarray(center, dtype=float)
     rule = create_rule(center, 0, 1.0, omega, n_classes, rule_id)
-    rule.system.hits[rule.row] = hits
-    return rule
+    system = FuzzySystem(center.shape[0], n_classes, [rule])
+    system.hits[0] = hits
+    return system
 
 
-def spawn_behind(rule, slow_horizon, fast_horizon, window_capacity,
+def spawn_behind(system, slow_horizon, fast_horizon, window_capacity,
                  init="parent", omega=100.0):
     """Copy a lone rule's row behind it twice and spawn its pair there, as
-    the learner does, with blank window rows; returns the pair's view."""
-    system = rule.system
-    system.set_rows([rule], np.zeros(3, dtype=np.intp))
+    the learner does, with blank window rows; returns the rule's view and
+    the pair's."""
+    system.set_rows(system.ids, system.born_classes, np.zeros(3, dtype=np.intp))
     windows = WindowBank(window_capacity, system.n_features + 1)
     windows.set_rows(np.arange(3))  # past the empty bank's rows: all blank
     assert spawn_pair(system, np.array([1]), slow_horizon, fast_horizon,
                       init, omega) is None
-    return AnticipatedPair(*(
+    return system.rules[0], AnticipatedPair(*(
         SubRule(system.premise(row, horizon), system.consequent(row),
                 windows.window(row))
         for row, horizon in ((1, slow_horizon), (2, fast_horizon))))
@@ -35,8 +37,8 @@ def spawn_behind(rule, slow_horizon, fast_horizon, window_capacity,
 
 class TestSpawnPair:
     def test_premises_are_deep_copies(self):
-        rule = make_rule([1.0, 2.0], hits=5)
-        pair = spawn_behind(rule, 200, 10, window_capacity=50)
+        rule, pair = spawn_behind(make_system([1.0, 2.0], hits=5), 200, 10,
+                                  window_capacity=50)
         for sub in (pair.slow, pair.fast):
             assert not np.shares_memory(sub.premise.center, rule.premise.center)
             assert not np.shares_memory(sub.premise.cov, rule.premise.cov)
@@ -48,24 +50,25 @@ class TestSpawnPair:
         assert pair.fast.premise.center[0] == 1.0
 
     def test_horizons_and_hit_caps(self):
-        rule = make_rule([0.0], hits=1000)
-        pair = spawn_behind(rule, 200, 10, window_capacity=50)
+        _, pair = spawn_behind(make_system([0.0], hits=1000), 200, 10,
+                               window_capacity=50)
         assert pair.slow.premise.horizon == 200
         assert pair.fast.premise.horizon == 10
         assert pair.slow.premise.hits == 200
         assert pair.fast.premise.hits == 10
 
     def test_young_parent_keeps_its_hit_count(self):
-        rule = make_rule([0.0], hits=3)
-        pair = spawn_behind(rule, 200, 10, window_capacity=50)
+        _, pair = spawn_behind(make_system([0.0], hits=3), 200, 10,
+                               window_capacity=50)
         assert pair.slow.premise.hits == 3
         assert pair.fast.premise.hits == 3
 
     def test_parent_init_copies_consequent(self):
-        rule = make_rule([0.5, -0.5])
-        rule.consequent.coeffs[:] = np.arange(6).reshape(3, 2)
-        rule.consequent.corr[0, 0] = 42.0
-        pair = spawn_behind(rule, 200, 10, window_capacity=50, init="parent")
+        system = make_system([0.5, -0.5])
+        system.consequent(0).coeffs[:] = np.arange(6).reshape(3, 2)
+        system.consequent(0).corr[0, 0] = 42.0
+        rule, pair = spawn_behind(system, 200, 10, window_capacity=50,
+                                  init="parent")
         for sub in (pair.slow, pair.fast):
             assert np.array_equal(sub.consequent.coeffs, rule.consequent.coeffs)
             assert np.array_equal(sub.consequent.corr, rule.consequent.corr)
@@ -76,23 +79,22 @@ class TestSpawnPair:
                                     pair.fast.consequent.coeffs)
 
     def test_zero_init_restarts_consequent(self):
-        rule = make_rule([0.5, -0.5], omega=7.0)
-        rule.consequent.coeffs[:] = 3.0
-        rule.consequent.corr[:] = 1.0
-        pair = spawn_behind(rule, 200, 10, window_capacity=50, init="zero",
-                            omega=7.0)
+        system = make_system([0.5, -0.5], omega=7.0)
+        system.consequent(0).coeffs[:] = 3.0
+        system.consequent(0).corr[:] = 1.0
+        _, pair = spawn_behind(system, 200, 10, window_capacity=50, init="zero",
+                               omega=7.0)
         for sub in (pair.slow, pair.fast):
             assert np.array_equal(sub.consequent.coeffs, np.zeros((3, 2)))
             assert np.array_equal(sub.consequent.corr, 7.0 * np.eye(3))
 
     def test_unknown_init_raises(self):
-        rule = make_rule([0.0])
         with pytest.raises(ValueError):
-            spawn_behind(rule, 200, 10, window_capacity=50, init="median")
+            spawn_behind(make_system([0.0]), 200, 10, window_capacity=50,
+                         init="median")
 
     def test_windows_start_empty(self):
-        rule = make_rule([0.0])
-        pair = spawn_behind(rule, 200, 10, window_capacity=25)
+        _, pair = spawn_behind(make_system([0.0]), 200, 10, window_capacity=25)
         assert len(pair.slow.window) == 0
         assert len(pair.fast.window) == 0
         assert pair.slow.window.capacity == 25
@@ -104,14 +106,14 @@ def pair_system(slow_center, fast_center, slow_cov, fast_cov=None,
                 invert=np.linalg.inv):
     """A spawned pair in rows (1, 2) whose sub-rules have these centers and
     the inverses ``invert`` gives of these covariances; returns its system."""
-    rule = make_rule(np.zeros(len(slow_center)))
-    pair = spawn_behind(rule, 200, 10, window_capacity=50)
+    system = make_system(np.zeros(len(slow_center)))
+    _, pair = spawn_behind(system, 200, 10, window_capacity=50)
     fast_cov = slow_cov if fast_cov is None else fast_cov
     for sub, center, cov in ((pair.slow, slow_center, slow_cov),
                              (pair.fast, fast_center, fast_cov)):
         sub.premise.center[:] = center
         sub.premise.cov_inv[:] = invert(np.asarray(cov, dtype=float))
-    return rule.system
+    return system
 
 
 class TestSeparation:

@@ -22,6 +22,12 @@ from helpers import (
 ONE_HOT = np.eye(2)  # class targets of a two-class system
 
 
+def lone_system(center):
+    """A two-class system of one unit rule at ``center``."""
+    rule = create_rule(center, 0, 1.0, 100.0, 2, rule_id=0)
+    return FuzzySystem(center.shape[0], 2, [rule])
+
+
 def test_augment_prepends_one():
     out = augment(np.array([2.0, 3.0]))
     assert np.array_equal(out, [1.0, 2.0, 3.0])
@@ -31,18 +37,17 @@ class TestMembership:
     """Cauchy membership 1/(1 + squared Mahalanobis distance)."""
 
     def test_center_is_one(self):
-        rule = create_rule(np.array([1.0, -2.0]), 0, 1.0, 100.0, 2, rule_id=0)
-        assert rule.system.memberships(np.array([1.0, -2.0]))[0] == 1.0
+        system = lone_system(np.array([1.0, -2.0]))
+        assert system.memberships(np.array([1.0, -2.0]))[0] == 1.0
 
     def test_unit_offset(self):
-        rule = create_rule(np.zeros(2), 0, 1.0, 100.0, 2, rule_id=0)
-        beta = rule.system.memberships(np.array([1.0, 0.0]))[0]
+        beta = lone_system(np.zeros(2)).memberships(np.array([1.0, 0.0]))[0]
         assert beta == pytest.approx(0.5, rel=1e-5)  # ridge shifts it a hair
 
     def test_diagonal_hand_value(self):
-        rule = create_rule(np.zeros(2), 0, 1.0, 100.0, 2, rule_id=0)
-        rule.premise.cov_inv[:] = np.diag([0.25, 1.0])
-        beta = rule.system.memberships(np.array([2.0, 1.0]))[0]
+        system = lone_system(np.zeros(2))
+        system.premise(0).cov_inv[:] = np.diag([0.25, 1.0])
+        beta = system.memberships(np.array([2.0, 1.0]))[0]
         assert beta == pytest.approx(1.0 / 3.0)
 
 
@@ -50,8 +55,7 @@ class TestUpdatePremise:
     """The fading premise recursion, through advance_premises."""
 
     def test_second_sample_gives_midpoint(self):
-        system = create_rule(np.array([0.0, 0.0]), 0, 1.0, 100.0, 2,
-                             rule_id=0).system
+        system = lone_system(np.array([0.0, 0.0]))
         advance_row(system, 0, np.array([2.0, 4.0]))
         assert np.allclose(system.rules[0].premise.center, [1.0, 2.0])
         assert system.rules[0].premise.hits == 2
@@ -59,14 +63,14 @@ class TestUpdatePremise:
     def test_unbounded_horizon_is_running_mean(self):
         rng = np.random.default_rng(10)
         xs = rng.standard_normal((1000, 3))
-        system = create_rule(xs[0], 0, 1.0, 100.0, 2, rule_id=0).system
+        system = lone_system(xs[0])
         for x in xs[1:]:
             advance_row(system, 0, x)
         center = system.rules[0].premise.center
         assert np.max(np.abs(center - xs.mean(axis=0))) < 1e-12
 
     def test_horizon_one_tracks_sample(self):
-        system = create_rule(np.zeros(2), 0, 1.0, 100.0, 2, rule_id=0).system
+        system = lone_system(np.zeros(2))
         system.hits[0] = 5
         x = np.array([3.0, -1.0])
         advance_row(system, 0, x, horizon=1)
@@ -76,11 +80,14 @@ class TestUpdatePremise:
         assert np.array_equal(premise.cov, np.zeros((2, 2)))
 
     def test_matches_manual_recursion(self):
-        # on the full-stack path (3 rows) and the gather path (9 rows, more
-        # than 3x the one listed row); the unlisted rows keep their bits
+        # on the full-stack path (3 rows) and the gather path (9 rows, whose
+        # 8 unlisted rows of 2 features outweigh _BLEND_MIN_SKIPPED); the
+        # unlisted rows keep their bits
         rng = np.random.default_rng(11)
         xs = rng.standard_normal((50, 2))
         for n_rows, row in ((3, 1), (9, 4)):
+            gathers = (n_rows - 1) * (2 * 2 + 21) > fis._BLEND_MIN_SKIPPED
+            assert gathers == (n_rows == 9)
             system = random_system(rng, n_rows, 2, 2)
             system._centers[row] = xs[0]
             system._covs[row] = np.eye(2)
@@ -219,8 +226,8 @@ class TestSystemEvaluation:
 
     def test_affine_evaluation(self):
         rule = create_rule(np.zeros(1), 0, 1.0, 100.0, 1, rule_id=0)
-        system = FuzzySystem(1, 1, [rule])
         rule.consequent.coeffs[:, 0] = [0.5, 1.0]
+        system = FuzzySystem(1, 1, [rule])
         assert system.predict_scores(np.array([2.0]))[0] == pytest.approx(2.5)
 
     def test_symmetric_rules_tie_and_lowest_index_wins(self):
@@ -235,8 +242,8 @@ class TestSystemEvaluation:
 
     def test_argmax_order(self):
         rule = create_rule(np.zeros(1), 0, 1.0, 100.0, 3, rule_id=0)
-        system = FuzzySystem(1, 3, [rule])
         rule.consequent.coeffs[0] = [0.1, 0.2, 0.7]
+        system = FuzzySystem(1, 3, [rule])
         assert system.predict_class(np.zeros(1)) == 2
 
     def test_scores_with_precomputed_total(self):
@@ -329,7 +336,8 @@ class TestBatchedAdaptation:
         alphas[9, 0] = 0.5
         sys_full.advance_premises(x, alphas.copy(), rows=None)
         rows = np.array([2, 9], dtype=np.intp)
-        assert 14 > 3 * rows.shape[0]  # gather branch actually taken
+        # gather branch actually taken
+        assert (14 - rows.shape[0]) * (3 * 3 + 21) > fis._BLEND_MIN_SKIPPED
         sys_rows.advance_premises(x, alphas.copy(), rows=rows)
         assert sys_full._centers.tobytes() == sys_rows._centers.tobytes()
         assert sys_full._covs.tobytes() == sys_rows._covs.tobytes()

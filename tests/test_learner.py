@@ -48,6 +48,17 @@ def train(learner, X, y):
 
 
 class TestBirths:
+    def test_rule_ids_stay_int64(self):
+        # an id past int64 fails loudly instead of turning the ids to float
+        learner = make_learner()
+        learner.next_rule_id = 2 ** 63 - 1
+        learner.learn_one([0.0, 0.0], 0)
+        assert learner.system.ids.dtype == np.int64
+        before = state_bytes(learner)
+        with pytest.raises(OverflowError):
+            learner.learn_one([5.0, 5.0], 1)
+        assert state_bytes(learner) == before
+
     def test_first_sample_founds_a_rule_and_returns_its_class(self):
         learner = make_learner()
         assert learner.learn_one([0.5, -0.5], 1) == 1
@@ -404,6 +415,18 @@ class TestDriftReplacement:
     def pair_parts(self, pair):
         return pair.samples_seen, self.parts(pair.slow), self.parts(pair.fast)
 
+    @staticmethod
+    def check_born_classes(learner, snapshot, event, pos):
+        """The two new rules, at ``pos`` and ``pos + 1``, carry the replaced
+        rule's born class; every other rule keeps its own."""
+        born = {rid: rule.born_class for rid, (_, (rule, _)) in snapshot.items()}
+        rules = learner.system.rules
+        assert rules[pos].born_class == born[event.rule_id]
+        assert rules[pos + 1].born_class == born[event.rule_id]
+        kept = rules[:pos] + rules[pos + 2:]
+        assert all(rule.born_class == born[rule.id] for rule in kept)
+        assert learner.system.born_classes.tolist() == [r.born_class for r in rules]
+
     def test_naive_replacement(self):
         learner, snapshot, ids_before, next_id = self.fire_one("naive")
         event = learner.drift_log[0]
@@ -418,6 +441,7 @@ class TestDriftReplacement:
         pos = ids_before.index(event.rule_id)
         assert ids_after[pos] == next_id
         assert ids_after[pos + 1] == next_id + 1
+        self.check_born_classes(learner, snapshot, event, pos)
         (_, slow, fast), _ = snapshot[event.rule_id]
         slow_rule = learner.system.rules[pos]
         fast_rule = learner.system.rules[pos + 1]
@@ -439,7 +463,7 @@ class TestDriftReplacement:
                 continue
             pair, (rule_before, parts) = snapshot[rid]
             rule_after = next(r for r in learner.system.rules if r.id == rid)
-            assert rule_after is rule_before
+            assert rule_after.born_class == rule_before.born_class
             assert self.parts(rule_after) == parts
             # the untouched rule keeps its shadow pair, history included
             assert self.pair_parts(learner.anticipations[rid]) == pair
@@ -449,6 +473,8 @@ class TestDriftReplacement:
         event = learner.drift_log[0]
         assert event.strategy == "global"
         assert learner.n_rules == len(ids_before) + 1
+        self.check_born_classes(learner, snapshot, event,
+                                ids_before.index(event.rule_id))
         for rid in ids_before:
             if rid == event.rule_id:
                 continue
@@ -479,6 +505,41 @@ class TestDriftReplacement:
             for x_aug, w in entries(rule.window):
                 rhs += w * np.outer(x_aug, x_aug)
             assert np.linalg.norm(lhs - rhs) < 1e-6
+
+    def test_rule_held_across_its_replacement_is_detached(self):
+        # a rule read before the drift that replaces it keeps its own
+        # arrays: it neither reads the rule that takes its row nor writes
+        # into the live model
+        _, cfg, X, y = _sea_stream()
+        learner = AnticipatingClassifier(3, 2, cfg)
+        for xi, yi in zip(X, y):
+            held = learner.system.rules
+            learner.learn_one(xi, int(yi))
+            if learner.drift_log:
+                break
+        event = learner.drift_log[0]
+        assert (event.sample_index, event.rule_id) == (371, 0)
+        old = next(rule for rule in held if rule.id == event.rule_id)
+        i = held.index(old)
+        live = learner.system.rules[i]
+        assert live.id != old.id
+        assert live.premise.center.tobytes() != old.premise.center.tobytes()
+        stacks = learner.system.stacks()
+        bank = learner.windows
+        for view in (old.premise.center, old.premise.cov, old.premise.cov_inv,
+                     old.consequent.coeffs, old.consequent.corr,
+                     old.window.samples, old.window.weights, old.window.state):
+            for live_array in (*stacks, bank.samples, bank.weights, bank.state):
+                assert not np.shares_memory(view, live_array)
+        before = state_bytes(learner)
+        old.premise.center[:] = 123.0
+        old.premise.cov_inv[:] = 0.5
+        old.consequent.coeffs[:] = 7.0
+        old.consequent.corr[:] = 3.0
+        for _ in range(cfg.ws + 1):
+            old.window.push(np.ones(4), 1.0)
+        old.window.state[2] += 1
+        assert state_bytes(learner) == before
 
     def test_infinite_ks_never_fires(self):
         rng = np.random.default_rng(5)
@@ -617,6 +678,21 @@ class TestMembershipSwitch:
         assert outcomes[0] == outcomes[1]
         # 1e150 is accepted (a class is returned); 1e200 overflows and raises
         assert isinstance(outcomes[0][0], int) == (far == 1e150)
+
+
+@pytest.mark.parametrize("make", [_sea_stream, _plane10d_prefix])
+def test_premise_blend_paths_agree(monkeypatch, make):
+    # advance_premises blends every row, or only the winner and its pair
+    # once the others outweigh fis._BLEND_MIN_SKIPPED; both give the same bits
+    outcomes = []
+    for skipped in (math.inf, -1):
+        monkeypatch.setattr(fis, "_BLEND_MIN_SKIPPED", skipped)
+        d, cfg, X, y = make()
+        learner = AnticipatingClassifier(d, 2, cfg)
+        outcomes.append((train(learner, X, y), learner.drift_log,
+                         state_bytes(learner)))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][1]  # the stream reaches the drift machinery
 
 
 @given(strategy=st.sampled_from(["naive", "global"]),

@@ -127,6 +127,14 @@ def _first_pair(state):
     return next(iter(state["anticipations"].values()))
 
 
+def _rename_first_rule(state, rule_id):
+    """Give the first rule, and its pair, a new id below next_rule_id."""
+    old = state["rules"][0]["id"]
+    state["rules"][0]["id"] = rule_id
+    state["anticipations"][str(rule_id)] = state["anticipations"].pop(str(old))
+    state["next_rule_id"] = rule_id + 1
+
+
 def _mirror_break(matrix):
     """Move one off-diagonal entry by one ulp, leaving its mirror as is."""
     matrix[0][1] = math.nextafter(matrix[0][1], math.inf)
@@ -228,6 +236,9 @@ class TestGuards:
         # config values of the right type but infinite
         lambda s: s["config"].update(omega=math.inf),
         lambda s: s["config"].update(sigma_init=math.inf),
+        # rule ids are int64
+        lambda s: s.update(next_rule_id=2 ** 63),
+        lambda s: _rename_first_rule(s, 2 ** 63),
     ])
     def test_malformed_value_rejected(self, mangle):
         state = state_dict(trained_learner(n=40, forgetting_mode="forget_ps"))
@@ -536,7 +547,8 @@ def _perturb_live_field(learner, path):
 
 def _perturb_row_field(learner, head, key, *rest):
     """_perturb_live_field for a leaf of a rule's or a pair's entry: the
-    arrays are views of the stacks, hits live in ``system.hits``, and the
+    arrays are views of the stacks, hits live in ``system.hits``, ids and
+    born classes in ``system.ids`` and ``system.born_classes``, and the
     horizons, omegas and window capacities follow from the config."""
     system, config = learner.system, learner.config
     n = len(system)
@@ -551,7 +563,7 @@ def _perturb_row_field(learner, head, key, *rest):
         owner = getattr(learner.anticipations[int(key)], role)
     part, *tail = rest
     if not tail:  # the rule's id or born class
-        return _swap(owner, part)
+        return _swap(system.ids if part == "id" else system.born_classes, row)
     if tail == ["hits"]:
         return _swap(system.hits, row)
     if tail == ["horizon"]:
