@@ -23,6 +23,18 @@ The einsum sites call numpy's C einsum, _einsum, directly: np.einsum with
 optimize=False calls the same function after a Python wrapper. Should a
 numpy release move that private name, _einsum falls back to np.einsum at
 import time.
+
+The conclusion kernels (wrls_step, downdate_rows, downdate_row_pair)
+build their rank-one terms with _einsum rather than broadcasting, which
+at 10 features skips numpy's broadcast loop over 11-element rows. Each
+entry is the same single IEEE product; einsum only writes a negative-zero
+product as +0.0, since it accumulates into a zeroed output. That cannot
+change a stored value because no correlation or coefficient entry is ever
+-0.0: each starts at +0.0 (omega * I, np.zeros, class-growth padding), an
+IEEE sum or difference gives -0.0 only from an operand already -0.0, and
+the snapshot loader rejects -0.0 there. advance_premises keeps its
+broadcast covariance product: a blend weight of 1 multiplies a negative
+covariance entry by 0.0 and can store -0.0.
 """
 
 from __future__ import annotations
@@ -373,7 +385,11 @@ class FuzzySystem:
         ``weights`` lines up with ``rows`` and every other row keeps its
         values. Large stacks then gather, step and scatter back only the
         listed rows; small ones step every row, the others with weight 0.
-        A row's result is the same bit for bit either way.
+        A row's result is the same bit for bit either way. Both hold while
+        no correlation or coefficient entry is -0.0 (see the module
+        docstring): the rank-one terms come from einsum, whose zero
+        products are +0.0, and -0.0 - (+0.0) would keep a sign that
+        -0.0 - (-0.0) drops.
         """
         corrs = self._corrs
         if rows is None:
@@ -404,7 +420,10 @@ class FuzzySystem:
         Returns the per-row success mask: a row whose downdate denominator
         falls within the guard of zero is left untouched. The stacked
         matmuls reproduce the single-row products bit for bit, so a row's
-        result does not depend on the other rows listed.
+        result does not depend on the other rows listed. The u u' term is
+        an einsum, which writes zero products as +0.0; on correlations
+        free of -0.0 entries (see the module docstring) that gives the
+        bits of the broadcast product.
         """
         if rows is None:
             corrs = self._corrs[:xs.shape[0]]
@@ -422,7 +441,7 @@ class FuzzySystem:
             weights, denom = weights[keep], denom[keep]
         # u u' scaled in place: one temporary, and the same bits as
         # f * (u u'), since multiplication commutes exactly
-        tmp = u[:, :, None] * u[:, None, :]
+        tmp = _einsum("ni,nj->nij", u, u)
         tmp *= (weights / denom)[:, None, None]
         corrs += tmp
         if rows is not None:
@@ -443,6 +462,8 @@ class FuzzySystem:
         batched denominators match the per-row ones to dot-product
         rounding). When one side's denominator trips the guard, only the
         other side is downdated, on its own; returns per-row success flags.
+        Both branches build u u' by einsum, bitwise the broadcast product
+        on correlations free of -0.0 entries, as downdate_rows does.
         """
         corr2 = self._corrs[row:row + 2]
         u = corr2 @ x_aug
@@ -451,10 +472,14 @@ class FuzzySystem:
         ok0 = abs(float(denom[0])) >= DOWNDATE_GUARD
         ok1 = abs(float(denom[1])) >= DOWNDATE_GUARD
         if ok0 and ok1:
-            corr2 += (weights / denom)[:, None, None] * (u[:, :, None] * u[:, None, :])
+            tmp = _einsum("ni,nj->nij", u, u)
+            tmp *= (weights / denom)[:, None, None]
+            corr2 += tmp
         elif ok0 or ok1:
             i = 0 if ok0 else 1
-            corr2[i] += (float(weights[i]) / float(denom[i])) * (u[i][:, None] * u[i])
+            tmp = _einsum("i,j->ij", u[i], u[i])
+            tmp *= float(weights[i]) / float(denom[i])
+            corr2[i] += tmp
         return ok0, ok1
 
 
@@ -470,7 +495,12 @@ _BLEND_MIN_SKIPPED = 190
 
 def _wrls_kernel(corrs: np.ndarray, coeffs: np.ndarray, x_aug: np.ndarray,
                  weights: np.ndarray, target: np.ndarray) -> None:
-    """FuzzySystem.wrls_step on the given (n, k, k)/(n, k, c) stacks, in place."""
+    """FuzzySystem.wrls_step on the given (n, k, k)/(n, k, c) stacks, in place.
+
+    The rank-one terms u u' and gain x residual are einsums: per entry the
+    broadcast product, except that a zero product is +0.0, which leaves
+    every stored entry's bits as they were while none is -0.0.
+    """
     u = corrs @ x_aug                                        # (n, k)
     # einsum rather than u @ x_aug: BLAS gemv accumulates differently
     # depending on the matrix height, which would make a row's result
@@ -479,11 +509,11 @@ def _wrls_kernel(corrs: np.ndarray, coeffs: np.ndarray, x_aug: np.ndarray,
     f = weights / (1.0 + weights * s)
     # both outer products scaled in place: the same bits as scaling first,
     # since multiplication commutes exactly
-    outer = u[:, :, None] * u[:, None, :]
+    outer = _einsum("ni,nj->nij", u, u)
     outer *= f[:, None, None]
     corrs -= outer
     resid = target - x_aug @ coeffs                          # (n, c)
     gains = corrs @ x_aug
-    outer = gains[:, :, None] * resid[:, None, :]
+    outer = _einsum("ni,nc->nic", gains, resid)
     outer *= weights[:, None, None]
     coeffs += outer

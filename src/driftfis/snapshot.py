@@ -134,8 +134,9 @@ def from_state_dict(state: dict) -> AnticipatingClassifier:
     Raises SnapshotError for an unknown format or version, a missing key,
     or a value of the wrong type or shape: among them a NaN or infinite
     array entry, a covariance or correlation matrix that is not exactly
-    symmetric, a negative count or a non-integer one, a class outside
-    0..n_classes-1, and a drift naming an unknown rule id or strategy.
+    symmetric, a -0.0 correlation or coefficient entry, a negative count
+    or a non-integer one, a class outside 0..n_classes-1, and a drift
+    naming an unknown rule id or strategy.
     """
     if state.get("format") != FORMAT_NAME:
         raise SnapshotError(f"not a {FORMAT_NAME} snapshot")
@@ -224,14 +225,19 @@ def _learner_from_state(state: dict) -> AnticipatingClassifier:
     for what, mats in (("covariance", covs), ("correlation", corrs)):
         if not np.array_equal(mats, mats.swapaxes(-1, -2)):
             raise ValueError(f"a {what} matrix is not symmetric")
+    coeffs = stacked("consequent", "coeffs", d + 1, c)
+    # the conclusion kernels are bitwise only on -0.0-free entries, which
+    # the learner never makes (fis module docstring)
+    for what, mats in (("correlation", corrs), ("coefficient", coeffs)):
+        if np.signbit(mats[mats == 0.0]).any():
+            raise ValueError(f"a {what} matrix holds a -0.0 entry")
     hits = np.array([entry["premise"]["hits"] for entry, _ in rows], dtype=np.int64)
     learner.system.set_rows(
         *np.array([(rule_id, _integer(rule["born_class"], "born_class", 0, c - 1))
                    for rule_id, rule in zip(ids, rules)], dtype=np.int64).T,
         np.arange(len(rows)),
         extra=Rows(stacked("premise", "center", d), covs,
-                   regularized_inverse_stack(covs), hits, corrs,
-                   stacked("consequent", "coeffs", d + 1, c)))
+                   regularized_inverse_stack(covs), hits, corrs, coeffs))
     learner.windows.load(windows)
     learner.pair_seen = [_integer(pair["samples_seen"], "a pair's samples_seen")
                          for pair in pairs]

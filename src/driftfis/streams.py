@@ -69,15 +69,15 @@ def gen_sea(n_samples: int = 100_000, noise: float = 0.0, seed: int = 0) -> Stre
     rng = np.random.default_rng(seed)
     X = rng.uniform(0.0, 10.0, size=(n_samples, 3))
     block = n_samples // len(SEA_THRESHOLDS)
-    thetas = np.empty(n_samples)
+    sums = X[:, 0] + X[:, 1]
+    y = np.empty(n_samples, dtype=np.int64)
     for i, theta in enumerate(SEA_THRESHOLDS):
         start = i * block
         end = (i + 1) * block if i < len(SEA_THRESHOLDS) - 1 else n_samples
-        thetas[start:end] = theta
-    y = (X[:, 0] + X[:, 1] <= thetas).astype(np.int64)
+        y[start:end] = sums[start:end] <= theta
     if noise > 0.0:
         flips = rng.random(n_samples) < noise
-        y = np.where(flips, 1 - y, y)
+        np.subtract(1, y, out=y, where=flips)
     meta = {
         "generator": "sea",
         "seed": seed,
@@ -386,7 +386,9 @@ class Standardizer:
     def transform(self, X: np.ndarray) -> np.ndarray:
         if self.mean is None:
             raise ValueError("standardizer not fitted")
-        return (X - self.mean) / self.scale
+        out = X - self.mean
+        out /= self.scale
+        return out
 
 
 def make_stream(dataset: str, n_samples: int = 0, seed: int = 0,

@@ -1,11 +1,11 @@
 """Shared builders for the test suite: random PD matrices, streams, rule
-bases, and the single-matrix oracles the stacked kernels are checked
-against."""
+bases, and the oracles the stacked kernels are checked against (single-
+matrix forms, and the conclusion kernels with broadcast rank-one terms)."""
 
 import numpy as np
 
 from driftfis.fis import FuzzySystem, create_rule
-from driftfis.linalg import RIDGE_FLOOR, RIDGE_SCALE
+from driftfis.linalg import DOWNDATE_GUARD, RIDGE_FLOOR, RIDGE_SCALE
 
 
 def _check_square(mat, dim, name):
@@ -123,3 +123,73 @@ def entries(window):
     """A window's (sample, weight) pairs, oldest first."""
     xs, ws = window.ordered()
     return list(zip(xs, ws.tolist()))
+
+
+# The conclusion kernels with broadcast rank-one terms. The kernels build
+# those terms by einsum, which must give the same bits on every stack free
+# of -0.0 correlation and coefficient entries.
+
+def wrls_broadcast(corrs, coeffs, x_aug, weights, target, rows=None):
+    """Oracle: FuzzySystem.wrls_step with broadcast outer products, in
+    place on the (n, k, k)/(n, k, c) stacks; ``rows`` lists the rows that
+    ``weights`` lines up with, every row by default."""
+    if rows is not None:
+        sub_r, sub_c = corrs[rows], coeffs[rows]
+        wrls_broadcast(sub_r, sub_c, x_aug, weights, target)
+        corrs[rows], coeffs[rows] = sub_r, sub_c
+        return
+    u = corrs @ x_aug
+    s = np.einsum("nk,k->n", u, x_aug)
+    f = weights / (1.0 + weights * s)
+    outer = u[:, :, None] * u[:, None, :]
+    outer *= f[:, None, None]
+    corrs -= outer
+    resid = target - x_aug @ coeffs
+    gains = corrs @ x_aug
+    outer = gains[:, :, None] * resid[:, None, :]
+    outer *= weights[:, None, None]
+    coeffs += outer
+
+
+def downdate_rows_broadcast(stack, rows, xs, weights):
+    """Oracle: FuzzySystem.downdate_rows with a broadcast u u', in place on
+    the correlation stack; returns the per-row success mask."""
+    corrs = stack[:xs.shape[0]] if rows is None else stack.take(rows, axis=0)
+    u = np.matmul(corrs, xs[:, :, None])
+    s = np.matmul(xs[:, None, :], u)[:, 0, 0]
+    denom = 1.0 - weights * s
+    ok = ~(np.abs(denom) < DOWNDATE_GUARD)
+    u = u[:, :, 0]
+    if not ok.all():
+        keep = np.flatnonzero(ok)
+        rows = keep if rows is None else rows[keep]
+        corrs, u = corrs[keep], u[keep]
+        weights, denom = weights[keep], denom[keep]
+    tmp = u[:, :, None] * u[:, None, :]
+    tmp *= (weights / denom)[:, None, None]
+    corrs += tmp
+    if rows is not None:
+        stack[rows] = corrs
+    return ok
+
+
+def downdate_pair_broadcast(stack, row, x_aug, weights):
+    """Oracle: FuzzySystem.downdate_row_pair with broadcast u u' terms, in
+    place on the correlation stack; returns the two success flags."""
+    corr2 = stack[row:row + 2]
+    u = corr2 @ x_aug
+    s = u @ x_aug
+    denom = 1.0 - weights * s
+    ok0 = abs(float(denom[0])) >= DOWNDATE_GUARD
+    ok1 = abs(float(denom[1])) >= DOWNDATE_GUARD
+    if ok0 and ok1:
+        corr2 += (weights / denom)[:, None, None] * (u[:, :, None] * u[:, None, :])
+    elif ok0 or ok1:
+        i = 0 if ok0 else 1
+        corr2[i] += (float(weights[i]) / float(denom[i])) * (u[i][:, None] * u[i])
+    return ok0, ok1
+
+
+def has_negative_zero(arr):
+    """Whether ``arr`` holds a -0.0 entry."""
+    return bool(np.signbit(arr[arr == 0.0]).any())

@@ -1,5 +1,7 @@
 """Unit tests for the Takagi-Sugeno core: rules, WRLS, and the stacked system."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -15,8 +17,13 @@ from helpers import (
     advance_row,
     attach_rows,
     blank_system,
+    downdate_pair_broadcast,
+    downdate_rows_broadcast,
+    has_negative_zero,
+    random_pd,
     random_system,
     regularized_inverse,
+    wrls_broadcast,
 )
 
 ONE_HOT = np.eye(2)  # class targets of a two-class system
@@ -509,3 +516,98 @@ class TestBatchedAdaptation:
         for k, row in enumerate((1, 2)):
             inv = system.rules[row].premise.cov_inv
             assert out[k] == pytest.approx(float(vec @ inv @ vec), rel=1e-12)
+
+
+def conclusion_system(rng, n_rows=10, d=4, c=3):
+    """Random correlations in the even rows, blank ones (omega I, zero
+    coefficients) in the odd rows. A sample with exact-zero entries then
+    gives the rank-one terms zero products of both signs, and row 2 fits
+    the class-0 target exactly at the zero sample."""
+    system = random_system(rng, n_rows, d, c)
+    for row in range(0, n_rows, 2):
+        system._corrs[row] = random_pd(rng, d + 1, scale=50.0)
+    system._coeffs[1::2] = 0.0
+    system._coeffs[2] = 0.0
+    system._coeffs[2, 0] = np.eye(c)[0]
+    return system
+
+
+def conclusion_samples(rng, d, count=6):
+    """Augmented samples: the zero sample, two with exact zeros between
+    negative entries, then random ones."""
+    xs = rng.standard_normal((count, d))
+    xs[0] = 0.0
+    xs[1:3, ::2] = 0.0
+    xs[1:3, 1::2] = -np.abs(xs[1:3, 1::2])
+    return np.array([augment(x) for x in xs])
+
+
+def negative_zero_products(u):
+    """Whether the broadcast products u_i u_j of some row hold a -0.0."""
+    return has_negative_zero(u[:, :, None] * u[:, None, :])
+
+
+class TestConclusionKernelsMatchBroadcast:
+    """The conclusion kernels build their rank-one terms by einsum; on
+    stacks free of -0.0 entries each result equals the broadcast formulas
+    (helpers) bit for bit, through zero weights, exact-zero sample entries
+    and zero residuals."""
+
+    @pytest.mark.parametrize("path", ["full", "padded", "gather"])
+    def test_wrls_step(self, monkeypatch, path):
+        rng = np.random.default_rng(40)
+        system = conclusion_system(rng)
+        n = system.n_rows
+        rows = None if path == "full" else np.array([0, 1, 3, 5, 2, 8], dtype=np.intp)
+        monkeypatch.setattr(fis, "_GATHER_MIN_SKIPPED",
+                            -1 if path == "gather" else math.inf)
+        corrs, coeffs = system._corrs.copy(), system._coeffs.copy()
+        for step, x_aug in enumerate(conclusion_samples(rng, 4)):
+            weights = rng.uniform(0.0, 1.0, n if rows is None else rows.shape[0])
+            weights[::3] = 0.0
+            target = np.eye(3)[step % 3]
+            if step == 0:  # row 2 fits the target exactly
+                assert not (target - x_aug @ coeffs[2]).any()
+            elif step < 3:
+                assert negative_zero_products(corrs @ x_aug)
+            system.wrls_step(x_aug, weights, target, rows)
+            wrls_broadcast(corrs, coeffs, x_aug, weights, target, rows)
+            assert system._corrs.tobytes() == corrs.tobytes()
+            assert system._coeffs.tobytes() == coeffs.tobytes()
+            assert not has_negative_zero(corrs) and not has_negative_zero(coeffs)
+
+    @pytest.mark.parametrize("listed", [False, True])
+    def test_downdate_rows(self, listed):
+        rng = np.random.default_rng(41)
+        system = conclusion_system(rng)
+        system._corrs[2] = np.eye(5)  # trips the guard on x = e0, weight 1
+        rows = np.array([0, 7, 2, 5, 9], dtype=np.intp) if listed else None
+        xs = conclusion_samples(rng, 4, count=5)
+        xs[2] = np.eye(5)[0]
+        weights = np.array([0.6, 0.3, 1.0, 0.0, 0.2])
+        corrs = system._corrs.copy()
+        picked = corrs[:5] if rows is None else corrs[rows]
+        assert negative_zero_products(np.matmul(picked, xs[:, :, None])[:, :, 0])
+        ok = system.downdate_rows(rows, xs, weights)
+        assert ok.tolist() == downdate_rows_broadcast(corrs, rows, xs, weights).tolist()
+        assert ok.tolist() == [True, True, False, True, True]
+        assert system._corrs.tobytes() == corrs.tobytes()
+        assert not has_negative_zero(corrs)
+
+    @pytest.mark.parametrize("tripped", [None, 0, 1])
+    @pytest.mark.parametrize("row", [4, 7])
+    def test_downdate_row_pair(self, row, tripped):
+        rng = np.random.default_rng(42)
+        system = conclusion_system(rng)
+        x_aug = conclusion_samples(rng, 4)[1]
+        weights = np.array([0.4, 0.7])
+        if tripped is not None:  # x' C x = 1 at weight 1
+            system._corrs[row + tripped] = np.eye(5) / float(x_aug @ x_aug)
+            weights[tripped] = 1.0
+        corrs = system._corrs.copy()
+        assert negative_zero_products(corrs[row:row + 2] @ x_aug)
+        flags = system.downdate_row_pair(row, x_aug, weights)
+        assert flags == downdate_pair_broadcast(corrs, row, x_aug, weights)
+        assert flags == (tripped != 0, tripped != 1)
+        assert system._corrs.tobytes() == corrs.tobytes()
+        assert not has_negative_zero(corrs)

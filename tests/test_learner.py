@@ -27,7 +27,7 @@ from driftfis.snapshot import (
 )
 from driftfis.streams import gen_plane10d, gen_sea
 
-from helpers import entries, gaussian_stream
+from helpers import entries, gaussian_stream, has_negative_zero
 
 
 def make_learner(**overrides):
@@ -700,15 +700,19 @@ def test_premise_blend_paths_agree(monkeypatch, make):
        ws=st.integers(1, 6),
        late_class_at=st.one_of(st.none(), st.integers(40, 150)),
        round_trip_at=st.integers(1, 159),
-       seed=st.integers(0, 2**16))
+       seed=st.integers(0, 2**16),
+       am_init=st.sampled_from(["parent", "zero"]))
 @settings(max_examples=40, deadline=None)
 def test_covariance_stacks_stay_exactly_symmetric(
-        strategy, mode, ws, late_class_at, round_trip_at, seed):
+        strategy, mode, ws, late_class_at, round_trip_at, seed, am_init):
     """regularized_inverse_stack inverts the covariance stacks unsymmetrized,
-    so every update must keep them symmetric exactly: births, drifts,
-    forgetting, class growth and a snapshot round trip mid-stream. Through
-    all of it, each shadow pair's two window rows stay in lockstep, and a
-    freshly spawned pair's rows are blank."""
+    so every update must keep them symmetric exactly: births, drifts, pairs
+    spawned from their parent or blank (am_init), forgetting, class growth
+    and a snapshot round trip mid-stream. Through
+    all of it, no correlation or coefficient entry is -0.0 (the conclusion
+    kernels' einsum terms match the broadcast ones only then), each shadow
+    pair's two window rows stay in lockstep, and a freshly spawned pair's
+    rows are blank."""
     rng = np.random.default_rng(seed)
     X, y = two_blob_stream(rng, 160)
     X[60:] += 2.0
@@ -717,7 +721,8 @@ def test_covariance_stacks_stay_exactly_symmetric(
         y[late_class_at::3] = 2
     learner = AnticipatingClassifier(2, 2, LearnerConfig(
         ks=0.6, nmin=3, tmax2=5, ws=ws, strategy=strategy,
-        forgetting_mode=mode, allow_class_growth=late_class_at is not None))
+        forgetting_mode=mode, allow_class_growth=late_class_at is not None,
+        am_init=am_init))
     for i, (xi, yi) in enumerate(zip(X, y)):
         if i == round_trip_at:
             learner = from_state_dict(json.loads(json.dumps(state_dict(learner))))
@@ -725,6 +730,8 @@ def test_covariance_stacks_stay_exactly_symmetric(
         stacks = learner.system.stacks()
         for stack in (stacks.covs, stacks.corrs):
             assert stack.tobytes() == np.swapaxes(stack, 1, 2).tobytes()
+        assert not has_negative_zero(stacks.corrs)
+        assert not has_negative_zero(stacks.coeffs)
         windows, n = learner.windows, learner.n_rules
         assert windows.state.shape[1] == learner.system.n_rows
         for i, seen in enumerate(learner.pair_seen):

@@ -140,6 +140,11 @@ def _mirror_break(matrix):
     matrix[0][1] = math.nextafter(matrix[0][1], math.inf)
 
 
+def _negative_zero_pair(matrix):
+    """Set one off-diagonal entry and its mirror to -0.0."""
+    matrix[0][1] = matrix[1][0] = -0.0
+
+
 class TestGuards:
     def test_wrong_format_rejected(self):
         state = state_dict(trained_learner(n=40))
@@ -239,12 +244,23 @@ class TestGuards:
         # rule ids are int64
         lambda s: s.update(next_rule_id=2 ** 63),
         lambda s: _rename_first_rule(s, 2 ** 63),
+        # -0.0 in a correlation (kept symmetric) or coefficient entry
+        lambda s: _negative_zero_pair(_first_pair(s)["fast"]["consequent"]["corr"]),
+        lambda s: s["rules"][0]["consequent"]["coeffs"][1].__setitem__(0, -0.0),
     ])
     def test_malformed_value_rejected(self, mangle):
         state = state_dict(trained_learner(n=40, forgetting_mode="forget_ps"))
         mangle(state)
         with pytest.raises(SnapshotError):
             from_state_dict(state)
+
+    def test_negative_zero_covariance_loads(self):
+        # a fast horizon of 1 can store -0.0 in a covariance; only the
+        # correlations and coefficients must be free of it
+        state = state_dict(trained_learner(n=40, forgetting_mode="forget_ps"))
+        _negative_zero_pair(state["rules"][0]["premise"]["cov"])
+        cov = from_state_dict(state).system.stacks().covs[0]
+        assert np.signbit(cov[0, 1]) and np.signbit(cov[1, 0])
 
     def test_numpy_int_sizes_load(self):
         learner = trained_learner(n=40)

@@ -61,6 +61,20 @@ class TestSea:
         rate = float(np.mean(clean.y != noisy.y))
         assert 0.08 < rate < 0.12
 
+    @pytest.mark.parametrize("n, noise", [(4000, 0.0), (4003, 0.0), (4003, 0.2)])
+    def test_matches_the_threshold_array_formula(self, n, noise):
+        # the labels as a full threshold array and np.where computed them
+        s = gen_sea(n, noise=noise, seed=5)
+        rng = np.random.default_rng(5)
+        X = rng.uniform(0.0, 10.0, size=(n, 3))
+        block = n // len(SEA_THRESHOLDS)
+        thetas = np.repeat(SEA_THRESHOLDS, [block] * 3 + [n - 3 * block])
+        y = (X[:, 0] + X[:, 1] <= thetas).astype(np.int64)
+        if noise > 0.0:
+            y = np.where(rng.random(n) < noise, 1 - y, y)
+        assert s.X.tobytes() == X.tobytes()
+        assert s.y.dtype == np.int64 and s.y.tobytes() == y.tobytes()
+
     def test_meta(self):
         s = gen_sea(800, noise=0.05, seed=7)
         assert s.meta["generator"] == "sea"
@@ -337,6 +351,17 @@ class TestStandardizer:
     def test_unfitted_raises(self):
         with pytest.raises(ValueError):
             Standardizer().transform(np.zeros((2, 2)))
+
+    def test_transform_is_the_plain_formula_and_leaves_its_input(self):
+        rng = np.random.default_rng(6)
+        X = rng.normal(5.0, 3.0, size=(300, 3))
+        X[:, 1] = 2.5  # a constant feature, scaled by 1
+        sc = Standardizer().fit(X)
+        held = X.copy()
+        z = sc.transform(X)
+        assert X.tobytes() == held.tobytes()
+        assert z.tobytes() == ((X - sc.mean) / sc.scale).tobytes()
+        assert z.base is None and z is not X
 
 
 class TestMakeStream:
