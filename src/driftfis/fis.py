@@ -27,14 +27,16 @@ import time.
 The conclusion kernels (wrls_step, downdate_rows, downdate_row_pair)
 build their rank-one terms with _einsum rather than broadcasting, which
 at 10 features skips numpy's broadcast loop over 11-element rows. Each
-entry is the same single IEEE product; einsum only writes a negative-zero
-product as +0.0, since it accumulates into a zeroed output. That cannot
-change a stored value because no correlation or coefficient entry is ever
--0.0: each starts at +0.0 (omega * I, np.zeros, class-growth padding), an
-IEEE sum or difference gives -0.0 only from an operand already -0.0, and
-the snapshot loader rejects -0.0 there. advance_premises keeps its
-broadcast covariance product: a blend weight of 1 multiplies a negative
-covariance entry by 0.0 and can store -0.0.
+entry is the same single IEEE product, except that einsum writes a zero
+product as +0.0. That, and weight 0 as the kernels' one way to skip a row
+(a downdate whose guard trips gets factor 0), keep every stored bit
+because no correlation or coefficient entry is ever -0.0, and x + (+-0.0)
+is x for every other x. Each entry starts at +0.0 (omega * I, np.zeros,
+class-growth padding), an IEEE sum or difference gives -0.0 only from an
+operand already -0.0, and the snapshot loader rejects -0.0 there. A
+center or covariance may hold -0.0 (a sample with a -0.0 feature can put
+one there), so advance_premises keeps its broadcast product and masks
+the adds of its zero-alpha rows.
 """
 
 from __future__ import annotations
@@ -318,34 +320,24 @@ class FuzzySystem:
         unbounded horizon reproduces the running mean. ``alphas`` has
         shape (n_rows, 1); a zero entry leaves that row's center and
         covariance unchanged. ``rows`` (a distinct-integer array) may
-        list the nonzero-alpha rows; once the other rows outweigh
+        list exactly the nonzero-alpha rows; once the other rows outweigh
         _BLEND_MIN_SKIPPED, only the listed rows are blended and
         re-inverted. Either way each row's result is the same bit for
-        bit: the arithmetic is row-local, and a zero-alpha blend reproduces
-        the stored values. Caller maintains hit counts.
+        bit: the arithmetic is row-local (_blend), and on the full stack a
+        zero-alpha row adds nothing, so it keeps its bits, -0.0 entries
+        included. Caller maintains hit counts.
         """
         centers = self._centers
         covs = self._covs
         m, d, _ = covs.shape
         if rows is None or (m - rows.shape[0]) * (d * d + 21) <= _BLEND_MIN_SKIPPED:
-            np.multiply(centers, 1.0 - alphas, out=centers)
-            centers += alphas * x
-            resids = x - centers
-            a3 = alphas[:, :, None]
-            np.multiply(covs, 1.0 - a3, out=covs)
-            covs += a3 * (resids[:, :, None] * resids[:, None, :])
+            _blend(centers, covs, x, alphas, alphas[:, :, None] != 0.0)
             self._invs[:] = regularized_inverse_stack(covs)
         else:
-            a = alphas.take(rows, axis=0)
             sub_c = centers.take(rows, axis=0)
-            np.multiply(sub_c, 1.0 - a, out=sub_c)
-            sub_c += a * x
-            centers[rows] = sub_c
-            resids = x - sub_c
-            a3 = a[:, :, None]
             sub_v = covs.take(rows, axis=0)
-            np.multiply(sub_v, 1.0 - a3, out=sub_v)
-            sub_v += a3 * (resids[:, :, None] * resids[:, None, :])
+            _blend(sub_c, sub_v, x, alphas.take(rows, axis=0))
+            centers[rows] = sub_c
             covs[rows] = sub_v
             self._invs[rows] = regularized_inverse_stack(sub_v)
 
@@ -418,12 +410,11 @@ class FuzzySystem:
         ``len(xs)`` rows, which are then updated in place rather than
         gathered and scattered.
         Returns the per-row success mask: a row whose downdate denominator
-        falls within the guard of zero is left untouched. The stacked
-        matmuls reproduce the single-row products bit for bit, so a row's
-        result does not depend on the other rows listed. The u u' term is
-        an einsum, which writes zero products as +0.0; on correlations
-        free of -0.0 entries (see the module docstring) that gives the
-        bits of the broadcast product.
+        falls within the guard of zero gets factor 0, which leaves it
+        untouched. The stacked matmuls reproduce the single-row products
+        bit for bit, so a row's result does not depend on the other rows
+        listed. The u u' term is an einsum, bitwise the broadcast product
+        on correlations free of -0.0 entries (see the module docstring).
         """
         if rows is None:
             corrs = self._corrs[:xs.shape[0]]
@@ -433,16 +424,11 @@ class FuzzySystem:
         s = np.matmul(xs[:, None, :], u)[:, 0, 0]
         denom = 1.0 - weights * s
         ok = ~(np.abs(denom) < DOWNDATE_GUARD)
-        u = u[:, :, 0]
-        if not ok.all():
-            keep = np.flatnonzero(ok)
-            rows = keep if rows is None else rows[keep]
-            corrs, u = corrs[keep], u[keep]
-            weights, denom = weights[keep], denom[keep]
+        f = np.divide(weights, denom, out=np.zeros(denom.shape[0]), where=ok)
         # u u' scaled in place: one temporary, and the same bits as
         # f * (u u'), since multiplication commutes exactly
-        tmp = _einsum("ni,nj->nij", u, u)
-        tmp *= (weights / denom)[:, None, None]
+        tmp = _einsum("ni,nj->nij", u[:, :, 0], u[:, :, 0])
+        tmp *= f[:, None, None]
         corrs += tmp
         if rows is not None:
             self._corrs[rows] = corrs
@@ -460,10 +446,9 @@ class FuzzySystem:
         The anticipation sub-rule pair absorbs and sheds samples in
         lockstep, so its two downdates share the departing sample (the
         batched denominators match the per-row ones to dot-product
-        rounding). When one side's denominator trips the guard, only the
-        other side is downdated, on its own; returns per-row success flags.
-        Both branches build u u' by einsum, bitwise the broadcast product
-        on correlations free of -0.0 entries, as downdate_rows does.
+        rounding). A side whose denominator trips the guard gets factor 0;
+        returns per-row success flags. Beside these scalar flags, only the
+        u and s matvecs set it apart from downdate_rows on the two rows.
         """
         corr2 = self._corrs[row:row + 2]
         u = corr2 @ x_aug
@@ -472,14 +457,12 @@ class FuzzySystem:
         ok0 = abs(float(denom[0])) >= DOWNDATE_GUARD
         ok1 = abs(float(denom[1])) >= DOWNDATE_GUARD
         if ok0 and ok1:
-            tmp = _einsum("ni,nj->nij", u, u)
-            tmp *= (weights / denom)[:, None, None]
-            corr2 += tmp
-        elif ok0 or ok1:
-            i = 0 if ok0 else 1
-            tmp = _einsum("i,j->ij", u[i], u[i])
-            tmp *= float(weights[i]) / float(denom[i])
-            corr2[i] += tmp
+            f = weights / denom
+        else:  # a tripped side gets factor 0, which leaves it unchanged
+            f = np.divide(weights, denom, out=np.zeros(2), where=[ok0, ok1])
+        tmp = _einsum("ni,nj->nij", u, u)
+        tmp *= f[:, None, None]
+        corr2 += tmp
         return ok0, ok1
 
 
@@ -489,8 +472,28 @@ class FuzzySystem:
 _GATHER_MIN_SKIPPED = 256
 # The same for advance_premises, where a skipped row costs about its d^2
 # covariance entries plus 21 entries' worth of fixed work (measured
-# crossovers at 3 listed rows: 7-8 skipped at 3 features, 5-6 at 4, 1-2 at 10).
-_BLEND_MIN_SKIPPED = 190
+# crossovers at 3 listed rows, the full stack paying for its masked adds:
+# 4-5 skipped at 3 features, 3-4 at 4, 0-1 at 10).
+_BLEND_MIN_SKIPPED = 120
+
+
+def _blend(centers: np.ndarray, covs: np.ndarray, x: np.ndarray,
+           alphas: np.ndarray, live=True) -> None:
+    """FuzzySystem.advance_premises' blend of the given (n, d)/(n, d, d)
+    stacks, in place. Only the rows ``live`` marks ((n, 1, 1) booleans,
+    every row by default) add their terms: a zero-alpha row it leaves out
+    scales by 1 and keeps its bits, -0.0 entries included."""
+    a = alphas[:, :, None]
+    keep = 1.0 - a
+    c = centers[:, None, :]
+    np.multiply(c, keep, out=c)
+    np.add(c, a * x, out=c, where=live)
+    resids = x - centers
+    # a (r r') rather than (a r) r', in place: multiplication commutes
+    outer = resids[:, :, None] * resids[:, None, :]
+    outer *= a
+    np.multiply(covs, keep, out=covs)
+    np.add(covs, outer, out=covs, where=live)
 
 
 def _wrls_kernel(corrs: np.ndarray, coeffs: np.ndarray, x_aug: np.ndarray,

@@ -12,6 +12,10 @@ Coefficients are never decremented: old directions merely stop being
 reinforced, which lets the estimator move again along directions that
 fresh data no longer excites.
 
+Every departure is downdated: a blank slot departs a zero sample of
+weight 0, and weight 0 leaves a matrix unchanged bit for bit (see the fis
+module docstring) with a denominator of exactly 1, so no skip counts.
+
 Every window is a row of one WindowBank, and bank row r is the window of
 FuzzySystem row r: the principal rules first, then each rule's slow and
 fast sub-rule. A window is a ring of ``capacity`` slots (a sample and its
@@ -38,9 +42,9 @@ class DDFWindow:
     views of the row's ring slots and of its head, fill and ``skipped``,
     the count of evictions abandoned because the downdate denominator was
     within the guard of zero (the sample leaves memory, its weight stays
-    baked into the correlation matrix). An empty slot has weight 0.0. A
-    window read before a structural change keeps the old arrays, cut off
-    from the bank (WindowBank.set_rows builds new ones).
+    baked into the correlation matrix). An empty slot holds a zero sample
+    of weight 0.0. A window read before a structural change keeps the old
+    arrays, cut off from the bank (WindowBank.set_rows builds new ones).
     """
 
     def __init__(self, bank: "WindowBank", row: int):
@@ -100,10 +104,10 @@ class WindowBank:
     def set_rows(self, rows: np.ndarray) -> None:
         """Rebuild the stacks as a gather: new row i copies row ``rows[i]``.
 
-        An index at or past the current row count makes a blank ring,
-        which is allocated, not copied. Given the consequent rows of a
-        structural change (FuzzySystem.set_rows), each window follows its
-        consequent.
+        An index at or past the current row count makes a blank ring:
+        zero samples of weight 0, with head, fill and skipped 0. Given the
+        consequent rows of a structural change (FuzzySystem.set_rows), each
+        window follows its consequent.
         """
         cap = self.capacity
         n = rows.shape[0]
@@ -112,6 +116,7 @@ class WindowBank:
         samples = np.empty((n, cap, self.n_inputs))
         weights = np.zeros((n, cap))
         state = np.zeros((3, n), dtype=np.int64)
+        samples[~kept] = 0.0
         samples[kept] = self.samples[src]
         weights[kept] = self.weights[src]
         state[:, kept] = self.state[:, src]
@@ -145,48 +150,28 @@ class WindowBank:
 
     def forget(self, system, x_aug: np.ndarray, weights: np.ndarray) -> None:
         """Record x_aug in the leading rings, row i with weights[i], and
-        downdate row i of ``system`` by what it evicts, all in one
-        downdate_rows call. A row whose guard trips keeps its matrix and
-        counts the skip.
-        """
-        evicted = self.push(x_aug, weights)
-        if evicted is not None:
-            rows, xs, ws = evicted
-            ok = system.downdate_rows(rows, xs, ws)
-            if not ok.all():
-                failed = np.flatnonzero(~ok)
-                self.state[2, failed if rows is None else rows[failed]] += 1
+        downdate row i of ``system`` by what departs, all in one in-place
+        downdate_rows call. A row whose guard trips counts the skip."""
+        xs, ws = self.push(x_aug, weights)
+        ok = system.downdate_rows(None, xs, ws)
+        self.state[2, :weights.shape[0]] += ~ok
 
-    def push(self, x_aug: np.ndarray, weights: np.ndarray):
+    def push(self, x_aug: np.ndarray, weights: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray]:
         """Record x_aug in the leading ``len(weights)`` rings, row i with
-        weights[i].
-
-        Returns the evictions that carry weight as (rows, samples,
-        weights), with rows None when every pushed row evicted, or None
-        when no row did. A zero-weight eviction is dropped, since its
-        downdate would be a no-op.
-        """
+        weights[i]; return copies of every row's departing samples and
+        weights (a ring that is not full departs a blank slot)."""
         m = weights.shape[0]
         head = self._head[:m]
         flat = self._base[:m] + head
-        old_w = self._flat_w[flat]
-        # empty slots weigh 0.0, so a weighted slot at the head means a full ring
-        hit = old_w != 0.0
-        if hit.all():
-            evicted = (None, self._flat_x[flat], old_w)
-        elif hit.any():
-            rows = np.flatnonzero(hit)
-            evicted = (rows, self._flat_x[flat[rows]], old_w[rows])
-        else:
-            evicted = None
+        departed = self._flat_x[flat], self._flat_w[flat]
         self._flat_x[flat] = x_aug
         self._flat_w[flat] = weights
-        if evicted is None or evicted[0] is not None:
-            fill = self._fill[:m]
-            np.minimum(fill + 1, self.capacity, out=fill)
+        fill = self._fill[:m]
+        np.minimum(fill + 1, self.capacity, out=fill)
         head += 1
         head[head == self.capacity] = 0
-        return evicted
+        return departed
 
     def record(self, row: int, x_aug: np.ndarray, weights) -> tuple | None:
         """Record x_aug in rows row to row + len(weights) - 1, which share
@@ -213,22 +198,16 @@ class WindowBank:
         weighted w_slow and w_fast, and downdate the same rows of
         ``system`` by the sample they evict.
 
-        The two rings record every sample together and evict it together;
-        the downdate runs when either departing weight is nonzero. A side
-        whose guard trips keeps its matrix and counts the skip, unless its
-        departing weight is zero (that downdate would change nothing).
+        The two rings record every sample together and evict it together.
+        A side whose guard trips keeps its matrix and counts the skip.
         """
         departed = self.record(row, x_aug, (w_slow, w_fast))
         if departed is None:
             return
-        old_x, old_w = departed
-        old_slow, old_fast = old_w.tolist()
-        if old_slow == 0.0 and old_fast == 0.0:
-            return
-        ok_slow, ok_fast = system.downdate_row_pair(row, old_x, old_w)
-        if not ok_slow and old_slow != 0.0:
+        ok_slow, ok_fast = system.downdate_row_pair(row, *departed)
+        if not ok_slow:
             self.state[2, row] += 1
-        if not ok_fast and old_fast != 0.0:
+        if not ok_fast:
             self.state[2, row + 1] += 1
 
     def entries(self, start: int = 0, stop: int | None = None

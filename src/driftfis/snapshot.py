@@ -10,8 +10,11 @@ FuzzySystem stacks, its id and born class and its WindowBank row, and the
 loader rebuilds the stacks, the id and born-class arrays and the bank.
 
 Two descriptions of a state serve two purposes. The canonical JSON, which
-``save_model`` writes and ``model_state_hash`` hashes, is portable across
-machines. ``state_bytes``, the raw array bytes plus a repr of the
+``save_model`` writes and ``model_state_hash`` hashes, is text that any
+machine reads back to the same bits; the state a stream learns into it is
+verified identical only under the same OpenBLAS kernel (under the Haswell
+and Zen kernels every pinned state hash differs, while the prediction
+digests hold). ``state_bytes``, the raw array bytes plus a repr of the
 counters, is much cheaper, also covers the cached inverses, and compares
 byte for byte, so a check built on it is exact. It is only comparable
 within one process, and holding one costs its full size;
@@ -134,7 +137,9 @@ def from_state_dict(state: dict) -> AnticipatingClassifier:
     Raises SnapshotError for an unknown format or version, a missing key,
     or a value of the wrong type or shape: among them a NaN or infinite
     array entry, a covariance or correlation matrix that is not exactly
-    symmetric, a -0.0 correlation or coefficient entry, a negative count
+    symmetric, a correlation matrix or a covariance with its ridge,
+    S + r I, that is not positive definite, a -0.0 correlation or
+    coefficient entry, a negative count
     or a non-integer one, a class outside 0..n_classes-1, and a drift
     naming an unknown rule id or strategy.
     """
@@ -220,11 +225,19 @@ def _learner_from_state(state: dict) -> AnticipatingClassifier:
 
     covs = stacked("premise", "cov", d, d)
     corrs = stacked("consequent", "corr", d + 1, d + 1)
+    invs = regularized_inverse_stack(covs)
     # every update adds a u u' term, so the learner keeps both exactly
-    # symmetric
-    for what, mats in (("covariance", covs), ("correlation", corrs)):
+    # symmetric. It keeps each correlation positive definite, and each
+    # covariance with its ridge, S + r I, so also its inverse (the ridge
+    # makes a horizon of 1's singular covariances definite)
+    for what, mats, definite in (("covariance", covs, invs),
+                                 ("correlation", corrs, corrs)):
         if not np.array_equal(mats, mats.swapaxes(-1, -2)):
             raise ValueError(f"a {what} matrix is not symmetric")
+        try:
+            np.linalg.cholesky(definite)
+        except np.linalg.LinAlgError:
+            raise ValueError(f"a {what} matrix is not positive definite") from None
     coeffs = stacked("consequent", "coeffs", d + 1, c)
     # the conclusion kernels are bitwise only on -0.0-free entries, which
     # the learner never makes (fis module docstring)
@@ -236,8 +249,8 @@ def _learner_from_state(state: dict) -> AnticipatingClassifier:
         *np.array([(rule_id, _integer(rule["born_class"], "born_class", 0, c - 1))
                    for rule_id, rule in zip(ids, rules)], dtype=np.int64).T,
         np.arange(len(rows)),
-        extra=Rows(stacked("premise", "center", d), covs,
-                   regularized_inverse_stack(covs), hits, corrs, coeffs))
+        extra=Rows(stacked("premise", "center", d), covs, invs, hits, corrs,
+                   coeffs))
     learner.windows.load(windows)
     learner.pair_seen = [_integer(pair["samples_seen"], "a pair's samples_seen")
                          for pair in pairs]
@@ -269,8 +282,10 @@ def model_state_hash(learner: AnticipatingClassifier) -> str:
     The text is the one save_model writes, fed to the hash one rule or
     shadow pair at a time. Equal iff the serialized states are equal; the
     cached covariance inverses are not serialized (state_bytes covers
-    them). Portable and stable across machines; the benchmark pins its
-    value per stream.
+    them). The benchmark pins its value per stream. Those pins hold under
+    the OpenBLAS kernel they were recorded with: a BLAS that rounds its
+    matrix products or inverses differently learns different bits (every
+    state hash differs under the Haswell and Zen kernels).
     """
     digest = hashlib.sha256()
     for text in _canonical_text(learner):

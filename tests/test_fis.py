@@ -1,9 +1,12 @@
 """Unit tests for the Takagi-Sugeno core: rules, WRLS, and the stacked system."""
 
+import copy
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftfis import fis
 from driftfis.fis import (
@@ -12,7 +15,7 @@ from driftfis.fis import (
     augment,
     create_rule,
 )
-from driftfis.linalg import DOWNDATE_GUARD
+from driftfis.linalg import DOWNDATE_GUARD, regularized_inverse_stack
 from helpers import (
     advance_row,
     attach_rows,
@@ -350,6 +353,69 @@ class TestBatchedAdaptation:
         assert sys_full._covs.tobytes() == sys_rows._covs.tobytes()
         assert sys_full._invs.tobytes() == sys_rows._invs.tobytes()
 
+    def test_advance_premises_keeps_negative_zeros_of_unlisted_rows(self, monkeypatch):
+        # a -0.0 center or covariance entry of a zero-alpha row keeps its
+        # sign on both paths, which agree bit for bit
+        system = random_system(np.random.default_rng(21), 12, 3, 2)
+        system._centers[5, 2] = -0.0
+        system._covs[5, 0, 1] = system._covs[5, 1, 0] = -0.0
+        x = np.array([0.5, 1.0, 2.0])
+        alphas = np.zeros((12, 1))
+        rows = np.array([0, 4, 8], dtype=np.intp)
+        alphas[rows, 0] = [0.5, 0.25, 1.0]
+        results = []
+        for skipped in (math.inf, -1):  # the full stack, then the gather
+            blended = copy.deepcopy(system)
+            monkeypatch.setattr(fis, "_BLEND_MIN_SKIPPED", skipped)
+            blended.advance_premises(x, alphas, rows)
+            results.append(blended)
+        for blended in results:
+            assert np.signbit(blended._centers[5, 2])
+            assert np.signbit(blended._covs[5, [0, 1], [1, 0]]).all()
+        full, gathered = results
+        assert full._centers.tobytes() == gathered._centers.tobytes()
+        assert full._covs.tobytes() == gathered._covs.tobytes()
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 4),
+           n_rows=st.integers(1, 12), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_advance_premises_paths_agree_on_negative_zeros(self, seed, d,
+                                                            n_rows, data):
+        rng = np.random.default_rng(seed)
+        system = random_system(rng, n_rows, d, 2)
+        # -0.0 entries in the centers, the covariances (mirrored) and x,
+        # where the blend's zero products can meet them
+        marked = data.draw(st.lists(st.integers(0, n_rows - 1), min_size=1))
+        for row in marked:
+            i, j = rng.integers(0, d, size=2)
+            system._centers[row, i] = -0.0
+            system._covs[row, i, j] = system._covs[row, j, i] = -0.0
+        system._invs[:] = regularized_inverse_stack(system._covs)
+        x = rng.standard_normal(d)
+        x[rng.random(d) < 0.3] = -0.0
+        rows = np.array(data.draw(st.lists(st.integers(0, n_rows - 1),
+                                           unique=True)), dtype=np.intp)
+        alphas = np.zeros((n_rows, 1))
+        alphas[rows, 0] = data.draw(st.lists(
+            st.sampled_from([1.0, 0.5, 1e-3]), min_size=len(rows),
+            max_size=len(rows)))
+        idle = np.setdiff1d(np.arange(n_rows), rows)
+        results = []
+        for skipped in (math.inf, -1):  # the full stack, then the gather
+            blended = copy.deepcopy(system)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(fis, "_BLEND_MIN_SKIPPED", skipped)
+                blended.advance_premises(x, alphas, rows)
+            # a zero-alpha row keeps its bits, -0.0 entries included
+            for stack in ("_centers", "_covs", "_invs"):
+                assert (getattr(blended, stack)[idle].tobytes()
+                        == getattr(system, stack)[idle].tobytes())
+            results.append(blended)
+        full, gathered = results
+        assert full._centers.tobytes() == gathered._centers.tobytes()
+        assert full._covs.tobytes() == gathered._covs.tobytes()
+        assert full._invs.tobytes() == gathered._invs.tobytes()
+
     def test_wrls_step_independent_of_stack_mates(self):
         # a row's update must be bitwise identical no matter how many other
         # rows share the stack — the learner's shadow rows rely on this
@@ -586,12 +652,16 @@ class TestConclusionKernelsMatchBroadcast:
         xs[2] = np.eye(5)[0]
         weights = np.array([0.6, 0.3, 1.0, 0.0, 0.2])
         corrs = system._corrs.copy()
+        before = corrs.copy()
         picked = corrs[:5] if rows is None else corrs[rows]
         assert negative_zero_products(np.matmul(picked, xs[:, :, None])[:, :, 0])
         ok = system.downdate_rows(rows, xs, weights)
         assert ok.tolist() == downdate_rows_broadcast(corrs, rows, xs, weights).tolist()
         assert ok.tolist() == [True, True, False, True, True]
         assert system._corrs.tobytes() == corrs.tobytes()
+        # the tripped row, and the zero-weight one, keep their bits
+        for row in (2, 5 if listed else 3):
+            assert system._corrs[row].tobytes() == before[row].tobytes()
         assert not has_negative_zero(corrs)
 
     @pytest.mark.parametrize("tripped", [None, 0, 1])
@@ -606,8 +676,12 @@ class TestConclusionKernelsMatchBroadcast:
             weights[tripped] = 1.0
         corrs = system._corrs.copy()
         assert negative_zero_products(corrs[row:row + 2] @ x_aug)
+        before = corrs.copy()
         flags = system.downdate_row_pair(row, x_aug, weights)
         assert flags == downdate_pair_broadcast(corrs, row, x_aug, weights)
         assert flags == (tripped != 0, tripped != 1)
         assert system._corrs.tobytes() == corrs.tobytes()
+        for side in (0, 1):  # only a tripped side keeps its bits
+            kept = system._corrs[row + side].tobytes() == before[row + side].tobytes()
+            assert kept == (side == tripped)
         assert not has_negative_zero(corrs)

@@ -31,7 +31,9 @@ class PairDowndates:
 
     def downdate_row_pair(self, row, x, weights):
         self.calls.append((row, x.copy(), weights.tolist()))
-        return self.ok
+        # like the kernel, a side departing weight 0 never trips the guard:
+        # its denominator is 1
+        return tuple(ok or w == 0.0 for ok, w in zip(self.ok, weights.tolist()))
 
 
 class TestDDFWindow:
@@ -82,30 +84,33 @@ class TestRecordSample:
         assert [entries(w)[0][0].tolist() for w in windows] == [[3.0, 4.0]] * 2
         assert [entries(w)[0][1] for w in windows] == [0.5, 0.25]
 
-    def test_returns_only_weighted_evictions(self):
+    def test_returns_every_departure(self):
         first = np.array([1.0, 1.0])
         bank = blank_bank(2, 2, 3)
         bank.window(0).push(first, 0.0)
         bank.window(1).push(first, 0.7)
         windows = [bank.window(row) for row in range(3)]
-        assert bank.push(np.array([1.0, 2.0]), np.array([0.5, 0.5, 0.4])) is None
-        rows, xs, ws = bank.push(np.array([1.0, 3.0]),
-                                 np.array([0.1, 0.2, 0.3]))
-        # row 0 evicts a zero-weight sample, row 2 is not full yet
-        assert rows.tolist() == [1]
-        assert xs.tolist() == [first.tolist()] and ws.tolist() == [0.7]
+        # no ring is full yet: every row departs its blank head slot
+        xs, ws = bank.push(np.array([1.0, 2.0]), np.array([0.5, 0.5, 0.4]))
+        assert xs.tolist() == [[0.0, 0.0]] * 3 and ws.tolist() == [0.0] * 3
+        xs, ws = bank.push(np.array([1.0, 3.0]), np.array([0.1, 0.2, 0.3]))
+        # row 0 departs a zero-weight sample, row 1 a weighted one, and
+        # row 2, not full yet, a blank slot
+        assert xs.tolist() == [first.tolist(), first.tolist(), [0.0, 0.0]]
+        assert ws.tolist() == [0.0, 0.7, 0.0]
         assert [len(w) for w in windows] == [2, 2, 2]
-        # the evicted samples are copies, not views of the ring slots
+        # the departed samples are copies, not views of the ring slots
         bank.push(np.array([1.0, 4.0]), np.array([0.1, 0.2, 0.3]))
-        assert xs.tolist() == [first.tolist()]
-        # a pair downdates only an eviction in which either weight is nonzero
+        assert xs.tolist() == [first.tolist(), first.tolist(), [0.0, 0.0]]
+        # a pair downdates every eviction, weighted or not, once its rings
+        # are full
         bank, system = blank_bank(1, 2, 2), PairDowndates()
         bank.forget_pair(system, 0, first, 0.0, 0.0)
-        bank.forget_pair(system, 0, np.array([1.0, 2.0]), 0.0, 0.6)
         assert system.calls == []
+        bank.forget_pair(system, 0, np.array([1.0, 2.0]), 0.0, 0.6)
         bank.forget_pair(system, 0, np.array([1.0, 3.0]), 0.1, 0.2)
-        (row, x, weights), = system.calls
-        assert row == 0 and x.tolist() == [1.0, 2.0] and weights == [0.0, 0.6]
+        assert [(row, x.tolist(), weights) for row, x, weights in system.calls] \
+            == [(0, first.tolist(), [0.0, 0.0]), (0, [1.0, 2.0], [0.0, 0.6])]
 
 
 class DequeWindow:
@@ -198,34 +203,28 @@ class RowModel:
         slow, fast = self.oracles[row:row + 2]
         out_slow, out_fast = slow.push(x, w0), fast.push(x, w1)
         assert (out_slow is None) == (out_fast is None)
-        if out_slow is None or out_slow[1] == out_fast[1] == 0.0:
+        if out_slow is None:
             assert len(calls) == before
             return
+        # every eviction is downdated, zero-weight ones included
         (got_row, old_x, old_w), = calls[before:]
         assert got_row == row
         assert old_x.tobytes() == out_slow[0].tobytes() == out_fast[0].tobytes()
         assert old_w == [out_slow[1], out_fast[1]]
-        # a side whose guard trips counts a skip unless it departs unweighted
+        # a side whose guard trips counts a skip; one departing weight 0
+        # never trips
         for oracle, side_ok, weight in zip((slow, fast), ok, old_w):
             oracle.skipped += not side_ok and weight != 0.0
 
     def push_leading(self, weights):
         x = self.next_sample()
-        n = self.n
-        got = self.bank.push(x, np.array(weights))
+        xs, ws = self.bank.push(x, np.array(weights))
         outs = [oracle.push(x, w) for oracle, w in zip(self.oracles, weights)]
-        expected = [(i, out) for i, out in enumerate(outs)
-                    if out is not None and out[1] != 0.0]
-        if not expected:
-            assert got is None
-            return
-        rows, xs, ws = got
-        if len(expected) == n:
-            assert rows is None
-            rows = np.arange(n)
-        assert rows.tolist() == [i for i, _ in expected]
-        assert xs.tobytes() == b"".join(x.tobytes() for _, (x, _) in expected)
-        assert ws.tolist() == [w for _, (_, w) in expected]
+        # a ring that is not full departs a blank slot
+        blank = (np.zeros(self.k), 0.0)
+        expected = [blank if out is None else out for out in outs]
+        assert xs.tobytes() == b"".join(x.tobytes() for x, _ in expected)
+        assert ws.tolist() == [w for _, w in expected]
 
     def skip(self, row):
         self.bank.window(row).state[2] += 1
@@ -286,15 +285,23 @@ class TestWindowBank:
                 model.regather()
             model.check()
 
-    def test_steady_state_evicts_every_leading_row_in_place(self):
-        model = RowModel(2, k=3)
-        model.birth()
-        model.birth()
-        for _ in range(2):
-            model.push_leading([0.5, 0.25])
-        rows, xs, ws = model.bank.push(np.ones(3), np.array([1.0, 1.0]))
-        assert rows is None
-        assert ws.tolist() == [0.5, 0.25]
+    def test_steady_state_evicts_every_leading_row_in_place(self, monkeypatch):
+        system, bank = forgetting_rows(2, n=2)
+        calls = []
+        downdate = system.downdate_rows
+
+        def spy(rows, xs, ws):
+            calls.append((rows, ws.tolist()))
+            return downdate(rows, xs, ws)
+
+        monkeypatch.setattr(system, "downdate_rows", spy)
+        for step in range(3):
+            ddf_step(system, bank, augment(np.full(2, step + 1.0)),
+                     np.array([0.5, 0.25]), np.eye(2)[0])
+        # every step downdates the leading rows in place: blank slots while
+        # the rings fill, then the oldest samples
+        assert calls == [(None, [0.0, 0.0])] * 2 + [(None, [0.5, 0.25])]
+        assert bank.counts().tolist() == [[2, 2], [0, 0]]
 
     def test_window_capacity_must_match_the_bank(self):
         # every row has the bank's capacity: a loaded window holding more
@@ -458,6 +465,43 @@ class TestDdfUpdate:
         assert entries(window)[0][1] == 0.0
 
 
+class TestForgetMatchesPerRowDowndates:
+    """WindowBank.forget against deques and one downdate_row per weighted
+    eviction, through blank, zero-weight, weighted and guard-tripped
+    departures."""
+
+    @pytest.mark.parametrize("capacity", [1, 2, 5])
+    def test_bit_for_bit(self, capacity):
+        rng = np.random.default_rng(35 + capacity)
+        n = 4
+        system, bank = forgetting_rows(capacity, n=n, d=1, c=2)
+        oracle = copy.deepcopy(system)
+        deques, skipped = [DequeWindow(capacity) for _ in range(n)], [0] * n
+        first = np.array([1.0, 0.0])
+        for step in range(40):
+            x = first if step == 0 else augment(rng.standard_normal(1))
+            weights = rng.choice([0.0, 0.25, 0.5, 1.0], size=n)
+            if step == 0:
+                weights[:] = [1.0, 0.0, 0.5, 1.0]
+            elif step == capacity:
+                # row 0 departs ``first`` at weight 1 from a correlation
+                # that trips the guard on it; weight 0 keeps it there
+                weights[0] = 0.0
+                for stack in (system, oracle):
+                    stack._corrs[0] = NEAR_SINGULAR
+            target = np.eye(2)[step % 2]
+            ddf_step(system, bank, x, weights, target)
+            oracle.wrls_step(x, weights, target)
+            for row, (window, w) in enumerate(zip(deques, weights)):
+                out = window.push(x, w)
+                if out is not None and out[1] != 0.0:
+                    skipped[row] += not oracle.downdate_row(row, *out)
+            assert system._corrs.tobytes() == oracle._corrs.tobytes()
+            assert system._coeffs.tobytes() == oracle._coeffs.tobytes()
+            assert bank.counts()[1].tolist() == skipped
+        assert skipped[0] == 1
+
+
 # a correlation whose downdate by weight 1.0 along (1, 0) has the
 # denominator 1 - w x'Cx = -1e-9, inside the guard; ordinary update
 # sequences floor it near 1e-6, so it is written by hand
@@ -477,12 +521,13 @@ class TestSkipCounting:
         downdate = system.downdate_rows
 
         def spy(rows, xs, ws):
-            calls.append(rows.tolist())
+            calls.append((rows, ws.tolist()))
             return downdate(rows, xs, ws)
 
         monkeypatch.setattr(system, "downdate_rows", spy)
         ddf_step(system, bank, np.array([0.0, 1.0]), np.zeros(3), np.array([0.0]))
-        assert calls == [[1, 2]]
+        # one call over every leading row; row 0's zero weight leaves it be
+        assert calls == [(None, [0.0, 0.5, 1.0])]
         assert bank.counts()[1].tolist() == [0, 0, 1]
 
     @pytest.mark.parametrize("side", [0, 1])
@@ -498,19 +543,15 @@ class TestSkipCounting:
         bank.forget_pair(system, 0, np.array([0.0, 1.0]), 0.5, 0.5)
         assert bank.counts()[1].tolist() == [int(side == 0), int(side == 1)]
 
-    def test_zero_weight_pair_side_that_trips_counts_no_skip(self, monkeypatch):
-        # a zero weight makes the denominator exactly 1.0 for any finite
-        # state, so a stub kernel reports both guards tripped
+    def test_zero_weight_pair_side_that_trips_counts_no_skip(self):
+        # both sides hold a correlation that trips the guard at weight 1;
+        # the slow side departs weight 0, whose denominator is exactly 1.0,
+        # so only the fast side trips, and neither matrix moves
         system = blank_system(1, 1, [100.0, 100.0])
         bank = blank_bank(1, 2, 2)
-        bank.forget_pair(system, 0, np.array([1.0, 0.0]), 0.0, 0.5)
-        calls = []
-
-        def tripped(row, x, ws):
-            calls.append(ws.tolist())
-            return False, False
-
-        monkeypatch.setattr(system, "downdate_row_pair", tripped)
+        bank.forget_pair(system, 0, np.array([1.0, 0.0]), 0.0, 1.0)
+        system._corrs[:] = NEAR_SINGULAR
+        before = system._corrs.tobytes()
         bank.forget_pair(system, 0, np.array([0.0, 1.0]), 0.5, 0.5)
-        assert calls == [[0.0, 0.5]]
         assert bank.counts()[1].tolist() == [0, 1]
+        assert system._corrs.tobytes() == before

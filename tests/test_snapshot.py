@@ -247,6 +247,12 @@ class TestGuards:
         # -0.0 in a correlation (kept symmetric) or coefficient entry
         lambda s: _negative_zero_pair(_first_pair(s)["fast"]["consequent"]["corr"]),
         lambda s: s["rules"][0]["consequent"]["coeffs"][1].__setitem__(0, -0.0),
+        # symmetric but not positive definite: a negative definite
+        # covariance, whose ridge cannot rescue it, and an indefinite
+        # correlation
+        lambda s: s["rules"][0]["premise"].update(cov=[[-1.0, 0.0], [0.0, -1.0]]),
+        lambda s: _first_pair(s)["slow"]["consequent"].update(
+            corr=[[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
     ])
     def test_malformed_value_rejected(self, mangle):
         state = state_dict(trained_learner(n=40, forgetting_mode="forget_ps"))
@@ -255,12 +261,19 @@ class TestGuards:
             from_state_dict(state)
 
     def test_negative_zero_covariance_loads(self):
-        # a fast horizon of 1 can store -0.0 in a covariance; only the
-        # correlations and coefficients must be free of it
+        # a sample with a -0.0 feature can store -0.0 in a covariance;
+        # only the correlations and coefficients must be free of it
         state = state_dict(trained_learner(n=40, forgetting_mode="forget_ps"))
         _negative_zero_pair(state["rules"][0]["premise"]["cov"])
         cov = from_state_dict(state).system.stacks().covs[0]
         assert np.signbit(cov[0, 1]) and np.signbit(cov[1, 0])
+
+    def test_singular_covariance_loads(self):
+        # a horizon of 1 collapses a covariance to zero; its ridge makes it
+        # definite, which is what the loader checks
+        state = state_dict(trained_learner(n=40, forgetting_mode="forget_ps"))
+        _first_pair(state)["fast"]["premise"].update(cov=[[0.0, 0.0], [0.0, 0.0]])
+        assert not from_state_dict(state).system.stacks().covs.any(axis=(1, 2)).all()
 
     def test_numpy_int_sizes_load(self):
         learner = trained_learner(n=40)
