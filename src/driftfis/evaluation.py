@@ -13,7 +13,7 @@ from __future__ import annotations
 import datetime
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -200,11 +200,7 @@ def results_payload(outcome: ExperimentOutcome) -> dict:
         "final_rules": result.final_rules,
         "samples_trained": result.samples_trained,
         "drift_event_count": len(result.drift_events),
-        "drift_events": [
-            {"sample_index": e.sample_index, "rule_id": e.rule_id,
-             "strategy": e.strategy, "separation": e.separation}
-            for e in result.drift_events
-        ],
+        "drift_events": [asdict(event) for event in result.drift_events],
         "per_chunk_accuracy": result.per_chunk_accuracy,
         "predictions": result.predictions.tolist(),
         "truths": result.truths.tolist(),

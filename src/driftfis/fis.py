@@ -15,9 +15,9 @@ one-row stacks, and a Rule is a view of rows built on demand. Each
 operation has one implementation, the batched one, and it guarantees
 stack independence: a row's result is bitwise identical whichever other
 rows share the stack, so auxiliary rows never perturb the principal ones,
-and an operation may gather just the rows that carry weight
-(advance_premises, wrls_step and downdate_rows take a row index,
-memberships_all a row range) without changing any result.
+and an operation may work on just the rows that carry weight
+(advance_premises and wrls_step gather a row index, memberships_all and
+downdate_rows address a row range) without changing any result.
 
 The einsum sites call numpy's C einsum, _einsum, directly: np.einsum with
 optimize=False calls the same function after a Python wrapper. Should a
@@ -158,9 +158,9 @@ class FuzzySystem:
     the leading principal rows and never evaluate an auxiliary one. The
     anticipation learner keeps its shadow sub-rule pairs there. The
     updates either run over the whole stack, where a zero weight leaves a
-    row unchanged, or gather only the listed rows; both give each row the
-    same bits, so auxiliary rows never alter what the principal rows
-    compute.
+    row unchanged, or over only some rows (a gathered row index or a row
+    range); both give each row the same bits, so auxiliary rows never
+    alter what the principal rows compute.
 
     ``rules`` reads rule i's window from row i of ``windows``, a
     forgetting.WindowBank, if set. Structural changes go through set_rows.
@@ -399,27 +399,22 @@ class FuzzySystem:
         corrs[rows] = sub_r
         self._coeffs[rows] = sub_c
 
-    def downdate_rows(self, rows: np.ndarray | None, xs: np.ndarray,
-                      weights: np.ndarray) -> np.ndarray:
-        """Remove one absorbed observation from each listed row's correlation.
+    def downdate_rows(self, xs: np.ndarray, weights: np.ndarray,
+                      start: int = 0) -> np.ndarray:
+        """Remove one absorbed observation from each row of a row range.
 
-        Row ``rows[i]`` sheds x = ``xs[i]`` with weight w = ``weights[i]``:
-        C' = C + w C x x' C / (1 - w x' C x), the exact inverse of the
-        wrls_step correlation update, so that C'^-1 = C^-1 - w x x'.
-        ``rows`` must be distinct. ``rows`` None stands for the leading
-        ``len(xs)`` rows, which are then updated in place rather than
-        gathered and scattered.
+        Row ``start + i`` sheds x = ``xs[i]`` with weight w = ``weights[i]``,
+        in place: C' = C + w C x x' C / (1 - w x' C x), the exact inverse of
+        the wrls_step correlation update, so that C'^-1 = C^-1 - w x x'.
         Returns the per-row success mask: a row whose downdate denominator
         falls within the guard of zero gets factor 0, which leaves it
         untouched. The stacked matmuls reproduce the single-row products
         bit for bit, so a row's result does not depend on the other rows
-        listed. The u u' term is an einsum, bitwise the broadcast product
-        on correlations free of -0.0 entries (see the module docstring).
+        in the range. The u u' term is an einsum, bitwise the broadcast
+        product on correlations free of -0.0 entries (see the module
+        docstring).
         """
-        if rows is None:
-            corrs = self._corrs[:xs.shape[0]]
-        else:
-            corrs = self._corrs.take(rows, axis=0)
+        corrs = self._corrs[start:start + xs.shape[0]]
         u = np.matmul(corrs, xs[:, :, None])                  # (m, k, 1)
         s = np.matmul(xs[:, None, :], u)[:, 0, 0]
         denom = 1.0 - weights * s
@@ -430,14 +425,12 @@ class FuzzySystem:
         tmp = _einsum("ni,nj->nij", u[:, :, 0], u[:, :, 0])
         tmp *= f[:, None, None]
         corrs += tmp
-        if rows is not None:
-            self._corrs[rows] = corrs
         return ok
 
     def downdate_row(self, row: int, x_aug: np.ndarray, weight: float) -> bool:
-        """downdate_rows on a single row; False when the guard trips."""
-        return bool(self.downdate_rows(np.array([row]), x_aug[None, :],
-                                       np.array([weight]))[0])
+        """downdate_rows on the one-row range at ``row``; False when the
+        guard trips."""
+        return bool(self.downdate_rows(x_aug[None, :], np.array([weight]), row)[0])
 
     def downdate_row_pair(self, row: int, x_aug: np.ndarray,
                           weights: np.ndarray) -> tuple[bool, bool]:

@@ -150,10 +150,11 @@ class WindowBank:
 
     def forget(self, system, x_aug: np.ndarray, weights: np.ndarray) -> None:
         """Record x_aug in the leading rings, row i with weights[i], and
-        downdate row i of ``system`` by what departs, all in one in-place
-        downdate_rows call. A row whose guard trips counts the skip."""
+        downdate row i of ``system`` by what departs, all in one
+        downdate_rows call on the leading rows. A row whose guard trips
+        counts the skip."""
         xs, ws = self.push(x_aug, weights)
-        ok = system.downdate_rows(None, xs, ws)
+        ok = system.downdate_rows(xs, ws)
         self.state[2, :weights.shape[0]] += ~ok
 
     def push(self, x_aug: np.ndarray, weights: np.ndarray

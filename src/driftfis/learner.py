@@ -183,17 +183,19 @@ class AnticipatingClassifier:
                 x, row_fast + 1, row_slow).tolist()
         else:
             beta_slow, beta_fast = every.item(row_slow), every.item(row_fast)
+        # The weights' divisors: the pair's and the principal rules' under
+        # normalized weights, else 1.0, since x / 1.0 is x exactly
         if cfg.wrls_weight == "normalized":
             denom = beta_slow + beta_fast + bsum - float(betas[winner])
             if not 0.0 < denom < math.inf:
                 raise NonFiniteInputError(
                     f"sample {x.tolist()} has no finite positive pair weight "
                     f"denominator ({denom!r}); its distances overflow")
-            w_slow = beta_slow / denom
-            w_fast = beta_fast / denom
+            total = bsum
         else:
-            w_slow = beta_slow
-            w_fast = beta_fast
+            denom = total = 1.0
+        w_slow = beta_slow / denom
+        w_fast = beta_fast / denom
 
         # Premise advance: the winner and its pair blend the sample in,
         # every other row keeps alpha 0. The horizon follows from the role.
@@ -218,10 +220,7 @@ class AnticipatingClassifier:
         # winner's pair with its virtual rule-base weights. Every other
         # pair would have weight zero, so it is left out.
         wvec = self._wvec
-        if cfg.wrls_weight == "normalized":
-            np.divide(betas, bsum, out=wvec[:n])
-        else:
-            wvec[:n] = betas
+        np.divide(betas, total, out=wvec[:n])
         wvec[n] = w_slow
         wvec[n + 1] = w_fast
         wrows = self._wrows
@@ -348,10 +347,8 @@ class AnticipatingClassifier:
         """Principal-only conclusion step (used on class-birth samples)."""
         n = len(self.system)
         wvec = self._wvec[:n]
-        if self.config.wrls_weight == "normalized":
-            np.divide(betas, betas.sum(), out=wvec)
-        else:
-            wvec[:] = betas
+        total = betas.sum() if self.config.wrls_weight == "normalized" else 1.0
+        np.divide(betas, total, out=wvec)
         self.system.wrls_step(x_aug, wvec, self._target(y), self._wrows[:n])
         if self.config.forgetting_mode == "forget_ps":
             self.windows.forget(self.system, x_aug, wvec)

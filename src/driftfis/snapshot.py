@@ -164,8 +164,6 @@ def _learner_from_state(state: dict) -> AnticipatingClassifier:
     # rule ids live in an int64 array, and each is below next_rule_id
     learner.next_rule_id = _integer(state["next_rule_id"], "next_rule_id",
                                     high=np.iinfo(np.int64).max)
-    learner.seen_classes = {_integer(label, "a seen class", 0, c - 1)
-                            for label in state["seen_classes"]}
     learner.drift_log = [DriftEvent(**event) for event in state["drift_log"]]
     for event in learner.drift_log:
         _integer(event.sample_index, "a drift's sample_index")
@@ -178,6 +176,15 @@ def _learner_from_state(state: dict) -> AnticipatingClassifier:
                              f"is not a number")
     rules = state["rules"]
     ids = [_integer(rule["id"], "a rule id") for rule in rules]
+    born = [_integer(rule["born_class"], "born_class", 0, c - 1) for rule in rules]
+    # the learner seeds a rule at each class's first sample, so the seen
+    # classes are exactly the born classes
+    classes = sorted(set(born))
+    seen = [_integer(label, "a seen class") for label in state["seen_classes"]]
+    if seen != classes:
+        raise ValueError(f"seen_classes {seen!r} differs from the rules' "
+                         f"born classes {classes}")
+    learner.seen_classes = set(classes)
     pairs = [state["anticipations"][str(rule_id)] for rule_id in ids]
     if len(set(ids)) != len(ids) or len(pairs) != len(state["anticipations"]):
         raise ValueError("every rule needs a unique id and exactly one "
@@ -246,8 +253,7 @@ def _learner_from_state(state: dict) -> AnticipatingClassifier:
             raise ValueError(f"a {what} matrix holds a -0.0 entry")
     hits = np.array([entry["premise"]["hits"] for entry, _ in rows], dtype=np.int64)
     learner.system.set_rows(
-        *np.array([(rule_id, _integer(rule["born_class"], "born_class", 0, c - 1))
-                   for rule_id, rule in zip(ids, rules)], dtype=np.int64).T,
+        np.array(ids, dtype=np.int64), np.array(born, dtype=np.int64),
         np.arange(len(rows)),
         extra=Rows(stacked("premise", "center", d), covs, invs, hits, corrs,
                    coeffs))

@@ -151,25 +151,20 @@ def wrls_broadcast(corrs, coeffs, x_aug, weights, target, rows=None):
     coeffs += outer
 
 
-def downdate_rows_broadcast(stack, rows, xs, weights):
+def downdate_rows_broadcast(stack, xs, weights, start=0):
     """Oracle: FuzzySystem.downdate_rows with a broadcast u u', in place on
-    the correlation stack; returns the per-row success mask."""
-    corrs = stack[:xs.shape[0]] if rows is None else stack.take(rows, axis=0)
+    rows ``start`` to ``start + len(xs) - 1`` of the correlation stack;
+    returns the per-row success mask."""
+    corrs = stack[start:start + xs.shape[0]]
     u = np.matmul(corrs, xs[:, :, None])
     s = np.matmul(xs[:, None, :], u)[:, 0, 0]
     denom = 1.0 - weights * s
     ok = ~(np.abs(denom) < DOWNDATE_GUARD)
-    u = u[:, :, 0]
-    if not ok.all():
-        keep = np.flatnonzero(ok)
-        rows = keep if rows is None else rows[keep]
-        corrs, u = corrs[keep], u[keep]
-        weights, denom = weights[keep], denom[keep]
+    keep = np.flatnonzero(ok)
+    u = u[keep, :, 0]
     tmp = u[:, :, None] * u[:, None, :]
-    tmp *= (weights / denom)[:, None, None]
-    corrs += tmp
-    if rows is not None:
-        stack[rows] = corrs
+    tmp *= (weights[keep] / denom[keep])[:, None, None]
+    corrs[keep] += tmp
     return ok
 
 

@@ -496,13 +496,14 @@ class TestBatchedAdaptation:
         single = random_system(np.random.default_rng(28), 6, 3, 2)
         for system in (batched, single):
             system.wrls_step(augment(np.ones(3)), np.full(6, 0.5), ONE_HOT[0])
-            system.rules[2].consequent.corr[:] = np.eye(4)  # guard row
-        rows = np.array([4, 0, 2, 5], dtype=np.intp)
+            system.rules[3].consequent.corr[:] = np.eye(4)  # guard row
+        start = 1
+        rows = np.arange(start, start + 4)
         xs = np.array([augment(rng.standard_normal(3)) for _ in rows])
         xs[2] = [1.0, 0.0, 0.0, 0.0]
         weights = np.array([0.6, 0.3, 1.0, 0.05])
         before = batched._corrs.copy()
-        ok = batched.downdate_rows(rows, xs, weights)
+        ok = batched.downdate_rows(xs, weights, start)
         assert ok.tolist() == [True, True, False, True]
         for row, x, w, flag in zip(rows, xs, weights, ok):
             assert single.downdate_row(int(row), x, float(w)) == flag
@@ -514,29 +515,9 @@ class TestBatchedAdaptation:
                         if abs(denom) >= DOWNDATE_GUARD else corr)
             assert batched._corrs[row].tobytes() == expected.tobytes()
         assert batched._corrs.tobytes() == single._corrs.tobytes()
-        # the guard row and the unlisted rows are untouched
-        for row in (1, 2, 3):
+        # the guard row and the rows outside the range are untouched
+        for row in (0, 3, 5):
             assert batched._corrs[row].tobytes() == before[row].tobytes()
-
-    @pytest.mark.parametrize("guard_row", [None, 1])
-    def test_downdate_leading_rows_in_place_matches_listed_rows(self, guard_row):
-        rng = np.random.default_rng(29)
-        systems = [random_system(np.random.default_rng(29), 6, 3, 2)
-                   for _ in range(2)]
-        for system in systems:
-            system.wrls_step(augment(np.ones(3)), np.full(6, 0.5), ONE_HOT[0])
-            if guard_row is not None:
-                system.rules[guard_row].consequent.corr[:] = np.eye(4)
-        xs = np.array([augment(rng.standard_normal(3)) for _ in range(4)])
-        if guard_row is not None:
-            xs[guard_row] = [1.0, 0.0, 0.0, 0.0]
-        weights = np.array([0.6, 1.0 if guard_row else 0.3, 0.2, 0.05])
-        in_place, listed = systems
-        ok = in_place.downdate_rows(None, xs, weights)
-        assert ok.tolist() == listed.downdate_rows(
-            np.arange(4, dtype=np.intp), xs, weights).tolist()
-        assert ok.all() == (guard_row is None)
-        assert in_place._corrs.tobytes() == listed._corrs.tobytes()
 
     def test_downdate_row_pair_matches_sequential(self):
         rng = np.random.default_rng(24)
@@ -642,25 +623,29 @@ class TestConclusionKernelsMatchBroadcast:
             assert system._coeffs.tobytes() == coeffs.tobytes()
             assert not has_negative_zero(corrs) and not has_negative_zero(coeffs)
 
-    @pytest.mark.parametrize("listed", [False, True])
-    def test_downdate_rows(self, listed):
+    @pytest.mark.parametrize("middle", [False, True])
+    def test_downdate_rows(self, middle):
         rng = np.random.default_rng(41)
         system = conclusion_system(rng)
-        system._corrs[2] = np.eye(5)  # trips the guard on x = e0, weight 1
-        rows = np.array([0, 7, 2, 5, 9], dtype=np.intp) if listed else None
+        start = 2 if middle else 0
+        system._corrs[start + 2] = np.eye(5)  # trips the guard on x = e0, weight 1
         xs = conclusion_samples(rng, 4, count=5)
         xs[2] = np.eye(5)[0]
         weights = np.array([0.6, 0.3, 1.0, 0.0, 0.2])
         corrs = system._corrs.copy()
         before = corrs.copy()
-        picked = corrs[:5] if rows is None else corrs[rows]
-        assert negative_zero_products(np.matmul(picked, xs[:, :, None])[:, :, 0])
-        ok = system.downdate_rows(rows, xs, weights)
-        assert ok.tolist() == downdate_rows_broadcast(corrs, rows, xs, weights).tolist()
+        stop = start + 5
+        assert negative_zero_products(
+            np.matmul(corrs[start:stop], xs[:, :, None])[:, :, 0])
+        ok = system.downdate_rows(xs, weights, start)
+        assert ok.tolist() == downdate_rows_broadcast(corrs, xs, weights, start).tolist()
         assert ok.tolist() == [True, True, False, True, True]
         assert system._corrs.tobytes() == corrs.tobytes()
-        # the tripped row, and the zero-weight one, keep their bits
-        for row in (2, 5 if listed else 3):
+        # the tripped row, the zero-weight one and every row outside the
+        # range keep their bits
+        outside = [*range(start), *range(stop, system.n_rows)]
+        assert len(outside) == 5
+        for row in (start + 2, start + 3, *outside):
             assert system._corrs[row].tobytes() == before[row].tobytes()
         assert not has_negative_zero(corrs)
 

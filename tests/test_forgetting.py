@@ -290,9 +290,9 @@ class TestWindowBank:
         calls = []
         downdate = system.downdate_rows
 
-        def spy(rows, xs, ws):
-            calls.append((rows, ws.tolist()))
-            return downdate(rows, xs, ws)
+        def spy(xs, ws, start=0):
+            calls.append((start, ws.tolist()))
+            return downdate(xs, ws, start)
 
         monkeypatch.setattr(system, "downdate_rows", spy)
         for step in range(3):
@@ -300,7 +300,7 @@ class TestWindowBank:
                      np.array([0.5, 0.25]), np.eye(2)[0])
         # every step downdates the leading rows in place: blank slots while
         # the rings fill, then the oldest samples
-        assert calls == [(None, [0.0, 0.0])] * 2 + [(None, [0.5, 0.25])]
+        assert calls == [(0, [0.0, 0.0])] * 2 + [(0, [0.5, 0.25])]
         assert bank.counts().tolist() == [[2, 2], [0, 0]]
 
     def test_window_capacity_must_match_the_bank(self):
@@ -520,14 +520,14 @@ class TestSkipCounting:
         calls = []
         downdate = system.downdate_rows
 
-        def spy(rows, xs, ws):
-            calls.append((rows, ws.tolist()))
-            return downdate(rows, xs, ws)
+        def spy(xs, ws, start=0):
+            calls.append((start, ws.tolist()))
+            return downdate(xs, ws, start)
 
         monkeypatch.setattr(system, "downdate_rows", spy)
         ddf_step(system, bank, np.array([0.0, 1.0]), np.zeros(3), np.array([0.0]))
         # one call over every leading row; row 0's zero weight leaves it be
-        assert calls == [(None, [0.0, 0.5, 1.0])]
+        assert calls == [(0, [0.0, 0.5, 1.0])]
         assert bank.counts()[1].tolist() == [0, 0, 1]
 
     @pytest.mark.parametrize("side", [0, 1])

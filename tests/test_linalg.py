@@ -142,8 +142,8 @@ class TestCorrUpdates:
         x = np.array([1.0, 2.0])
         weights = np.array([0.5])
         system.wrls_step(x, weights, np.ones(1))
-        system.downdate_rows(np.array([0]), x[None, :], np.array([0.001]))
-        system.downdate_rows(None, x[None, :], weights)
+        system.downdate_row(0, x, 0.001)
+        system.downdate_rows(x[None, :], weights)
         assert x.tolist() == [1.0, 2.0] and weights.tolist() == [0.5]
 
     def test_decrement_guard(self):

@@ -253,6 +253,9 @@ class TestGuards:
         lambda s: s["rules"][0]["premise"].update(cov=[[-1.0, 0.0], [0.0, -1.0]]),
         lambda s: _first_pair(s)["slow"]["consequent"].update(
             corr=[[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+        # a class some rule was born in, missing from seen_classes: the
+        # next sample of that class would seed a second rule there
+        lambda s: s.update(seen_classes=[0]),
     ])
     def test_malformed_value_rejected(self, mangle):
         state = state_dict(trained_learner(n=40, forgetting_mode="forget_ps"))
