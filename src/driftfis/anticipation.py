@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import AM_INITS
 from .fis import Consequent, FuzzySystem, Premise
 from .forgetting import DDFWindow
 
@@ -63,7 +64,7 @@ def spawn_pair(system: FuzzySystem, rows: np.ndarray, slow_horizon: int,
     parent's window history, and re-evicting those samples would
     double-count them.
     """
-    if init not in ("parent", "zero"):
+    if init not in AM_INITS:
         raise ValueError(f"unknown anticipation init {init!r}")
     hits = system.hits
     hits[rows] = np.minimum(hits[rows], slow_horizon)

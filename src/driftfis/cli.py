@@ -156,11 +156,10 @@ def cmd_compare(args) -> int:
         ks_values = [None]
 
     for ks in ks_values:
-        run_a = replace(cfg_a, learner=replace(cfg_a.learner))
-        run_b = replace(cfg_b, learner=replace(cfg_b.learner))
+        run_a, run_b = cfg_a, cfg_b
         if ks is not None:
-            run_a.learner.ks = ks
-            run_b.learner.ks = ks
+            run_a = replace(cfg_a, learner=replace(cfg_a.learner, ks=ks))
+            run_b = replace(cfg_b, learner=replace(cfg_b.learner, ks=ks))
         out_a = run_experiment(run_a)
         out_b = run_experiment(run_b)
         label = f"ks={ks:g} " if ks is not None else ""
@@ -183,7 +182,7 @@ def _validation_slice(stream: Stream, trs: int, tes: int) -> Stream:
 def _validation_run(cfg: ExperimentConfig, stream: Stream,
                     trs: int, tes: int) -> tuple[float, int]:
     learner = AnticipatingClassifier(
-        stream.n_features, stream.n_classes, replace(cfg.learner))
+        stream.n_features, stream.n_classes, cfg.learner)
     result = periodic_holdout(learner, stream, trs, tes,
                               standardize=cfg.standardize)
     return result.mean_accuracy, result.final_rules

@@ -13,7 +13,7 @@ from __future__ import annotations
 import datetime
 import json
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -176,7 +176,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentOutcome:
     stream = build_stream(cfg)
     trs, tes = resolve_chunk_sizes(cfg)
     learner = AnticipatingClassifier(
-        stream.n_features, stream.n_classes, replace(cfg.learner))
+        stream.n_features, stream.n_classes, cfg.learner)
     result = periodic_holdout(learner, stream, trs, tes,
                               standardize=cfg.standardize)
     return ExperimentOutcome(config=cfg, trs=trs, tes=tes,

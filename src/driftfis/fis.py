@@ -35,8 +35,8 @@ is x for every other x. Each entry starts at +0.0 (omega * I, np.zeros,
 class-growth padding), an IEEE sum or difference gives -0.0 only from an
 operand already -0.0, and the snapshot loader rejects -0.0 there. A
 center or covariance may hold -0.0 (a sample with a -0.0 feature can put
-one there), so advance_premises keeps its broadcast product and masks
-the adds of its zero-alpha rows.
+one there), so advance_premises keeps its broadcast product and touches
+only the rows it lists.
 """
 
 from __future__ import annotations
@@ -278,12 +278,11 @@ class FuzzySystem:
         return self.memberships_all(x, n)
 
     def scores_from_memberships(self, betas: np.ndarray, x_aug: np.ndarray,
-                                total: float | None = None) -> np.ndarray:
-        """Class scores given precomputed raw rule memberships.
-
-        ``total`` may pass in an already-computed betas.sum().
+                                total: float) -> np.ndarray:
+        """Class scores given precomputed raw rule memberships and their
+        sum ``total``, float(np.add.reduce(betas)) as predict_scores takes it.
         """
-        weights = betas / (betas.sum() if total is None else total)
+        weights = betas / total
         partial = x_aug @ self._coeffs[:self.ids.shape[0]]  # (n, c)
         return weights @ partial
 
@@ -309,37 +308,37 @@ class FuzzySystem:
     # -- adaptation ----------------------------------------------------
 
     def advance_premises(self, x: np.ndarray, alphas: np.ndarray,
-                         rows: np.ndarray | None = None) -> None:
-        """Fading premise update of every row with its own blend weight.
+                         rows: np.ndarray) -> None:
+        """Fading premise update of the listed rows, each with its own blend
+        weight.
 
-        Row i with blend weight a = ``alphas[i]`` moves its center to
-        c' = (1 - a) c + a x and its covariance to
-        S' = (1 - a) S + a (x - c')(x - c')', the residual taken from the
-        updated center, then re-inverts S' (regularized_inverse_stack).
-        With a = 1/min(hits, horizon), hits counting the new sample, an
-        unbounded horizon reproduces the running mean. ``alphas`` has
-        shape (n_rows, 1); a zero entry leaves that row's center and
-        covariance unchanged. ``rows`` (a distinct-integer array) may
-        list exactly the nonzero-alpha rows; once the other rows outweigh
-        _BLEND_MIN_SKIPPED, only the listed rows are blended and
-        re-inverted. Either way each row's result is the same bit for
-        bit: the arithmetic is row-local (_blend), and on the full stack a
-        zero-alpha row adds nothing, so it keeps its bits, -0.0 entries
-        included. Caller maintains hit counts.
+        Each row r of ``rows`` (a distinct-integer array), with blend
+        weight a = ``alphas[r]``, moves its center to c' = (1 - a) c + a x
+        and its covariance to S' = (1 - a) S + a (x - c')(x - c')', the
+        residual taken from the updated center, then re-inverts S'
+        (regularized_inverse_stack). With a = 1/min(hits, horizon), hits
+        counting the new sample, an unbounded horizon reproduces the
+        running mean. ``alphas`` has shape (n_rows, 1). The listed rows are
+        gathered, blended, scattered back and re-inverted; every other row
+        keeps its bytes, -0.0 entries included. The arithmetic is
+        row-local, so a row's result does not depend on which other rows
+        are listed or share the stack. Caller maintains hit counts.
         """
-        centers = self._centers
-        covs = self._covs
-        m, d, _ = covs.shape
-        if rows is None or (m - rows.shape[0]) * (d * d + 21) <= _BLEND_MIN_SKIPPED:
-            _blend(centers, covs, x, alphas, alphas[:, :, None] != 0.0)
-            self._invs[:] = regularized_inverse_stack(covs)
-        else:
-            sub_c = centers.take(rows, axis=0)
-            sub_v = covs.take(rows, axis=0)
-            _blend(sub_c, sub_v, x, alphas.take(rows, axis=0))
-            centers[rows] = sub_c
-            covs[rows] = sub_v
-            self._invs[rows] = regularized_inverse_stack(sub_v)
+        a = alphas.take(rows, axis=0)
+        keep = 1.0 - a
+        centers = self._centers.take(rows, axis=0)
+        centers *= keep
+        centers += a * x
+        resids = x - centers
+        # a (r r') rather than (a r) r', in place: multiplication commutes
+        outer = resids[:, :, None] * resids[:, None, :]
+        outer *= a[:, :, None]
+        covs = self._covs.take(rows, axis=0)
+        covs *= keep[:, :, None]
+        covs += outer
+        self._centers[rows] = centers
+        self._covs[rows] = covs
+        self._invs[rows] = regularized_inverse_stack(covs)
 
     def quadratic_form_pair(self, row: int, vec: np.ndarray) -> np.ndarray:
         """vec @ cov_inv @ vec for stacked rows (row, row+1), as a length-2 array."""
@@ -463,30 +462,6 @@ class FuzzySystem:
 # skips hold more correlation entries than this (measured crossover in the
 # learner's n + 2 of 3n rows: about 8 rules at 3 features, 3-4 at 10).
 _GATHER_MIN_SKIPPED = 256
-# The same for advance_premises, where a skipped row costs about its d^2
-# covariance entries plus 21 entries' worth of fixed work (measured
-# crossovers at 3 listed rows, the full stack paying for its masked adds:
-# 4-5 skipped at 3 features, 3-4 at 4, 0-1 at 10).
-_BLEND_MIN_SKIPPED = 120
-
-
-def _blend(centers: np.ndarray, covs: np.ndarray, x: np.ndarray,
-           alphas: np.ndarray, live=True) -> None:
-    """FuzzySystem.advance_premises' blend of the given (n, d)/(n, d, d)
-    stacks, in place. Only the rows ``live`` marks ((n, 1, 1) booleans,
-    every row by default) add their terms: a zero-alpha row it leaves out
-    scales by 1 and keeps its bits, -0.0 entries included."""
-    a = alphas[:, :, None]
-    keep = 1.0 - a
-    c = centers[:, None, :]
-    np.multiply(c, keep, out=c)
-    np.add(c, a * x, out=c, where=live)
-    resids = x - centers
-    # a (r r') rather than (a r) r', in place: multiplication commutes
-    outer = resids[:, :, None] * resids[:, None, :]
-    outer *= a
-    np.multiply(covs, keep, out=covs)
-    np.add(covs, outer, out=covs, where=live)
 
 
 def _wrls_kernel(corrs: np.ndarray, coeffs: np.ndarray, x_aug: np.ndarray,

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from dataclasses import replace
 from types import MappingProxyType
 
 import numpy as np
@@ -65,7 +66,9 @@ class AnticipatingClassifier:
             raise ValueError("n_features must be positive")
         if n_classes < 1:
             raise ValueError("n_classes must be positive")
-        self.config = config if config is not None else LearnerConfig()
+        # a copy, so the caller's object stays as given and later edits to
+        # it cannot reach the model
+        self.config = replace(config) if config is not None else LearnerConfig()
         self.config.validate()
         # numpy numbers, which validate admits, become the equal Python
         # ones, so the snapshot's JSON can encode them

@@ -157,13 +157,8 @@ def test_criterion_2_forgetting_window_consistency(capsys):
 
 
 def _tracked_rows(x0):
-    """(system, row) for both paths of advance_premises, every row a unit
-    premise at x0: a 3-row stack blends every row (the tracked one with its
-    alpha, the others with 0); in a 9-row stack the 8 unlisted rows of 2 or
-    3 features outweigh fis._BLEND_MIN_SKIPPED, so it gathers just the
-    tracked row."""
-    d = x0.shape[0]
-    assert 2 * (d * d + 21) <= fis._BLEND_MIN_SKIPPED < 8 * (d * d + 21)
+    """(system, row) in a 3-row and a 9-row stack, every row a unit premise
+    at x0; advance_premises blends just the tracked row of either."""
     return [(FuzzySystem(x0.shape[0], 2, [create_rule(x0, 0, 1.0, 100.0, 2, rule_id=i)
                                           for i in range(size)]), row)
             for size, row in ((3, 1), (9, 6))]

@@ -90,14 +90,10 @@ class TestUpdatePremise:
         assert np.array_equal(premise.cov, np.zeros((2, 2)))
 
     def test_matches_manual_recursion(self):
-        # on the full-stack path (3 rows) and the gather path (9 rows, whose
-        # 8 unlisted rows of 2 features outweigh _BLEND_MIN_SKIPPED); the
-        # unlisted rows keep their bits
+        # in a 3-row and a 9-row stack; the unlisted rows keep their bits
         rng = np.random.default_rng(11)
         xs = rng.standard_normal((50, 2))
         for n_rows, row in ((3, 1), (9, 4)):
-            gathers = (n_rows - 1) * (2 * 2 + 21) > fis._BLEND_MIN_SKIPPED
-            assert gathers == (n_rows == 9)
             system = random_system(rng, n_rows, 2, 2)
             system._centers[row] = xs[0]
             system._covs[row] = np.eye(2)
@@ -256,16 +252,6 @@ class TestSystemEvaluation:
         system = FuzzySystem(1, 3, [rule])
         assert system.predict_class(np.zeros(1)) == 2
 
-    def test_scores_with_precomputed_total(self):
-        rng = np.random.default_rng(14)
-        system = random_system(rng, 4, 3, 2)
-        x = rng.standard_normal(3)
-        betas = system.memberships(x)
-        x_aug = augment(x)
-        lazy = system.scores_from_memberships(betas, x_aug)
-        eager = system.scores_from_memberships(betas, x_aug, float(betas.sum()))
-        assert np.array_equal(lazy, eager)
-
 
 class TestSystemBanks:
     def test_set_rows_rebinds_views(self):
@@ -334,53 +320,32 @@ class TestBatchedAdaptation:
     """Each row's result is the same bit for bit whichever path of a batched
     operation computes it and whichever other rows share the stack."""
 
-    def test_advance_premises_gather_path_matches_full(self):
-        # stacks big enough to trigger the selective re-inversion
-        rng = np.random.default_rng(20)
-        sys_full = random_system(rng, 14, 3, 2)
-        rng2 = np.random.default_rng(20)
-        sys_rows = random_system(rng2, 14, 3, 2)
-        x = rng.standard_normal(3)
-        alphas = np.zeros((14, 1))
-        alphas[2, 0] = 0.25
-        alphas[9, 0] = 0.5
-        sys_full.advance_premises(x, alphas.copy(), rows=None)
-        rows = np.array([2, 9], dtype=np.intp)
-        # gather branch actually taken
-        assert (14 - rows.shape[0]) * (3 * 3 + 21) > fis._BLEND_MIN_SKIPPED
-        sys_rows.advance_premises(x, alphas.copy(), rows=rows)
-        assert sys_full._centers.tobytes() == sys_rows._centers.tobytes()
-        assert sys_full._covs.tobytes() == sys_rows._covs.tobytes()
-        assert sys_full._invs.tobytes() == sys_rows._invs.tobytes()
-
-    def test_advance_premises_keeps_negative_zeros_of_unlisted_rows(self, monkeypatch):
-        # a -0.0 center or covariance entry of a zero-alpha row keeps its
-        # sign on both paths, which agree bit for bit
+    def test_advance_premises_keeps_negative_zeros_of_unlisted_rows(self):
+        # a -0.0 center or covariance entry of an unlisted row keeps its sign
         system = random_system(np.random.default_rng(21), 12, 3, 2)
         system._centers[5, 2] = -0.0
         system._covs[5, 0, 1] = system._covs[5, 1, 0] = -0.0
+        before = copy.deepcopy(system)
         x = np.array([0.5, 1.0, 2.0])
         alphas = np.zeros((12, 1))
         rows = np.array([0, 4, 8], dtype=np.intp)
         alphas[rows, 0] = [0.5, 0.25, 1.0]
-        results = []
-        for skipped in (math.inf, -1):  # the full stack, then the gather
-            blended = copy.deepcopy(system)
-            monkeypatch.setattr(fis, "_BLEND_MIN_SKIPPED", skipped)
-            blended.advance_premises(x, alphas, rows)
-            results.append(blended)
-        for blended in results:
-            assert np.signbit(blended._centers[5, 2])
-            assert np.signbit(blended._covs[5, [0, 1], [1, 0]]).all()
-        full, gathered = results
-        assert full._centers.tobytes() == gathered._centers.tobytes()
-        assert full._covs.tobytes() == gathered._covs.tobytes()
+        system.advance_premises(x, alphas, rows)
+        assert np.signbit(system._centers[5, 2])
+        assert np.signbit(system._covs[5, [0, 1], [1, 0]]).all()
+        idle = np.setdiff1d(np.arange(12), rows)
+        for stack in ("_centers", "_covs", "_invs"):
+            assert (getattr(system, stack)[idle].tobytes()
+                    == getattr(before, stack)[idle].tobytes())
 
     @given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 4),
            n_rows=st.integers(1, 12), data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_advance_premises_paths_agree_on_negative_zeros(self, seed, d,
                                                             n_rows, data):
+        # one call over the listed rows equals one single-row call per
+        # listed row, bit for bit, and every unlisted row keeps its bytes,
+        # on stacks and samples holding -0.0
         rng = np.random.default_rng(seed)
         system = random_system(rng, n_rows, d, 2)
         # -0.0 entries in the centers, the covariances (mirrored) and x,
@@ -399,22 +364,17 @@ class TestBatchedAdaptation:
         alphas[rows, 0] = data.draw(st.lists(
             st.sampled_from([1.0, 0.5, 1e-3]), min_size=len(rows),
             max_size=len(rows)))
+        together = copy.deepcopy(system)
+        together.advance_premises(x, alphas, rows)
+        singly = copy.deepcopy(system)
+        for row in rows:
+            singly.advance_premises(x, alphas, np.array([row], dtype=np.intp))
         idle = np.setdiff1d(np.arange(n_rows), rows)
-        results = []
-        for skipped in (math.inf, -1):  # the full stack, then the gather
-            blended = copy.deepcopy(system)
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(fis, "_BLEND_MIN_SKIPPED", skipped)
-                blended.advance_premises(x, alphas, rows)
-            # a zero-alpha row keeps its bits, -0.0 entries included
-            for stack in ("_centers", "_covs", "_invs"):
-                assert (getattr(blended, stack)[idle].tobytes()
-                        == getattr(system, stack)[idle].tobytes())
-            results.append(blended)
-        full, gathered = results
-        assert full._centers.tobytes() == gathered._centers.tobytes()
-        assert full._covs.tobytes() == gathered._covs.tobytes()
-        assert full._invs.tobytes() == gathered._invs.tobytes()
+        for stack in ("_centers", "_covs", "_invs"):
+            assert (getattr(together, stack).tobytes()
+                    == getattr(singly, stack).tobytes())
+            assert (getattr(together, stack)[idle].tobytes()
+                    == getattr(system, stack)[idle].tobytes())
 
     def test_wrls_step_independent_of_stack_mates(self):
         # a row's update must be bitwise identical no matter how many other
@@ -447,8 +407,9 @@ class TestBatchedAdaptation:
         x = rng.standard_normal(3)
         alphas3 = np.array([[0.5], [0.0], [0.125]])
         alphas9 = np.vstack([alphas3, rng.uniform(0, 1, (6, 1))])
-        bare.advance_premises(x, alphas3)
-        packed.advance_premises(x, alphas9)
+        bare.advance_premises(x, alphas3, np.array([0, 2], dtype=np.intp))
+        packed.advance_premises(x, alphas9, np.array([0, 2, 3, 4, 5, 6, 7, 8],
+                                                     dtype=np.intp))
         for a, b in zip(bare.rules, packed.rules):
             assert a.premise.center.tobytes() == b.premise.center.tobytes()
             assert a.premise.cov.tobytes() == b.premise.cov.tobytes()

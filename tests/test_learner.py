@@ -21,7 +21,9 @@ from driftfis.learner import (
 )
 from driftfis.snapshot import (
     from_state_dict,
+    load_model,
     model_state_hash,
+    save_model,
     state_bytes,
     state_dict,
 )
@@ -181,6 +183,24 @@ class TestValidation:
         with pytest.raises(ValueError):
             learner.predict_one([1.0])
 
+    def test_config_is_copied_not_edited(self, tmp_path):
+        # the caller's numpy number stays as given, and a later edit to the
+        # caller's config reaches neither the learner nor its saved file
+        cfg = LearnerConfig(ws=np.int64(12), ks=0.6, nmin=3)
+        learner = AnticipatingClassifier(2, 2, cfg)
+        assert type(cfg.ws) is np.int64
+        assert learner.config is not cfg
+        assert type(learner.config.ws) is int
+        X, y = two_blob_stream(np.random.default_rng(9), 200)
+        train(learner, X, y)
+        reference = state_bytes(learner)
+        for ws in (30, 0):
+            cfg.ws = ws
+            assert learner.config.ws == 12
+            path = tmp_path / f"model-{ws}.json"
+            save_model(learner, path)
+            assert state_bytes(load_model(path)) == reference
+
     def test_negative_label_raises(self):
         learner = make_learner()
         with pytest.raises(UnknownClassError):
@@ -298,14 +318,15 @@ class TestValidation:
 
     def test_checked_prediction_scores_are_unchanged(self):
         # predict_scores passes in the sum it checked; the scores must equal
-        # the ones scores_from_memberships computes from betas alone
+        # the ones scores_from_memberships computes from betas and their sum
         learner = make_learner(ks=0.6, nmin=3)
         X, y = two_blob_stream(np.random.default_rng(4), 120)
         train(learner, X, y)
         system = learner.system
         for x in X[:40]:
+            betas = system.memberships(x)
             expected = system.scores_from_memberships(
-                system.memberships(x), np.concatenate(([1.0], x)))
+                betas, np.concatenate(([1.0], x)), float(np.add.reduce(betas)))
             assert learner.predict_scores(x).tobytes() == expected.tobytes()
 
     def test_non_finite_input_error_is_one_class(self):
@@ -678,21 +699,6 @@ class TestMembershipSwitch:
         assert outcomes[0] == outcomes[1]
         # 1e150 is accepted (a class is returned); 1e200 overflows and raises
         assert isinstance(outcomes[0][0], int) == (far == 1e150)
-
-
-@pytest.mark.parametrize("make", [_sea_stream, _plane10d_prefix])
-def test_premise_blend_paths_agree(monkeypatch, make):
-    # advance_premises blends every row, or only the winner and its pair
-    # once the others outweigh fis._BLEND_MIN_SKIPPED; both give the same bits
-    outcomes = []
-    for skipped in (math.inf, -1):
-        monkeypatch.setattr(fis, "_BLEND_MIN_SKIPPED", skipped)
-        d, cfg, X, y = make()
-        learner = AnticipatingClassifier(d, 2, cfg)
-        outcomes.append((train(learner, X, y), learner.drift_log,
-                         state_bytes(learner)))
-    assert outcomes[0] == outcomes[1]
-    assert outcomes[0][1]  # the stream reaches the drift machinery
 
 
 @given(strategy=st.sampled_from(["naive", "global"]),
