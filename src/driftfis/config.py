@@ -114,6 +114,8 @@ class ExperimentConfig:
             raise ConfigError("dataset must be set")
         if self.n_samples < 0 or self.trs < 0 or self.tes < 0:
             raise ConfigError("n_samples, trs, tes must be nonnegative")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
         if not (0.0 <= self.noise < 1.0):
             raise ConfigError("noise must be in [0, 1)")
         if not (0.0 <= self.flip_prob <= 1.0):

@@ -175,6 +175,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentOutcome:
     cfg.validate()
     stream = build_stream(cfg)
     trs, tes = resolve_chunk_sizes(cfg)
+    if len(stream) < trs + tes:
+        raise ConfigError(
+            f"stream of {len(stream)} samples cannot fit one train+test "
+            f"period ({trs + tes}); shrink trs/tes or grow the stream")
     learner = AnticipatingClassifier(
         stream.n_features, stream.n_classes, cfg.learner)
     result = periodic_holdout(learner, stream, trs, tes,

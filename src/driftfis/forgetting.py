@@ -19,13 +19,14 @@ module docstring) with a denominator of exactly 1, so no skip counts.
 Every window is a row of one WindowBank, and bank row r is the window of
 FuzzySystem row r: the principal rules first, then each rule's slow and
 fast sub-rule. A window is a ring of ``capacity`` slots (a sample and its
-weight each), a head, a fill and a ``skipped`` count. Only WindowBank
-writes and reads a ring: it records samples (push, record), evicts and
-sheds them (forget for the principal rows, forget_pair for a shadow
-pair), counts the skips, reads the held entries (entries), moves the
-windows with their consequents (set_rows) and loads them (load). A
-DDFWindow is one bank row seen from outside, as a one-row bank of views:
-``len()``, ``capacity``, ``skipped``, ``ordered()`` and ``push``.
+weight each) and three counts: recorded, held and skipped. Only
+WindowBank writes and reads a ring. Its one writer, record, writes a
+sample into rows recorded together (the leading principal rows, a shadow
+pair) at the slot they share; forget and forget_pair downdate by what
+departs from that slot, count the skips, then record. set_rows and load
+only repack. A DDFWindow is one bank row seen from outside, as a one-row
+bank of views: ``len()``, ``capacity``, ``skipped``, ``ordered()`` and
+``push``.
 """
 
 from __future__ import annotations
@@ -39,12 +40,13 @@ class DDFWindow:
     views into that row.
 
     ``samples`` (capacity, k), ``weights`` (capacity,) and ``state`` are
-    views of the row's ring slots and of its head, fill and ``skipped``,
-    the count of evictions abandoned because the downdate denominator was
-    within the guard of zero (the sample leaves memory, its weight stays
-    baked into the correlation matrix). An empty slot holds a zero sample
-    of weight 0.0. A window read before a structural change keeps the old
-    arrays, cut off from the bank (WindowBank.set_rows builds new ones).
+    views of the row's ring slots and of its three counts (see
+    WindowBank): recorded, held and ``skipped``, the count of evictions
+    abandoned because the downdate denominator was within the guard of
+    zero (the sample leaves memory, its weight stays baked into the
+    correlation matrix). An empty slot holds a zero sample of weight 0.0.
+    A window read before a structural change keeps the old arrays, cut off
+    from the bank (WindowBank.set_rows builds new ones).
     """
 
     def __init__(self, bank: "WindowBank", row: int):
@@ -60,66 +62,80 @@ class DDFWindow:
         return int(self.state[2])
 
     def __len__(self) -> int:
-        return int(self.state[1])
+        return min(int(self.state[0] + self.state[1]), self.capacity)
 
     def ordered(self) -> tuple[np.ndarray, np.ndarray]:
         """The held samples and weights, oldest first."""
         return self._ring.entries()
 
     def push(self, x_aug: np.ndarray, weight: float) -> tuple[np.ndarray, float] | None:
-        """Record a sample; return the evicted (x, weight) pair on overflow."""
-        departed = self._ring.record(0, x_aug, (weight,))
-        if departed is None:
-            return None
-        return departed[0], float(departed[1][0])
+        """Record a sample in this row alone (out of step with the rows a
+        forget records with it); return the evicted (x, weight) pair on
+        overflow."""
+        departed = None
+        if len(self) == self.capacity:
+            head = self.state.item(0) % self.capacity
+            departed = self.samples[head].copy(), self.weights.item(head)
+        self._ring.record(x_aug, (weight,))
+        return departed
 
 
 class WindowBank:
     """The rings of every window, stacked: row r is FuzzySystem row r's.
 
     ``samples`` is (rows, capacity, k), ``weights`` (rows, capacity) and
-    ``state`` (3, rows): head, fill and skipped per row. Every window
-    shares the bank's capacity. Recording a sample in every principal
-    window is one scatter over the leading rows (forget); a shadow pair's
-    two rows record each sample together (forget_pair), so they keep equal
-    heads and fills and hold the same samples.
+    ``state`` (3, rows): per row, the samples recorded since the last
+    repack, the entries held at that repack, and the skipped count. Every
+    window shares the bank's capacity. A repack (set_rows, load) puts a
+    ring's entries, oldest first, in its last slots, blanks before them,
+    and its recorded count to 0. So a row's head, the slot its next sample
+    takes, is recorded mod capacity, and holds the oldest entry once the
+    ring is full (fill = min(recorded + held, capacity)), a blank before.
+    Rows recorded together keep one head and one fill: the leading
+    principal rows, which every forget records, and each shadow pair.
     """
 
     def __init__(self, capacity: int, n_inputs: int):
         self.capacity = capacity
         self.n_inputs = n_inputs
-        self.samples = np.empty((0, capacity, n_inputs))
-        self.weights = np.empty((0, capacity))
-        self.state = np.empty((3, 0), dtype=np.int64)
-        self.set_rows(np.empty(0, dtype=np.intp))
+        self._bind(np.empty((0, capacity, n_inputs)), np.empty((0, capacity)),
+                   np.empty((3, 0), dtype=np.int64))
 
     def counts(self) -> np.ndarray:
-        """Per-row fills and skipped counts, (2, rows) (a view)."""
-        return self.state[1:]
+        """Per-row fills and skipped counts, (2, rows) (a new array)."""
+        recorded, held, skipped = self.state
+        return np.array((np.minimum(recorded + held, self.capacity), skipped))
 
     def window(self, row: int) -> DDFWindow:
         """Row ``row``'s ring as a DDFWindow of views into the stacks."""
         return DDFWindow(self, row)
 
     def set_rows(self, rows: np.ndarray) -> None:
-        """Rebuild the stacks as a gather: new row i copies row ``rows[i]``.
+        """Rebuild the stacks as a gather: new row i holds row ``rows[i]``'s
+        ring, repacked, and skipped count.
 
         An index at or past the current row count makes a blank ring:
-        zero samples of weight 0, with head, fill and skipped 0. Given the
-        consequent rows of a structural change (FuzzySystem.set_rows), each
-        window follows its consequent.
+        zero samples of weight 0, with every count 0. Given the consequent
+        rows of a structural change (FuzzySystem.set_rows), each window
+        follows its consequent.
         """
         cap = self.capacity
         n = rows.shape[0]
         kept = rows < self.state.shape[1]
         src = rows[kept]
+        recorded, held, skipped = self.state[:, src]
+        # the repack is a rotation: new slot j takes old slot head + j
+        flat = (recorded % cap)[:, None] + np.arange(cap)
+        flat %= cap
+        flat += self._base[src, None]
         samples = np.empty((n, cap, self.n_inputs))
         weights = np.zeros((n, cap))
         state = np.zeros((3, n), dtype=np.int64)
         samples[~kept] = 0.0
-        samples[kept] = self.samples[src]
-        weights[kept] = self.weights[src]
-        state[:, kept] = self.state[:, src]
+        samples[kept] = self._flat_x.take(flat, axis=0)
+        weights[kept] = self._flat_w.take(flat)
+        state[1, kept] = np.minimum(recorded + held, cap)
+        state[2, kept] = skipped
         self._bind(samples, weights, state)
 
     def _bind(self, samples: np.ndarray, weights: np.ndarray,
@@ -127,15 +143,13 @@ class WindowBank:
         """Take these arrays as the stacks, with flat views of the rings."""
         n, cap = weights.shape
         self.samples, self.weights, self.state = samples, weights, state
-        self._head = state[0]
-        self._fill = state[1]
         self._flat_x = samples.reshape(n * cap, self.n_inputs)
         self._flat_w = weights.reshape(n * cap)
         self._base = np.arange(n, dtype=np.int64) * cap
 
     def load(self, entries: list) -> None:
-        """Rebuild the bank from each row's (samples, weights, skipped):
-        the held entries, oldest first, in the leading slots. ValueError if
+        """Rebuild the bank from each row's (samples, weights, skipped): the
+        held entries, oldest first, repacked as by set_rows. ValueError if
         a row holds more entries than the capacity."""
         cap = self.capacity
         self.set_rows(np.full(len(entries), self.state.shape[1]))
@@ -144,72 +158,50 @@ class WindowBank:
             if fill > cap:
                 raise ValueError(f"window holds {fill} entries, more than "
                                  f"its capacity {cap}")
-            self.samples[row, :fill] = xs
-            self.weights[row, :fill] = ws
-            self.state[:, row] = (fill % cap, fill, skipped)
+            self.samples[row, cap - fill:] = xs
+            self.weights[row, cap - fill:] = ws
+            self.state[:, row] = (0, fill, skipped)
+
+    def record(self, x_aug: np.ndarray, weights, start: int = 0) -> None:
+        """Record x_aug in rows start to start + len(weights) - 1, row
+        start + i weighted weights[i]. The rows share row ``start``'s
+        recorded count, and so its head, where a full ring's oldest entry
+        is overwritten."""
+        stop = start + len(weights)
+        recorded = self.state.item(0, start)
+        head = recorded % self.capacity
+        self.samples[start:stop, head] = x_aug
+        self.weights[start:stop, head] = weights
+        self.state[0, start:stop] = recorded + 1
 
     def forget(self, system, x_aug: np.ndarray, weights: np.ndarray) -> None:
-        """Record x_aug in the leading rings, row i with weights[i], and
-        downdate row i of ``system`` by what departs, all in one
-        downdate_rows call on the leading rows. A row whose guard trips
-        counts the skip."""
-        xs, ws = self.push(x_aug, weights)
-        ok = system.downdate_rows(xs, ws)
-        self.state[2, :weights.shape[0]] += ~ok
-
-    def push(self, x_aug: np.ndarray, weights: np.ndarray
-             ) -> tuple[np.ndarray, np.ndarray]:
-        """Record x_aug in the leading ``len(weights)`` rings, row i with
-        weights[i]; return copies of every row's departing samples and
-        weights (a ring that is not full departs a blank slot)."""
+        """Downdate row i of ``system`` by what leading ring i evicts, the
+        entry at the rings' shared head (a blank one while it fills), all
+        in one downdate_rows call, then record x_aug in those rings, row i
+        with weights[i]. A row whose guard trips counts the skip."""
         m = weights.shape[0]
-        head = self._head[:m]
-        flat = self._base[:m] + head
-        departed = self._flat_x[flat], self._flat_w[flat]
-        self._flat_x[flat] = x_aug
-        self._flat_w[flat] = weights
-        fill = self._fill[:m]
-        np.minimum(fill + 1, self.capacity, out=fill)
-        head += 1
-        head[head == self.capacity] = 0
-        return departed
-
-    def record(self, row: int, x_aug: np.ndarray, weights) -> tuple | None:
-        """Record x_aug in rows row to row + len(weights) - 1, which share
-        a head and a fill, row + i weighted weights[i]. Returns a copy of
-        the departing sample and the rows' departing weights (zeros
-        included) when the rings were full, else None."""
-        state = self.state
-        head, fill = int(state[0, row]), int(state[1, row])
-        stop = row + len(weights)
-        departed = None
-        if fill == self.capacity:
-            departed = (self.samples[row, head].copy(),
-                        self.weights[row:stop, head].copy())
-        else:
-            state[1, row:stop] = fill + 1
-        self.samples[row:stop, head] = x_aug
-        self.weights[row:stop, head] = weights
-        state[0, row:stop] = head + 1 if head + 1 < self.capacity else 0
-        return departed
+        head = self.state.item(0, 0) % self.capacity
+        ok = system.downdate_rows(self.samples[:m, head], self.weights[:m, head])
+        self.state[2, :m] += ~ok
+        self.record(x_aug, weights)
 
     def forget_pair(self, system, row: int, x_aug: np.ndarray,
                     w_slow: float, w_fast: float) -> None:
-        """Record x_aug in a shadow pair's rings, rows (row, row + 1),
-        weighted w_slow and w_fast, and downdate the same rows of
-        ``system`` by the sample they evict.
-
-        The two rings record every sample together and evict it together.
-        A side whose guard trips keeps its matrix and counts the skip.
-        """
-        departed = self.record(row, x_aug, (w_slow, w_fast))
-        if departed is None:
-            return
-        ok_slow, ok_fast = system.downdate_row_pair(row, *departed)
-        if not ok_slow:
-            self.state[2, row] += 1
-        if not ok_fast:
-            self.state[2, row + 1] += 1
+        """Downdate a shadow pair's rows (row, row + 1) of ``system`` by
+        the sample their full rings evict, then record x_aug in both,
+        weighted w_slow and w_fast. A side whose guard trips keeps its
+        matrix and counts the skip."""
+        state = self.state
+        recorded = state.item(0, row)
+        if recorded + state.item(1, row) >= self.capacity:
+            head = recorded % self.capacity
+            ok_slow, ok_fast = system.downdate_row_pair(
+                row, self.samples[row, head], self.weights[row:row + 2, head])
+            if not ok_slow:
+                state[2, row] += 1
+            if not ok_fast:
+                state[2, row + 1] += 1
+        self.record(x_aug, (w_slow, w_fast), row)
 
     def entries(self, start: int = 0, stop: int | None = None
                 ) -> tuple[np.ndarray, np.ndarray]:
@@ -217,9 +209,10 @@ class WindowBank:
         row by default), each row's oldest first, in row order."""
         cap = self.capacity
         pos = np.arange(cap)
-        fill = self._fill[start:stop]
-        # slot of a row's j-th oldest entry: head - fill + j, modulo cap
-        slots = (self._head[start:stop] - fill + cap)[:, None] + pos
+        recorded, held = self.state[:2, start:stop]
+        fill = np.minimum(recorded + held, cap)
+        # slot of a row's j-th oldest entry: recorded - fill + j, modulo cap
+        slots = (recorded - fill)[:, None] + pos
         flat = slots[pos < fill[:, None]]
         flat %= cap
         flat += np.repeat(self._base[start:stop], fill)

@@ -3,7 +3,9 @@
 ``ci`` derandomizes the property tests, so a CI run explores the same
 examples every time and a failure reproduces; select it with
 ``pytest --hypothesis-profile=ci``. Without it, hypothesis draws fresh
-examples on every run.
+examples on every run. ``ci-deep`` is ``ci`` at 1,000 examples per
+property test, for a focused run of one class, such as
+``tests/test_forgetting.py::TestWindowBank`` in CI.
 
 The header names the numpy version and, when numpy's BLAS is a bundled
 OpenBLAS, the core type its kernels were picked for. The state hashes the
@@ -16,6 +18,8 @@ import ctypes
 from hypothesis import settings
 
 settings.register_profile("ci", derandomize=True, print_blob=True)
+settings.register_profile("ci-deep", settings.get_profile("ci"),
+                          max_examples=1000)
 
 
 def _openblas_core() -> str | None:

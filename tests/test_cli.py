@@ -129,6 +129,21 @@ class TestRun:
         assert "finite" in capsys.readouterr().err
         assert not (outdir / "run-line-seed0.json").exists()
 
+    def test_negative_seed_is_a_config_error(self, outdir, capsys):
+        assert cli.main(["run", "--dataset", "sea", "--seed", "-1",
+                         "--n-samples", "600"]) == 2
+        assert "seed" in capsys.readouterr().err
+        assert cli.main(["generate", "--dataset", "sea", "--seed", "-2"]) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not list(outdir.iterdir())
+
+    def test_stream_shorter_than_one_period_is_a_config_error(self, outdir,
+                                                              capsys):
+        assert cli.main(["run", "--dataset", "sea", "--n-samples", "600",
+                         "--trs", "1000"]) == 2
+        assert "train+test period" in capsys.readouterr().err
+        assert not list(outdir.iterdir())
+
     def test_unknown_config_key_fails(self, outdir, tmp_path, capsys):
         path = tmp_path / "typo.cfg"
         path.write_text("datset=line\n", encoding="utf-8")
@@ -162,6 +177,14 @@ class TestCompare:
         assert "n01=0 n10=0" in row
         assert "K=0.000" in row
         assert "− (x)" in row
+
+    def test_stream_shorter_than_one_period_rejected(self, tmp_path, capsys):
+        values = dict(dataset="sea", n_samples=200, trs=150, tes=100)
+        cfg_a = write_config(tmp_path, "a.cfg", **values)
+        cfg_b = write_config(tmp_path, "b.cfg", ws=8, **values)
+        assert cli.main(["compare", "--config-a", cfg_a,
+                         "--config-b", cfg_b]) == 2
+        assert "train+test period" in capsys.readouterr().err
 
     def test_different_streams_rejected(self, tmp_path, capsys):
         cfg_a = write_config(tmp_path, "a.cfg", **fast_line_values(seed=1))

@@ -21,19 +21,29 @@ def blank_bank(capacity, k, n):
     return bank
 
 
-class PairDowndates:
-    """A stand-in system for WindowBank.forget_pair: records each pair
-    downdate it is asked for and reports the two sides ``ok``."""
+class Downdates:
+    """A stand-in system for WindowBank.forget and forget_pair: records
+    each downdate it is asked for and reports a pair's two sides ``ok``
+    and the leading rows ``ok_rows``."""
 
     def __init__(self):
-        self.calls = []
+        self.calls = []      # pair downdates: (row, sample, weights)
+        self.row_calls = []  # leading-row downdates: (start, samples, weights)
         self.ok = (True, True)
+        self.ok_rows = None  # every row ok
 
     def downdate_row_pair(self, row, x, weights):
         self.calls.append((row, x.copy(), weights.tolist()))
         # like the kernel, a side departing weight 0 never trips the guard:
         # its denominator is 1
         return tuple(ok or w == 0.0 for ok, w in zip(self.ok, weights.tolist()))
+
+    def downdate_rows(self, xs, weights, start=0):
+        self.row_calls.append((start, xs.copy(), weights.tolist()))
+        ok = np.ones(len(weights), dtype=bool)
+        if self.ok_rows is not None:
+            ok[:] = self.ok_rows
+        return ok | (weights == 0.0)
 
 
 class TestDDFWindow:
@@ -64,12 +74,13 @@ class TestDDFWindow:
 
 class TestRecordSample:
     """Recording one sample in several windows at once: a shadow pair's
-    two rows through forget_pair, the leading rows through push."""
+    two rows through forget_pair, the leading rows through record and
+    forget."""
 
     def test_windows_share_one_read_only_sample(self):
         bank = blank_bank(3, 2, 2)
         x = np.array([1.0, 2.0])
-        bank.forget_pair(PairDowndates(), 0, x, 0.5, 0.25)
+        bank.forget_pair(Downdates(), 0, x, 0.5, 0.25)
         x[0] = 99.0
         # each row stores a copy of the sample, which the caller's array
         # no longer reaches
@@ -78,7 +89,7 @@ class TestRecordSample:
         assert [entries(w)[0][1] for w in windows] == [0.5, 0.25]
         bank = blank_bank(3, 2, 2)
         x = np.array([3.0, 4.0])
-        bank.push(x, np.array([0.5, 0.25]))
+        bank.record(x, np.array([0.5, 0.25]))
         x[0] = 99.0
         windows = [bank.window(row) for row in range(2)]
         assert [entries(w)[0][0].tolist() for w in windows] == [[3.0, 4.0]] * 2
@@ -86,25 +97,28 @@ class TestRecordSample:
 
     def test_returns_every_departure(self):
         first = np.array([1.0, 1.0])
-        bank = blank_bank(2, 2, 3)
-        bank.window(0).push(first, 0.0)
-        bank.window(1).push(first, 0.7)
+        blank = [0.0, 0.0]
+        bank, system = blank_bank(2, 2, 3), Downdates()
+        bank.forget(system, first, np.array([0.0, 0.7, 0.9]))
+        bank.forget(system, np.array([1.0, 2.0]), np.array([0.5, 0.5, 0.4]))
+        # while the rings fill, every row departs its blank head slot
+        assert [(start, xs.tolist(), ws) for start, xs, ws in system.row_calls] \
+            == [(0, [blank] * 3, [0.0] * 3)] * 2
+        # row 2 restarts blank, rows 0 and 1 keep their full rings
+        bank.set_rows(np.array([0, 1, 3]))
         windows = [bank.window(row) for row in range(3)]
-        # no ring is full yet: every row departs its blank head slot
-        xs, ws = bank.push(np.array([1.0, 2.0]), np.array([0.5, 0.5, 0.4]))
-        assert xs.tolist() == [[0.0, 0.0]] * 3 and ws.tolist() == [0.0] * 3
-        xs, ws = bank.push(np.array([1.0, 3.0]), np.array([0.1, 0.2, 0.3]))
+        for step in (3.0, 4.0, 5.0):
+            bank.forget(system, np.array([1.0, step]), np.array([0.1, 0.2, 0.3]))
         # row 0 departs a zero-weight sample, row 1 a weighted one, and
-        # row 2, not full yet, a blank slot
-        assert xs.tolist() == [first.tolist(), first.tolist(), [0.0, 0.0]]
-        assert ws.tolist() == [0.0, 0.7, 0.0]
+        # row 2, not full yet, a blank slot; then every row its oldest
+        assert [(xs.tolist(), ws) for _, xs, ws in system.row_calls[2:]] == [
+            ([first.tolist(), first.tolist(), blank], [0.0, 0.7, 0.0]),
+            ([[1.0, 2.0], [1.0, 2.0], blank], [0.5, 0.5, 0.0]),
+            ([[1.0, 3.0]] * 3, [0.1, 0.2, 0.3])]
         assert [len(w) for w in windows] == [2, 2, 2]
-        # the departed samples are copies, not views of the ring slots
-        bank.push(np.array([1.0, 4.0]), np.array([0.1, 0.2, 0.3]))
-        assert xs.tolist() == [first.tolist(), first.tolist(), [0.0, 0.0]]
         # a pair downdates every eviction, weighted or not, once its rings
         # are full
-        bank, system = blank_bank(1, 2, 2), PairDowndates()
+        bank, system = blank_bank(1, 2, 2), Downdates()
         bank.forget_pair(system, 0, first, 0.0, 0.0)
         assert system.calls == []
         bank.forget_pair(system, 0, np.array([1.0, 2.0]), 0.0, 0.6)
@@ -144,7 +158,7 @@ class RowModel:
         self.bank = WindowBank(capacity, k)
         self.oracles = []  # the oracle of each bank row
         self.n = 0         # rules
-        self.system = PairDowndates()
+        self.system = Downdates()
         self.samples = 0
         self.k = k
 
@@ -216,15 +230,25 @@ class RowModel:
         for oracle, side_ok, weight in zip((slow, fast), ok, old_w):
             oracle.skipped += not side_ok and weight != 0.0
 
-    def push_leading(self, weights):
+    def push_leading(self, weights, ok):
         x = self.next_sample()
-        xs, ws = self.bank.push(x, np.array(weights))
+        calls = self.system.row_calls
+        before = len(calls)
+        self.system.ok_rows = ok
+        self.bank.forget(self.system, x, np.array(weights))
         outs = [oracle.push(x, w) for oracle, w in zip(self.oracles, weights)]
-        # a ring that is not full departs a blank slot
+        # one downdate over every leading row; a ring that is not full
+        # departs a blank slot
         blank = (np.zeros(self.k), 0.0)
         expected = [blank if out is None else out for out in outs]
+        (start, xs, ws), = calls[before:]
+        assert start == 0
         assert xs.tobytes() == b"".join(x.tobytes() for x, _ in expected)
-        assert ws.tolist() == [w for _, w in expected]
+        assert ws == [w for _, w in expected]
+        # a row whose guard trips counts a skip; one departing weight 0
+        # never trips
+        for oracle, row_ok, (_, weight) in zip(self.oracles, ok, expected):
+            oracle.skipped += not row_ok and weight != 0.0
 
     def skip(self, row):
         self.bank.window(row).state[2] += 1
@@ -240,9 +264,11 @@ class RowModel:
             assert [w for _, w in got] == [w for _, w in oracle.entries]
             for (x, _), (ox, _) in zip(got, oracle.entries):
                 assert x.tobytes() == ox.tobytes()
-        # a pair's two rows move in lockstep
+        # a pair's two rows move in lockstep, and the leading rows share
+        # one recorded count
         pairs = bank.state[:2, self.n:]
         assert np.array_equal(pairs[:, ::2], pairs[:, 1::2])
+        assert (bank.state[0, :self.n] == bank.state.item(0, 0)).all()
         xs, ws = bank.entries()
         flat = [entry for oracle in self.oracles for entry in oracle.entries]
         assert ws.tolist() == [w for _, w in flat]
@@ -258,8 +284,9 @@ GUARDS = st.sampled_from([(True, True), (True, False), (False, True),
 
 
 class TestWindowBank:
+    # max_examples comes from the hypothesis profile (tests/conftest.py)
     @given(capacity=st.integers(1, 6), data=st.data())
-    @settings(max_examples=60, deadline=None)
+    @settings(deadline=None)
     def test_rings_match_a_deque_oracle(self, capacity, data):
         model = RowModel(capacity, k=3)
         model.birth()
@@ -273,8 +300,9 @@ class TestWindowBank:
                                 data.draw(WEIGHTS), data.draw(WEIGHTS),
                                 data.draw(GUARDS))
             elif op == "principal":
-                model.push_leading(data.draw(st.lists(WEIGHTS, min_size=n,
-                                                      max_size=n)))
+                model.push_leading(
+                    data.draw(st.lists(WEIGHTS, min_size=n, max_size=n)),
+                    data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
             elif op == "birth" and n < 4:
                 model.birth()
             elif op in ("naive", "global") and n < 4:
@@ -310,12 +338,14 @@ class TestWindowBank:
             WindowBank(3, 2).load([(np.ones((4, 2)), np.ones(4), 0)])
 
     def test_window_read_from_a_snapshot_pushes_in_order(self):
-        # a loaded window holds its entries in the leading slots, its head
-        # just past them
+        # a loaded window holds its entries in its last slots, its recorded
+        # count at 0, so its head is the blank slot 0
         bank = WindowBank(3, 2)
         bank.load([(np.array([[1.0, 1.0], [1.0, 2.0]]), np.array([0.5, 0.25]), 0),
                    (np.empty((0, 2)), np.empty(0), 2)])
-        assert bank.state.tolist() == [[2, 0], [2, 0], [0, 2]]
+        assert bank.state.tolist() == [[0, 0], [2, 0], [0, 2]]
+        assert bank.weights.tolist() == [[0.0, 0.5, 0.25], [0.0] * 3]
+        assert bank.samples[0].tolist() == [[0.0, 0.0], [1.0, 1.0], [1.0, 2.0]]
         window = bank.window(0)
         assert window.push(np.array([1.0, 3.0]), 0.125) is None
         evicted = window.push(np.array([1.0, 4.0]), 1.0)
@@ -332,10 +362,65 @@ class TestWindowBank:
         bank.set_rows(np.array([1, 2]))
         window = bank.window(0)
         assert entries(window)[0][1] == 0.5 and window.skipped == 1
+        # the repack puts the entry in the last slot, recorded 0 and held 1
+        assert bank.weights.tolist() == [[0.0, 0.5], [0.0, 0.0]]
+        assert bank.state.tolist() == [[0, 0], [1, 0], [1, 0]]
         # the window read from the bank reads and writes its ring
         window.push(np.array([3.0, 4.0]), 0.25)
-        assert bank.weights.tolist() == [[0.5, 0.25], [0.0, 0.0]]
-        assert bank.state.tolist() == [[0, 0], [2, 0], [1, 0]]
+        assert bank.weights.tolist() == [[0.25, 0.5], [0.0, 0.0]]
+        assert bank.state.tolist() == [[1, 0], [1, 0], [1, 0]]
+        assert [w for _, w in entries(window)] == [0.5, 0.25]
+
+    def test_set_rows_and_load_lay_out_the_same_entries_alike(self):
+        cap = 3
+        bank = blank_bank(cap, 2, 5)
+        # the leading rows wrap their rings, the pair fills 2 of 3 slots
+        # and row 4 stays empty
+        for i in range(5):
+            bank.record(np.array([1.0, i]), np.array([0.5 + i, 0.25 * i]))
+        for i in range(2):
+            bank.record(np.array([2.0, i]), (0.125 * i, 1.0), 2)
+        bank.state[2] = [1, 2, 3, 4, 5]
+        held = [(*bank.entries(row, row + 1), bank.state.item(2, row))
+                for row in range(5)]
+        bank.set_rows(np.arange(5))
+        loaded = WindowBank(cap, 2)
+        loaded.load(held)
+        # every row's entries end in its last slot, blanks before them, and
+        # its recorded count is 0
+        for repacked in (bank, loaded):
+            assert repacked.state.tolist() == [[0] * 5, [3, 3, 2, 2, 0],
+                                               [1, 2, 3, 4, 5]]
+            for row, (xs, ws, _) in enumerate(held):
+                fill = len(ws)
+                assert repacked.samples[row, cap - fill:].tobytes() == xs.tobytes()
+                assert repacked.weights[row, cap - fill:].tolist() == ws.tolist()
+                assert not repacked.samples[row, :cap - fill].any()
+                assert not repacked.weights[row, :cap - fill].any()
+        assert bank.samples.tobytes() == loaded.samples.tobytes()
+        assert bank.weights.tobytes() == loaded.weights.tobytes()
+        assert bank.state.tobytes() == loaded.state.tobytes()
+
+    @pytest.mark.parametrize("strategy", ["naive", "global"])
+    def test_pair_ring_turned_principal_evicts_its_oldest_entry(self, strategy):
+        model = RowModel(3, k=2)
+        model.birth()
+        model.birth()
+        # rule 0's pair wraps its rings; the leading rows and rule 1's pair
+        # record out of step with it
+        for _ in range(4):
+            model.push_pair(0, 0.5, 0.25, (True, True))
+        model.push_pair(1, 1.0, 0.5, (True, True))
+        model.push_leading([1.0, 0.5], [True, True])
+        # rule 0's slow and fast rings become principal rows 0 and 1
+        model.drift(0, strategy)
+        model.check()
+        oldest = [model.oracles[row].entries[0] for row in (0, 1)]
+        model.push_leading([0.25, 0.25, 0.25], [True] * 3)
+        _, xs, ws = model.system.row_calls[-1]
+        for row, (x, weight) in enumerate(oldest):
+            assert xs[row].tobytes() == x.tobytes() and ws[row] == weight
+        model.check()
 
 
 def forgetting_rows(ws, n=1, d=2, c=2, omega=100.0):
@@ -450,7 +535,7 @@ class TestDdfUpdate:
         # direction, putting 1 - w x'Cx inside the guard band
         system, bank = forgetting_rows(1, d=1, c=1)
         system._corrs[0] = [[1.0 + 1e-9, 0.0], [0.0, 1.0]]
-        bank.push(np.array([1.0, 0.0]), np.array([1.0]))
+        bank.record(np.array([1.0, 0.0]), np.array([1.0]))
         corr_before = system._corrs.copy()
         coeffs_before = system._coeffs.copy()
         ddf_step(system, bank, np.array([0.0, 1.0]), np.zeros(1), np.array([0.0]))
@@ -500,6 +585,48 @@ class TestForgetMatchesPerRowDowndates:
             assert system._coeffs.tobytes() == oracle._coeffs.tobytes()
             assert bank.counts()[1].tolist() == skipped
         assert skipped[0] == 1
+
+
+class TestDowndateOnRingViews:
+    """forget hands downdate_rows the departing slots as strided views of
+    the rings, not copies; the kernel must give the bits of copies."""
+
+    @staticmethod
+    def assert_views_match_copies(system, bank):
+        head = bank.state.item(0, 0) % bank.capacity
+        xs, ws = bank.samples[:, head], bank.weights[:, head]
+        assert np.shares_memory(xs, bank.samples)
+        assert np.shares_memory(ws, bank.weights)
+        if xs.shape[0] > 1:
+            assert not xs.flags.c_contiguous and not ws.flags.c_contiguous
+        reference = copy.deepcopy(system)
+        ok = system.downdate_rows(xs, ws)
+        ok_copy = reference.downdate_rows(xs.copy(), ws.copy())
+        assert ok.tobytes() == ok_copy.tobytes()
+        assert system._corrs.tobytes() == reference._corrs.tobytes()
+        return ok
+
+    @pytest.mark.parametrize("d", [1, 3, 10])
+    def test_strided_views_match_contiguous_copies(self, d):
+        rng = np.random.default_rng(40 + d)
+        capacity = 4
+        for _ in range(40):
+            n = int(rng.integers(1, 12))
+            system, bank = forgetting_rows(capacity, n=n, d=d)
+            for step in range(int(rng.integers(capacity, 2 * capacity))):
+                x = augment(rng.standard_normal(d))
+                weights = rng.choice([0.0, 0.25, 1.0], size=n)
+                system.wrls_step(x, weights, np.eye(2)[step % 2])
+                bank.record(x, weights)
+            self.assert_views_match_copies(system, bank)
+
+    def test_tripped_row_in_the_mask(self):
+        system, bank = forgetting_rows(2, n=2, d=1, c=1)
+        bank.record(np.array([1.0, 0.0]), np.array([1.0, 0.5]))
+        bank.record(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
+        system._corrs[:] = NEAR_SINGULAR
+        ok = self.assert_views_match_copies(system, bank)
+        assert ok.tolist() == [False, True]
 
 
 # a correlation whose downdate by weight 1.0 along (1, 0) has the
