@@ -30,14 +30,12 @@ from .evaluation import (
     build_stream,
     load_results,
     mcnemar,
-    periodic_holdout,
     persist_results,
     resolve_chunk_sizes,
     results_payload,
     run_experiment,
 )
 from .fis import NonFiniteInputError
-from .learner import AnticipatingClassifier
 from .snapshot import SnapshotError
 from .streams import PRESETS, Stream, StreamParseError, save_csv
 
@@ -155,13 +153,14 @@ def cmd_compare(args) -> int:
     else:
         ks_values = [None]
 
+    stream = build_stream(cfg_a)  # the same for both (_same_stream)
     for ks in ks_values:
         run_a, run_b = cfg_a, cfg_b
         if ks is not None:
             run_a = replace(cfg_a, learner=replace(cfg_a.learner, ks=ks))
             run_b = replace(cfg_b, learner=replace(cfg_b.learner, ks=ks))
-        out_a = run_experiment(run_a)
-        out_b = run_experiment(run_b)
+        out_a = run_experiment(run_a, stream)
+        out_b = run_experiment(run_b, stream)
         label = f"ks={ks:g} " if ks is not None else ""
         _compare_row(label, out_a.result.predictions, out_b.result.predictions,
                      out_a.result.truths,
@@ -177,15 +176,6 @@ def _validation_slice(stream: Stream, trs: int, tes: int) -> Stream:
             f"train+test period ({trs + tes}); shrink trs/tes or grow the stream")
     return Stream(X=stream.X[:n_val], y=stream.y[:n_val], meta=dict(stream.meta),
                   label_names=stream.label_names)
-
-
-def _validation_run(cfg: ExperimentConfig, stream: Stream,
-                    trs: int, tes: int) -> tuple[float, int]:
-    learner = AnticipatingClassifier(
-        stream.n_features, stream.n_classes, cfg.learner)
-    result = periodic_holdout(learner, stream, trs, tes,
-                              standardize=cfg.standardize)
-    return result.mean_accuracy, result.final_rules
 
 
 def cmd_tune(args) -> int:
@@ -205,7 +195,8 @@ def cmd_tune(args) -> int:
     rows = []
     for ks in KS_GRID:
         trial = replace(cfg, learner=replace(cfg.learner, ks=ks))
-        acc, rules = _validation_run(trial, stream, trs, tes)
+        result = run_experiment(trial, stream).result
+        acc, rules = result.mean_accuracy, result.final_rules
         rows.append((ks, acc, rules))
         print(f"ks={ks:.2f} accuracy={acc:.4f} rules={rules}"
               + ("" if rules <= budget else f" (over budget {budget})"))
@@ -217,7 +208,8 @@ def cmd_tune(args) -> int:
     best_acc = None
     for ws in WS_GRID:
         trial = replace(cfg, learner=replace(cfg.learner, ks=best_ks, ws=ws))
-        acc, rules = _validation_run(trial, stream, trs, tes)
+        result = run_experiment(trial, stream).result
+        acc, rules = result.mean_accuracy, result.final_rules
         print(f"ws={ws} accuracy={acc:.4f} rules={rules}")
         if best_acc is None or acc > best_acc:
             best_acc, best_ws = acc, ws

@@ -120,6 +120,8 @@ class ExperimentConfig:
             raise ConfigError("noise must be in [0, 1)")
         if not (0.0 <= self.flip_prob <= 1.0):
             raise ConfigError("flip_prob must be in [0, 1]")
+        if not (0.0 <= self.drift_mag < math.inf):
+            raise ConfigError("drift_mag must be nonnegative and finite")
         if self.swaps:
             self.swap_positions()  # raises on malformed input
 

@@ -170,10 +170,13 @@ def build_stream(cfg: ExperimentConfig) -> Stream:
                        flip_prob=cfg.flip_prob, swaps=swaps)
 
 
-def run_experiment(cfg: ExperimentConfig) -> ExperimentOutcome:
-    """Generate/load the stream, train the learner, return everything."""
+def run_experiment(cfg: ExperimentConfig,
+                   stream: Stream | None = None) -> ExperimentOutcome:
+    """Run cfg's periodic hold-out on ``stream``, by default the one cfg
+    generates or loads, and return everything."""
     cfg.validate()
-    stream = build_stream(cfg)
+    if stream is None:
+        stream = build_stream(cfg)
     trs, tes = resolve_chunk_sizes(cfg)
     if len(stream) < trs + tes:
         raise ConfigError(

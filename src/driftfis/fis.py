@@ -64,6 +64,19 @@ class NonFiniteInputError(ValueError):
     rule that the distances overflow and all memberships vanish."""
 
 
+def membership_sum(x: np.ndarray, betas: np.ndarray) -> float:
+    """The sum of x's memberships ``betas``, the one non-finite input check
+    of a model with rules: NonFiniteInputError unless it is finite and
+    positive, which a NaN or infinite feature (each membership NaN or 0)
+    or overflowing distances make it not."""
+    total = float(np.add.reduce(betas))
+    if not 0.0 < total < math.inf:
+        raise NonFiniteInputError(
+            f"sample {x.tolist()} has no finite positive membership sum "
+            f"({total!r}); a feature is not finite or its distances overflow")
+    return total
+
+
 def augment(x: np.ndarray) -> np.ndarray:
     """Prepend the constant 1 so affine consequents become a single matmul."""
     out = np.empty(x.shape[0] + 1)
@@ -290,16 +303,12 @@ class FuzzySystem:
         """Membership-weighted mixture of the per-rule affine class outputs.
 
         Raises NonFiniteInputError when the membership sum is not finite
-        and positive: a NaN or infinite feature, or a sample whose
-        distances overflow, would otherwise score NaN for every class.
+        and positive (membership_sum): a NaN or infinite feature, or
+        overflowing distances, would otherwise score NaN for every class.
         """
         betas = self.memberships(x)
-        total = float(np.add.reduce(betas))
-        if not 0.0 < total < math.inf:
-            raise NonFiniteInputError(
-                f"sample {x.tolist()} has no finite positive membership sum "
-                f"({total!r}); a feature is not finite or its distances overflow")
-        return self.scores_from_memberships(betas, augment(x), total)
+        return self.scores_from_memberships(betas, augment(x),
+                                            membership_sum(x, betas))
 
     def predict_class(self, x: np.ndarray) -> int:
         """Argmax class; ties resolve to the lowest class index."""

@@ -36,7 +36,7 @@ import numpy as np
 
 from .anticipation import AnticipatedPair, DriftEvent, SubRule, spawn_pair
 from .config import LearnerConfig
-from .fis import FuzzySystem, NonFiniteInputError, Rows, seed_row
+from .fis import FuzzySystem, NonFiniteInputError, Rows, membership_sum, seed_row
 from .forgetting import WindowBank
 
 # Scoring only the winner's pair takes a second membership call; it pays
@@ -88,7 +88,6 @@ class AnticipatingClassifier:
         self._targets: np.ndarray | None = None
         self._x_aug = np.empty(n_features + 1)
         self._x_aug[0] = 1.0
-        self._rows3 = np.empty(3, dtype=np.intp)
         self._resize_buffers()
 
     # -- public surface ------------------------------------------------
@@ -130,21 +129,23 @@ class AnticipatingClassifier:
 
         A NaN or infinite feature, or a sample so far from every rule that
         all memberships vanish, raises NonFiniteInputError before any state
-        changes; a label that is no class index raises UnknownClassError,
-        also before any state changes.
+        changes: the founding sample's features are checked directly, any
+        later sample's through its membership sum (fis.membership_sum), as
+        in predict_one. A label that is no class index raises
+        UnknownClassError, also before any state changes.
         """
         x = self._check_features(x)
-        # a finite sum proves every feature finite; the exact test runs only
-        # when it is not, because a sum of finite features can overflow
-        if not math.isfinite(sum(x.tolist())) and not np.isfinite(x).all():
-            raise NonFiniteInputError(f"features must be finite, got {x.tolist()}")
         cfg = self.config
         system = self.system
 
         n = len(system)
         if not n:
             # Founding sample: nothing to predict from, so the model's
-            # answer is the sample's own class by construction.
+            # answer is the sample's own class by construction. It has no
+            # membership sum to check, so its features are checked.
+            if not np.isfinite(x).all():
+                raise NonFiniteInputError(
+                    f"features must be finite, got {x.tolist()}")
             y = self._check_label(y)
             self._give_birth(x, y)
             self.samples_seen += 1
@@ -152,13 +153,9 @@ class AnticipatingClassifier:
 
         every = system.memberships_all(x) if self._fused else None
         betas = system.memberships_all(x, n) if every is None else every[:n]
-        bsum = float(np.add.reduce(betas))
-        # every weight below divides by bsum (or by the pair denominator),
-        # so check it before the label check can grow the classes
-        if not 0.0 < bsum < math.inf:
-            raise NonFiniteInputError(
-                f"sample {x.tolist()} has no finite positive membership sum "
-                f"({bsum!r}); its distances overflow")
+        # every weight below divides by bsum (or the pair denominator); the
+        # check runs before the label check can grow the classes
+        bsum = membership_sum(x, betas)
         y = self._check_label(y)
         x_aug = self._x_aug
         x_aug[1:] = x
@@ -202,14 +199,8 @@ class AnticipatingClassifier:
 
         # Premise advance: the winner and its pair blend the sample in,
         # every other row keeps alpha 0. The horizon follows from the role.
-        alphas = self._alphas
-        for row in self._stale_rows:
-            alphas[row, 0] = 0.0
-        self._stale_rows = (winner, row_slow, row_fast)
-        rows = self._rows3
-        rows[0] = winner
-        rows[1] = row_slow
-        rows[2] = row_fast
+        alphas = np.zeros((system.n_rows, 1))
+        rows = np.array((winner, row_slow, row_fast), dtype=np.intp)
         hits = system.hits
         for row, horizon in ((winner, None), (row_slow, cfg.tmax1),
                              (row_fast, cfg.tmax2)):
@@ -325,9 +316,6 @@ class AnticipatingClassifier:
         """Fit the per-sample scratch arrays to the current stacks."""
         n = len(self.system)
         d = self.system.n_features
-        self._alphas = np.zeros((self.system.n_rows, 1))
-        # rows of _alphas written last sample, zeroed lazily next sample
-        self._stale_rows: tuple = ()
         # WRLS rows (every principal rule, then the winner's pair) and
         # their weights, in matching order
         self._wrows = np.arange(n + 2, dtype=np.intp)

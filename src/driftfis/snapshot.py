@@ -33,7 +33,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .anticipation import DriftEvent
-from .config import STRATEGIES, LearnerConfig
+from .config import LearnerConfig
 from .fis import Rows
 from .learner import AnticipatingClassifier
 from .linalg import regularized_inverse_stack
@@ -105,17 +105,13 @@ def _pair_entry(learner: AnticipatingClassifier, i: int) -> dict:
 
 
 def state_dict(learner: AnticipatingClassifier) -> dict:
-    """Full model state as a JSON-serializable dictionary."""
-    state = _state_skeleton(learner)
-    ids = learner.system.ids.tolist()
-    state["rules"] = [_rule_entry(learner, i) for i in range(len(ids))]
-    state["anticipations"] = {str(rule_id): _pair_entry(learner, i)
-                              for i, rule_id in enumerate(ids)}
-    return state
+    """Full model state as a JSON-serializable dictionary: the canonical
+    JSON that save_model writes, read back."""
+    return json.loads("".join(_canonical_text(learner)))
 
 
 def _state_skeleton(learner: AnticipatingClassifier) -> dict:
-    """state_dict with its two bulky entries, rules and anticipations, None."""
+    """The state with its two bulky entries, rules and anticipations, None."""
     return {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
@@ -140,8 +136,10 @@ def from_state_dict(state: dict) -> AnticipatingClassifier:
     symmetric, a correlation matrix or a covariance with its ridge,
     S + r I, that is not positive definite, a -0.0 correlation or
     coefficient entry, a negative count
-    or a non-integer one, a class outside 0..n_classes-1, and a drift
-    naming an unknown rule id or strategy.
+    or a non-integer one, a class outside 0..n_classes-1, and a drift the
+    learner cannot have logged: one naming an unknown rule id, another
+    strategy than the config's, a separation not above ks, or a sample
+    index not past the previous drift's and below samples_seen.
     """
     if state.get("format") != FORMAT_NAME:
         raise SnapshotError(f"not a {FORMAT_NAME} snapshot")
@@ -165,15 +163,19 @@ def _learner_from_state(state: dict) -> AnticipatingClassifier:
     learner.next_rule_id = _integer(state["next_rule_id"], "next_rule_id",
                                     high=np.iinfo(np.int64).max)
     learner.drift_log = [DriftEvent(**event) for event in state["drift_log"]]
+    # learn_one logs at most one drift per sample, each past ks
+    after = 0
     for event in learner.drift_log:
-        _integer(event.sample_index, "a drift's sample_index")
+        after = 1 + _integer(event.sample_index, "a drift's sample_index",
+                             after, learner.samples_seen - 1)
         _integer(event.rule_id, "a drift's rule_id", 0, learner.next_rule_id - 1)
-        if event.strategy not in STRATEGIES:
-            raise ValueError(f"a drift's strategy {event.strategy!r} is not "
-                             f"one of {STRATEGIES}")
-        if type(event.separation) not in (int, float):
+        if event.strategy != config.strategy:
+            raise ValueError(f"a drift's strategy {event.strategy!r} differs "
+                             f"from the config's {config.strategy!r}")
+        if (type(event.separation) not in (int, float)
+                or not event.separation > config.ks):
             raise ValueError(f"a drift's separation {event.separation!r} "
-                             f"is not a number")
+                             f"is not a number above ks {config.ks!r}")
     rules = state["rules"]
     ids = [_integer(rule["id"], "a rule id") for rule in rules]
     born = [_integer(rule["born_class"], "born_class", 0, c - 1) for rule in rules]
@@ -265,7 +267,7 @@ def _learner_from_state(state: dict) -> AnticipatingClassifier:
 
 
 def save_model(learner: AnticipatingClassifier, path: str) -> None:
-    """Stream the canonical JSON of state_dict and a newline to ``path``."""
+    """Stream the canonical JSON of the state and a newline to ``path``."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(_canonical_text(learner))
         fh.write("\n")
@@ -283,7 +285,7 @@ def load_model(path: str) -> AnticipatingClassifier:
 
 
 def model_state_hash(learner: AnticipatingClassifier) -> str:
-    """SHA-256 over the canonical JSON of state_dict, as a hex string.
+    """SHA-256 over the canonical JSON of the state, as a hex string.
 
     The text is the one save_model writes, fed to the hash one rule or
     shadow pair at a time. Equal iff the serialized states are equal; the
@@ -300,7 +302,8 @@ def model_state_hash(learner: AnticipatingClassifier) -> str:
 
 
 def _canonical_text(learner: AnticipatingClassifier):
-    """``json.dumps(state_dict(learner), sort_keys=True)``, one entry at a time."""
+    """The state's canonical JSON (sorted keys, json.dumps separators), one
+    rule or shadow pair at a time."""
     dumps = _CANONICAL.encode
     state = _state_skeleton(learner)
     ids = [str(rule_id) for rule_id in learner.system.ids.tolist()]

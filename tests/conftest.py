@@ -4,8 +4,8 @@
 examples every time and a failure reproduces; select it with
 ``pytest --hypothesis-profile=ci``. Without it, hypothesis draws fresh
 examples on every run. ``ci-deep`` is ``ci`` at 1,000 examples per
-property test, for a focused run of one class, such as
-``tests/test_forgetting.py::TestWindowBank`` in CI.
+property test, for a focused run of a few of them, as CI runs the
+window ring, learn step and round-trip property tests.
 
 The header names the numpy version and, when numpy's BLAS is a bundled
 OpenBLAS, the core type its kernels were picked for. The state hashes the

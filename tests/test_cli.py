@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from driftfis import AnticipatingClassifier, cli, load_model
+from driftfis import AnticipatingClassifier, cli, evaluation, load_model
 from driftfis.evaluation import RESULTS_FORMAT, load_results
 from driftfis.snapshot import state_dict
 from driftfis.streams import make_stream
@@ -144,6 +144,19 @@ class TestRun:
         assert "train+test period" in capsys.readouterr().err
         assert not list(outdir.iterdir())
 
+    @pytest.mark.parametrize("drift_mag", ["-0.001", "inf"])
+    def test_drift_mag_out_of_range_is_a_config_error(self, outdir, capsys,
+                                                      drift_mag):
+        # a negative step would give a static plane, an infinite one NaN
+        # weights
+        assert cli.main(["run", "--dataset", "hyperplane", "--n-samples", "600",
+                         "--drift-mag", drift_mag]) == 2
+        assert "drift_mag" in capsys.readouterr().err
+        assert cli.main(["generate", "--dataset", "hyperplane",
+                         "--drift-mag", drift_mag]) == 2
+        assert "drift_mag" in capsys.readouterr().err
+        assert not list(outdir.iterdir())
+
     def test_unknown_config_key_fails(self, outdir, tmp_path, capsys):
         path = tmp_path / "typo.cfg"
         path.write_text("datset=line\n", encoding="utf-8")
@@ -266,6 +279,23 @@ class TestCompare:
         assert lines[0].startswith("ks=0.5 ")
         assert lines[1].startswith("ks=0.8 ")
         assert all("K=" in line for line in lines)
+
+    def test_sweep_ks_builds_the_stream_once(self, tmp_path, capsys,
+                                             monkeypatch):
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return make_stream(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "make_stream", counting)
+        cfg_a = write_config(tmp_path, "a.cfg", **fast_line_values())
+        cfg_b = write_config(tmp_path, "b.cfg",
+                             **fast_line_values(strategy="global"))
+        assert cli.main(["compare", "--config-a", cfg_a, "--config-b", cfg_b,
+                         "--sweep-ks", "0.5,0.8"]) == 0
+        assert len(built) == 1
+        assert len(capsys.readouterr().out.strip().splitlines()) == 2
 
     def test_sweep_ks_rejects_garbage(self, tmp_path, capsys):
         cfg = write_config(tmp_path, **fast_line_values())

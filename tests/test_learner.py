@@ -175,6 +175,26 @@ class TestUpdates:
         assert model_state_hash(self.learner) == digest
 
 
+def _criterion_9_stream():
+    """The opening of test_criterion_9_throughput's stream: two 4-D blobs."""
+    rng = np.random.default_rng(909)
+    centers = np.array([[0.0] * 4, [4.0] * 4])
+    y = rng.integers(0, 2, 3000)
+    X = centers[y] + rng.normal(0.0, 1.0, (3000, 4))
+    return 4, LearnerConfig(ks=5.0, ws=50), X, y
+
+
+def _sea_stream():
+    stream = gen_sea(2400, seed=0)  # concept drifts at 600, 1200, 1800
+    return 3, LearnerConfig(ks=0.4), stream.X, stream.y
+
+
+def _plane10d_prefix():
+    stream = gen_plane10d(1200, seed=0)
+    return 10, LearnerConfig(strategy="global", forgetting_mode="forget_ps"), \
+        stream.X, stream.y
+
+
 class TestValidation:
     def test_wrong_feature_count_raises(self):
         learner = make_learner()
@@ -261,15 +281,40 @@ class TestValidation:
     @pytest.mark.parametrize("n_trained", [0, 60])
     @pytest.mark.parametrize("bad", [[math.nan, 0.0], [0.0, math.inf],
                                      [-math.inf, math.nan]])
-    def test_non_finite_features_rejected_before_any_change(self, n_trained, bad):
-        learner = make_learner(ks=0.6, nmin=3, allow_class_growth=True)
-        X, y = two_blob_stream(np.random.default_rng(8), n_trained)
+    def test_non_finite_features_rejected_before_any_change(
+            self, monkeypatch, n_trained, bad):
+        # a founding sample meets the feature check, any later one the
+        # membership-sum check, in either membership pass
+        for skipped in (math.inf, -1):  # one pass, then two
+            monkeypatch.setattr(learner_module, "_SPLIT_MIN_SKIPPED", skipped)
+            learner = make_learner(ks=0.6, nmin=3, allow_class_growth=True)
+            X, y = two_blob_stream(np.random.default_rng(8), n_trained)
+            train(learner, X, y)
+            if n_trained:
+                assert learner._fused == (skipped == math.inf)
+            digest = model_state_hash(learner)
+            with pytest.raises(NonFiniteInputError):
+                learner.learn_one(bad, 5)  # a new label would grow the classes
+            assert model_state_hash(learner) == digest
+            assert learner.system.n_classes == 2
+
+    @pytest.mark.parametrize("skipped", [math.inf, -1], ids=["fused", "split"])
+    @pytest.mark.parametrize("make", [_sea_stream, _plane10d_prefix])
+    def test_non_finite_feature_at_any_position_rejected(self, monkeypatch,
+                                                         skipped, make):
+        monkeypatch.setattr(learner_module, "_SPLIT_MIN_SKIPPED", skipped)
+        d, cfg, X, y = make()
+        learner = AnticipatingClassifier(d, 2, cfg)
         train(learner, X, y)
-        digest = model_state_hash(learner)
-        with pytest.raises(NonFiniteInputError):
-            learner.learn_one(bad, 5)  # a new label would grow the classes
-        assert model_state_hash(learner) == digest
-        assert learner.system.n_classes == 2
+        assert learner._fused == (skipped == math.inf)
+        before = state_bytes(learner)
+        for position in range(d):
+            for value in (math.nan, math.inf, -math.inf):
+                x = X[-1].copy()
+                x[position] = value
+                with pytest.raises(NonFiniteInputError, match="membership sum"):
+                    learner.learn_one(x, int(y[-1]))
+                assert state_bytes(learner) == before
 
     @pytest.mark.parametrize("wrls_weight", ["normalized", "raw"])
     @pytest.mark.parametrize("label", [0, 5])
@@ -624,26 +669,6 @@ class TestConsistency:
         assert learner.samples_seen == 37
 
 
-def _criterion_9_stream():
-    """The opening of test_criterion_9_throughput's stream: two 4-D blobs."""
-    rng = np.random.default_rng(909)
-    centers = np.array([[0.0] * 4, [4.0] * 4])
-    y = rng.integers(0, 2, 3000)
-    X = centers[y] + rng.normal(0.0, 1.0, (3000, 4))
-    return 4, LearnerConfig(ks=5.0, ws=50), X, y
-
-
-def _sea_stream():
-    stream = gen_sea(2400, seed=0)  # concept drifts at 600, 1200, 1800
-    return 3, LearnerConfig(ks=0.4), stream.X, stream.y
-
-
-def _plane10d_prefix():
-    stream = gen_plane10d(1200, seed=0)
-    return 10, LearnerConfig(strategy="global", forgetting_mode="forget_ps"), \
-        stream.X, stream.y
-
-
 class TestMembershipSwitch:
     """learn_one scores every stacked row in one pass on small stacks and
     splits off the winner's pair on large ones; both give the same bits."""
@@ -701,6 +726,29 @@ class TestMembershipSwitch:
         assert isinstance(outcomes[0][0], int) == (far == 1e150)
 
 
+@pytest.mark.parametrize("make", [_sea_stream, _plane10d_prefix])
+def test_premise_alphas_are_nonzero_on_the_blended_rows_only(monkeypatch,
+                                                           make):
+    # learn_one builds its alphas afresh each sample: the winner's and its
+    # pair's rows carry weight, every other row 0, whatever the last
+    # sample blended. The bench counts the nonzero alphas as rows_active
+    # and must find them equal to the rows re-inverted
+    real = fis.FuzzySystem.advance_premises
+    calls = []
+
+    def recording(self, x, alphas, rows):
+        assert alphas.shape == (self.n_rows, 1)
+        assert np.flatnonzero(alphas).tolist() == sorted(rows.tolist())
+        calls.append(rows.shape[0])
+        return real(self, x, alphas, rows)
+
+    monkeypatch.setattr(fis.FuzzySystem, "advance_premises", recording)
+    d, cfg, X, y = make()
+    learner = AnticipatingClassifier(d, 2, cfg)
+    train(learner, X, y)
+    assert calls and set(calls) == {3}
+
+
 @given(strategy=st.sampled_from(["naive", "global"]),
        mode=st.sampled_from(["none", "forget_am", "forget_ps"]),
        ws=st.integers(1, 6),
@@ -708,7 +756,7 @@ class TestMembershipSwitch:
        round_trip_at=st.integers(1, 159),
        seed=st.integers(0, 2**16),
        am_init=st.sampled_from(["parent", "zero"]))
-@settings(max_examples=40, deadline=None)
+@settings(deadline=None)
 def test_covariance_stacks_stay_exactly_symmetric(
         strategy, mode, ws, late_class_at, round_trip_at, seed, am_init):
     """regularized_inverse_stack inverts the covariance stacks unsymmetrized,

@@ -135,6 +135,18 @@ def _rename_first_rule(state, rule_id):
     state["next_rule_id"] = rule_id + 1
 
 
+def _log_drift(state, **fields):
+    """Append a drift the learner could have logged last, but for
+    ``fields``: at the last sample, of the first rule, under the config's
+    strategy, at twice ks."""
+    event = dict(sample_index=state["samples_seen"] - 1,
+                 rule_id=state["rules"][0]["id"],
+                 strategy=state["config"]["strategy"],
+                 separation=2 * state["config"]["ks"])
+    event.update(fields)
+    state["drift_log"].append(event)
+
+
 def _mirror_break(matrix):
     """Move one off-diagonal entry by one ulp, leaving its mirror as is."""
     matrix[0][1] = math.nextafter(matrix[0][1], math.inf)
@@ -256,12 +268,39 @@ class TestGuards:
         # a class some rule was born in, missing from seen_classes: the
         # next sample of that class would seed a second rule there
         lambda s: s.update(seen_classes=[0]),
+        # drifts the learner cannot log (ks is 0.6): a separation not
+        # above ks, ...
+        lambda s: _log_drift(s, separation=math.nan),
+        lambda s: _log_drift(s, separation=-1.0),
+        lambda s: _log_drift(s, separation=0.0),
+        lambda s: _log_drift(s, separation=0.1),
+        lambda s: _log_drift(s, separation=0.6),
+        # ... a sample not yet seen, two drifts at one sample or out of
+        # order, ...
+        lambda s: _log_drift(s, sample_index=10 ** 9),
+        lambda s: _log_drift(s, sample_index=s["samples_seen"]),
+        lambda s: [_log_drift(s, sample_index=5) for _ in range(2)],
+        lambda s: [_log_drift(s, sample_index=i) for i in (9, 8)],
+        # ... and another strategy than the config's
+        lambda s: _log_drift(s, strategy="naive"),
     ])
     def test_malformed_value_rejected(self, mangle):
         state = state_dict(trained_learner(n=40, forgetting_mode="forget_ps"))
         mangle(state)
         with pytest.raises(SnapshotError):
             from_state_dict(state)
+
+    def test_loggable_drifts_load(self):
+        # the drifts _log_drift makes are valid, so each case above fails
+        # on its one changed field; an infinite separation is loggable
+        learner = trained_learner(n=40, forgetting_mode="forget_ps")
+        state = state_dict(learner)
+        _log_drift(state, sample_index=0)
+        _log_drift(state, sample_index=1, separation=math.inf)
+        _log_drift(state)
+        clone = from_state_dict(state)
+        assert [event.sample_index for event in clone.drift_log] == [0, 1, 39]
+        assert clone.drift_log[1].separation == math.inf
 
     def test_negative_zero_covariance_loads(self):
         # a sample with a -0.0 feature can store -0.0 in a covariance;
@@ -489,7 +528,7 @@ def test_state_bytes_match_compares_every_byte_and_the_length():
        wrls_weight=st.sampled_from(["normalized", "raw"]),
        late_class_at=st.one_of(st.none(), st.integers(100, 159)),
        seed=st.integers(0, 2**16))
-@settings(max_examples=40, deadline=None)
+@settings(deadline=None)
 def test_ring_windows_survive_drifts_and_a_round_trip(
         ws, strategy, mode, am_init, wrls_weight, late_class_at, seed):
     """Small rings wrap often; drifts move them between rows. A third
