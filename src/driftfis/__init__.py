@@ -27,7 +27,6 @@ from .streams import (
     gen_hyperplane,
     gen_plane10d,
     gen_sea,
-    inject_class_swap,
     load_csv,
     make_stream,
     save_csv,
@@ -55,7 +54,6 @@ __all__ = [
     "gen_hyperplane",
     "gen_plane10d",
     "gen_sea",
-    "inject_class_swap",
     "load_csv",
     "load_model",
     "make_stream",

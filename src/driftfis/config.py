@@ -185,17 +185,24 @@ def config_keys() -> list[str]:
 
 
 def parse_config_file(path: str) -> dict[str, str]:
-    """Read a flat KEY=VALUE file; '#' starts a comment, blank lines ignored."""
+    """Read a flat KEY=VALUE file; '#' starts a comment, blank lines ignored.
+
+    A file that is not UTF-8 text raises ConfigError; an unreadable one, OSError.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from exc
     values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"{path}:{lineno}: expected KEY=VALUE, got {line.rstrip()!r}")
-            key, _, value = stripped.partition("=")
-            values[key.strip()] = value.strip()
+    for lineno, line in enumerate(lines, start=1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"{path}:{lineno}: expected KEY=VALUE, got {line.rstrip()!r}")
+        key, _, value = stripped.partition("=")
+        values[key.strip()] = value.strip()
     return values
 
 

@@ -90,16 +90,14 @@ class Premise:
     """Cluster antecedent: center, covariance, cached regularized inverse.
 
     ``hits`` counts the samples that most-activated the rule (including the
-    founding sample). ``horizon`` caps the effective sample count in the
-    fading factor; None means no forgetting. A premise read from a
-    FuzzySystem holds views of its row's arrays and a copy of its count.
+    founding sample). A premise read from a FuzzySystem holds views of its
+    row's arrays and a copy of its count.
     """
 
     center: np.ndarray
     cov: np.ndarray
     cov_inv: np.ndarray
     hits: int
-    horizon: int | None = None
 
 
 @dataclass
@@ -221,10 +219,10 @@ class FuzzySystem:
         return Rows(self._centers, self._covs, self._invs, self.hits,
                     self._corrs, self._coeffs)
 
-    def premise(self, row: int, horizon: int | None = None) -> Premise:
+    def premise(self, row: int) -> Premise:
         """Row ``row``'s premise: views of its arrays, a copy of its hits."""
         return Premise(self._centers[row], self._covs[row], self._invs[row],
-                       int(self.hits[row]), horizon)
+                       int(self.hits[row]))
 
     def consequent(self, row: int) -> Consequent:
         """Row ``row``'s consequent, as views of its arrays."""

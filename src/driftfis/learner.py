@@ -100,15 +100,15 @@ class AnticipatingClassifier:
     def anticipations(self) -> MappingProxyType[int, AnticipatedPair]:
         """Each rule's shadow pair by rule id, as a read-only mapping of
         views of the pair's stack and window rows."""
-        system, windows, cfg = self.system, self.windows, self.config
+        system, windows = self.system, self.windows
 
-        def sub(row, horizon):
-            return SubRule(system.premise(row, horizon), system.consequent(row),
+        def sub(row):
+            return SubRule(system.premise(row), system.consequent(row),
                            windows.window(row))
 
         slow_rows = range(len(system), system.n_rows, 2)
         return MappingProxyType({
-            rule_id: AnticipatedPair(sub(row, cfg.tmax1), sub(row + 1, cfg.tmax2), seen)
+            rule_id: AnticipatedPair(sub(row), sub(row + 1), seen)
             for rule_id, seen, row in zip(system.ids.tolist(), self.pair_seen, slow_rows)})
 
     def predict_one(self, x) -> int:

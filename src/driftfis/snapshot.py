@@ -46,7 +46,7 @@ _CANONICAL = json.JSONEncoder(sort_keys=True)
 
 
 class SnapshotError(ValueError):
-    """Snapshot file is missing, malformed, or from an unknown format."""
+    """Snapshot is malformed or of an unknown format (an unreadable file: OSError)."""
 
 
 def _array(value, shape: tuple[int, ...], what: str) -> np.ndarray:
@@ -277,7 +277,7 @@ def load_model(path: str) -> AnticipatingClassifier:
     try:
         with open(path, encoding="utf-8") as fh:
             state = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SnapshotError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(state, dict):
         raise SnapshotError(f"{path}: expected a JSON object at top level")

@@ -9,6 +9,7 @@ saved to CSV carries a sidecar from which it can be regenerated.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
@@ -91,7 +92,7 @@ def gen_sea(n_samples: int = 100_000, noise: float = 0.0, seed: int = 0) -> Stre
 
 def gen_hyperplane(n_samples: int = 120_000, n_features: int = 4,
                    drift_mag: float = 0.001, flip_prob: float = 0.05,
-                   seed: int = 0, init_weights=None) -> Stream:
+                   seed: int = 0) -> Stream:
     """Rotating hyperplane: class 1 iff w(t).x >= 0.5*sum(w(t)).
 
     Features are uniform on [0,1]. Each weight moves by ``drift_mag`` per
@@ -101,12 +102,7 @@ def gen_hyperplane(n_samples: int = 120_000, n_features: int = 4,
     """
     rng = np.random.default_rng(seed)
     X = rng.uniform(0.0, 1.0, size=(n_samples, n_features))
-    if init_weights is None:
-        w0 = rng.uniform(0.0, 1.0, size=n_features)
-    else:
-        w0 = np.asarray(init_weights, dtype=float)
-        if w0.shape != (n_features,):
-            raise ValueError("init_weights length must equal n_features")
+    w0 = rng.uniform(0.0, 1.0, size=n_features)
     signs0 = np.where(rng.random(n_features) < 0.5, -1.0, 1.0)
     if drift_mag > 0.0:
         reversals = np.where(rng.random((n_samples, n_features)) < flip_prob, -1.0, 1.0)
@@ -222,78 +218,59 @@ def gen_plane10d(n_samples: int = 1200, seed: int = 0, swaps=None) -> Stream:
     return Stream(X=X, y=y, meta=meta)
 
 
-def inject_class_swap(stream: Stream, position: int,
-                      class_a: int = 0, class_b: int = 1) -> Stream:
-    """Copy of the stream with two class labels exchanged from a position on."""
-    if not (0 <= position <= len(stream)):
-        raise ValueError("swap position outside the stream")
-    y = stream.y.copy()
-    tail = slice(position, None)
-    a_mask = stream.y[tail] == class_a
-    b_mask = stream.y[tail] == class_b
-    y_tail = y[tail]
-    y_tail[a_mask] = class_b
-    y_tail[b_mask] = class_a
-    meta = dict(stream.meta)
-    swap_log = list(meta.get("injected_swaps", []))
-    swap_log.append({"position": position, "classes": [class_a, class_b]})
-    meta["injected_swaps"] = swap_log
-    return Stream(X=stream.X.copy(), y=y, meta=meta, label_names=stream.label_names)
-
-
-def load_csv(path: str, frozen_labels: list[str] | None = None) -> Stream:
+def load_csv(path: str) -> Stream:
     """Read a labeled stream: header row, numeric features, label column last.
 
-    Labels map to dense indices in order of first appearance, or to the
-    given ``frozen_labels`` order (unknown labels then fail). Row order is
-    preserved — streams are temporal. A NaN or infinite feature (including
-    one too large for a float) fails with the line it is on.
+    Labels map to dense indices in the class order of the sidecar save_csv
+    writes (a label outside it fails), else in order of first appearance.
+    Row order is preserved — streams are temporal. A NaN or infinite feature
+    (including one too large for a float) fails with the line it is on;
+    text that is not UTF-8 or a malformed sidecar fails naming the file.
     """
-    rows: list[list[float]] = []
-    labels: list[int] = []
-    label_index: dict[str, int] = {}
-    label_names: list[str] = []
-    if frozen_labels is not None:
-        for name in frozen_labels:
-            label_index[name] = len(label_names)
-            label_names.append(name)
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        with open(path, newline="", encoding="utf-8") as fh:
+            text = fh.read()
     except OSError as exc:
         raise StreamParseError(f"{path}: cannot open ({exc})") from exc
-    with fh:
-        reader = csv.reader(fh)
+    except UnicodeDecodeError as exc:
+        raise StreamParseError(f"{path}: not UTF-8 text ({exc})") from exc
+    order = _class_order(path)
+    label_names = list(order or ())
+    label_index = {name: i for i, name in enumerate(label_names)}
+    rows: list[list[float]] = []
+    labels: list[int] = []
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise StreamParseError(f"{path}: empty file (header row required)") from None
+    if len(header) < 2:
+        raise StreamParseError(f"{path}:1: need at least one feature and a label column")
+    n_cols = len(header)
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != n_cols:
+            raise StreamParseError(
+                f"{path}:{lineno}: expected {n_cols} columns, got {len(row)}")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise StreamParseError(f"{path}: empty file (header row required)") from None
-        if len(header) < 2:
-            raise StreamParseError(f"{path}:1: need at least one feature and a label column")
-        n_cols = len(header)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != n_cols:
+            features = [float(v) for v in row[:-1]]
+        except ValueError:
+            raise StreamParseError(
+                f"{path}:{lineno}: non-numeric feature value in {row[:-1]!r}") from None
+        if not all(map(math.isfinite, features)):
+            raise StreamParseError(
+                f"{path}:{lineno}: non-finite feature value in {row[:-1]!r}")
+        label = row[-1].strip()
+        if label not in label_index:
+            if order is not None:
                 raise StreamParseError(
-                    f"{path}:{lineno}: expected {n_cols} columns, got {len(row)}")
-            try:
-                features = [float(v) for v in row[:-1]]
-            except ValueError:
-                raise StreamParseError(
-                    f"{path}:{lineno}: non-numeric feature value in {row[:-1]!r}") from None
-            if not all(map(math.isfinite, features)):
-                raise StreamParseError(
-                    f"{path}:{lineno}: non-finite feature value in {row[:-1]!r}")
-            label = row[-1].strip()
-            if label not in label_index:
-                if frozen_labels is not None:
-                    raise StreamParseError(
-                        f"{path}:{lineno}: unknown label {label!r} "
-                        f"(expected one of {label_names})")
-                label_index[label] = len(label_names)
-                label_names.append(label)
-            rows.append(features)
-            labels.append(label_index[label])
+                    f"{path}:{lineno}: unknown label {label!r} "
+                    f"(expected one of {label_names})")
+            label_index[label] = len(label_names)
+            label_names.append(label)
+        rows.append(features)
+        labels.append(label_index[label])
     if not rows:
         raise StreamParseError(f"{path}: no data rows")
     X = np.array(rows, dtype=float)
@@ -307,15 +284,34 @@ def _sidecar_path(path: str) -> str:
     return base + ".meta.json"
 
 
+def _class_order(path: str) -> list[str] | None:
+    """The class order in the CSV's sidecar; None without a sidecar or when
+    it holds null, as older sidecars of unnamed streams do."""
+    sidecar = _sidecar_path(path)
+    if not os.path.exists(sidecar):
+        return None
+    try:
+        with open(sidecar, encoding="utf-8") as fh:
+            order = json.load(fh)["label_names"]
+        strings = isinstance(order, list) and all(isinstance(n, str) for n in order)
+        if order is not None and not (strings and len(set(order)) == len(order)):
+            raise ValueError(f"label_names {order!r}: not null or distinct strings")
+    except (OSError, ValueError, LookupError, TypeError) as exc:
+        raise StreamParseError(f"{sidecar}: malformed sidecar ({exc})") from exc
+    return order
+
+
 def save_csv(stream: Stream, path: str) -> None:
-    """Write the stream as CSV plus a .meta.json sidecar describing it."""
+    """Write the stream as CSV plus a .meta.json sidecar describing it and
+    its class order: the label names, else "0" to "c-1"."""
     names = stream.label_names
+    if names is None:
+        names = [str(c) for c in range(stream.n_classes)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"f{i}" for i in range(stream.n_features)] + ["label"])
         for features, label in zip(stream.X, stream.y):
-            rendered = names[label] if names is not None else int(label)
-            writer.writerow([repr(float(v)) for v in features] + [rendered])
+            writer.writerow([repr(float(v)) for v in features] + [names[label]])
     sidecar = {
         "meta": stream.meta,
         "n_samples": len(stream),

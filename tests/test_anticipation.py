@@ -30,9 +30,8 @@ def spawn_behind(system, slow_horizon, fast_horizon, window_capacity,
     assert spawn_pair(system, np.array([1]), slow_horizon, fast_horizon,
                       init, omega) is None
     return system.rules[0], AnticipatedPair(*(
-        SubRule(system.premise(row, horizon), system.consequent(row),
-                windows.window(row))
-        for row, horizon in ((1, slow_horizon), (2, fast_horizon))))
+        SubRule(system.premise(row), system.consequent(row), windows.window(row))
+        for row in (1, 2)))
 
 
 class TestSpawnPair:
@@ -52,8 +51,6 @@ class TestSpawnPair:
     def test_horizons_and_hit_caps(self):
         _, pair = spawn_behind(make_system([0.0], hits=1000), 200, 10,
                                window_capacity=50)
-        assert pair.slow.premise.horizon == 200
-        assert pair.fast.premise.horizon == 10
         assert pair.slow.premise.hits == 200
         assert pair.fast.premise.hits == 10
 

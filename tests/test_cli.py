@@ -1,10 +1,12 @@
 """End-to-end tests of the command-line interface (main called in-process)."""
 
 import json
+from dataclasses import fields, replace
 
 import pytest
 
-from driftfis import AnticipatingClassifier, cli, evaluation, load_model
+from driftfis import (AnticipatingClassifier, ExperimentConfig, cli, evaluation,
+                      load_model)
 from driftfis.evaluation import RESULTS_FORMAT, load_results
 from driftfis.snapshot import state_dict
 from driftfis.streams import make_stream
@@ -167,6 +169,20 @@ class TestRun:
         path.write_text("just some words\n", encoding="utf-8")
         assert cli.main(["run", "--config", str(path)]) == 2
 
+    def test_undecodable_config_file_is_a_config_error(self, outdir, tmp_path,
+                                                       capsys):
+        path = tmp_path / "binary.cfg"
+        path.write_bytes(b"dataset=line\nseed=\xff\n")
+        assert cli.main(["run", "--config", str(path)]) == 2
+        assert "binary.cfg: not UTF-8" in capsys.readouterr().err
+
+    def test_undecodable_csv_is_a_data_error(self, outdir, capsys):
+        path = outdir / "binary.csv"
+        path.write_bytes(b"f0,label\n1.0,\xff\n")
+        assert cli.main(["run", "--dataset", str(path), "--trs", "10",
+                         "--tes", "10"]) == 3
+        assert "binary.csv: not UTF-8" in capsys.readouterr().err
+
     def test_malformed_snapshot_is_a_data_error(self, outdir, tmp_path,
                                                 monkeypatch, capsys):
         # no command reads a model file yet, so one is loaded inside "run"
@@ -205,6 +221,34 @@ class TestCompare:
         assert cli.main(["compare", "--config-a", cfg_a,
                          "--config-b", cfg_b]) == 2
         assert "same stream" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", [
+        f.name for f in fields(ExperimentConfig) if f.name not in ("out", "learner")])
+    def test_every_stream_field_tells_streams_apart(self, name):
+        base = ExperimentConfig()
+        other = {str: "x", bool: False, int: 1, float: 0.5}
+        changed = replace(base, **{name: other[type(getattr(base, name))]})
+        assert not cli._same_stream(base, changed)
+        assert cli._same_stream(
+            base, replace(base, out="elsewhere.json",
+                          learner=replace(base.learner, ks=0.3)))
+
+    def test_generated_csv_reads_back_as_its_generator(self, tmp_path, capsys):
+        # seed 2 starts with class 1, which first-appearance indexing of
+        # the CSV's labels would have swapped with class 0
+        stream = ["--n-samples", "2000", "--seed", "2"]
+        csv_path = str(tmp_path / "sea2.csv")
+        assert cli.main(["generate", "--dataset", "sea", *stream,
+                         "--out", csv_path]) == 0
+        res_gen, res_csv = str(tmp_path / "gen.json"), str(tmp_path / "csv.json")
+        assert cli.main(["run", "--dataset", "sea", *stream,
+                         "--out", res_gen]) == 0
+        assert cli.main(["run", "--dataset", csv_path, "--trs", "250",
+                         "--tes", "250", "--out", res_csv]) == 0
+        capsys.readouterr()
+        assert cli.main(["compare", "--results-a", res_gen,
+                         "--results-b", res_csv]) == 0
+        assert "n01=0 n10=0" in capsys.readouterr().out
 
     def test_results_files_worked_example(self, tmp_path, capsys):
         # 15 vs 5 discordant errors: K = 10^2/20 = 5.0, approx verdict,

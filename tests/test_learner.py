@@ -69,7 +69,6 @@ class TestBirths:
         assert learner.samples_seen == 1
         rule = learner.system.rules[0]
         assert np.array_equal(rule.premise.center, [0.5, -0.5])
-        assert rule.premise.horizon is None
         assert rule.id in learner.anticipations
 
     def test_unseen_class_births_rule_and_returns_prior_prediction(self):
@@ -468,7 +467,7 @@ class TestDriftReplacement:
     @staticmethod
     def parts(sub):
         """The bytes of a rule's or sub-rule's premise, consequent and
-        window; the horizon follows from the role, so it is left out."""
+        window."""
         p, c, w = sub.premise, sub.consequent, sub.window
         return {
             "premise": (p.center.tobytes(), p.cov.tobytes(),
@@ -513,9 +512,6 @@ class TestDriftReplacement:
         fast_rule = learner.system.rules[pos + 1]
         assert self.parts(slow_rule) == slow
         assert self.parts(fast_rule) == fast
-        # principal premises never forget
-        assert slow_rule.premise.horizon is None
-        assert fast_rule.premise.horizon is None
         # both replacements got fresh shadow pairs
         for rule in (slow_rule, fast_rule):
             assert learner.anticipations[rule.id].samples_seen == 0

@@ -176,6 +176,12 @@ class TestGuards:
         with pytest.raises(SnapshotError):
             load_model(str(path))
 
+    def test_undecodable_file_rejected(self, tmp_path):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(SnapshotError, match=r"binary\.json"):
+            load_model(str(path))
+
     def test_non_object_rejected(self, tmp_path):
         path = tmp_path / "list.json"
         path.write_text("[1, 2, 3]", encoding="utf-8")

@@ -16,7 +16,6 @@ from driftfis.streams import (
     gen_hyperplane,
     gen_plane10d,
     gen_sea,
-    inject_class_swap,
     load_csv,
     make_stream,
     save_csv,
@@ -98,13 +97,6 @@ class TestHyperplane:
         expected = (s.X @ w >= 0.5 * w.sum()).astype(int)
         assert np.array_equal(s.y, expected)
 
-    def test_explicit_init_weights(self):
-        w = [0.2, 0.8, 0.5]
-        s = gen_hyperplane(100, n_features=3, drift_mag=0.0, init_weights=w)
-        assert s.meta["init_weights"] == w
-        with pytest.raises(ValueError):
-            gen_hyperplane(100, n_features=4, init_weights=w)
-
     def test_drift_actually_moves_labels(self):
         fixed = gen_hyperplane(20000, drift_mag=0.0, seed=8)
         moving = gen_hyperplane(20000, drift_mag=0.01, flip_prob=0.0, seed=8)
@@ -180,40 +172,18 @@ class TestPlane10d:
         assert s.meta["swaps"] == [100]
 
 
-class TestInjectClassSwap:
-    def test_swap_exchanges_two_classes(self):
-        y = np.array([0, 1, 2, 0, 1, 2])
-        s = Stream(X=np.zeros((6, 1)), y=y, meta={"generator": "x"})
-        out = inject_class_swap(s, 3, class_a=0, class_b=2)
-        assert out.y.tolist() == [0, 1, 2, 2, 1, 0]
-        # original untouched, copy independent
-        assert s.y.tolist() == [0, 1, 2, 0, 1, 2]
-        assert not np.shares_memory(out.X, s.X)
-        assert out.meta["injected_swaps"] == [{"position": 3, "classes": [0, 2]}]
-        assert "injected_swaps" not in s.meta
-
-    def test_repeated_injection_appends_log(self):
-        s = gen_sea(100, seed=0)
-        once = inject_class_swap(s, 30)
-        twice = inject_class_swap(once, 60)
-        assert len(twice.meta["injected_swaps"]) == 2
-
-    def test_position_bounds(self):
-        s = gen_sea(100, seed=0)
-        with pytest.raises(ValueError):
-            inject_class_swap(s, -1)
-        with pytest.raises(ValueError):
-            inject_class_swap(s, 101)
-
-
 class TestCsv:
-    def test_roundtrip(self, tmp_path):
-        s = gen_sea(50, seed=12)
+    # seeds 2 and 3 start with class 1: indexed by first appearance, their
+    # classes would come back swapped
+    @pytest.mark.parametrize("seed", [12, 2, 3])
+    def test_roundtrip(self, tmp_path, seed):
+        s = gen_sea(50, seed=seed)
         path = tmp_path / "stream.csv"
         save_csv(s, str(path))
         back = load_csv(str(path))
         assert np.array_equal(back.X, s.X)  # repr floats survive exactly
         assert np.array_equal(back.y, s.y)
+        assert back.n_classes == s.n_classes
         assert (tmp_path / "stream.meta.json").exists()
 
     def test_sidecar_contents(self, tmp_path):
@@ -226,6 +196,7 @@ class TestCsv:
         assert sidecar["n_samples"] == 50
         assert sidecar["n_features"] == 3
         assert sidecar["n_classes"] == 2
+        assert sidecar["label_names"] == ["0", "1"]
 
     def test_label_order_is_first_appearance(self, tmp_path):
         path = tmp_path / "labels.csv"
@@ -234,15 +205,55 @@ class TestCsv:
         assert s.label_names == ["b", "a"]
         assert s.y.tolist() == [0, 1, 0]
 
-    def test_frozen_labels(self, tmp_path):
+    @staticmethod
+    def labels_with_sidecar(tmp_path, rows, sidecar):
+        """labels.csv holding one feature and the given labels, and its
+        sidecar holding the given text."""
         path = tmp_path / "labels.csv"
-        path.write_text("f0,label\n1.0,b\n2.0,a\n", encoding="utf-8")
-        s = load_csv(str(path), frozen_labels=["a", "b"])
-        assert s.y.tolist() == [1, 0]
-        path2 = tmp_path / "bad.csv"
-        path2.write_text("f0,label\n1.0,c\n", encoding="utf-8")
-        with pytest.raises(StreamParseError, match="unknown label"):
-            load_csv(str(path2), frozen_labels=["a", "b"])
+        path.write_text("f0,label\n" + "".join(
+            f"{i}.0,{label}\n" for i, label in enumerate(rows)), encoding="utf-8")
+        (tmp_path / "labels.meta.json").write_bytes(
+            sidecar if isinstance(sidecar, bytes) else sidecar.encode())
+        return str(path)
+
+    def test_sidecar_order_maps_labels(self, tmp_path):
+        path = self.labels_with_sidecar(
+            tmp_path, ["b", "a", "b"], '{"label_names": ["a", "b", "z"]}')
+        s = load_csv(path)
+        assert s.label_names == ["a", "b", "z"]
+        assert s.y.tolist() == [1, 0, 1]
+        assert s.n_classes == 3  # a recorded class need not appear
+
+    def test_label_missing_from_sidecar(self, tmp_path):
+        path = self.labels_with_sidecar(
+            tmp_path, ["a", "c"], '{"label_names": ["a", "b"]}')
+        with pytest.raises(StreamParseError,
+                           match=r"labels\.csv:3: unknown label 'c'"):
+            load_csv(path)
+
+    def test_sidecar_without_an_order_keeps_first_appearance(self, tmp_path):
+        path = self.labels_with_sidecar(
+            tmp_path, ["b", "a"], '{"label_names": null}')
+        s = load_csv(path)
+        assert s.label_names == ["b", "a"]
+        assert s.y.tolist() == [0, 1]
+
+    @pytest.mark.parametrize("sidecar", [
+        "{not json", b"\xff\xfe{}", "[]", "{}", '{"label_names": "ab"}',
+        '{"label_names": ["a", 1]}', '{"label_names": ["a", "a"]}',
+    ], ids=["not-json", "not-utf8", "not-an-object", "no-order",
+            "order-not-a-list", "non-string-name", "duplicate-name"])
+    def test_malformed_sidecar(self, tmp_path, sidecar):
+        path = self.labels_with_sidecar(tmp_path, ["a"], sidecar)
+        with pytest.raises(StreamParseError,
+                           match=r"labels\.meta\.json: malformed sidecar"):
+            load_csv(path)
+
+    def test_undecodable_file(self, tmp_path):
+        path = tmp_path / "binary.csv"
+        path.write_bytes(b"f0,label\n1.0,\xff\n")
+        with pytest.raises(StreamParseError, match=r"binary\.csv: not UTF-8"):
+            load_csv(str(path))
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -293,7 +304,8 @@ class TestCsv:
         save_csv(s, str(path))
         text = path.read_text()
         assert "ham" in text and "spam" in text
-        back = load_csv(str(path), frozen_labels=["spam", "ham"])
+        back = load_csv(str(path))
+        assert back.label_names == ["spam", "ham"]
         assert back.y.tolist() == [1, 0]
 
 
