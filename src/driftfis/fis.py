@@ -382,28 +382,27 @@ class FuzzySystem:
         has shape (n_rows,). With ``rows`` (a distinct-integer array)
         ``weights`` lines up with ``rows`` and every other row keeps its
         values. Large stacks then gather, step and scatter back only the
-        listed rows; small ones step every row, the others with weight 0.
-        A row's result is the same bit for bit either way. Both hold while
-        no correlation or coefficient entry is -0.0 (see the module
-        docstring): the rank-one terms come from einsum, whose zero
-        products are +0.0, and -0.0 - (+0.0) would keep a sign that
-        -0.0 - (-0.0) drops.
+        listed rows; small ones step every row as without ``rows``, the
+        others with weight 0. A row's result is the same bit for bit
+        either way. Both hold while no correlation or coefficient entry is
+        -0.0 (see the module docstring): the rank-one terms come from
+        einsum, whose zero products are +0.0, and -0.0 - (+0.0) would keep
+        a sign that -0.0 - (-0.0) drops.
         """
         corrs = self._corrs
-        if rows is None:
-            _wrls_kernel(corrs, self._coeffs, x_aug, weights, target)
-            return
-        n_rows, k, _ = corrs.shape
-        if (n_rows - rows.shape[0]) * k * k <= _GATHER_MIN_SKIPPED:
+        if rows is not None:
+            n_rows, k, _ = corrs.shape
+            if (n_rows - rows.shape[0]) * k * k > _GATHER_MIN_SKIPPED:
+                sub_r = corrs.take(rows, axis=0)
+                sub_c = self._coeffs.take(rows, axis=0)
+                _wrls_kernel(sub_r, sub_c, x_aug, weights, target)
+                corrs[rows] = sub_r
+                self._coeffs[rows] = sub_c
+                return
             full = np.zeros(n_rows)
             full[rows] = weights
-            _wrls_kernel(corrs, self._coeffs, x_aug, full, target)
-            return
-        sub_r = corrs.take(rows, axis=0)
-        sub_c = self._coeffs.take(rows, axis=0)
-        _wrls_kernel(sub_r, sub_c, x_aug, weights, target)
-        corrs[rows] = sub_r
-        self._coeffs[rows] = sub_c
+            weights = full
+        _wrls_kernel(corrs, self._coeffs, x_aug, weights, target)
 
     def downdate_rows(self, xs: np.ndarray, weights: np.ndarray,
                       start: int = 0) -> np.ndarray:

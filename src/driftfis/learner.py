@@ -11,18 +11,18 @@ forgetting, in the shadow pairs and/or the principal system.
 The FuzzySystem stacks hold every rule and sub-rule as a row: rule i is
 row i, its shadow pair rows n+2i (slow) and n+2i+1 (fast); rule ids and
 born classes are the system's two int64 arrays. Births (one seed_row
-appended) and replacements are row gathers of the stacks, the arrays and
-the WindowBank, whose row r is the window of stack row r. Per sample, one
-batched membership pass scores the principal rules and picks the winner;
-only the winner's pair carries weight among the shadow rows. On small
-stacks that pass scores every row, the pairs too; once the other pairs'
-rows outweigh a second call (_SPLIT_MIN_SKIPPED), it stops at the
-principal rows and a second call scores the winner's pair, with the same
-bits. One batched premise update and one batched WRLS step then cover the
-principal rules and that pair, each told which rows carry weight. The
-forgetting module's WindowBank.forget serves every principal window at
-once, WindowBank.forget_pair the winner's pair. The rule and pair objects
-the learner hands out (system.rules, anticipations) are views of rows.
+appended), replacements and class growth are row gathers of the stacks,
+the arrays and the WindowBank (row r the window of stack row r), all
+through _set_rows. Per sample, one batched membership pass scores the
+principal rules and picks the winner; only the winner's pair carries
+weight among the shadow rows. On small stacks that pass scores every row,
+the pairs too; once the other pairs' rows outweigh a second call
+(_SPLIT_MIN_SKIPPED), it stops at the principal rows and a second call
+scores the winner's pair, with the same bits. One batched premise update
+covers the winner and its pair, and every sample but the founding one
+ends in _learn_conclusions: one batched WRLS step over the principal
+rules and that pair (none on a class birth), and the principal windows'
+forgetting. The rules and pairs handed out are views of rows.
 """
 
 from __future__ import annotations
@@ -48,8 +48,8 @@ _SPLIT_MIN_SKIPPED = 2640
 
 class UnknownClassError(ValueError):
     """A label that is no class index: not an integer (an integral float
-    counts as one), negative, or outside the declared class set with
-    growth disabled."""
+    counts as one, a bool, numpy's too, as 0 or 1), negative, or outside
+    the declared class set with growth disabled."""
 
 
 class AnticipatingClassifier:
@@ -85,7 +85,6 @@ class AnticipatingClassifier:
         self.seen_classes: set[int] = set()
         self.samples_seen = 0
         self.next_rule_id = 0
-        self._targets: np.ndarray | None = None
         self._x_aug = np.empty(n_features + 1)
         self._x_aug[0] = 1.0
         self._resize_buffers()
@@ -133,6 +132,8 @@ class AnticipatingClassifier:
         later sample's through its membership sum (fis.membership_sum), as
         in predict_one. A label that is no class index raises
         UnknownClassError, also before any state changes.
+        Every sample but the founding one ends in _learn_conclusions, a
+        class's first one right after its rule's birth.
         """
         x = self._check_features(x)
         cfg = self.config
@@ -168,7 +169,8 @@ class AnticipatingClassifier:
             # shadow-pair updates are skipped; conclusions still learn.
             self._give_birth(x, y)
             betas = system.memberships(x)
-            self._update_conclusions_only(x_aug, betas, y)
+            total = betas.sum() if cfg.wrls_weight == "normalized" else 1.0
+            self._learn_conclusions(x_aug, betas, total, y, n + 1)
             self.samples_seen += 1
             return prediction
 
@@ -209,26 +211,17 @@ class AnticipatingClassifier:
             alphas[row, 0] = 1.0 / (t if horizon is None else min(t, horizon))
         system.advance_premises(x, alphas, rows)
 
-        # One WRLS step over the rows that carry weight: principal
-        # conclusions with their (normalized) memberships, then the
-        # winner's pair with its virtual rule-base weights. Every other
-        # pair would have weight zero, so it is left out.
-        wvec = self._wvec
-        np.divide(betas, total, out=wvec[:n])
+        # Of the pairs only the winner's carries weight, its virtual
+        # rule-base weights; its rows and windows are disjoint from the
+        # principal ones, so it forgets after them.
+        wvec, wrows = self._wvec, self._wrows
         wvec[n] = w_slow
         wvec[n + 1] = w_fast
-        wrows = self._wrows
         wrows[n] = row_slow
         wrows[n + 1] = row_fast
-        system.wrls_step(x_aug, wvec, self._target(y), wrows)
-
-        # Deferred directional forgetting: windows record the sample and
-        # the correlation matrices shed whatever falls out.
-        mode = cfg.forgetting_mode
-        if mode != "none":
+        self._learn_conclusions(x_aug, betas, total, y, n + 2)
+        if cfg.forgetting_mode != "none":
             self.windows.forget_pair(system, row_slow, x_aug, w_slow, w_fast)
-            if mode == "forget_ps":
-                self.windows.forget(system, x_aug, wvec[:n])
         seen = self.pair_seen[winner] + 1
         self.pair_seen[winner] = seen
 
@@ -251,7 +244,7 @@ class AnticipatingClassifier:
         return x
 
     def _check_label(self, y) -> int:
-        if not isinstance(y, (int, np.integer)) and not (
+        if not isinstance(y, (int, np.integer, np.bool_)) and not (
                 isinstance(y, numbers.Real) and float(y).is_integer()):
             raise UnknownClassError(f"class label {y!r} is not an integer")
         y = int(y)
@@ -267,7 +260,8 @@ class AnticipatingClassifier:
     def _grow_classes(self, n_classes: int) -> None:
         system = self.system
         system.n_classes = n_classes
-        system.set_rows(system.ids, system.born_classes, np.arange(system.n_rows))
+        rows = np.arange(len(system))
+        self._set_rows(system.ids, system.born_classes, rows, rows, self.pair_seen)
 
     def _give_birth(self, x: np.ndarray, y: int) -> None:
         cfg, system = self.config, self.system
@@ -323,26 +317,22 @@ class AnticipatingClassifier:
         # one membership pass over every row, unless scoring only the
         # winner's pair skips enough of the other pairs' rows to pay
         self._fused = 2 * (n - 1) * (d * d + 21) <= _SPLIT_MIN_SKIPPED
+        # each class's one-hot WRLS target, read-only
+        self._targets = np.eye(self.system.n_classes)
+        self._targets.setflags(write=False)
 
-    def _target(self, y: int) -> np.ndarray:
-        """Cached one-hot row for the label (read-only; never mutated)."""
-        targets = self._targets
-        if targets is None or targets.shape[0] != self.system.n_classes:
-            targets = np.eye(self.system.n_classes)
-            targets.setflags(write=False)
-            self._targets = targets
-        return targets[y]
-
-    def _update_conclusions_only(self, x_aug: np.ndarray, betas: np.ndarray,
-                                 y: int) -> None:
-        """Principal-only conclusion step (used on class-birth samples)."""
-        n = len(self.system)
-        wvec = self._wvec[:n]
-        total = betas.sum() if self.config.wrls_weight == "normalized" else 1.0
-        np.divide(betas, total, out=wvec)
-        self.system.wrls_step(x_aug, wvec, self._target(y), self._wrows[:n])
+    def _learn_conclusions(self, x_aug: np.ndarray, betas: np.ndarray,
+                           total: float, y: int, m: int) -> None:
+        """The conclusion step of every sample but the founding one: weights
+        betas / total for the principal rows, one WRLS step over the first
+        m buffered rows (the principal ones, then the pair the caller wrote
+        or none), then the principal windows' forgetting under forget_ps."""
+        system = self.system
+        wvec = self._wvec
+        principal = np.divide(betas, total, out=wvec[:betas.shape[0]])
+        system.wrls_step(x_aug, wvec[:m], self._targets[y], self._wrows[:m])
         if self.config.forgetting_mode == "forget_ps":
-            self.windows.forget(self.system, x_aug, wvec)
+            self.windows.forget(system, x_aug, principal)
 
     def _replace_rule(self, winner: int, separation: float) -> None:
         """Swap the drifted rule for its two sub-rules (N grows by one).

@@ -293,9 +293,11 @@ def _class_order(path: str) -> list[str] | None:
     try:
         with open(sidecar, encoding="utf-8") as fh:
             order = json.load(fh)["label_names"]
-        strings = isinstance(order, list) and all(isinstance(n, str) for n in order)
+        strings = isinstance(order, list) and all(
+            isinstance(n, str) and n == n.strip() for n in order)
         if order is not None and not (strings and len(set(order)) == len(order)):
-            raise ValueError(f"label_names {order!r}: not null or distinct strings")
+            raise ValueError(f"label_names {order!r}: not null or distinct "
+                             f"strings, none padded (labels are stripped)")
     except (OSError, ValueError, LookupError, TypeError) as exc:
         raise StreamParseError(f"{sidecar}: malformed sidecar ({exc})") from exc
     return order
@@ -303,10 +305,15 @@ def _class_order(path: str) -> list[str] | None:
 
 def save_csv(stream: Stream, path: str) -> None:
     """Write the stream as CSV plus a .meta.json sidecar describing it and
-    its class order: the label names, else "0" to "c-1"."""
+    its class order: the label names, else "0" to "c-1". ValueError, before
+    any write, for a name with surrounding whitespace, which load_csv strips."""
     names = stream.label_names
     if names is None:
         names = [str(c) for c in range(stream.n_classes)]
+    padded = [name for name in names if name != name.strip()]
+    if padded:
+        raise ValueError(f"label names {padded!r} have leading or trailing "
+                         f"whitespace, which load_csv strips")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"f{i}" for i in range(stream.n_features)] + ["label"])

@@ -29,7 +29,7 @@ from driftfis.snapshot import (
 )
 from driftfis.streams import gen_plane10d, gen_sea
 
-from helpers import entries, gaussian_stream, has_negative_zero
+from helpers import entries, gaussian_stream, has_negative_zero, wrls_broadcast
 
 
 def make_learner(**overrides):
@@ -97,6 +97,64 @@ class TestBirths:
         coeffs0 = learner.system.rules[0].consequent.coeffs.copy()
         learner.learn_one([5.0, 5.0], 1)
         assert not np.array_equal(learner.system.rules[0].consequent.coeffs, coeffs0)
+
+    @pytest.mark.parametrize("wrls_weight", ["normalized", "raw"])
+    @pytest.mark.parametrize("mode", ["none", "forget_am", "forget_ps"])
+    def test_class_birth_step(self, mode, wrls_weight):
+        # a class's first sample: one WRLS step over the principal rules,
+        # the newborn among them, then the principal windows' forgetting
+        # under forget_ps; the shadow pairs sit it out
+        learner = AnticipatingClassifier(2, 3, LearnerConfig(
+            ks=0.6, nmin=3, ws=500, forgetting_mode=mode, wrls_weight=wrls_weight))
+        train(learner, *two_blob_stream(np.random.default_rng(8), 120))
+        system, windows = learner.system, learner.windows
+        n = learner.n_rules
+        before = [stack.copy() for stack in system.stacks()]
+        rings = [windows.window(row).ordered() for row in range(3 * n)]
+        counts = windows.counts()
+        pair_seen = list(learner.pair_seen)
+        x = np.array([2.0, -3.0])
+        x_aug = np.array([1.0, 2.0, -3.0])
+
+        learner.learn_one(x, 2)
+
+        after = system.stacks()
+        assert learner.n_rules == n + 1
+        betas = system.memberships(x)
+        assert betas[n] == 1.0  # the newborn sits on the sample
+        weights = betas / (betas.sum() if wrls_weight == "normalized" else 1.0)
+        omega = learner.config.omega
+        corrs = np.concatenate((before[4][:n], [omega * np.eye(3)]))
+        coeffs = np.concatenate((before[5][:n], np.zeros((1, 3, 3))))
+        wrls_broadcast(corrs, coeffs, x_aug, weights, np.eye(3)[2])
+        assert after.corrs[:n + 1].tobytes() == corrs.tobytes()
+        assert after.coeffs[:n + 1].tobytes() == coeffs.tobytes()
+        for old, new in zip(before[:4], after[:4]):  # premises, hits too
+            assert new[:n].tobytes() == old[:n].tobytes()
+        for old, new in zip(before, after):  # each pair moved with its rule
+            assert new[n + 1:3 * n + 1].tobytes() == old[n:].tobytes()
+        # the newborn's pair copies its seed, before the WRLS step
+        assert np.array_equal(after.centers[3 * n + 1:], [x, x])
+        assert np.array_equal(after.corrs[3 * n + 1:], [omega * np.eye(3)] * 2)
+        assert not after.coeffs[3 * n + 1:].any()
+        assert learner.pair_seen == pair_seen + [0]
+
+        def same(ring, xs, ws):
+            assert np.array_equal(ring[0], xs) and np.array_equal(ring[1], ws)
+
+        recorded = mode == "forget_ps"
+        for row in range(n + 1):
+            old_xs, old_ws = rings[row] if row < n else (np.empty((0, 3)), [])
+            if recorded:
+                old_xs = np.vstack((old_xs, x_aug))
+                old_ws = np.append(old_ws, weights[row])
+            same(windows.window(row).ordered(), old_xs, old_ws)
+        for row in range(n, 3 * n):
+            same(windows.window(row + 1).ordered(), *rings[row])
+        for row in (3 * n + 1, 3 * n + 2):
+            assert len(windows.window(row)) == 0
+        assert np.array_equal(windows.counts()[:, n + 1:3 * n + 1], counts[:, n:])
+        assert not windows.counts()[1].any()
 
     def test_every_rule_has_a_pair(self):
         rng = np.random.default_rng(0)
@@ -238,7 +296,8 @@ class TestValidation:
         assert model_state_hash(learner) == digest
         assert learner.samples_seen == n_trained
 
-    @pytest.mark.parametrize("label", [np.int64(1), 1.0, np.float32(1.0), True])
+    @pytest.mark.parametrize("label", [np.int64(1), 1.0, np.float32(1.0), True,
+                                       np.True_])
     def test_integral_labels_are_accepted(self, label):
         models = []
         for y1 in (1, label):
@@ -246,7 +305,7 @@ class TestValidation:
             learner.learn_one([0.0, 0.0], 0)
             assert learner.learn_one([4.0, 4.0], y1) == 0
             learner.learn_one([4.5, 4.0], y1)
-            models.append(model_state_hash(learner))
+            models.append((model_state_hash(learner), state_bytes(learner)))
         assert models[0] == models[1]
 
     def test_class_overflow_raises_by_default(self):
@@ -267,15 +326,22 @@ class TestValidation:
             assert rule.consequent.coeffs.shape[1] == 4
 
     def test_class_growth_pads_with_zero_columns(self):
-        learner = make_learner(allow_class_growth=True)
-        learner.learn_one([0.0, 0.0], 0)
-        learner.learn_one([5.0, 5.0], 1)
+        # small windows, so the rings wrap before the classes grow
+        learner = make_learner(allow_class_growth=True,
+                               forgetting_mode="forget_ps", ws=7)
+        train(learner, *two_blob_stream(np.random.default_rng(3), 40))
         before = learner.system.rules[0].consequent.coeffs.copy()
+        entries_before = learner.windows.entries()
+        counts_before = learner.windows.counts()
         learner._grow_classes(5)
         after = learner.system.rules[0].consequent.coeffs
         assert after.shape == (3, 5)
         assert np.array_equal(after[:, :2], before)
         assert np.array_equal(after[:, 2:], np.zeros((3, 3)))
+        # every ring keeps its entries, fills and skip counts
+        for old, new in zip(entries_before, learner.windows.entries()):
+            assert old.tobytes() == new.tobytes()
+        assert np.array_equal(learner.windows.counts(), counts_before)
 
     @pytest.mark.parametrize("n_trained", [0, 60])
     @pytest.mark.parametrize("bad", [[math.nan, 0.0], [0.0, math.inf],

@@ -1,5 +1,7 @@
 """Tests for stream generators, CSV round trips, chunking, standardization."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -241,8 +243,10 @@ class TestCsv:
     @pytest.mark.parametrize("sidecar", [
         "{not json", b"\xff\xfe{}", "[]", "{}", '{"label_names": "ab"}',
         '{"label_names": ["a", 1]}', '{"label_names": ["a", "a"]}',
+        '{"label_names": [" a"]}',
     ], ids=["not-json", "not-utf8", "not-an-object", "no-order",
-            "order-not-a-list", "non-string-name", "duplicate-name"])
+            "order-not-a-list", "non-string-name", "duplicate-name",
+            "padded-name"])
     def test_malformed_sidecar(self, tmp_path, sidecar):
         path = self.labels_with_sidecar(tmp_path, ["a"], sidecar)
         with pytest.raises(StreamParseError,
@@ -307,6 +311,16 @@ class TestCsv:
         back = load_csv(str(path))
         assert back.label_names == ["spam", "ham"]
         assert back.y.tolist() == [1, 0]
+
+    @pytest.mark.parametrize("padded", [" spam", "spam\t"])
+    def test_padded_label_name_rejected_before_writing(self, tmp_path, padded):
+        # load_csv strips every label cell, so such a name could not read back
+        s = Stream(X=np.array([[1.0], [2.0]]), y=np.array([1, 0]),
+                   label_names=[padded, "ham"])
+        path = tmp_path / "named.csv"
+        with pytest.raises(ValueError, match=re.escape(repr(padded))):
+            save_csv(s, str(path))
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestChunking:
