@@ -10,8 +10,10 @@ rules and aggregates a base. FuzzySystem keeps every premise and
 consequent in stacked arrays, so the per-sample work is a fixed number of
 batched operations whatever the rule count. A rule is nothing but rows: a
 row of each stack, its id and born class an entry of two int64 arrays.
-Structural changes are row gathers (set_rows), a birth appends seed_row's
-one-row stacks, and a Rule is a view of rows built on demand. Each
+The feature and class counts are read off the stack shapes. Structural
+changes are row gathers (set_rows), a birth appends seed_row's one-row
+stacks, class growth pads the coefficient stack with zero columns
+(grow_classes), and a Rule is a view of rows built on demand. Each
 operation has one implementation, the batched one, and it guarantees
 stack independence: a row's result is bitwise identical whichever other
 rows share the stack, so auxiliary rows never perturb the principal ones,
@@ -156,7 +158,8 @@ def create_rule(x: np.ndarray, label: int, sigma_init: float, omega: float,
 
 
 class FuzzySystem:
-    """An ordered rule base over a fixed feature/class signature.
+    """An ordered rule base over a fixed feature count and a class count
+    that only grows; both are read off the stack shapes.
 
     The system owns its rules' arrays as five stacks (centers,
     covariances, cached inverses, correlations, coefficients) plus the hit
@@ -174,13 +177,12 @@ class FuzzySystem:
     alter what the principal rows compute.
 
     ``rules`` reads rule i's window from row i of ``windows``, a
-    forgetting.WindowBank, if set. Structural changes go through set_rows.
+    forgetting.WindowBank, if set. Structural changes go through set_rows,
+    class growth through grow_classes.
     """
 
     def __init__(self, n_features: int, n_classes: int,
                  rules: list[Rule] | None = None):
-        self.n_features = n_features
-        self.n_classes = n_classes
         d, k = n_features, n_features + 1
         self._centers = np.empty((0, d))
         self._covs = np.empty((0, d, d))
@@ -215,6 +217,14 @@ class FuzzySystem:
     def n_rows(self) -> int:
         return self.hits.shape[0]
 
+    @property
+    def n_features(self) -> int:
+        return self._centers.shape[1]
+
+    @property
+    def n_classes(self) -> int:
+        return self._coeffs.shape[2]
+
     def stacks(self) -> Rows:
         return Rows(self._centers, self._covs, self._invs, self.hits,
                     self._corrs, self._coeffs)
@@ -240,8 +250,8 @@ class FuzzySystem:
         after the current ones. The first len(ids) new rows are the
         principal rules, rule i with id ``ids[i]`` and born class
         ``born_classes[i]`` (both int64 arrays, stored as given); any later
-        row is auxiliary. Coefficient columns of classes added since the
-        stacks were built start at zero.
+        row is auxiliary. ``extra`` has the current class count; only
+        grow_classes changes it.
         """
         stacks = self.stacks()
         if extra is not None:
@@ -250,14 +260,18 @@ class FuzzySystem:
             con_rows = rows
         self._centers, self._covs, self._invs, self.hits = (
             stack.take(rows, axis=0) for stack in stacks[:4])
-        self._corrs = stacks.corrs.take(con_rows, axis=0)
-        coeffs = stacks.coeffs.take(con_rows, axis=0)
-        grown = self.n_classes - coeffs.shape[2]
-        if grown:
-            coeffs = np.pad(coeffs, ((0, 0), (0, 0), (0, grown)))
-        self._coeffs = coeffs
+        self._corrs, self._coeffs = (
+            stack.take(con_rows, axis=0) for stack in stacks[4:])
         self.ids = ids
         self.born_classes = born_classes
+
+    def grow_classes(self, n_classes: int) -> None:
+        """Widen every row's coefficients to ``n_classes`` classes, the new
+        columns zero. The stack is replaced only once the widened one
+        exists, so a size too large to allocate leaves the system as it
+        was."""
+        zeros = np.zeros((*self._coeffs.shape[:2], n_classes - self.n_classes))
+        self._coeffs = np.concatenate((self._coeffs, zeros), axis=2)
 
     # -- evaluation ----------------------------------------------------
 

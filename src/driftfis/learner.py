@@ -10,19 +10,21 @@ forgetting, in the shadow pairs and/or the principal system.
 
 The FuzzySystem stacks hold every rule and sub-rule as a row: rule i is
 row i, its shadow pair rows n+2i (slow) and n+2i+1 (fast); rule ids and
-born classes are the system's two int64 arrays. Births (one seed_row
-appended), replacements and class growth are row gathers of the stacks,
-the arrays and the WindowBank (row r the window of stack row r), all
-through _set_rows. Per sample, one batched membership pass scores the
-principal rules and picks the winner; only the winner's pair carries
-weight among the shadow rows. On small stacks that pass scores every row,
-the pairs too; once the other pairs' rows outweigh a second call
-(_SPLIT_MIN_SKIPPED), it stops at the principal rows and a second call
-scores the winner's pair, with the same bits. One batched premise update
-covers the winner and its pair, and every sample but the founding one
-ends in _learn_conclusions: one batched WRLS step over the principal
-rules and that pair (none on a class birth), and the principal windows'
-forgetting. The rules and pairs handed out are views of rows.
+born classes are the system's two int64 arrays, and the seen classes are
+the born ones. Births (one seed_row appended) and replacements are row
+gathers of the stacks, the arrays and the WindowBank (row r the window of
+stack row r), both through _set_rows; class growth only pads the
+coefficient stack with zero columns (FuzzySystem.grow_classes). Per
+sample, one batched membership pass scores the principal rules and picks
+the winner; only the winner's pair carries weight among the shadow rows.
+On small stacks that pass scores every row, the pairs too; once the other
+pairs' rows outweigh a second call (_SPLIT_MIN_SKIPPED), it stops at the
+principal rows and a second call scores the winner's pair, with the same
+bits. One batched premise update covers the winner and its pair, and
+every sample but the founding one ends in _learn_conclusions: one batched
+WRLS step over the principal rules and that pair (none on a class birth),
+and the principal windows' forgetting. The rules and pairs handed out are
+views of rows.
 """
 
 from __future__ import annotations
@@ -62,10 +64,8 @@ class AnticipatingClassifier:
 
     def __init__(self, n_features: int, n_classes: int,
                  config: LearnerConfig | None = None):
-        if n_features < 1:
-            raise ValueError("n_features must be positive")
-        if n_classes < 1:
-            raise ValueError("n_classes must be positive")
+        if n_features < 1 or n_classes < 1:
+            raise ValueError("n_features and n_classes must be positive")
         # a copy, so the caller's object stays as given and later edits to
         # it cannot reach the model
         self.config = replace(config) if config is not None else LearnerConfig()
@@ -75,18 +75,18 @@ class AnticipatingClassifier:
         for name, value in vars(self.config).items():
             if isinstance(value, np.generic):
                 setattr(self.config, name, value.item())
-        self.system = FuzzySystem(n_features=n_features, n_classes=n_classes)
+        # classless until _grow_classes below adds the declared ones
+        self.system = FuzzySystem(n_features=n_features, n_classes=0)
         # every window's ring, row r that of system row r
         self.windows = WindowBank(self.config.ws, n_features + 1)
         self.system.windows = self.windows
         # the samples rule i's shadow pair has seen, in rule order
         self.pair_seen: list[int] = []
         self.drift_log: list[DriftEvent] = []
-        self.seen_classes: set[int] = set()
         self.samples_seen = 0
         self.next_rule_id = 0
-        self._x_aug = np.empty(n_features + 1)
-        self._x_aug[0] = 1.0
+        self._x_aug = np.ones(n_features + 1)  # 1, then each sample's features
+        self._grow_classes(n_classes)
         self._resize_buffers()
 
     # -- public surface ------------------------------------------------
@@ -258,16 +258,19 @@ class AnticipatingClassifier:
         return y
 
     def _grow_classes(self, n_classes: int) -> None:
-        system = self.system
-        system.n_classes = n_classes
-        rows = np.arange(len(system))
-        self._set_rows(system.ids, system.born_classes, rows, rows, self.pair_seen)
+        """Widen the model to ``n_classes`` classes: each class's read-only
+        one-hot WRLS target, and zero coefficient columns in every row.
+        Both are built before either is assigned, so a size too large to
+        allocate leaves the model as it was."""
+        targets = np.eye(n_classes)
+        targets.setflags(write=False)
+        self.system.grow_classes(n_classes)
+        self._targets = targets
 
     def _give_birth(self, x: np.ndarray, y: int) -> None:
         cfg, system = self.config, self.system
         ids = np.append(system.ids, np.int64(self.next_rule_id))  # never promoted
         self.next_rule_id += 1
-        self.seen_classes.add(y)
         # the newborn's row is appended after the current ones
         rows = np.append(np.arange(len(system)), system.n_rows)
         self._set_rows(ids, np.append(system.born_classes, y), rows, rows,
@@ -307,9 +310,10 @@ class AnticipatingClassifier:
         self._resize_buffers()
 
     def _resize_buffers(self) -> None:
-        """Fit the per-sample scratch arrays to the current stacks."""
-        n = len(self.system)
-        d = self.system.n_features
+        """Fit the per-sample scratch arrays and the seen classes, those
+        some rule was born in, to the current stacks."""
+        n, d = len(self.system), self.system.n_features
+        self.seen_classes = set(self.system.born_classes.tolist())
         # WRLS rows (every principal rule, then the winner's pair) and
         # their weights, in matching order
         self._wrows = np.arange(n + 2, dtype=np.intp)
@@ -317,9 +321,6 @@ class AnticipatingClassifier:
         # one membership pass over every row, unless scoring only the
         # winner's pair skips enough of the other pairs' rows to pay
         self._fused = 2 * (n - 1) * (d * d + 21) <= _SPLIT_MIN_SKIPPED
-        # each class's one-hot WRLS target, read-only
-        self._targets = np.eye(self.system.n_classes)
-        self._targets.setflags(write=False)
 
     def _learn_conclusions(self, x_aug: np.ndarray, betas: np.ndarray,
                            total: float, y: int, m: int) -> None:

@@ -28,7 +28,7 @@ import hashlib
 import json
 import math
 import numbers
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -130,8 +130,9 @@ def _state_skeleton(learner: AnticipatingClassifier) -> dict:
 def from_state_dict(state: dict) -> AnticipatingClassifier:
     """Rebuild a learner from a state dictionary (inverse of state_dict).
 
-    Raises SnapshotError for an unknown format or version, a missing key,
-    or a value of the wrong type or shape: among them a NaN or infinite
+    Raises SnapshotError for an unknown format or version, a missing key
+    (the config must hold every LearnerConfig field and no other), or a
+    value of the wrong type or shape: among them a NaN or infinite
     array entry, a covariance or correlation matrix that is not exactly
     symmetric, a correlation matrix or a covariance with its ridge,
     S + r I, that is not positive definite, a -0.0 correlation or
@@ -154,6 +155,10 @@ def from_state_dict(state: dict) -> AnticipatingClassifier:
 
 
 def _learner_from_state(state: dict) -> AnticipatingClassifier:
+    # every field: a missing one would take its default unnoticed
+    odd = set(state["config"]) ^ {f.name for f in fields(LearnerConfig)}
+    if odd:
+        raise ValueError(f"config keys missing or unknown: {sorted(odd, key=repr)}")
     config = LearnerConfig(**state["config"])
     d = _integer(state["n_features"], "n_features", 1, integral=True)
     c = _integer(state["n_classes"], "n_classes", 1, integral=True)
@@ -186,7 +191,6 @@ def _learner_from_state(state: dict) -> AnticipatingClassifier:
     if seen != classes:
         raise ValueError(f"seen_classes {seen!r} differs from the rules' "
                          f"born classes {classes}")
-    learner.seen_classes = set(classes)
     pairs = [state["anticipations"][str(rule_id)] for rule_id in ids]
     if len(set(ids)) != len(ids) or len(pairs) != len(state["anticipations"]):
         raise ValueError("every rule needs a unique id and exactly one "

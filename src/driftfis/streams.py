@@ -284,6 +284,16 @@ def _sidecar_path(path: str) -> str:
     return base + ".meta.json"
 
 
+def _check_label_names(names) -> None:
+    """ValueError unless the label names are a list of distinct strings,
+    none with leading or trailing whitespace, which load_csv strips from
+    every label cell."""
+    if not isinstance(names, list) or len(set(names)) != len(names) or any(
+            not isinstance(n, str) or n != n.strip() for n in names):
+        raise ValueError(f"label names {names!r} are not distinct strings "
+                         f"free of leading and trailing whitespace")
+
+
 def _class_order(path: str) -> list[str] | None:
     """The class order in the CSV's sidecar; None without a sidecar or when
     it holds null, as older sidecars of unnamed streams do."""
@@ -293,11 +303,8 @@ def _class_order(path: str) -> list[str] | None:
     try:
         with open(sidecar, encoding="utf-8") as fh:
             order = json.load(fh)["label_names"]
-        strings = isinstance(order, list) and all(
-            isinstance(n, str) and n == n.strip() for n in order)
-        if order is not None and not (strings and len(set(order)) == len(order)):
-            raise ValueError(f"label_names {order!r}: not null or distinct "
-                             f"strings, none padded (labels are stripped)")
+        if order is not None:
+            _check_label_names(order)
     except (OSError, ValueError, LookupError, TypeError) as exc:
         raise StreamParseError(f"{sidecar}: malformed sidecar ({exc})") from exc
     return order
@@ -306,14 +313,15 @@ def _class_order(path: str) -> list[str] | None:
 def save_csv(stream: Stream, path: str) -> None:
     """Write the stream as CSV plus a .meta.json sidecar describing it and
     its class order: the label names, else "0" to "c-1". ValueError, before
-    any write, for a name with surrounding whitespace, which load_csv strips."""
+    any write, for names load_csv would reject (_check_label_names) and for
+    a label that indexes no name: a negative one would write the last name,
+    which reads back as another class."""
     names = stream.label_names
     if names is None:
         names = [str(c) for c in range(stream.n_classes)]
-    padded = [name for name in names if name != name.strip()]
-    if padded:
-        raise ValueError(f"label names {padded!r} have leading or trailing "
-                         f"whitespace, which load_csv strips")
+    _check_label_names(list(names))
+    if not np.isin(stream.y, np.arange(len(names))).all():
+        raise ValueError(f"a label outside 0..{len(names) - 1} indexes no name")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"f{i}" for i in range(stream.n_features)] + ["label"])

@@ -343,6 +343,25 @@ class TestValidation:
             assert old.tobytes() == new.tobytes()
         assert np.array_equal(learner.windows.counts(), counts_before)
 
+    def test_failed_class_growth_changes_nothing(self):
+        # numpy refuses a 10**15-class array before allocating any of it
+        learner = make_learner(ks=0.6, nmin=3, allow_class_growth=True,
+                               forgetting_mode="forget_ps")
+        X, y = two_blob_stream(np.random.default_rng(4), 50)
+        train(learner, X, y)
+        before = state_bytes(learner)
+        with pytest.raises((MemoryError, ValueError)):
+            learner.learn_one(X[0], 10 ** 15)
+        assert state_bytes(learner) == before
+        assert learner.system.n_classes == 2
+        clone = from_state_dict(state_dict(learner))
+        assert state_bytes(clone) == before
+        for model in (learner, clone):
+            model.learn_one(X[1], int(y[1]))
+            model.learn_one([9.0, -9.0], 2)  # a class birth grows the classes
+        assert learner.system.n_classes == 3
+        assert state_bytes(clone) == state_bytes(learner)
+
     @pytest.mark.parametrize("n_trained", [0, 60])
     @pytest.mark.parametrize("bad", [[math.nan, 0.0], [0.0, math.inf],
                                      [-math.inf, math.nan]])
@@ -809,6 +828,33 @@ def test_premise_alphas_are_nonzero_on_the_blended_rows_only(monkeypatch,
     learner = AnticipatingClassifier(d, 2, cfg)
     train(learner, X, y)
     assert calls and set(calls) == {3}
+
+
+@given(n=st.integers(1, 60), data=st.data(), seed=st.integers(0, 2**16),
+       strategy=st.sampled_from(["naive", "global"]),
+       mode=st.sampled_from(["none", "forget_am", "forget_ps"]))
+@settings(deadline=None)
+def test_failed_class_growth_leaves_the_stream_unchanged(n, data, seed,
+                                                         strategy, mode):
+    """A label whose class count numpy cannot allocate raises wherever it
+    comes in a growing stream, founding sample included, and leaves the
+    state bytes as they were, so the stream ends as if it never came."""
+    position = data.draw(st.integers(0, n - 1), label="position")
+    X, y = two_blob_stream(np.random.default_rng(seed), n)
+    X[n // 2:] += 2.0
+    learners = [make_learner(ks=0.6, nmin=3, tmax2=5, ws=4, strategy=strategy,
+                             forgetting_mode=mode, allow_class_growth=True)
+                for _ in range(2)]
+    hit, clean = learners
+    for i, (xi, yi) in enumerate(zip(X, y)):
+        if i == position:
+            before = state_bytes(hit)
+            with pytest.raises((MemoryError, ValueError)):
+                hit.learn_one(xi, 10 ** 15)
+            assert state_bytes(hit) == before
+        for learner in learners:
+            learner.learn_one(xi, int(yi))
+    assert state_bytes(hit) == state_bytes(clean)
 
 
 @given(strategy=st.sampled_from(["naive", "global"]),

@@ -1,8 +1,10 @@
 """Tests for model serialization: exact resume, format guards."""
 
+import dataclasses
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -296,6 +298,15 @@ class TestGuards:
         with pytest.raises(SnapshotError):
             from_state_dict(state)
 
+    @pytest.mark.parametrize("name", [field.name for field in
+                                      dataclasses.fields(LearnerConfig)])
+    def test_config_missing_a_field_rejected(self, name):
+        # a missing field would load as its default, another model
+        state = state_dict(trained_learner(n=40, forgetting_mode="forget_ps"))
+        del state["config"][name]
+        with pytest.raises(SnapshotError, match=re.escape(f"[{name!r}]")):
+            from_state_dict(state)
+
     def test_loggable_drifts_load(self):
         # the drifts _log_drift makes are valid, so each case above fails
         # on its one changed field; an infinite separation is loggable
@@ -329,6 +340,23 @@ class TestGuards:
         state.update(n_features=np.int64(2), n_classes=np.int32(2))
         clone = from_state_dict(state)
         assert model_state_hash(clone) == model_state_hash(learner)
+
+    def test_numpy_int_sizes_hash_and_round_trip(self, tmp_path):
+        # sizes such as y.max() + 1 are numpy ints; the state reads them
+        # off the stacks, as Python ints
+        learners = [AnticipatingClassifier(d, c, LearnerConfig(ks=0.6, nmin=3))
+                    for d, c in ((2, 2), (np.int64(2), np.int64(2)))]
+        X, y = gaussian_stream(np.random.default_rng(5), 60,
+                               centers=[[0.0, 0.0], [4.0, 4.0]])
+        for learner in learners:
+            for xi, yi in zip(X, y):
+                learner.learn_one(xi, int(yi))
+        python, numpy = learners
+        assert model_state_hash(numpy) == model_state_hash(python)
+        assert state_bytes(numpy) == state_bytes(python)
+        path = tmp_path / "model.json"
+        save_model(numpy, str(path))
+        assert state_bytes(load_model(str(path))) == state_bytes(python)
 
     def test_numpy_config_numbers_hash_and_round_trip(self, tmp_path):
         # the config of test_config's test_numpy_numbers_are_allowed, with
@@ -615,11 +643,28 @@ def _perturb_live_field(learner, path):
         return lambda: setattr(learner, "seen_classes", saved)
     if head in ("rules", "anticipations"):
         return _perturb_row_field(learner, head, *rest)
-    node, key = (learner.system if head in ("n_features", "n_classes")
-                 else learner), head
+    if head in ("n_features", "n_classes"):
+        return _perturb_size(learner, head)
+    node, key = learner, head
     for step in rest:
         node, key = _get(node, key), step
     return _swap(node, key)
+
+
+def _perturb_size(learner, head):
+    """_perturb_live_field for a size, which is read off a stack's shape:
+    one more class through _grow_classes, or one more center column."""
+    system = learner.system
+    if head == "n_classes":
+        saved = system._coeffs, learner._targets
+        learner._grow_classes(system.n_classes + 1)
+
+        def undo():
+            system._coeffs, learner._targets = saved
+        return undo
+    centers = system._centers
+    system._centers = np.pad(centers, ((0, 0), (0, 1)))
+    return lambda: setattr(system, "_centers", centers)
 
 
 def _perturb_row_field(learner, head, key, *rest):

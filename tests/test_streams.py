@@ -322,6 +322,21 @@ class TestCsv:
             save_csv(s, str(path))
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("y, names, problem", [
+        # load_csv rejects a sidecar whose names repeat
+        ([0, 1], ["a", "a"], "not distinct"),
+        # names[-1] would write "b", read back as class 1
+        ([0, -1], ["a", "b"], "indexes no name"),
+        # names[2] would fail halfway through the CSV, with no sidecar
+        ([0, 2], ["a", "b"], "indexes no name"),
+    ], ids=["duplicate-name", "negative-label", "label-past-names"])
+    def test_bad_labels_rejected_before_writing(self, tmp_path, y, names,
+                                                problem):
+        s = Stream(X=np.array([[1.0], [2.0]]), y=np.array(y), label_names=names)
+        with pytest.raises(ValueError, match=problem):
+            save_csv(s, str(tmp_path / "named.csv"))
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestChunking:
     def test_basic_split(self):
