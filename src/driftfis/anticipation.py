@@ -11,10 +11,10 @@ the gap direction.
 
 A pair is state in two places only: its two rows of the FuzzySystem
 stacks and the same two rows of the learner's WindowBank, next to each
-other, plus the learner's count of the samples it has seen. spawn_pair
-finishes those rows. AnticipatedPair and SubRule are views of them, which
-AnticipatingClassifier.anticipations alone builds; the snapshot writer
-reads the rows directly.
+other, plus its entry of the learner's int64 array of pair sample counts
+(pair_seen). spawn_pair finishes those rows. AnticipatedPair and SubRule
+are views of them, which AnticipatingClassifier.anticipations alone
+builds; the snapshot writer reads the rows directly.
 """
 
 from __future__ import annotations

@@ -10,10 +10,12 @@ forgetting, in the shadow pairs and/or the principal system.
 
 The FuzzySystem stacks hold every rule and sub-rule as a row: rule i is
 row i, its shadow pair rows n+2i (slow) and n+2i+1 (fast); rule ids and
-born classes are the system's two int64 arrays, and the seen classes are
-the born ones. Births (one seed_row appended) and replacements are row
-gathers of the stacks, the arrays and the WindowBank (row r the window of
-stack row r), both through _set_rows; class growth only pads the
+born classes are the system's two int64 arrays, the pairs' sample counts
+the learner's int64 array pair_seen, the seen classes are the born ones,
+and next_rule_id is one past the largest id. Births (one seed_row
+appended) and replacements are row gathers of the stacks, the arrays and
+the WindowBank (row r the window of stack row r), both through _set_rows,
+whose spawn mask starts fresh pairs; class growth only pads the
 coefficient stack with zero columns (FuzzySystem.grow_classes). Per
 sample, one batched membership pass scores the principal rules and picks
 the winner; only the winner's pair carries weight among the shadow rows.
@@ -31,13 +33,14 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import replace
 from types import MappingProxyType
 
 import numpy as np
 
 from .anticipation import AnticipatedPair, DriftEvent, SubRule, spawn_pair
-from .config import LearnerConfig
+from .config import ConfigError, LearnerConfig
 from .fis import FuzzySystem, NonFiniteInputError, Rows, membership_sum, seed_row
 from .forgetting import WindowBank
 
@@ -75,16 +78,21 @@ class AnticipatingClassifier:
         for name, value in vars(self.config).items():
             if isinstance(value, np.generic):
                 setattr(self.config, name, value.item())
+        # a seed premise is sigma_init^2 I; its ridge needs the trace,
+        # n_features * sigma_init^2, finite
+        if not self.config.sigma_init < math.sqrt(sys.float_info.max / n_features):
+            raise ConfigError(
+                f"sigma_init {self.config.sigma_init!r} is too large for "
+                f"{n_features} features: the seed covariance's trace is not finite")
         # classless until _grow_classes below adds the declared ones
         self.system = FuzzySystem(n_features=n_features, n_classes=0)
         # every window's ring, row r that of system row r
         self.windows = WindowBank(self.config.ws, n_features + 1)
         self.system.windows = self.windows
         # the samples rule i's shadow pair has seen, in rule order
-        self.pair_seen: list[int] = []
+        self.pair_seen = np.empty(0, dtype=np.int64)
         self.drift_log: list[DriftEvent] = []
         self.samples_seen = 0
-        self.next_rule_id = 0
         self._x_aug = np.ones(n_features + 1)  # 1, then each sample's features
         self._grow_classes(n_classes)
         self._resize_buffers()
@@ -94,6 +102,14 @@ class AnticipatingClassifier:
     @property
     def n_rules(self) -> int:
         return len(self.system)
+
+    @property
+    def next_rule_id(self) -> int:
+        """The id the next new rule takes: one past the largest rule id, 0
+        before the first. A new rule's id is the largest, and a replaced
+        rule leaves two larger ones behind, so no id is ever reused."""
+        ids = self.system.ids
+        return int(ids.max()) + 1 if ids.size else 0
 
     @property
     def anticipations(self) -> MappingProxyType[int, AnticipatedPair]:
@@ -107,7 +123,7 @@ class AnticipatingClassifier:
 
         slow_rows = range(len(system), system.n_rows, 2)
         return MappingProxyType({
-            rule_id: AnticipatedPair(sub(row), sub(row + 1), seen)
+            rule_id: AnticipatedPair(sub(row), sub(row + 1), int(seen))
             for rule_id, seen, row in zip(system.ids.tolist(), self.pair_seen, slow_rows)})
 
     def predict_one(self, x) -> int:
@@ -222,7 +238,7 @@ class AnticipatingClassifier:
         self._learn_conclusions(x_aug, betas, total, y, n + 2)
         if cfg.forgetting_mode != "none":
             self.windows.forget_pair(system, row_slow, x_aug, w_slow, w_fast)
-        seen = self.pair_seen[winner] + 1
+        seen = self.pair_seen.item(winner) + 1
         self.pair_seen[winner] = seen
 
         if math.isfinite(cfg.ks) and seen > cfg.nmin:
@@ -270,29 +286,30 @@ class AnticipatingClassifier:
     def _give_birth(self, x: np.ndarray, y: int) -> None:
         cfg, system = self.config, self.system
         ids = np.append(system.ids, np.int64(self.next_rule_id))  # never promoted
-        self.next_rule_id += 1
         # the newborn's row is appended after the current ones
         rows = np.append(np.arange(len(system)), system.n_rows)
         self._set_rows(ids, np.append(system.born_classes, y), rows, rows,
-                       self.pair_seen + [None],
+                       rows == system.n_rows,
                        extra=seed_row(x, cfg.sigma_init, cfg.omega, system.n_classes))
 
     def _set_rows(self, ids: np.ndarray, born_classes: np.ndarray,
-                  rows: np.ndarray, con_rows: np.ndarray,
-                  pair_seen: list[int | None], extra: Rows | None = None) -> None:
+                  rows: np.ndarray, con_rows: np.ndarray, spawn: np.ndarray,
+                  extra: Rows | None = None) -> None:
         """Rebuild the stacks for new principal rules, their pairs behind.
 
         Rule j (id ``ids[j]``, born class ``born_classes[j]``) takes its
         premise from row ``rows[j]`` and its consequent from ``con_rows[j]``
         (FuzzySystem.set_rows; indices past its rows address ``extra``).
-        ``pair_seen[j]`` is the sample count of the rule's shadow pair,
-        whose rows move with their rule (which must then come from its own
-        row); None spawns a fresh pair from the rule's new rows. Each window
-        follows its consequent; a spawned pair's and a newborn's start blank.
+        Where the bool mask ``spawn`` is set, the rule gets a fresh pair
+        from its new rows, whose sample count starts at 0; elsewhere its
+        pair's rows and count move with it (the rule must then come from
+        its own row). Each window follows its consequent; a spawned pair's
+        and a newborn's start blank.
         """
         cfg = self.config
         system = self.system
-        spawn = np.array([seen is None for seen in pair_seen])
+        seen = np.zeros(len(ids), dtype=np.int64)
+        seen[~spawn] = self.pair_seen[rows[~spawn]]
         kept = len(system) + 2 * rows  # a kept rule's slow row
 
         def with_pairs(src, spawned):
@@ -306,7 +323,7 @@ class AnticipatingClassifier:
                         with_pairs(con_rows, con_rows), extra)
         spawn_pair(system, len(ids) + 2 * np.flatnonzero(spawn), cfg.tmax1,
                    cfg.tmax2, cfg.am_init, cfg.omega)
-        self.pair_seen = [0 if seen is None else seen for seen in pair_seen]
+        self.pair_seen = seen
         self._resize_buffers()
 
     def _resize_buffers(self) -> None:
@@ -350,21 +367,20 @@ class AnticipatingClassifier:
         # the two new rules take the winner's place and its born class
         pick = np.insert(np.arange(n), winner, winner)
         ids = system.ids[pick]
-        ids[winner:winner + 2] = (self.next_rule_id, self.next_rule_id + 1)
-        self.next_rule_id += 2
+        first = self.next_rule_id  # read before _set_rows stores these two
+        ids[winner:winner + 2] = (first, first + 1)
         row_slow = n + 2 * winner
         rows = np.concatenate((np.arange(winner), (row_slow, row_slow + 1),
                                np.arange(winner + 1, n)))
+        # the two new rules spawn pairs; under global every other rule
+        # adopts its slow sub-rule's conclusion and respawns its pair too
+        spawn = np.zeros(n + 1, dtype=bool)
+        spawn[winner:winner + 2] = True
+        con_rows = rows
         if cfg.strategy == "global":
-            adopts = np.ones(n + 1, dtype=bool)
-            adopts[winner:winner + 2] = False
-            con_rows = np.where(adopts, n + 2 * rows, rows)
-            pair_seen = [None] * (n + 1)
-        else:
-            con_rows = rows
-            pair_seen = (self.pair_seen[:winner] + [None, None]
-                         + self.pair_seen[winner + 1:])
-        self._set_rows(ids, system.born_classes[pick], rows, con_rows, pair_seen)
+            con_rows = np.where(spawn, rows, n + 2 * rows)
+            spawn[:] = True
+        self._set_rows(ids, system.born_classes[pick], rows, con_rows, spawn)
         self.drift_log.append(DriftEvent(
             sample_index=self.samples_seen, rule_id=old_id,
             strategy=cfg.strategy, separation=separation))

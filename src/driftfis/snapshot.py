@@ -7,7 +7,9 @@ bit-for-bit. Cached covariance inverses are not stored; they are
 recomputed from the covariance, which is deterministic. Both directions
 work on rows: the writer reads each rule's and sub-rule's row of the
 FuzzySystem stacks, its id and born class and its WindowBank row, and the
-loader rebuilds the stacks, the id and born-class arrays and the bank.
+loader rebuilds the stacks, the id and born-class arrays, the pair counts
+and the bank. ``next_rule_id`` is written for the reader but is derived,
+one past the largest rule id, and the loader requires exactly that.
 
 Two descriptions of a state serve two purposes. The canonical JSON, which
 ``save_model`` writes and ``model_state_hash`` hashes, is text that any
@@ -15,8 +17,8 @@ machine reads back to the same bits; the state a stream learns into it is
 verified identical only under the same OpenBLAS kernel (under the Haswell
 and Zen kernels every pinned state hash differs, while the prediction
 digests hold). ``state_bytes``, the raw array bytes plus a repr of the
-counters, is much cheaper, also covers the cached inverses, and compares
-byte for byte, so a check built on it is exact. It is only comparable
+config and scalars, is much cheaper, also covers the cached inverses, and
+compares byte for byte, so a check built on it is exact. It is only comparable
 within one process, and holding one costs its full size;
 ``state_bytes_match`` compares a live state against a held buffer without
 building a second one.
@@ -43,6 +45,9 @@ FORMAT_VERSION = 1
 
 # the encoder json.dumps(..., sort_keys=True) uses, built once
 _CANONICAL = json.JSONEncoder(sort_keys=True)
+
+# the largest count or id an int64 array holds
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 class SnapshotError(ValueError):
@@ -99,7 +104,7 @@ def _rule_entry(learner: AnticipatingClassifier, i: int) -> dict:
 
 def _pair_entry(learner: AnticipatingClassifier, i: int) -> dict:
     row = len(learner.system) + 2 * i  # the slow sub-rule's
-    return {"samples_seen": learner.pair_seen[i],
+    return {"samples_seen": learner.pair_seen.item(i),
             "slow": _sub_entry(learner, row, learner.config.tmax1),
             "fast": _sub_entry(learner, row + 1, learner.config.tmax2)}
 
@@ -164,16 +169,16 @@ def _learner_from_state(state: dict) -> AnticipatingClassifier:
     c = _integer(state["n_classes"], "n_classes", 1, integral=True)
     learner = AnticipatingClassifier(d, c, config)
     learner.samples_seen = _integer(state["samples_seen"], "samples_seen")
-    # rule ids live in an int64 array, and each is below next_rule_id
-    learner.next_rule_id = _integer(state["next_rule_id"], "next_rule_id",
-                                    high=np.iinfo(np.int64).max)
+    # rule ids live in an int64 array; next_rule_id, one past the largest
+    # (checked below), bounds the drifts' rule ids
+    next_rule_id = _integer(state["next_rule_id"], "next_rule_id", high=_INT64_MAX)
     learner.drift_log = [DriftEvent(**event) for event in state["drift_log"]]
     # learn_one logs at most one drift per sample, each past ks
     after = 0
     for event in learner.drift_log:
         after = 1 + _integer(event.sample_index, "a drift's sample_index",
                              after, learner.samples_seen - 1)
-        _integer(event.rule_id, "a drift's rule_id", 0, learner.next_rule_id - 1)
+        _integer(event.rule_id, "a drift's rule_id", 0, next_rule_id - 1)
         if event.strategy != config.strategy:
             raise ValueError(f"a drift's strategy {event.strategy!r} differs "
                              f"from the config's {config.strategy!r}")
@@ -195,9 +200,9 @@ def _learner_from_state(state: dict) -> AnticipatingClassifier:
     if len(set(ids)) != len(ids) or len(pairs) != len(state["anticipations"]):
         raise ValueError("every rule needs a unique id and exactly one "
                          "anticipation pair")
-    if ids and learner.next_rule_id <= max(ids):
-        raise ValueError(f"next_rule_id {learner.next_rule_id} does not "
-                         f"exceed every rule id")
+    if next_rule_id != max(ids, default=-1) + 1:
+        raise ValueError(f"next_rule_id {next_rule_id} is not one past the "
+                         f"largest rule id (0 with no rules)")
     # every stacked row in stack order: the rules, then their pairs
     rows = [(rule, None) for rule in rules]
     for pair in pairs:
@@ -205,7 +210,7 @@ def _learner_from_state(state: dict) -> AnticipatingClassifier:
     windows = []  # each row's samples, weights and skipped count
     for entry, horizon in rows:
         premise = entry["premise"]
-        _integer(premise["hits"], "hits", 1)
+        _integer(premise["hits"], "hits", 1, _INT64_MAX)
         if (type(premise["horizon"]) is not type(horizon)
                 or premise["horizon"] != horizon):
             raise ValueError(f"horizon {premise['horizon']!r} differs from "
@@ -264,8 +269,9 @@ def _learner_from_state(state: dict) -> AnticipatingClassifier:
         extra=Rows(stacked("premise", "center", d), covs, invs, hits, corrs,
                    coeffs))
     learner.windows.load(windows)
-    learner.pair_seen = [_integer(pair["samples_seen"], "a pair's samples_seen")
-                         for pair in pairs]
+    learner.pair_seen = np.array(
+        [_integer(pair["samples_seen"], "a pair's samples_seen", high=_INT64_MAX)
+         for pair in pairs], dtype=np.int64)
     learner._resize_buffers()
     return learner
 
@@ -343,14 +349,11 @@ def _state_chunks(learner: AnticipatingClassifier) -> list:
     xs, ws = windows.entries()
     stacks = system.stacks()
     packed = (xs, ws, windows.counts(),  # fills and skipped counts
+              system.ids, system.born_classes, learner.pair_seen,
               np.array([e.sample_index for e in log], dtype=np.int64),
               np.array([e.rule_id for e in log], dtype=np.int64),
               np.array([e.separation for e in log], dtype=np.float64))
-    meta = [system.n_features, system.n_classes, learner.config,
-            learner.samples_seen, learner.next_rule_id,
-            sorted(learner.seen_classes),
-            list(zip(system.ids.tolist(), system.born_classes.tolist())),
-            learner.pair_seen, [e.strategy for e in log],
+    meta = [learner.config, learner.samples_seen, [e.strategy for e in log],
             [a.shape for a in stacks + packed]]
     return [*stacks, *packed, repr(meta).encode()]
 
@@ -363,13 +366,15 @@ def state_bytes(learner: AnticipatingClassifier) -> bytes:
     FuzzySystem stacks with the hit counts, in row order (rules, then each
     rule's slow and fast sub-rule); every window's samples and weights,
     oldest first in the same row order (WindowBank.entries); every
-    window's fill and skipped count (WindowBank.counts); the drift log's
-    sample indices, rule ids and separations; then ``repr`` of the rest
-    (config, counters, rule ids and born classes, pair sample counts,
-    shapes). A pair's two windows hold the same samples, so their bytes
-    appear twice. Horizons, omegas and window capacities follow from the
-    config. The shapes and the fills fix where each array's bytes start,
-    and repr writes every float exactly, so two buffers are equal iff
+    window's fill and skipped count (WindowBank.counts); the rule ids,
+    born classes and pair sample counts; the drift log's sample indices,
+    rule ids and separations; then ``repr`` of what no array holds (config,
+    samples_seen, the drift strategies, every array's shape). A pair's two
+    windows hold the same samples, so their bytes appear twice. Horizons,
+    omegas and window capacities follow from the config; the sizes follow
+    from the shapes, next_rule_id from the ids and the seen classes from
+    the born classes. The shapes and the fills fix where each array's bytes
+    start, and repr writes every float exactly, so two buffers are equal iff
     every array holds the same bits (``-0.0`` differs from ``0.0``) and
     every counter is equal. The bytes are native-endian: compare them
     only within one process.

@@ -123,10 +123,17 @@ class TestRun:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         return str(path)
 
-    @pytest.mark.parametrize("flag", ["--omega", "--sigma-init"])
-    def test_infinite_scale_is_a_config_error(self, outdir, flag, capsys):
+    @pytest.mark.parametrize("flag, value", [
+        pytest.param("--omega", "inf", id="--omega"),
+        pytest.param("--sigma-init", "inf", id="--sigma-init"),
+        # a seed premise's trace, 2 * sigma_init^2, overflows from about
+        # 9.5e153 at 2 features, and sigma_init^2 itself from 1.35e154
+        pytest.param("--sigma-init", "1e154", id="--sigma-init-1e154"),
+        pytest.param("--sigma-init", "1.35e154", id="--sigma-init-1.35e154"),
+    ])
+    def test_infinite_scale_is_a_config_error(self, outdir, flag, value, capsys):
         args = ["run", "--dataset", "line", "--n-samples", "450",
-                "--trs", "100", "--tes", "50", flag, "inf"]
+                "--trs", "100", "--tes", "50", flag, value]
         assert cli.main(args) == 2
         assert "finite" in capsys.readouterr().err
         assert not (outdir / "run-line-seed0.json").exists()

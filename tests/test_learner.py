@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import driftfis
 from driftfis import fis
 from driftfis import learner as learner_module
-from driftfis.config import LearnerConfig
+from driftfis.config import ConfigError, LearnerConfig
 from driftfis.learner import (
     AnticipatingClassifier,
     NonFiniteInputError,
@@ -53,8 +53,8 @@ class TestBirths:
     def test_rule_ids_stay_int64(self):
         # an id past int64 fails loudly instead of turning the ids to float
         learner = make_learner()
-        learner.next_rule_id = 2 ** 63 - 1
         learner.learn_one([0.0, 0.0], 0)
+        learner.system.ids[0] = 2 ** 63 - 1  # the next id is 2 ** 63
         assert learner.system.ids.dtype == np.int64
         before = state_bytes(learner)
         with pytest.raises(OverflowError):
@@ -112,7 +112,7 @@ class TestBirths:
         before = [stack.copy() for stack in system.stacks()]
         rings = [windows.window(row).ordered() for row in range(3 * n)]
         counts = windows.counts()
-        pair_seen = list(learner.pair_seen)
+        pair_seen = learner.pair_seen.tolist()
         x = np.array([2.0, -3.0])
         x_aug = np.array([1.0, 2.0, -3.0])
 
@@ -137,7 +137,7 @@ class TestBirths:
         assert np.array_equal(after.centers[3 * n + 1:], [x, x])
         assert np.array_equal(after.corrs[3 * n + 1:], [omega * np.eye(3)] * 2)
         assert not after.coeffs[3 * n + 1:].any()
-        assert learner.pair_seen == pair_seen + [0]
+        assert learner.pair_seen.tolist() == pair_seen + [0]
 
         def same(ring, xs, ws):
             assert np.array_equal(ring[0], xs) and np.array_equal(ring[1], ws)
@@ -155,6 +155,31 @@ class TestBirths:
             assert len(windows.window(row)) == 0
         assert np.array_equal(windows.counts()[:, n + 1:3 * n + 1], counts[:, n:])
         assert not windows.counts()[1].any()
+
+    @pytest.mark.parametrize("founding", [True, False])
+    def test_failed_birth_changes_nothing(self, monkeypatch, founding):
+        # a birth builds the newborn's row before it changes the model, so
+        # a failure there, on the founding sample or a declared class's
+        # first one, leaves the state and the next rule id as they were
+        learners = [make_learner(ks=0.6, nmin=3) for _ in range(2)]
+        X, _ = two_blob_stream(np.random.default_rng(3), 0 if founding else 40)
+        for learner in learners:
+            train(learner, X, np.zeros(len(X), dtype=int))  # class 0 only
+        hit, clean = learners
+        before, next_id = state_bytes(hit), hit.next_rule_id
+
+        def no_room(*args):
+            raise MemoryError("no room for the newborn's row")
+
+        monkeypatch.setattr(learner_module, "seed_row", no_room)
+        with pytest.raises(MemoryError):
+            hit.learn_one([6.0, -6.0], 1)
+        assert state_bytes(hit) == before
+        assert hit.next_rule_id == next_id
+        monkeypatch.undo()
+        for learner in learners:
+            learner.learn_one([6.0, -6.0], 1)
+        assert state_bytes(hit) == state_bytes(clean)
 
     def test_every_rule_has_a_pair(self):
         rng = np.random.default_rng(0)
@@ -472,6 +497,16 @@ class TestValidation:
             AnticipatingClassifier(0, 2)
         with pytest.raises(ValueError):
             AnticipatingClassifier(2, 0)
+        # a seed premise's trace, 2 * 1e154 ** 2, overflows
+        with pytest.raises(ConfigError, match="finite"):
+            AnticipatingClassifier(2, 2, LearnerConfig(sigma_init=1e154))
+        # below the bound at 10 features, about 4.2e153, the seed is finite
+        learner = AnticipatingClassifier(10, 2, LearnerConfig(sigma_init=1e153))
+        X, y = gaussian_stream(np.random.default_rng(6), 40,
+                               centers=[[0.0] * 10, [4.0] * 10])
+        train(learner, X, y)
+        assert learner.samples_seen == 40
+        assert np.isfinite(learner.system.stacks().invs).all()
 
 
 class TestForgettingModes:
@@ -873,8 +908,10 @@ def test_covariance_stacks_stay_exactly_symmetric(
     and a snapshot round trip mid-stream. Through
     all of it, no correlation or coefficient entry is -0.0 (the conclusion
     kernels' einsum terms match the broadcast ones only then), each shadow
-    pair's two window rows stay in lockstep, and a freshly spawned pair's
-    rows are blank."""
+    pair's two window rows stay in lockstep, a freshly spawned pair's
+    rows are blank, and no rule id is reused: the ids stay distinct, each
+    new one exceeds every id the stream had before, round trip included,
+    and a replaced rule's id leaves with it."""
     rng = np.random.default_rng(seed)
     X, y = two_blob_stream(rng, 160)
     X[60:] += 2.0
@@ -885,10 +922,21 @@ def test_covariance_stacks_stay_exactly_symmetric(
         ks=0.6, nmin=3, tmax2=5, ws=ws, strategy=strategy,
         forgetting_mode=mode, allow_class_growth=late_class_at is not None,
         am_init=am_init))
+    largest = -1  # the largest rule id so far in the stream
     for i, (xi, yi) in enumerate(zip(X, y)):
         if i == round_trip_at:
             learner = from_state_dict(json.loads(json.dumps(state_dict(learner))))
+        ids_before = set(learner.system.ids.tolist())
+        drifts_before = len(learner.drift_log)
         learner.learn_one(xi, int(yi))
+        # ids are never reused: they are distinct, each new one exceeds
+        # every earlier one, and a rule replaced now takes its id along
+        ids = learner.system.ids.tolist()
+        assert len(set(ids)) == len(ids)
+        assert all(rid > largest for rid in set(ids) - ids_before)
+        assert all(event.rule_id not in ids
+                   for event in learner.drift_log[drifts_before:])
+        largest = max(largest, *ids)
         stacks = learner.system.stacks()
         for stack in (stacks.covs, stacks.corrs):
             assert stack.tobytes() == np.swapaxes(stack, 1, 2).tobytes()

@@ -291,6 +291,11 @@ class TestGuards:
         lambda s: [_log_drift(s, sample_index=i) for i in (9, 8)],
         # ... and another strategy than the config's
         lambda s: _log_drift(s, strategy="naive"),
+        # next_rule_id is one past the largest rule id, no more
+        lambda s: s.update(next_rule_id=s["next_rule_id"] + 1),
+        # the pair counts and hits are int64 too
+        lambda s: _first_pair(s).update(samples_seen=2 ** 63),
+        lambda s: s["rules"][0]["premise"].update(hits=2 ** 63),
     ])
     def test_malformed_value_rejected(self, mangle):
         state = state_dict(trained_learner(n=40, forgetting_mode="forget_ps"))
@@ -305,6 +310,16 @@ class TestGuards:
         state = state_dict(trained_learner(n=40, forgetting_mode="forget_ps"))
         del state["config"][name]
         with pytest.raises(SnapshotError, match=re.escape(f"[{name!r}]")):
+            from_state_dict(state)
+
+    def test_rule_less_state_needs_next_rule_id_zero(self):
+        # an untrained learner's state round-trips; with no rule there is
+        # no id for next_rule_id to follow
+        state = state_dict(AnticipatingClassifier(2, 2))
+        assert state["next_rule_id"] == 0
+        assert state_dict(from_state_dict(state)) == state
+        state["next_rule_id"] = 3
+        with pytest.raises(SnapshotError, match="next_rule_id"):
             from_state_dict(state)
 
     def test_loggable_drifts_load(self):
@@ -466,7 +481,8 @@ def test_forget_ps_state_hash_is_pinned(strategy):
 
 def reference_state_bytes(learner):
     """state_bytes written out window by window, each window read through
-    its own entries rather than from the bank's gather."""
+    its own entries rather than from the bank's gather, and the ids, born
+    classes and pair counts read through the rule and pair views."""
     system = learner.system
     stacks = (system._centers, system._covs, system._invs, system.hits,
               system._corrs, system._coeffs)
@@ -481,14 +497,13 @@ def reference_state_bytes(learner):
         np.array([w for _, w in held]),
         np.array([[len(w) for w in windows], [w.skipped for w in windows]],
                  dtype=np.int64).reshape(2, len(windows)),
+        np.array([rule.id for rule in system.rules], dtype=np.int64),
+        np.array([rule.born_class for rule in system.rules], dtype=np.int64),
+        np.array([pair.samples_seen for pair in pairs], dtype=np.int64),
         np.array([e.sample_index for e in log], dtype=np.int64),
         np.array([e.rule_id for e in log], dtype=np.int64),
         np.array([e.separation for e in log], dtype=np.float64))
-    meta = [system.n_features, system.n_classes, learner.config,
-            learner.samples_seen, learner.next_rule_id,
-            sorted(learner.seen_classes),
-            [(rule.id, rule.born_class) for rule in system.rules],
-            [pair.samples_seen for pair in pairs], [e.strategy for e in log],
+    meta = [learner.config, learner.samples_seen, [e.strategy for e in log],
             [a.shape for a in stacks + packed]]
     return b"".join([*stacks, *packed, repr(meta).encode()])
 
@@ -637,10 +652,12 @@ def _leaves(node, path=()):
 def _perturb_live_field(learner, path):
     """Change the live value a state_dict leaf was read from; return an undo."""
     head, *rest = path
-    if head == "seen_classes":  # a set on the learner, sorted in the state
-        saved = learner.seen_classes
-        learner.seen_classes = saved - {sorted(saved)[rest[0]]} | {max(saved) + 1}
-        return lambda: setattr(learner, "seen_classes", saved)
+    system = learner.system
+    if head == "seen_classes":  # the born classes, sorted, without repeats
+        born = sorted(learner.seen_classes)[rest[0]]
+        return _swap(system.born_classes, system.born_classes.tolist().index(born))
+    if head == "next_rule_id":  # one past the largest rule id
+        return _swap(system.ids, int(system.ids.argmax()))
     if head in ("rules", "anticipations"):
         return _perturb_row_field(learner, head, *rest)
     if head in ("n_features", "n_classes"):
