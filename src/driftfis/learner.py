@@ -14,19 +14,19 @@ born classes are the system's two int64 arrays, the pairs' sample counts
 the learner's int64 array pair_seen, the seen classes are the born ones,
 and next_rule_id is one past the largest id. Births (one seed_row
 appended) and replacements are row gathers of the stacks, the arrays and
-the WindowBank (row r the window of stack row r), both through _set_rows,
-whose spawn mask starts fresh pairs; class growth only pads the
-coefficient stack with zero columns (FuzzySystem.grow_classes). Per
-sample, one batched membership pass scores the principal rules and picks
-the winner; only the winner's pair carries weight among the shadow rows.
-On small stacks that pass scores every row, the pairs too; once the other
-pairs' rows outweigh a second call (_SPLIT_MIN_SKIPPED), it stops at the
-principal rows and a second call scores the winner's pair, with the same
-bits. One batched premise update covers the winner and its pair, and
-every sample but the founding one ends in _learn_conclusions: one batched
-WRLS step over the principal rules and that pair (none on a class birth),
-and the principal windows' forgetting. The rules and pairs handed out are
-views of rows.
+the WindowBank (row r the window of stack row r), both through
+_set_rows, whose spawn mask starts fresh pairs; class growth, once a new
+class's seed row is built, only pads the coefficient stack with zero
+columns (FuzzySystem.grow_classes). Per sample, one batched membership
+pass scores the principal rules and picks the winner; only the winner's
+pair carries weight among the shadow rows. On small stacks that pass
+scores every row, the pairs too; once the other pairs' rows outweigh a
+second call (_SPLIT_MIN_SKIPPED), it stops at the principal rows and a
+second call scores the winner's pair, with the same bits. One batched
+premise update covers the winner and its pair, and every sample but the
+founding one ends in _learn_conclusions: one batched WRLS step over the
+principal rules and that pair (none on a class birth), and the principal
+windows' forgetting. The rules and pairs handed out are views of rows.
 """
 
 from __future__ import annotations
@@ -164,26 +164,30 @@ class AnticipatingClassifier:
                 raise NonFiniteInputError(
                     f"features must be finite, got {x.tolist()}")
             y = self._check_label(y)
-            self._give_birth(x, y)
+            self._give_birth(y, self._seed(x, y))
             self.samples_seen += 1
             return y
 
         every = system.memberships_all(x) if self._fused else None
         betas = system.memberships_all(x, n) if every is None else every[:n]
         # every weight below divides by bsum (or the pair denominator); the
-        # check runs before the label check can grow the classes
+        # check runs before a new class's seed can grow the classes
         bsum = membership_sum(x, betas)
         y = self._check_label(y)
+        # a new class's rule row, built before the classes grow to hold
+        # it, so a failure there leaves them as they were; the prediction
+        # scores the grown classes
+        seed = None if y in self.seen_classes else self._seed(x, y)
         x_aug = self._x_aug
         x_aug[1:] = x
         prediction = int(
             system.scores_from_memberships(betas, x_aug, bsum).argmax())
 
-        if y not in self.seen_classes:
+        if seed is not None:
             # First sample of a class seeds a rule there. The founding
             # sample is already baked into the new premise, so premise and
             # shadow-pair updates are skipped; conclusions still learn.
-            self._give_birth(x, y)
+            self._give_birth(y, seed)
             betas = system.memberships(x)
             total = betas.sum() if cfg.wrls_weight == "normalized" else 1.0
             self._learn_conclusions(x_aug, betas, total, y, n + 1)
@@ -266,12 +270,21 @@ class AnticipatingClassifier:
         y = int(y)
         if y < 0:
             raise UnknownClassError(f"negative class label {y}")
-        if y >= self.system.n_classes:
-            if not self.config.allow_class_growth:
-                raise UnknownClassError(
-                    f"class {y} outside declared range 0..{self.system.n_classes - 1}")
-            self._grow_classes(y + 1)
+        if y >= self.system.n_classes and not self.config.allow_class_growth:
+            raise UnknownClassError(
+                f"class {y} outside declared range 0..{self.system.n_classes - 1}")
         return y
+
+    def _seed(self, x: np.ndarray, y: int) -> Rows:
+        """The seed row of class y's first rule (seed_row), with a
+        coefficient column per class up to y; then, once it is built, the
+        model grows to those classes if it has fewer."""
+        cfg = self.config
+        n_classes = max(self.system.n_classes, y + 1)
+        seed = seed_row(x, cfg.sigma_init, cfg.omega, n_classes)
+        if n_classes > self.system.n_classes:
+            self._grow_classes(n_classes)
+        return seed
 
     def _grow_classes(self, n_classes: int) -> None:
         """Widen the model to ``n_classes`` classes: each class's read-only
@@ -283,14 +296,14 @@ class AnticipatingClassifier:
         self.system.grow_classes(n_classes)
         self._targets = targets
 
-    def _give_birth(self, x: np.ndarray, y: int) -> None:
-        cfg, system = self.config, self.system
+    def _give_birth(self, y: int, seed: Rows) -> None:
+        """Append a rule of born class y with the row ``seed`` (_seed)."""
+        system = self.system
         ids = np.append(system.ids, np.int64(self.next_rule_id))  # never promoted
         # the newborn's row is appended after the current ones
         rows = np.append(np.arange(len(system)), system.n_rows)
         self._set_rows(ids, np.append(system.born_classes, y), rows, rows,
-                       rows == system.n_rows,
-                       extra=seed_row(x, cfg.sigma_init, cfg.omega, system.n_classes))
+                       rows == system.n_rows, extra=seed)
 
     def _set_rows(self, ids: np.ndarray, born_classes: np.ndarray,
                   rows: np.ndarray, con_rows: np.ndarray, spawn: np.ndarray,

@@ -8,8 +8,14 @@ recomputed from the covariance, which is deterministic. Both directions
 work on rows: the writer reads each rule's and sub-rule's row of the
 FuzzySystem stacks, its id and born class and its WindowBank row, and the
 loader rebuilds the stacks, the id and born-class arrays, the pair counts
-and the bank. ``next_rule_id`` is written for the reader but is derived,
-one past the largest rule id, and the loader requires exactly that.
+and the bank. Some of what the writer writes is derived, for the reader:
+``next_rule_id`` (one past the largest rule id), the seen classes, each
+row's horizon, omega and window capacity, and each drift's strategy. The
+loader takes none of it from the snapshot. It checks the stored values,
+builds the model, and then requires that the model write the snapshot
+back (``state_dict(from_state_dict(s)) == s`` under ``==``, key sets
+included), entry by entry, so that only the writer knows how a derived
+field follows from the rest.
 
 Two descriptions of a state serve two purposes. The canonical JSON, which
 ``save_model`` writes and ``model_state_hash`` hashes, is text that any
@@ -30,7 +36,8 @@ import hashlib
 import json
 import math
 import numbers
-from dataclasses import asdict, fields
+import reprlib
+from dataclasses import asdict
 
 import numpy as np
 
@@ -135,16 +142,24 @@ def _state_skeleton(learner: AnticipatingClassifier) -> dict:
 def from_state_dict(state: dict) -> AnticipatingClassifier:
     """Rebuild a learner from a state dictionary (inverse of state_dict).
 
-    Raises SnapshotError for an unknown format or version, a missing key
-    (the config must hold every LearnerConfig field and no other), or a
-    value of the wrong type or shape: among them a NaN or infinite
+    A state loads only if its model writes it back: state_dict of the
+    result equals ``state`` under ``==``, key sets included. So an unknown
+    key anywhere is rejected, as is a derived field (next_rule_id, the
+    seen classes, a horizon, omega or window capacity, a drift's strategy)
+    that differs from what the model derives; one stored in an equal form
+    (3.0 or True for 3) loads as that same model.
+
+    Raises SnapshotError for an unknown format or version, a missing key,
+    a state its model does not write back (naming the first differing
+    path, such as ['rules'][3]['premise']['horizon']), or a value of the
+    wrong type or shape: among them a NaN or infinite
     array entry, a covariance or correlation matrix that is not exactly
     symmetric, a correlation matrix or a covariance with its ridge,
     S + r I, that is not positive definite, a -0.0 correlation or
-    coefficient entry, a negative count
-    or a non-integer one, a class outside 0..n_classes-1, and a drift the
-    learner cannot have logged: one naming an unknown rule id, another
-    strategy than the config's, a separation not above ks, or a sample
+    coefficient entry, a negative count or a non-integer one, a count
+    past int64 or a rule id at its maximum, a class outside
+    0..n_classes-1, and a drift the learner cannot have logged: one
+    naming an unknown rule id, a separation not above ks, or a sample
     index not past the previous drift's and below samples_seen.
     """
     if state.get("format") != FORMAT_NAME:
@@ -152,82 +167,52 @@ def from_state_dict(state: dict) -> AnticipatingClassifier:
     if state.get("version") != FORMAT_VERSION:
         raise SnapshotError(f"unsupported snapshot version {state.get('version')!r}")
     try:
-        return _learner_from_state(state)
+        learner = _learner_from_state(state)
+        _check_written_back(learner, state)
     except KeyError as exc:
         raise SnapshotError(f"malformed snapshot: missing key {exc}") from exc
     except (TypeError, ValueError, AttributeError) as exc:
         raise SnapshotError(f"malformed snapshot: {exc}") from exc
+    return learner
 
 
 def _learner_from_state(state: dict) -> AnticipatingClassifier:
-    # every field: a missing one would take its default unnoticed
-    odd = set(state["config"]) ^ {f.name for f in fields(LearnerConfig)}
-    if odd:
-        raise ValueError(f"config keys missing or unknown: {sorted(odd, key=repr)}")
     config = LearnerConfig(**state["config"])
     d = _integer(state["n_features"], "n_features", 1, integral=True)
     c = _integer(state["n_classes"], "n_classes", 1, integral=True)
     learner = AnticipatingClassifier(d, c, config)
-    learner.samples_seen = _integer(state["samples_seen"], "samples_seen")
-    # rule ids live in an int64 array; next_rule_id, one past the largest
-    # (checked below), bounds the drifts' rule ids
-    next_rule_id = _integer(state["next_rule_id"], "next_rule_id", high=_INT64_MAX)
-    learner.drift_log = [DriftEvent(**event) for event in state["drift_log"]]
-    # learn_one logs at most one drift per sample, each past ks
-    after = 0
+    learner.samples_seen = _integer(state["samples_seen"], "samples_seen",
+                                    high=_INT64_MAX)
+    rules = state["rules"]
+    # rule ids live in an int64 array, which the next one, one past the
+    # largest, must fit too
+    ids = [_integer(rule["id"], "a rule id", high=_INT64_MAX - 1) for rule in rules]
+    born = [_integer(rule["born_class"], "born_class", 0, c - 1) for rule in rules]
+    learner.drift_log = [DriftEvent(**{**event, "strategy": config.strategy})
+                         for event in state["drift_log"]]
+    # learn_one logs at most one drift per sample, each past ks, of a rule
+    # id given out before
+    after, largest = 0, max(ids, default=-1)
     for event in learner.drift_log:
         after = 1 + _integer(event.sample_index, "a drift's sample_index",
                              after, learner.samples_seen - 1)
-        _integer(event.rule_id, "a drift's rule_id", 0, next_rule_id - 1)
-        if event.strategy != config.strategy:
-            raise ValueError(f"a drift's strategy {event.strategy!r} differs "
-                             f"from the config's {config.strategy!r}")
+        _integer(event.rule_id, "a drift's rule_id", 0, largest)
         if (type(event.separation) not in (int, float)
                 or not event.separation > config.ks):
             raise ValueError(f"a drift's separation {event.separation!r} "
                              f"is not a number above ks {config.ks!r}")
-    rules = state["rules"]
-    ids = [_integer(rule["id"], "a rule id") for rule in rules]
-    born = [_integer(rule["born_class"], "born_class", 0, c - 1) for rule in rules]
-    # the learner seeds a rule at each class's first sample, so the seen
-    # classes are exactly the born classes
-    classes = sorted(set(born))
-    seen = [_integer(label, "a seen class") for label in state["seen_classes"]]
-    if seen != classes:
-        raise ValueError(f"seen_classes {seen!r} differs from the rules' "
-                         f"born classes {classes}")
     pairs = [state["anticipations"][str(rule_id)] for rule_id in ids]
-    if len(set(ids)) != len(ids) or len(pairs) != len(state["anticipations"]):
-        raise ValueError("every rule needs a unique id and exactly one "
-                         "anticipation pair")
-    if next_rule_id != max(ids, default=-1) + 1:
-        raise ValueError(f"next_rule_id {next_rule_id} is not one past the "
-                         f"largest rule id (0 with no rules)")
     # every stacked row in stack order: the rules, then their pairs
-    rows = [(rule, None) for rule in rules]
-    for pair in pairs:
-        rows += ((pair["slow"], config.tmax1), (pair["fast"], config.tmax2))
+    rows = [*rules, *(pair[role] for pair in pairs for role in ("slow", "fast"))]
     windows = []  # each row's samples, weights and skipped count
-    for entry, horizon in rows:
-        premise = entry["premise"]
-        _integer(premise["hits"], "hits", 1, _INT64_MAX)
-        if (type(premise["horizon"]) is not type(horizon)
-                or premise["horizon"] != horizon):
-            raise ValueError(f"horizon {premise['horizon']!r} differs from "
-                             f"its role's {horizon!r}")
-        if entry["consequent"]["omega"] != config.omega:
-            raise ValueError(f"omega {entry['consequent']['omega']!r} "
-                             f"differs from the config's {config.omega!r}")
-        w = entry["window"]
-        if w["capacity"] != config.ws:
-            raise ValueError(f"window capacity {w['capacity']!r} differs "
-                             f"from ws {config.ws}")
-        held = w["entries"]
+    for entry in rows:
+        _integer(entry["premise"]["hits"], "hits", 1, _INT64_MAX)
+        held = entry["window"]["entries"]
         windows.append([
             _array([x for x, _ in held] or np.empty((0, d + 1)),
                    (len(held), d + 1), "window entries"),
             _array([weight for _, weight in held], (len(held),), "window weights"),
-            _integer(w["skipped"], "skipped")])
+            _integer(entry["window"]["skipped"], "skipped", high=_INT64_MAX)])
     n = len(rules)
     # the two windows of a pair record every sample together and evict it
     # together
@@ -238,7 +223,7 @@ def _learner_from_state(state: dict) -> AnticipatingClassifier:
         return learner
 
     def stacked(part, key, *shape):
-        return _array([entry[part][key] for entry, _ in rows],
+        return _array([entry[part][key] for entry in rows],
                       (len(rows), *shape), f"{part} {key}")
 
     covs = stacked("premise", "cov", d, d)
@@ -262,7 +247,7 @@ def _learner_from_state(state: dict) -> AnticipatingClassifier:
     for what, mats in (("correlation", corrs), ("coefficient", coeffs)):
         if np.signbit(mats[mats == 0.0]).any():
             raise ValueError(f"a {what} matrix holds a -0.0 entry")
-    hits = np.array([entry["premise"]["hits"] for entry, _ in rows], dtype=np.int64)
+    hits = np.array([entry["premise"]["hits"] for entry in rows], dtype=np.int64)
     learner.system.set_rows(
         np.array(ids, dtype=np.int64), np.array(born, dtype=np.int64),
         np.arange(len(rows)),
@@ -274,6 +259,43 @@ def _learner_from_state(state: dict) -> AnticipatingClassifier:
          for pair in pairs], dtype=np.int64)
     learner._resize_buffers()
     return learner
+
+
+def _check_written_back(learner: AnticipatingClassifier, state: dict) -> None:
+    """Raise ValueError unless ``learner`` writes ``state`` back, naming the
+    first path where they differ. The skeleton comes first, with the pairs
+    as their keys, one per rule as the writer writes them; then each rule
+    and pair entry, one at a time, so no second tree is built."""
+    ids = [str(rule_id) for rule_id in learner.system.ids.tolist()]
+    rules, pairs = state["rules"], state["anticipations"]
+    skeleton = _state_skeleton(learner)
+    skeleton["anticipations"] = sorted(ids)
+    _compare(skeleton, {**state, "rules": None, "anticipations": sorted(pairs)}, "")
+    for i, key in enumerate(ids):
+        _compare(_rule_entry(learner, i), rules[i], f"['rules'][{i}]")
+        _compare(_pair_entry(learner, i), pairs[key], f"['anticipations'][{key!r}]")
+
+
+def _compare(written, given, path: str) -> None:
+    if written != given:
+        raise ValueError(_difference(written, given, path))
+
+
+def _difference(written, given, path: str) -> str:
+    """Where ``given`` first differs from ``written``, which it does not
+    equal: a key only one of them holds, else the first differing value."""
+    if type(written) is type(given) is dict:
+        for key in [*written, *given]:
+            if (key in written) != (key in given):
+                return f"{path}[{key!r}] is {'unknown' if key in given else 'missing'}"
+        for key in written:
+            if written[key] != given[key]:
+                return _difference(written[key], given[key], f"{path}[{key!r}]")
+    elif type(written) is type(given) is list and len(written) == len(given):
+        for i, (mine, theirs) in enumerate(zip(written, given)):
+            if mine != theirs:
+                return _difference(mine, theirs, f"{path}[{i}]")
+    return f"{path} is {reprlib.repr(given)}, its model writes {reprlib.repr(written)}"
 
 
 def save_model(learner: AnticipatingClassifier, path: str) -> None:

@@ -181,6 +181,29 @@ class TestBirths:
             learner.learn_one([6.0, -6.0], 1)
         assert state_bytes(hit) == state_bytes(clean)
 
+    def test_failed_birth_keeps_the_classes(self, monkeypatch):
+        # a new class's row is built before the classes grow to hold it,
+        # so a failure there leaves the class count as it was
+        learners = [make_learner(allow_class_growth=True) for _ in range(2)]
+        for learner in learners:
+            learner.learn_one([0.0, 0.0], 0)
+        hit, clean = learners
+        before = state_bytes(hit)
+
+        def no_room(*args):
+            raise MemoryError("no room for the newborn's row")
+
+        monkeypatch.setattr(learner_module, "seed_row", no_room)
+        with pytest.raises(MemoryError):
+            hit.learn_one([5.0, 5.0], 4)
+        assert state_bytes(hit) == before
+        assert hit.system.n_classes == 2
+        monkeypatch.undo()
+        for learner in learners:
+            assert learner.learn_one([5.0, 5.0], 4) == 0
+        assert hit.system.n_classes == 5
+        assert state_bytes(hit) == state_bytes(clean)
+
     def test_every_rule_has_a_pair(self):
         rng = np.random.default_rng(0)
         learner = make_learner()

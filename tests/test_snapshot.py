@@ -1,6 +1,8 @@
 """Tests for model serialization: exact resume, format guards."""
 
+import copy
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -296,6 +298,11 @@ class TestGuards:
         # the pair counts and hits are int64 too
         lambda s: _first_pair(s).update(samples_seen=2 ** 63),
         lambda s: s["rules"][0]["premise"].update(hits=2 ** 63),
+        # and so are the skipped and sample counts, and the id one past
+        # the largest rule id
+        lambda s: s["rules"][0]["window"].update(skipped=2 ** 63),
+        lambda s: s.update(samples_seen=2 ** 63),
+        lambda s: _rename_first_rule(s, 2 ** 63 - 1),
     ])
     def test_malformed_value_rejected(self, mangle):
         state = state_dict(trained_learner(n=40, forgetting_mode="forget_ps"))
@@ -321,6 +328,17 @@ class TestGuards:
         state["next_rule_id"] = 3
         with pytest.raises(SnapshotError, match="next_rule_id"):
             from_state_dict(state)
+
+    def test_largest_int64_counts_load(self):
+        # the largest rule id whose successor fits int64, and the largest
+        # int64 counts, load as given
+        state = state_dict(trained_learner(n=40, forgetting_mode="forget_ps"))
+        _rename_first_rule(state, 2 ** 63 - 2)
+        state["samples_seen"] = 2 ** 63 - 1
+        state["rules"][0]["window"]["skipped"] = 2 ** 63 - 1
+        clone = from_state_dict(state)
+        assert clone.next_rule_id == 2 ** 63 - 1
+        assert state_dict(clone) == state
 
     def test_loggable_drifts_load(self):
         # the drifts _log_drift makes are valid, so each case above fails
@@ -760,3 +778,57 @@ def _perturbed(value):
     if value is None:
         return 1
     raise TypeError(f"no perturbation for {value!r}")
+
+
+@functools.lru_cache(maxsize=None)
+def _drifted_state(strategy, mode):
+    """The state of a learner trained past at least one drift."""
+    learner = trained_learner(strategy=strategy, forgetting_mode=mode)
+    assert learner.drift_log
+    return state_dict(learner)
+
+
+# the write-back property's other edit: an unknown key beside the leaf
+_NEW_KEY = "<an unknown key beside it>"
+
+
+def _replacements(value):
+    """What the write-back property puts in a leaf's place: None, its
+    repr, and for a number one more, one less and the other numeric type
+    (a float also scaled by 1 + 1e-9), for a bool its negation."""
+    out = [None, repr(value)]
+    if isinstance(value, bool):
+        out.append(not value)
+    elif isinstance(value, int):
+        out += [value + 1, value - 1, float(value)]
+    elif isinstance(value, float):
+        out += [value + 1, value - 1, value * (1 + 1e-9)]
+        if math.isfinite(value):
+            out.append(int(value))
+    return out
+
+
+@given(strategy=st.sampled_from(["naive", "global"]),
+       mode=st.sampled_from(["forget_am", "forget_ps"]), data=st.data())
+@settings(deadline=None)
+def test_a_state_loads_only_if_its_model_writes_it_back(strategy, mode, data):
+    """One leaf changed, or an unknown key added to the innermost dict
+    holding it: the state is rejected, or its model writes it back as
+    given."""
+    state = copy.deepcopy(_drifted_state(strategy, mode))
+    path = data.draw(st.sampled_from(list(_leaves(state))), label="leaf")
+    nodes = [state]  # the leaf's containers, outermost first
+    for key in path[:-1]:
+        nodes.append(nodes[-1][key])
+    edit = data.draw(st.sampled_from([*_replacements(nodes[-1][path[-1]]),
+                                      _NEW_KEY]), label="edit")
+    if edit == _NEW_KEY:
+        next(node for node in reversed(nodes) if isinstance(node, dict)).update(
+            no_such_key=0)
+    else:
+        nodes[-1][path[-1]] = edit
+    try:
+        clone = from_state_dict(state)
+    except SnapshotError:
+        return
+    assert state_dict(clone) == state
