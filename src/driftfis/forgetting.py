@@ -24,9 +24,12 @@ WindowBank writes and reads a ring. Its one writer, record, writes a
 sample into rows recorded together (the leading principal rows, a shadow
 pair) at the slot they share; forget and forget_pair downdate by what
 departs from that slot, count the skips, then record. set_rows and load
-only repack. A DDFWindow is one bank row seen from outside, as a one-row
-bank of views: ``len()``, ``capacity``, ``skipped``, ``ordered()`` and
-``push``.
+only repack. The bank has one external form: entries(), every row's held
+samples and weights, oldest first, in row order, and counts(), each row's
+fill and skipped count. state_bytes packs it, the snapshot writer slices
+each row's window out of it, and load, its loop-free inverse, installs it.
+A DDFWindow is one bank row seen from outside, as a one-row bank of views:
+``len()``, ``capacity``, ``skipped``, ``ordered()`` and ``push``.
 """
 
 from __future__ import annotations
@@ -147,20 +150,23 @@ class WindowBank:
         self._flat_w = weights.reshape(n * cap)
         self._base = np.arange(n, dtype=np.int64) * cap
 
-    def load(self, entries: list) -> None:
-        """Rebuild the bank from each row's (samples, weights, skipped): the
-        held entries, oldest first, repacked as by set_rows. ValueError if
-        a row holds more entries than the capacity."""
+    def load(self, xs, ws, fills, skipped) -> None:
+        """Rebuild the bank from every row's held samples and weights,
+        oldest first in row order, and each row's fill and skipped count:
+        the inverse of entries() and counts(). Each row's entries take its
+        ring's last slots, its recorded count 0, as set_rows repacks them.
+        ValueError if a fill passes the capacity."""
         cap = self.capacity
-        self.set_rows(np.full(len(entries), self.state.shape[1]))
-        for row, (xs, ws, skipped) in enumerate(entries):
-            fill = len(ws)
-            if fill > cap:
-                raise ValueError(f"window holds {fill} entries, more than "
-                                 f"its capacity {cap}")
-            self.samples[row, cap - fill:] = xs
-            self.weights[row, cap - fill:] = ws
-            self.state[:, row] = (0, fill, skipped)
+        if (fills > cap).any():
+            raise ValueError(f"a window holds more entries than its capacity {cap}")
+        n = len(fills)
+        self._bind(np.zeros((n, cap, self.n_inputs)), np.zeros((n, cap)),
+                   np.array((np.zeros(n), fills, skipped), dtype=np.int64))
+        # row r's entries end where its ring does, at flat slot (r + 1) cap
+        flat = np.repeat(self._base + cap - np.cumsum(fills), fills)
+        flat += np.arange(flat.shape[0])
+        self._flat_x[flat] = xs
+        self._flat_w[flat] = ws
 
     def record(self, x_aug: np.ndarray, weights, start: int = 0) -> None:
         """Record x_aug in rows start to start + len(weights) - 1, row
@@ -203,17 +209,16 @@ class WindowBank:
                 state[2, row + 1] += 1
         self.record(x_aug, (w_slow, w_fast), row)
 
-    def entries(self, start: int = 0, stop: int | None = None
-                ) -> tuple[np.ndarray, np.ndarray]:
-        """The held samples and weights of rows ``start`` to ``stop`` (every
-        row by default), each row's oldest first, in row order."""
+    def entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every row's held samples and weights, oldest first, in row
+        order."""
         cap = self.capacity
         pos = np.arange(cap)
-        recorded, held = self.state[:2, start:stop]
+        recorded, held = self.state[:2]
         fill = np.minimum(recorded + held, cap)
         # slot of a row's j-th oldest entry: recorded - fill + j, modulo cap
         slots = (recorded - fill)[:, None] + pos
         flat = slots[pos < fill[:, None]]
         flat %= cap
-        flat += np.repeat(self._base[start:stop], fill)
+        flat += np.repeat(self._base, fill)
         return self._flat_x.take(flat, axis=0), self._flat_w.take(flat)

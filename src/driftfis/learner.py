@@ -50,6 +50,11 @@ from .forgetting import WindowBank
 # (measured crossovers: 45 rules at 3 features, 37 at 4, 12 at 10).
 _SPLIT_MIN_SKIPPED = 2640
 
+# the largest count or id an int64 array holds, and so the most samples a
+# model learns: its snapshot and drift log hold the count, and each drift's
+# sample index, as int64
+INT64_MAX = np.iinfo(np.int64).max
+
 
 class UnknownClassError(ValueError):
     """A label that is no class index: not an integer (an integral float
@@ -147,10 +152,13 @@ class AnticipatingClassifier:
         changes: the founding sample's features are checked directly, any
         later sample's through its membership sum (fis.membership_sum), as
         in predict_one. A label that is no class index raises
-        UnknownClassError, also before any state changes.
+        UnknownClassError, also before any state changes, as does any
+        sample, with OverflowError, once the model has learned 2**63 - 1.
         Every sample but the founding one ends in _learn_conclusions, a
         class's first one right after its rule's birth.
         """
+        if self.samples_seen >= INT64_MAX:
+            raise OverflowError(f"samples_seen is at int64's maximum {INT64_MAX}")
         x = self._check_features(x)
         cfg = self.config
         system = self.system

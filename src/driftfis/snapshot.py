@@ -5,14 +5,18 @@ counters, config) as plain JSON. Floats survive the round trip exactly
 (repr-based encoding), so saving and reloading resumes the stream
 bit-for-bit. Cached covariance inverses are not stored; they are
 recomputed from the covariance, which is deterministic. Both directions
-work on rows: the writer reads each rule's and sub-rule's row of the
-FuzzySystem stacks, its id and born class and its WindowBank row, and the
-loader rebuilds the stacks, the id and born-class arrays, the pair counts
-and the bank. Some of what the writer writes is derived, for the reader:
+work on rows. The writer reads the FuzzySystem stacks and the WindowBank's
+entries() and counts() once per snapshot, and slices each rule's and
+sub-rule's entry out of them, with its id and born class. The loader
+rebuilds the stacks, the id and born-class arrays and the pair counts, and
+parses every window into that same form, one flat array of entries in row
+order with each row's fill and skipped count, which one WindowBank.load
+installs. Some of what the writer writes is derived, for the reader:
 ``next_rule_id`` (one past the largest rule id), the seen classes, each
 row's horizon, omega and window capacity, and each drift's strategy. The
 loader takes none of it from the snapshot. It checks the stored values,
-builds the model, and then requires that the model write the snapshot
+builds the model (whose constructor rejects a size that is no positive
+int), and then requires that the model write the snapshot
 back (``state_dict(from_state_dict(s)) == s`` under ``==``, key sets
 included), entry by entry, so that only the writer knows how a derived
 field follows from the rest.
@@ -35,7 +39,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import numbers
 import reprlib
 from dataclasses import asdict
 
@@ -44,7 +47,7 @@ import numpy as np
 from .anticipation import DriftEvent
 from .config import LearnerConfig
 from .fis import Rows
-from .learner import AnticipatingClassifier
+from .learner import INT64_MAX, AnticipatingClassifier
 from .linalg import regularized_inverse_stack
 
 FORMAT_NAME = "driftfis-model"
@@ -52,9 +55,6 @@ FORMAT_VERSION = 1
 
 # the encoder json.dumps(..., sort_keys=True) uses, built once
 _CANONICAL = json.JSONEncoder(sort_keys=True)
-
-# the largest count or id an int64 array holds
-_INT64_MAX = np.iinfo(np.int64).max
 
 
 class SnapshotError(ValueError):
@@ -72,48 +72,51 @@ def _array(value, shape: tuple[int, ...], what: str) -> np.ndarray:
     return out
 
 
-def _integer(value, what: str, low: int = 0, high: float = math.inf,
-             integral: bool = False) -> int:
-    """An int from snapshot data in low..high, else ValueError; ``integral``
-    also admits numpy ints (any numbers.Integral but bool)."""
-    if integral and isinstance(value, numbers.Integral) and type(value) is not bool:
-        value = int(value)
+def _integer(value, what: str, low: int = 0, high: float = math.inf) -> int:
+    """An int from snapshot data in low..high, else ValueError."""
     if type(value) is not int or not low <= value <= high:
         raise ValueError(f"{what} must be an integer in {low}..{high}, "
                          f"got {value!r}")
     return value
 
 
-def _sub_entry(learner: AnticipatingClassifier, row: int,
-               horizon: int | None) -> dict:
-    """The premise, consequent and window entries of stack row ``row``, a
-    rule (horizon None) or a sub-rule (its role's horizon)."""
-    stacks, windows = learner.system.stacks(), learner.windows
-    xs, ws = windows.entries(row, row + 1)
-    return {
-        "premise": {"center": stacks.centers[row].tolist(),
-                    "cov": stacks.covs[row].tolist(),
-                    "hits": stacks.hits.item(row), "horizon": horizon},
-        "consequent": {"coeffs": stacks.coeffs[row].tolist(),
-                       "corr": stacks.corrs[row].tolist(),
-                       "omega": learner.config.omega},
-        "window": {"capacity": windows.capacity,
-                   "skipped": windows.state.item(2, row),
-                   "entries": [list(e) for e in zip(xs.tolist(), ws.tolist())]},
-    }
+def _entry_writers(learner: AnticipatingClassifier):
+    """The writers of rule i's entry and of shadow pair i's, two functions
+    of i. Each slices its rows out of the stacks and out of the window
+    entries and counts, which this reads once for the whole state."""
+    system, windows, config = learner.system, learner.windows, learner.config
+    stacks = system.stacks()
+    xs, ws = windows.entries()
+    fills, skipped = windows.counts().tolist()
+    # row r's window entries are xs[ends[r]:ends[r + 1]], ws too
+    ends = [0, *np.cumsum(fills).tolist()]
 
+    def sub(row: int, horizon: int | None) -> dict:
+        """Stack row ``row``'s premise, consequent and window entries, a
+        rule (horizon None) or a sub-rule (its role's horizon)."""
+        held = slice(ends[row], ends[row + 1])
+        return {
+            "premise": {"center": stacks.centers[row].tolist(),
+                        "cov": stacks.covs[row].tolist(),
+                        "hits": stacks.hits.item(row), "horizon": horizon},
+            "consequent": {"coeffs": stacks.coeffs[row].tolist(),
+                           "corr": stacks.corrs[row].tolist(),
+                           "omega": config.omega},
+            "window": {"capacity": windows.capacity, "skipped": skipped[row],
+                       "entries": [list(e) for e in zip(xs[held].tolist(),
+                                                        ws[held].tolist())]},
+        }
 
-def _rule_entry(learner: AnticipatingClassifier, i: int) -> dict:
-    system = learner.system
-    return {"id": system.ids.item(i), "born_class": system.born_classes.item(i),
-            **_sub_entry(learner, i, None)}
+    def rule(i: int) -> dict:
+        return {"id": system.ids.item(i), "born_class": system.born_classes.item(i),
+                **sub(i, None)}
 
+    def pair(i: int) -> dict:
+        row = len(system) + 2 * i  # the slow sub-rule's
+        return {"samples_seen": learner.pair_seen.item(i),
+                "slow": sub(row, config.tmax1), "fast": sub(row + 1, config.tmax2)}
 
-def _pair_entry(learner: AnticipatingClassifier, i: int) -> dict:
-    row = len(learner.system) + 2 * i  # the slow sub-rule's
-    return {"samples_seen": learner.pair_seen.item(i),
-            "slow": _sub_entry(learner, row, learner.config.tmax1),
-            "fast": _sub_entry(learner, row + 1, learner.config.tmax2)}
+    return rule, pair
 
 
 def state_dict(learner: AnticipatingClassifier) -> dict:
@@ -160,7 +163,9 @@ def from_state_dict(state: dict) -> AnticipatingClassifier:
     past int64 or a rule id at its maximum, a class outside
     0..n_classes-1, and a drift the learner cannot have logged: one
     naming an unknown rule id, a separation not above ks, or a sample
-    index not past the previous drift's and below samples_seen.
+    index not past the previous drift's and below samples_seen. A model
+    too large for numpy to allocate (10**7 classes, a window capacity of
+    10**14) raises SnapshotError too, not MemoryError.
     """
     if state.get("format") != FORMAT_NAME:
         raise SnapshotError(f"not a {FORMAT_NAME} snapshot")
@@ -171,22 +176,22 @@ def from_state_dict(state: dict) -> AnticipatingClassifier:
         _check_written_back(learner, state)
     except KeyError as exc:
         raise SnapshotError(f"malformed snapshot: missing key {exc}") from exc
-    except (TypeError, ValueError, AttributeError) as exc:
+    except (TypeError, ValueError, AttributeError, MemoryError) as exc:
         raise SnapshotError(f"malformed snapshot: {exc}") from exc
     return learner
 
 
 def _learner_from_state(state: dict) -> AnticipatingClassifier:
     config = LearnerConfig(**state["config"])
-    d = _integer(state["n_features"], "n_features", 1, integral=True)
-    c = _integer(state["n_classes"], "n_classes", 1, integral=True)
-    learner = AnticipatingClassifier(d, c, config)
+    # the constructor rejects a size that is no positive int
+    learner = AnticipatingClassifier(state["n_features"], state["n_classes"], config)
+    d, c = learner.system.n_features, learner.system.n_classes
     learner.samples_seen = _integer(state["samples_seen"], "samples_seen",
-                                    high=_INT64_MAX)
+                                    high=INT64_MAX)
     rules = state["rules"]
     # rule ids live in an int64 array, which the next one, one past the
     # largest, must fit too
-    ids = [_integer(rule["id"], "a rule id", high=_INT64_MAX - 1) for rule in rules]
+    ids = [_integer(rule["id"], "a rule id", high=INT64_MAX - 1) for rule in rules]
     born = [_integer(rule["born_class"], "born_class", 0, c - 1) for rule in rules]
     learner.drift_log = [DriftEvent(**{**event, "strategy": config.strategy})
                          for event in state["drift_log"]]
@@ -204,20 +209,22 @@ def _learner_from_state(state: dict) -> AnticipatingClassifier:
     pairs = [state["anticipations"][str(rule_id)] for rule_id in ids]
     # every stacked row in stack order: the rules, then their pairs
     rows = [*rules, *(pair[role] for pair in pairs for role in ("slow", "fast"))]
-    windows = []  # each row's samples, weights and skipped count
-    for entry in rows:
-        _integer(entry["premise"]["hits"], "hits", 1, _INT64_MAX)
-        held = entry["window"]["entries"]
-        windows.append([
-            _array([x for x, _ in held] or np.empty((0, d + 1)),
-                   (len(held), d + 1), "window entries"),
-            _array([weight for _, weight in held], (len(held),), "window weights"),
-            _integer(entry["window"]["skipped"], "skipped", high=_INT64_MAX)])
-    n = len(rules)
+    # every window's entries, flat in row order as WindowBank.entries
+    # reads them, and each row's fill and skipped count
+    fills = np.array([len(entry["window"]["entries"]) for entry in rows], dtype=np.int64)
+    flat = [held for entry in rows for held in entry["window"]["entries"]]
+    xs = _array([x for x, _ in flat] or np.empty((0, d + 1)), (len(flat), d + 1),
+                "window entries")
+    ws = _array([weight for _, weight in flat], (len(flat),), "window weights")
+    skipped = np.array([_integer(entry["window"]["skipped"], "skipped",
+                                 high=INT64_MAX) for entry in rows], dtype=np.int64)
+    hits = np.array([_integer(entry["premise"]["hits"], "hits", 1, INT64_MAX)
+                     for entry in rows], dtype=np.int64)
     # the two windows of a pair record every sample together and evict it
-    # together
-    for slow, fast in zip(windows[n::2], windows[n + 1::2]):
-        if slow[0].tobytes() != fast[0].tobytes():
+    # together: a pair's slow window is xs[slow:fast], its fast one xs[fast:end]
+    ends, n = [0, *np.cumsum(fills).tolist()], len(rules)
+    for slow, fast, end in zip(ends[n::2], ends[n + 1::2], ends[n + 2::2]):
+        if xs[slow:fast].tobytes() != xs[fast:end].tobytes():
             raise ValueError("a shadow pair's windows must hold the same samples")
     if not rules:
         return learner
@@ -247,15 +254,14 @@ def _learner_from_state(state: dict) -> AnticipatingClassifier:
     for what, mats in (("correlation", corrs), ("coefficient", coeffs)):
         if np.signbit(mats[mats == 0.0]).any():
             raise ValueError(f"a {what} matrix holds a -0.0 entry")
-    hits = np.array([entry["premise"]["hits"] for entry in rows], dtype=np.int64)
     learner.system.set_rows(
         np.array(ids, dtype=np.int64), np.array(born, dtype=np.int64),
         np.arange(len(rows)),
         extra=Rows(stacked("premise", "center", d), covs, invs, hits, corrs,
                    coeffs))
-    learner.windows.load(windows)
+    learner.windows.load(xs, ws, fills, skipped)
     learner.pair_seen = np.array(
-        [_integer(pair["samples_seen"], "a pair's samples_seen", high=_INT64_MAX)
+        [_integer(pair["samples_seen"], "a pair's samples_seen", high=INT64_MAX)
          for pair in pairs], dtype=np.int64)
     learner._resize_buffers()
     return learner
@@ -271,9 +277,10 @@ def _check_written_back(learner: AnticipatingClassifier, state: dict) -> None:
     skeleton = _state_skeleton(learner)
     skeleton["anticipations"] = sorted(ids)
     _compare(skeleton, {**state, "rules": None, "anticipations": sorted(pairs)}, "")
+    rule_entry, pair_entry = _entry_writers(learner)
     for i, key in enumerate(ids):
-        _compare(_rule_entry(learner, i), rules[i], f"['rules'][{i}]")
-        _compare(_pair_entry(learner, i), pairs[key], f"['anticipations'][{key!r}]")
+        _compare(rule_entry(i), rules[i], f"['rules'][{i}]")
+        _compare(pair_entry(i), pairs[key], f"['anticipations'][{key!r}]")
 
 
 def _compare(written, given, path: str) -> None:
@@ -339,16 +346,16 @@ def _canonical_text(learner: AnticipatingClassifier):
     dumps = _CANONICAL.encode
     state = _state_skeleton(learner)
     ids = [str(rule_id) for rule_id in learner.system.ids.tolist()]
+    rule_entry, pair_entry = _entry_writers(learner)
     yield "{"
     for i, key in enumerate(sorted(state)):
         # json.dumps separators: ", " between items, ": " after keys
         yield f"{', ' if i else ''}{dumps(key)}: "
         if key == "rules":
-            yield from _items("[]", (dumps(_rule_entry(learner, i))
-                                     for i in range(len(ids))))
+            yield from _items("[]", (dumps(rule_entry(i)) for i in range(len(ids))))
         elif key == "anticipations":
             yield from _items("{}", (
-                f"{dumps(ids[i])}: {dumps(_pair_entry(learner, i))}"
+                f"{dumps(ids[i])}: {dumps(pair_entry(i))}"
                 for i in sorted(range(len(ids)), key=ids.__getitem__)))
         else:
             yield dumps(state[key])

@@ -283,6 +283,31 @@ GUARDS = st.sampled_from([(True, True), (True, False), (False, True),
                           (False, False)])
 
 
+def random_step(model, data):
+    """Drive ``model`` one drawn step: a pair's or the leading rows'
+    forget, a birth, a drift, a skip or a regather."""
+    n = model.n
+    op = data.draw(st.sampled_from(
+        ["pair", "pair", "principal", "principal", "birth", "naive",
+         "global", "skip", "regather"]), label="op")
+    if op == "pair":
+        model.push_pair(data.draw(st.integers(0, n - 1)),
+                        data.draw(WEIGHTS), data.draw(WEIGHTS),
+                        data.draw(GUARDS))
+    elif op == "principal":
+        model.push_leading(
+            data.draw(st.lists(WEIGHTS, min_size=n, max_size=n)),
+            data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    elif op == "birth" and n < 4:
+        model.birth()
+    elif op in ("naive", "global") and n < 4:
+        model.drift(data.draw(st.integers(0, n - 1)), op)
+    elif op == "skip":
+        model.skip(data.draw(st.integers(0, 3 * n - 1)))
+    elif op == "regather":
+        model.regather()
+
+
 class TestWindowBank:
     # max_examples comes from the hypothesis profile (tests/conftest.py)
     @given(capacity=st.integers(1, 6), data=st.data())
@@ -291,27 +316,33 @@ class TestWindowBank:
         model = RowModel(capacity, k=3)
         model.birth()
         for _ in range(data.draw(st.integers(1, 40), label="steps")):
-            n = model.n
-            op = data.draw(st.sampled_from(
-                ["pair", "pair", "principal", "principal", "birth", "naive",
-                 "global", "skip", "regather"]), label="op")
-            if op == "pair":
-                model.push_pair(data.draw(st.integers(0, n - 1)),
-                                data.draw(WEIGHTS), data.draw(WEIGHTS),
-                                data.draw(GUARDS))
-            elif op == "principal":
-                model.push_leading(
-                    data.draw(st.lists(WEIGHTS, min_size=n, max_size=n)),
-                    data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-            elif op == "birth" and n < 4:
-                model.birth()
-            elif op in ("naive", "global") and n < 4:
-                model.drift(data.draw(st.integers(0, n - 1)), op)
-            elif op == "skip":
-                model.skip(data.draw(st.integers(0, 3 * n - 1)))
-            elif op == "regather":
-                model.regather()
+            random_step(model, data)
             model.check()
+
+    @given(capacity=st.integers(1, 6), data=st.data())
+    @settings(deadline=None)
+    def test_load_inverts_entries_and_counts(self, capacity, data):
+        # wrapped rings, shared heads, pairs, blank rows and skips, loaded
+        # from their entries and counts, lie as a repack lays them out and
+        # read back as they were
+        model = RowModel(capacity, k=3)
+        model.birth()
+        for _ in range(data.draw(st.integers(1, 40), label="steps")):
+            random_step(model, data)
+        bank = model.bank
+        xs, ws = bank.entries()
+        counts = bank.counts()
+        loaded = WindowBank(capacity, 3)
+        loaded.load(xs, ws, *counts)
+        bank.set_rows(np.arange(bank.state.shape[1]))
+        for name in ("samples", "weights", "state"):
+            ours, theirs = getattr(loaded, name), getattr(bank, name)
+            assert ours.shape == theirs.shape
+            assert ours.tobytes() == theirs.tobytes()
+        for ours, theirs in zip((*loaded.entries(), loaded.counts()),
+                                (xs, ws, counts)):
+            assert ours.shape == theirs.shape
+            assert ours.tobytes() == theirs.tobytes()
 
     def test_steady_state_evicts_every_leading_row_in_place(self, monkeypatch):
         system, bank = forgetting_rows(2, n=2)
@@ -335,14 +366,16 @@ class TestWindowBank:
         # every row has the bank's capacity: a loaded window holding more
         # entries does not fit
         with pytest.raises(ValueError, match="capacity"):
-            WindowBank(3, 2).load([(np.ones((4, 2)), np.ones(4), 0)])
+            WindowBank(3, 2).load(np.ones((4, 2)), np.ones(4), np.array([4]),
+                                  np.array([0]))
 
     def test_window_read_from_a_snapshot_pushes_in_order(self):
         # a loaded window holds its entries in its last slots, its recorded
         # count at 0, so its head is the blank slot 0
         bank = WindowBank(3, 2)
-        bank.load([(np.array([[1.0, 1.0], [1.0, 2.0]]), np.array([0.5, 0.25]), 0),
-                   (np.empty((0, 2)), np.empty(0), 2)])
+        # row 0 holds two entries, row 1 none and two skips
+        bank.load(np.array([[1.0, 1.0], [1.0, 2.0]]), np.array([0.5, 0.25]),
+                  np.array([2, 0]), np.array([0, 2]))
         assert bank.state.tolist() == [[0, 0], [2, 0], [0, 2]]
         assert bank.weights.tolist() == [[0.0, 0.5, 0.25], [0.0] * 3]
         assert bank.samples[0].tolist() == [[0.0, 0.0], [1.0, 1.0], [1.0, 2.0]]
@@ -381,20 +414,21 @@ class TestWindowBank:
         for i in range(2):
             bank.record(np.array([2.0, i]), (0.125 * i, 1.0), 2)
         bank.state[2] = [1, 2, 3, 4, 5]
-        held = [(*bank.entries(row, row + 1), bank.state.item(2, row))
-                for row in range(5)]
+        xs, ws = bank.entries()
+        fills, skipped = bank.counts()
         bank.set_rows(np.arange(5))
         loaded = WindowBank(cap, 2)
-        loaded.load(held)
+        loaded.load(xs, ws, fills, skipped)
         # every row's entries end in its last slot, blanks before them, and
         # its recorded count is 0
+        stops = np.cumsum(fills)
         for repacked in (bank, loaded):
             assert repacked.state.tolist() == [[0] * 5, [3, 3, 2, 2, 0],
                                                [1, 2, 3, 4, 5]]
-            for row, (xs, ws, _) in enumerate(held):
-                fill = len(ws)
-                assert repacked.samples[row, cap - fill:].tobytes() == xs.tobytes()
-                assert repacked.weights[row, cap - fill:].tolist() == ws.tolist()
+            for row, (fill, stop) in enumerate(zip(fills, stops)):
+                held = slice(stop - fill, stop)
+                assert repacked.samples[row, cap - fill:].tobytes() == xs[held].tobytes()
+                assert repacked.weights[row, cap - fill:].tolist() == ws[held].tolist()
                 assert not repacked.samples[row, :cap - fill].any()
                 assert not repacked.weights[row, :cap - fill].any()
         assert bank.samples.tobytes() == loaded.samples.tobytes()

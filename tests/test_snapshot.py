@@ -139,6 +139,16 @@ def _rename_first_rule(state, rule_id):
     state["next_rule_id"] = rule_id + 1
 
 
+def _largest_int64_state():
+    """A trained state at the largest int64 counts and the largest rule id
+    whose successor fits int64."""
+    state = state_dict(trained_learner(n=40, forgetting_mode="forget_ps"))
+    _rename_first_rule(state, 2 ** 63 - 2)
+    state["samples_seen"] = 2 ** 63 - 1
+    state["rules"][0]["window"]["skipped"] = 2 ** 63 - 1
+    return state
+
+
 def _log_drift(state, **fields):
     """Append a drift the learner could have logged last, but for
     ``fields``: at the last sample, of the first rule, under the config's
@@ -303,6 +313,11 @@ class TestGuards:
         lambda s: s["rules"][0]["window"].update(skipped=2 ** 63),
         lambda s: s.update(samples_seen=2 ** 63),
         lambda s: _rename_first_rule(s, 2 ** 63 - 1),
+        # sizes whose model numpy cannot allocate, past any 128 TiB address
+        # space: the one-hot targets of 10**7 classes (728 TiB) and the
+        # window rings of capacity 10**14
+        lambda s: s.update(n_classes=10 ** 7),
+        lambda s: s["config"].update(ws=10 ** 14),
     ])
     def test_malformed_value_rejected(self, mangle):
         state = state_dict(trained_learner(n=40, forgetting_mode="forget_ps"))
@@ -332,13 +347,21 @@ class TestGuards:
     def test_largest_int64_counts_load(self):
         # the largest rule id whose successor fits int64, and the largest
         # int64 counts, load as given
-        state = state_dict(trained_learner(n=40, forgetting_mode="forget_ps"))
-        _rename_first_rule(state, 2 ** 63 - 2)
-        state["samples_seen"] = 2 ** 63 - 1
-        state["rules"][0]["window"]["skipped"] = 2 ** 63 - 1
+        state = _largest_int64_state()
         clone = from_state_dict(state)
         assert clone.next_rule_id == 2 ** 63 - 1
         assert state_dict(clone) == state
+
+    def test_no_sample_is_learned_past_the_largest_int64_count(self):
+        # a sample more would count past int64, and its snapshot would no
+        # longer load: learn_one refuses it with the state unchanged
+        state = _largest_int64_state()
+        learner = from_state_dict(state)
+        before = state_bytes(learner)
+        with pytest.raises(OverflowError):
+            learner.learn_one([0.0, 0.0], 0)
+        assert state_bytes(learner) == before
+        assert state_dict(from_state_dict(state_dict(learner))) == state
 
     def test_loggable_drifts_load(self):
         # the drifts _log_drift makes are valid, so each case above fails
